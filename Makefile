@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint campaign-smoke chaos-smoke obs-smoke bench bench-baseline bench-compare bench-smoke report report-small claims docs examples clean
+.PHONY: install test lint campaign-smoke chaos-smoke obs-smoke oracle-check bench bench-baseline bench-compare bench-smoke report report-small claims docs examples clean
 
 install:
 	pip install -e .[test]
@@ -40,6 +40,16 @@ chaos-smoke:
 # (injections_total summed over labels == campaign item count).
 obs-smoke:
 	PYTHONPATH=src $(PY) -m repro.obs smoke
+
+# Reference-path anchor: recompute each benchmark workload's accel=False
+# outcomes and exit 1 unless they match the frozen perfbench/oracle.json
+# (the --no-accel setting shares its replay loop with the shortcuts, so
+# this stored file is its code-independent check).
+oracle-check:
+	for w in gate-units epr-short epr-hang; do \
+		PYTHONPATH=src $(PY) perfbench/run.py --workload $$w --oracle check \
+			|| exit 1; \
+	done
 
 # Full benchmark suite; exports machine-readable results for
 # bench-compare. BENCH_JSON is overridable (bench-baseline uses it to

@@ -4,7 +4,7 @@ The dominant redundant cost of a software-level campaign is re-running the
 fault-free reference: classifying one injection needs the golden output
 bits of its ``(workload, scale, seed)``, and a 1,000-injection campaign
 used to recompute them 1,000 times. This cache computes each golden run
-once per process. Campaigns :meth:`~GoldenCache.warm` it in the parent
+once per process. Campaigns :meth:`~ContentCache.warm` it in the parent
 before the worker pool forks, so every worker inherits the entries
 copy-on-write and every work unit is a cache hit.
 
@@ -13,7 +13,7 @@ tuple ``(workload, scale, seed, mem_words)`` and each entry additionally
 records the SHA-256 digest of the golden output bits, so result stores can
 assert they were classified against the same reference.
 
-With :meth:`GoldenCache.persist_to` the cache additionally spills entries
+With :meth:`ContentCache.persist_to` the cache additionally spills entries
 to a directory (campaigns use ``<campaign dir>/goldens/``): writes are
 atomic (tmp + ``os.replace``), and every read re-hashes the stored bits
 against the recorded digest — a truncated or bit-flipped entry is
@@ -71,6 +71,10 @@ class GoldenRun:
     digest: str
 
 
+def _bits_digest(bits: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(bits).tobytes()).hexdigest()
+
+
 def _compute(app: str, scale: str, seed: int, mem_words: int) -> GoldenRun:
     w = cached_workload(app, scale, seed)
     dev = Device(DeviceConfig(global_mem_words=mem_words))
@@ -83,17 +87,34 @@ def _compute(app: str, scale: str, seed: int, mem_words: int) -> GoldenRun:
         return res
 
     bits = w.run(dev, launcher)
-    digest = hashlib.sha256(np.ascontiguousarray(bits).tobytes()).hexdigest()
+    digest = _bits_digest(bits)
     return GoldenRun(key=golden_key(app, scale, seed, mem_words), bits=bits,
                      dynamic_instructions=executed["n"], digest=digest)
 
 
-class GoldenCache:
-    """Process-local golden-run cache with hit/miss accounting and an
-    optional integrity-checked disk spill."""
+class ContentCache:
+    """Process-local content-addressed cache with hit/miss accounting and
+    an optional integrity-checked disk spill.
 
-    def __init__(self) -> None:
-        self._entries: dict[str, GoldenRun] = {}
+    One class serves both reference caches; an instance is parameterized
+    by *kind* (the ``cache_lookups_total`` label and log name), *key_fn*
+    (identity tuple -> content address), *compute* (builds a missing
+    entry, inside a span named *span*), and *encode*/*decode* (entry <->
+    the named arrays of its ``<key><suffix>`` spill file). *decode*
+    receives the expected key and must raise when the arrays fail its
+    digest check.
+    """
+
+    def __init__(self, kind: str, key_fn, compute, encode, decode,
+                 suffix: str, span: str) -> None:
+        self.kind = kind
+        self._key_fn = key_fn
+        self._compute = compute
+        self._encode = encode
+        self._decode = decode
+        self._suffix = suffix
+        self._span = span
+        self._entries: dict[str, object] = {}
         self.hits = 0
         self.misses = 0
         #: spill directory (``persist_to``); None = in-memory only
@@ -106,8 +127,8 @@ class GoldenCache:
         return len(self._entries)
 
     def persist_to(self, directory: str | Path | None) -> None:
-        """Spill entries to *directory* (resume reuses golden runs across
-        process restarts); ``None`` disables persistence."""
+        """Spill entries to *directory* (resume reuses them across process
+        restarts); ``None`` disables persistence."""
         if directory is None:
             self.disk_dir = None
             return
@@ -115,34 +136,34 @@ class GoldenCache:
         self.disk_dir.mkdir(parents=True, exist_ok=True)
 
     def get(self, app: str, scale: str, seed: int,
-            mem_words: int = DEFAULT_MEM_WORDS) -> GoldenRun:
-        """Return the golden run, computing (and counting a miss) if absent."""
-        key = golden_key(app, scale, seed, mem_words)
+            mem_words: int = DEFAULT_MEM_WORDS):
+        """Return the entry, computing (and counting a miss) if absent."""
+        key = self._key_fn(app, scale, seed, mem_words)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
-            _CACHE_LOOKUPS.inc(cache="golden", result="hit")
+            _CACHE_LOOKUPS.inc(cache=self.kind, result="hit")
             return entry
         entry = self._disk_load(key)
         if entry is not None:
             self.hits += 1
             self.disk_hits += 1
-            _CACHE_LOOKUPS.inc(cache="golden", result="disk_hit")
+            _CACHE_LOOKUPS.inc(cache=self.kind, result="disk_hit")
             self._entries[key] = entry
             return entry
         self.misses += 1
-        _CACHE_LOOKUPS.inc(cache="golden", result="miss")
-        with obs.span("golden.compute", app=app, scale=scale):
-            entry = _compute(app, scale, seed, mem_words)
+        _CACHE_LOOKUPS.inc(cache=self.kind, result="miss")
+        with obs.span(self._span, app=app, scale=scale):
+            entry = self._compute(app, scale, seed, mem_words)
         self._entries[key] = entry
         self._disk_store(entry)
         return entry
 
     # -- disk spill ----------------------------------------------------
     def _disk_path(self, key: str) -> Path:
-        return self.disk_dir / f"{key}.npz"
+        return self.disk_dir / f"{key}{self._suffix}"
 
-    def _disk_load(self, key: str) -> GoldenRun | None:
+    def _disk_load(self, key: str):
         """Load + verify one spilled entry; a corrupt entry is discarded
         (the caller recomputes and rewrites it) instead of raising."""
         if self.disk_dir is None:
@@ -152,19 +173,11 @@ class GoldenCache:
             return None
         try:
             with np.load(path, allow_pickle=False) as z:
-                bits = np.array(z["bits"])
-                meta = json.loads(str(z["meta"][()]))
-            digest = hashlib.sha256(
-                np.ascontiguousarray(bits).tobytes()).hexdigest()
-            if meta.get("key") != key or meta.get("digest") != digest:
-                raise ValueError("golden entry digest mismatch")
-            return GoldenRun(
-                key=key, bits=bits,
-                dynamic_instructions=int(meta["dynamic_instructions"]),
-                digest=digest)
+                arrays = {k: np.array(z[k]) for k in z.files}
+            return self._decode(key, arrays)
         except Exception as exc:
             self.disk_rejects += 1
-            log.warning(f"golden cache entry {path.name} is corrupt "
+            log.warning(f"{self.kind} cache entry {path.name} is corrupt "
                         f"({exc}); recomputing")
             try:
                 path.unlink(missing_ok=True)
@@ -172,31 +185,26 @@ class GoldenCache:
                 pass
             return None
 
-    def _disk_store(self, entry: GoldenRun) -> None:
+    def _disk_store(self, entry) -> None:
         """Atomically spill one entry (tmp + ``os.replace``); persistence
         is an optimization, so write failures degrade to a warning."""
         if self.disk_dir is None:
             return
         path = self._disk_path(entry.key)
         tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        meta = json.dumps({
-            "key": entry.key,
-            "digest": entry.digest,
-            "dynamic_instructions": entry.dynamic_instructions,
-        })
         try:
             with open(tmp, "wb") as fh:
-                np.savez(fh, bits=entry.bits, meta=np.array(meta))
+                np.savez(fh, **self._encode(entry))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
         except OSError as exc:
-            log.warning(f"could not persist golden cache entry "
+            log.warning(f"could not persist {self.kind} cache entry "
                         f"{path.name}: {exc}")
             tmp.unlink(missing_ok=True)
 
     def warm(self, specs) -> int:
-        """Pre-compute golden runs for ``(app, scale, seed, mem_words)``
+        """Pre-compute entries for ``(app, scale, seed, mem_words)``
         tuples; returns how many were actually computed (cache misses)."""
         before = self.misses
         for app, scale, seed, mem_words in specs:
@@ -220,6 +228,31 @@ class GoldenCache:
         self.disk_rejects = 0
         self.disk_dir = None
 
+
+def _golden_encode(entry: GoldenRun) -> dict:
+    meta = json.dumps({
+        "key": entry.key,
+        "digest": entry.digest,
+        "dynamic_instructions": entry.dynamic_instructions,
+    })
+    return {"bits": entry.bits, "meta": np.array(meta)}
+
+
+def _golden_decode(key: str, arrays: dict) -> GoldenRun:
+    bits = arrays["bits"]
+    meta = json.loads(str(arrays["meta"][()]))
+    digest = _bits_digest(bits)
+    if meta.get("key") != key or meta.get("digest") != digest:
+        raise ValueError("golden entry digest mismatch")
+    return GoldenRun(key=key, bits=bits,
+                     dynamic_instructions=int(meta["dynamic_instructions"]),
+                     digest=digest)
+
+
+#: a fresh golden-run cache (``<key>.npz`` spill entries)
+GoldenCache = functools.partial(
+    ContentCache, "golden", golden_key, _compute, _golden_encode,
+    _golden_decode, ".npz", "golden.compute")
 
 #: the process singleton; forked workers inherit warmed entries
 GOLDEN_CACHE = GoldenCache()
@@ -363,7 +396,7 @@ def _trace_compute(app: str, scale: str, seed: int,
         return res
 
     bits = w.run(dev, launcher)
-    digest = hashlib.sha256(np.ascontiguousarray(bits).tobytes()).hexdigest()
+    digest = _bits_digest(bits)
     if digest != golden.digest or state["base"] != golden.dynamic_instructions:
         raise RuntimeError(
             f"golden trace of {app}/{scale} diverged from the cached golden "
@@ -517,114 +550,24 @@ def _trace_digest(arrays: dict, meta: dict) -> str:
     return h.hexdigest()
 
 
-class CheckpointCache:
-    """Process-local golden-trace cache, mirroring :class:`GoldenCache`
-    (hit/miss accounting + digest-verified atomic ``.npz`` spill)."""
+def _trace_encode(entry: GoldenTrace) -> dict:
+    arrays, meta = _trace_to_arrays(entry)
+    meta["trace_digest"] = _trace_digest(arrays, meta)
+    return {"meta": np.array(json.dumps(meta)), **arrays}
 
-    def __init__(self) -> None:
-        self._entries: dict[str, GoldenTrace] = {}
-        self.hits = 0
-        self.misses = 0
-        self.disk_dir: Path | None = None
-        self.disk_hits = 0
-        self.disk_rejects = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
+def _trace_decode(key: str, arrays: dict) -> GoldenTrace:
+    meta = json.loads(str(arrays.pop("meta")[()]))
+    expect = meta.get("trace_digest")
+    if meta.get("key") != key or expect != _trace_digest(arrays, meta):
+        raise ValueError("trace entry digest mismatch")
+    return _trace_from_arrays(arrays, meta)
 
-    def persist_to(self, directory: str | Path | None) -> None:
-        if directory is None:
-            self.disk_dir = None
-            return
-        self.disk_dir = Path(directory)
-        self.disk_dir.mkdir(parents=True, exist_ok=True)
 
-    def get(self, app: str, scale: str, seed: int,
-            mem_words: int = DEFAULT_MEM_WORDS) -> GoldenTrace:
-        key = trace_key(app, scale, seed, mem_words)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            _CACHE_LOOKUPS.inc(cache="checkpoint", result="hit")
-            return entry
-        entry = self._disk_load(key)
-        if entry is not None:
-            self.hits += 1
-            self.disk_hits += 1
-            _CACHE_LOOKUPS.inc(cache="checkpoint", result="disk_hit")
-            self._entries[key] = entry
-            return entry
-        self.misses += 1
-        _CACHE_LOOKUPS.inc(cache="checkpoint", result="miss")
-        with obs.span("golden.trace", app=app, scale=scale):
-            entry = _trace_compute(app, scale, seed, mem_words)
-        self._entries[key] = entry
-        self._disk_store(entry)
-        return entry
-
-    # -- disk spill ----------------------------------------------------
-    def _disk_path(self, key: str) -> Path:
-        return self.disk_dir / f"{key}.trace.npz"
-
-    def _disk_load(self, key: str) -> GoldenTrace | None:
-        if self.disk_dir is None:
-            return None
-        path = self._disk_path(key)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as z:
-                arrays = {k: np.array(z[k]) for k in z.files if k != "meta"}
-                meta = json.loads(str(z["meta"][()]))
-            expect = meta.get("trace_digest")
-            if meta.get("key") != key or expect != _trace_digest(arrays, meta):
-                raise ValueError("trace entry digest mismatch")
-            return _trace_from_arrays(arrays, meta)
-        except Exception as exc:
-            self.disk_rejects += 1
-            log.warning(f"checkpoint cache entry {path.name} is corrupt "
-                        f"({exc}); recomputing")
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return None
-
-    def _disk_store(self, entry: GoldenTrace) -> None:
-        if self.disk_dir is None:
-            return
-        path = self._disk_path(entry.key)
-        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        arrays, meta = _trace_to_arrays(entry)
-        meta["trace_digest"] = _trace_digest(arrays, meta)
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except OSError as exc:
-            log.warning(f"could not persist checkpoint cache entry "
-                        f"{path.name}: {exc}")
-            tmp.unlink(missing_ok=True)
-
-    def warm(self, specs) -> int:
-        before = self.misses
-        for app, scale, seed, mem_words in specs:
-            self.get(app, scale, seed, mem_words)
-        return self.misses - before
-
-    def stats(self) -> tuple[int, int]:
-        return self.hits, self.misses
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.disk_rejects = 0
-        self.disk_dir = None
-
+#: a fresh golden-trace cache (``<key>.trace.npz`` spill entries)
+CheckpointCache = functools.partial(
+    ContentCache, "checkpoint", trace_key, _trace_compute, _trace_encode,
+    _trace_decode, ".trace.npz", "golden.trace")
 
 #: the process singleton; forked workers inherit warmed traces
 CHECKPOINT_CACHE = CheckpointCache()

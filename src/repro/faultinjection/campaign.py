@@ -3,16 +3,18 @@
 Fault batches execute as work units on the unified campaign engine
 (:mod:`repro.campaign`): the netlist stimuli and golden traces are shared
 with forked workers through the engine context (copy-on-write, never
-pickled per unit), batches retry on transient failure, and both the
-legacy single-file checkpoint format and the engine's store/manifest
-layout survive interruption.
+pickled per unit), batches retry on transient failure, and the engine's
+store/manifest layout survives interruption.
+
+Every batch runs through one replay loop (:func:`_replay_batch`): the
+accelerated setting drops provably no-op ``(fault, stimulus)`` pairs and
+dedups stimuli; ``accel=False`` keeps every lane and every stimulus, the
+cold-replay reference.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -67,7 +69,7 @@ class CampaignConfig:
     unit: str
     max_faults: int | None = 1024
     max_stimuli: int | None = 48
-    words: int = 8              # fault lanes per batch = 64*words
+    words: int = 8              # batch cap: 64*words faults per work unit
     seed: int = DEFAULT_SEED
     processes: int = field(default_factory=default_processes)
     fail_fast: bool = True
@@ -81,7 +83,7 @@ class CampaignConfig:
     #: outside every output cone (see repro.gatelevel.faults)
     collapse: str = "none"
     #: dynamic fault dropping + stimuli dedup (bit-identical records; the
-    #: ``--no-accel`` CLI flag restores the dense cold-replay path)
+    #: ``--no-accel`` CLI flag keeps every lane and stimulus instead)
     accel: bool = True
 
 
@@ -223,8 +225,7 @@ def _golden_run_inner(unit: UnitModel, stimuli: list[Stimulus]):
 # ---------------------------------------------------------------------
 
 def _run_batch(unit: UnitModel, batch_faults: list[StuckAtFault],
-               stimuli: list[Stimulus], golden, words: int,
-               accel: bool = True,
+               stimuli: list[Stimulus], golden, accel: bool = True,
                stats: dict | None = None) -> list[FaultRecord]:
     n = len(batch_faults)
     records = [FaultRecord(f) for f in batch_faults]
@@ -244,94 +245,47 @@ def _run_batch(unit: UnitModel, batch_faults: list[StuckAtFault],
         for i in np.flatnonzero(np.where(sa == 0, any1[nets], any0[nets])):
             records[int(i)].activated = True
 
-    out_names = list(unit.netlist.outputs)
-    replay = obs.span("gate.replay", faults=n, stimuli=len(stimuli))
-    with replay:
-        if accel:
-            return _replay_batch_accel(unit, batch_faults, nets, sa, records,
-                                       stimuli, golden, out_names, stats)
-        sim = LogicSim(unit.netlist, num_words=words)
-        batch = FaultBatch(batch_faults, num_words=words)
-        return _replay_batch(unit, sim, batch, records, stimuli, golden,
-                             out_names, n)
+    with obs.span("gate.replay", faults=n, stimuli=len(stimuli)):
+        return _replay_batch(unit, batch_faults, nets, sa, records, stimuli,
+                             golden, accel, stats)
 
 
-def _replay_batch(unit, sim, batch, records, stimuli, golden, out_names, n):
+def _replay_batch(unit, batch_faults, nets, sa, records, stimuli, golden,
+                  accel=True, stats=None):
     """Faulty replay + classification of one batch (the inject/classify
-    phase of a gate unit; activation came from the golden toggle info)."""
-    for stim, gi in zip(stimuli, golden):
-        sim.reset()
-        sim.set_faults(batch)
-        live_seen = np.zeros(n, dtype=bool)
-        diffs_this_stim: dict[int, set[ErrorModel]] = {}
-        for cyc, inp in enumerate(unit.transaction(stim)):
-            outs = sim.cycle(inp)
-            gvals = gi["cycles"][cyc]
-            for name in out_names:
-                arr = outs[name]
-                width = arr.shape[0]
-                gval = gvals[name]
-                gold_arr = sim.broadcast(gval, width)
-                diff = arr ^ gold_arr
-                dwords = np.bitwise_or.reduce(diff, axis=0)
-                if not dwords.any():
-                    continue
-                lanes = np.nonzero(sim.unpack_lanes(
-                    dwords[None, :], n).ravel())[0]
-                if lanes.size == 0:
-                    continue
-                fvals = sim.lane_values(arr, n)
-                sem = unit.output_semantics[name]
-                for lane in lanes:
-                    models = classify_output_diff(
-                        sem, stim, gval, int(fvals[lane]))
-                    if models:
-                        diffs_this_stim.setdefault(int(lane), set()).update(
-                            models)
-                    records[lane].propagated = True
-            # liveness tracking
-            for name in unit.liveness_outputs:
-                vals = sim.lane_values(outs[name], n)
-                live_seen |= vals != 0
-        # hang: golden asserted liveness but this lane never did
-        golden_live = any(gi["live"].values())
-        if golden_live:
-            for i in range(n):
-                if not live_seen[i]:
-                    records[i].hang = True
-        for lane, models in diffs_this_stim.items():
-            for m in models:
-                records[lane].models[m] += 1
-    return records
+    phase of a gate unit; activation came from the golden toggle info).
 
+    With *accel*, dynamic fault dropping + stimuli dedup: per distinct
+    stimulus, only the faults whose golden toggle info says they can
+    activate keep a lane; every other fault's lane is retired and refilled
+    from the pending queue, shrinking the word count of the whole pass.  A
+    dropped ``(fault, stimulus)`` pair is exactly a no-op: the forced value
+    equals the net's golden value on every cycle, so that lane would replay
+    the golden trajectory — no output diff, no hang, no model.  Duplicate
+    stimuli (frozen dataclass equality) replay once and their per-stimulus
+    model counts are applied with multiplicity.  Tallies go to *stats*.
 
-def _replay_batch_accel(unit, batch_faults, nets, sa, records, stimuli,
-                        golden, out_names, stats=None):
-    """Sparse faulty replay: dynamic fault dropping + stimuli dedup.
-
-    Per distinct stimulus, only the faults whose golden toggle info says
-    they can activate keep a lane; every other fault's lane is retired and
-    refilled from the pending queue, shrinking the word count of the whole
-    pass.  A dropped ``(fault, stimulus)`` pair is exactly a no-op: the
-    forced value equals the net's golden value on every cycle, so that
-    lane would replay the golden trajectory — no output diff, no hang, no
-    model.  Duplicate stimuli (frozen dataclass equality) replay once and
-    their per-stimulus model counts are applied with multiplicity.  The
-    resulting records are bit-identical to the dense ``_replay_batch``.
+    Without *accel* (the ``--no-accel`` reference) every fault keeps a lane
+    for every stimulus, each stimulus replays once with multiplicity 1, and
+    *stats* is left untouched: the dense cold replay is the degenerate
+    setting of the same loop.  Both settings yield bit-identical records
+    (tests/test_accel_equivalence.py; ``make oracle-check``).
     """
     n = len(batch_faults)
-    if stats is None:
-        stats = {}
-    stats.setdefault("enabled", True)
-    for key in ("pairs_dropped", "stimuli_deduped", "lanes_refilled",
-                "replays"):
-        stats.setdefault(key, 0)
+    out_names = list(unit.netlist.outputs)
+    if accel:
+        if stats is None:
+            stats = {}
+        stats.setdefault("enabled", True)
+        for key in ("pairs_dropped", "stimuli_deduped", "lanes_refilled",
+                    "replays"):
+            stats.setdefault(key, 0)
 
     # stimuli dedup with multiplicity counts
     reps: list[tuple[int, int]] = []           # (stimulus index, multiplicity)
     seen: dict[Stimulus, int] = {}
     for si, stim in enumerate(stimuli):
-        at = seen.get(stim)
+        at = seen.get(stim) if accel else None
         if at is None:
             seen[stim] = len(reps)
             reps.append((si, 1))
@@ -342,21 +296,25 @@ def _replay_batch_accel(unit, batch_faults, nets, sa, records, stimuli,
     sims: dict[int, LogicSim] = {}
     for si, mult in reps:
         stim, gi = stimuli[si], golden[si]
-        active = np.flatnonzero(
-            np.where(sa == 0, gi["ever1"][nets], gi["ever0"][nets]))
-        dropped = n - int(active.size)
-        stats["pairs_dropped"] += dropped * mult
-        _PAIRS_DROPPED.inc(dropped * mult)
+        if accel:
+            active = np.flatnonzero(
+                np.where(sa == 0, gi["ever1"][nets], gi["ever0"][nets]))
+            dropped = n - int(active.size)
+            stats["pairs_dropped"] += dropped * mult
+            _PAIRS_DROPPED.inc(dropped * mult)
+        else:
+            active = np.arange(n)
         if active.size == 0:
             continue
         m = int(active.size)
-        # dense repack: retired lanes are refilled by pending faults, so
-        # the pass needs only ceil(m/64) words instead of the full batch
-        refilled = int(np.count_nonzero(active != np.arange(m)))
-        stats["lanes_refilled"] += refilled
-        stats["replays"] += 1
-        if refilled:
-            _LANES_REFILLED.inc(refilled)
+        if accel:
+            # dense repack: retired lanes are refilled by pending faults,
+            # so the pass needs only ceil(m/64) words, not the full batch
+            refilled = int(np.count_nonzero(active != np.arange(m)))
+            stats["lanes_refilled"] += refilled
+            stats["replays"] += 1
+            if refilled:
+                _LANES_REFILLED.inc(refilled)
         w = (m + 63) // 64
         sim = sims.get(w)
         if sim is None:
@@ -429,12 +387,13 @@ def _run_gate_unit(payload: dict) -> dict:
     with obs.span("gate.unit", unit=ctx["unit"], batch=payload["batch"],
                   faults=len(faults)):
         records = _run_batch(unit, faults, ctx["stimuli"], ctx["golden"],
-                             ctx["words"], accel=accel, stats=stats)
+                             accel=accel, stats=stats)
     for r in records:
         _FAULTS_TOTAL.inc(unit=ctx["unit"], category=r.category)
     return {
         "items": len(records),
         "batch": payload["batch"],
+        "stimuli": len(ctx["stimuli"]),
         "records": [record_to_json(r) for r in records],
         "accel": stats,
     }
@@ -463,7 +422,7 @@ def _build_gate_plan(config: CampaignConfig, stimuli: list[Stimulus],
                      "faults": [(f.net, f.stuck_at)
                                 for f in faults[start:start + cap]]}))
     context = {"unit": config.unit, "stimuli": stimuli, "golden": golden,
-               "words": config.words, "accel": config.accel}
+               "accel": config.accel}
     cfg_dict = plan_config if plan_config is not None else {
         "unit": config.unit, "max_faults": config.max_faults,
         "max_stimuli": config.max_stimuli, "words": config.words,
@@ -474,11 +433,15 @@ def _build_gate_plan(config: CampaignConfig, stimuli: list[Stimulus],
                         context=context)
 
 
-def _aggregate_gate(unit_name: str, num_stimuli: int,
+def _aggregate_gate(unit_name: str,
                     results: dict[str, UnitResult]) -> GateCampaignResult:
+    """Records in unit-id order; ``num_stimuli`` is the count every unit
+    replayed against (0 when no unit completed)."""
     records: list[FaultRecord] = []
+    num_stimuli = 0
     for uid in sorted(r for r, res in results.items() if res.ok):
         value = results[uid].value or {}
+        num_stimuli = max(num_stimuli, value.get("stimuli", 0))
         records.extend(record_from_json(d) for d in value.get("records", ()))
     return GateCampaignResult(unit=unit_name, num_stimuli=num_stimuli,
                               records=records)
@@ -489,53 +452,30 @@ def _aggregate_gate(unit_name: str, num_stimuli: int,
 # ---------------------------------------------------------------------
 
 def run_gate_campaign(config: CampaignConfig,
-                      stimuli: list[Stimulus],
-                      checkpoint_path: str | None = None, *,
+                      stimuli: list[Stimulus], *,
                       store=None, telemetry=None,
                       max_units: int | None = None) -> GateCampaignResult:
     """Run the gate-level campaign for one unit over *stimuli*.
 
-    With ``checkpoint_path``, completed fault batches are appended to a
-    JSONL file and skipped on restart — paper-scale campaigns survive
-    interruption and can be resumed (or sharded across machines and the
-    files concatenated). *store* offers the same durability in the
-    engine's manifest + ``results.jsonl`` layout used by
-    ``python -m repro.campaign``.
+    With *store* (a :class:`repro.campaign.CampaignStore`) completed fault
+    batches are persisted in the engine's manifest + ``results.jsonl``
+    layout used by ``python -m repro.campaign`` and skipped on restart, so
+    paper-scale campaigns survive interruption. *max_units* bounds how
+    many pending batches this call executes.
     """
     plan = _build_gate_plan(config, stimuli)
-    num_stimuli = len(plan.context["stimuli"])
-
-    completed: dict[str, UnitResult] = {}
-    if checkpoint_path:
-        for batch_index, records in _load_checkpoint(checkpoint_path).items():
-            uid = f"gate/{config.unit}/{batch_index:05d}"
-            completed[uid] = UnitResult(
-                unit_id=uid, kind="gate", shard=shard_of(uid, config.seed),
-                ok=True,
-                value={"items": len(records), "batch": batch_index,
-                       "records": [record_to_json(r) for r in records]})
-
-    def on_result(result: UnitResult) -> None:
-        if checkpoint_path and result.ok:
-            _append_checkpoint(checkpoint_path, result.value["batch"],
-                               [record_from_json(d)
-                                for d in result.value["records"]])
-
     if store is not None and not store.manifest_path.exists():
         store.write_manifest(plan.kind, plan.config, len(plan.units))
 
     options = EngineConfig(processes=config.processes,
                            fail_fast=config.fail_fast, max_units=max_units,
                            timeout=config.timeout, retries=config.retries)
-    executed = execute(plan.units, options, context=plan.context,
-                       store=store, telemetry=telemetry,
-                       completed=completed, on_result=on_result)
-    results = dict(completed)
+    results = execute(plan.units, options, context=plan.context,
+                      store=store, telemetry=telemetry)
     if store is not None:
         obs.flush(store.directory)
-        results.update(store.load_results())
-    results.update(executed)
-    return _aggregate_gate(config.unit, num_stimuli, results)
+        results = {**store.load_results(), **results}
+    return _aggregate_gate(config.unit, results)
 
 
 class GateCampaignSpec:
@@ -582,8 +522,7 @@ class GateCampaignSpec:
 
     def aggregate(self, config: dict,
                   results: dict[str, UnitResult]) -> GateCampaignResult:
-        num_stimuli = min(config["max_stimuli"] or 0, 10 ** 9)
-        return _aggregate_gate(config["unit"], num_stimuli, results)
+        return _aggregate_gate(config["unit"], results)
 
     def summarize(self, result: GateCampaignResult) -> dict:
         return {
@@ -597,25 +536,3 @@ class GateCampaignSpec:
 
 
 CAMPAIGN_SPEC = GateCampaignSpec()
-
-
-def _append_checkpoint(path: str, batch_index: int,
-                       records: list[FaultRecord]) -> None:
-    payload = {"batch": batch_index,
-               "records": [record_to_json(r) for r in records]}
-    with open(path, "a") as fh:
-        fh.write(json.dumps(payload) + "\n")
-
-
-def _load_checkpoint(path: str) -> dict[int, list[FaultRecord]]:
-    if not os.path.exists(path):
-        return {}
-    out: dict[int, list[FaultRecord]] = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            payload = json.loads(line)
-            out[payload["batch"]] = [record_from_json(r)
-                                     for r in payload["records"]]
-    return out

@@ -1,13 +1,14 @@
 """Accelerated EPR injection: checkpointed differential replay.
 
-The legacy path (:func:`repro.swinjector.campaign.run_one_injection`)
-re-executes every injection from dynamic instruction 0.  But a permanent
-fault is invisible until its *activation condition* first holds — the
-victim warp sits on the faulty hardware, the instruction maps onto the
-faulty unit, and an affected thread is in the execution mask — and until
-then the faulty run is the golden run, bit for bit.  All three predicates
-are closed-form over the golden trace
-(:class:`repro.campaign.goldens.GoldenTrace`), so this module:
+A cold replay re-executes every injection from dynamic instruction 0.
+But a permanent fault is invisible until its *activation condition*
+first holds — the victim warp sits on the faulty hardware, the
+instruction maps onto the faulty unit, and an affected thread is in the
+execution mask — and until then the faulty run is the golden run, bit
+for bit.  All three predicates are closed-form over the golden trace
+(:class:`repro.campaign.goldens.GoldenTrace`), so this module supplies
+the shortcuts :func:`repro.swinjector.campaign.run_one_injection` takes
+when it is handed a golden trace. It
 
 * computes every injection's activation sites without simulating
   (:func:`activation_sites`), classifying never-activating descriptors as
@@ -21,7 +22,7 @@ are closed-form over the golden trace
   and no activation sites remain.
 
 Every shortcut is equivalence-preserving — outcomes, DUE reasons and
-activation counts are bit-identical to the unaccelerated path (the
+activation counts are bit-identical to the cold replay (the
 soundness arguments live in docs/PERFORMANCE.md, the proof-by-test in
 tests/test_accel_equivalence.py).
 """
@@ -33,20 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.campaign.goldens import GoldenRun, GoldenTrace, cached_workload
-from repro.common.exceptions import DeviceError
-from repro.errormodels.models import ErrorModel
-from repro.gpusim.config import DeviceConfig
-from repro.gpusim.device import Device, LaunchResult
+from repro.campaign.goldens import GoldenTrace
+from repro.gpusim.device import LaunchResult
 from repro.gpusim.snapshot import checkpoint_matches, restore_device
-from repro.swinjector.instrumentation import NVBitPERfi, make_descriptor
 
 _CK_RESTORES = obs.REGISTRY.counter("checkpoint_restores_total")
 _PREFIX_SAVED = obs.REGISTRY.counter("prefix_instructions_saved_total")
 _EARLY_EXITS = obs.REGISTRY.counter("early_exits_total")
 
 
-class _EarlyMasked(Exception):
+class EarlyMasked(Exception):
     """Raised by the round-boundary comparator when the faulty trajectory
     has provably reconverged with the golden run.  Deliberately *not* a
     DeviceError: it must never be classified as a DUE."""
@@ -69,6 +66,17 @@ class AccelStats:
                 "saved_instructions": self.saved_instructions,
                 "early_exits": self.early_exits, "skipped": self.skipped,
                 "collapsed": self.collapsed}
+
+    def never_activates(self, trace: GoldenTrace) -> None:
+        """Tally an injection classified Masked without simulating."""
+        self.skipped += 1
+        self.saved_instructions += trace.total_instructions
+        _PREFIX_SAVED.inc(trace.total_instructions)
+
+    def early_exit(self) -> None:
+        """Tally a run that reconverged with golden (:class:`EarlyMasked`)."""
+        self.early_exits += 1
+        _EARLY_EXITS.inc()
 
 
 #: descriptor fields each model's injector actually reads (beyond the
@@ -143,37 +151,15 @@ def activation_sites(trace: GoldenTrace, desc, injector,
     return np.flatnonzero(ok)
 
 
-def run_one_injection_accel(app: str, model: ErrorModel, index: int,
-                            config, golden: GoldenRun, trace: GoldenTrace,
-                            watchdog: int, stats: AccelStats,
-                            sites: np.ndarray | None = None):
-    """Accelerated twin of ``run_one_injection`` — same outcome, less work.
-
-    *sites* may be precomputed (the unit runner computes them once for
-    epoch bucketing); otherwise they are derived here.
-    """
-    from repro.swinjector.campaign import InjectionOutcome
-
-    desc = make_descriptor(model, config.seed, index)
-    tool = NVBitPERfi(desc, site_filter=True)
-    w = cached_workload(app, config.scale, config.seed)
-    if sites is None:
-        progs = {p.name: p for p in w.programs().values()}
-        sites = activation_sites(trace, desc, tool.injector, progs)
-
-    if sites.size == 0:
-        # never activates: the faulty run IS the golden run
-        stats.skipped += 1
-        stats.saved_instructions += trace.total_instructions
-        _PREFIX_SAVED.inc(trace.total_instructions)
-        with obs.span("epr.inject", app=app, model=model.value,
-                      index=index) as sp:
-            sp.set(outcome="masked", accel="never-activates")
-        return InjectionOutcome(app, model, "masked")
-
+def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
+                    watchdog: int, stats: AccelStats):
+    """Workload launcher for a faulty run on *dev* that activates at
+    *sites* (non-empty): pre-activation launches are skipped, the
+    first-activation launch resumes from the latest golden checkpoint, and
+    a round boundary past the last site that matches a golden checkpoint
+    raises :class:`EarlyMasked`."""
     first = int(sites[0])
     last = int(sites[-1])
-    dev = Device(DeviceConfig(global_mem_words=config.mem_words))
     ck_at = {(c.launch, c.cta, c.executed): c for c in trace.checkpoints}
     state = {"launch": 0}
 
@@ -215,36 +201,20 @@ def run_one_injection_accel(app: str, model: ErrorModel, index: int,
                 ck = ck_at.get((_m, cta, executed))
                 if ck is not None and checkpoint_matches(dev, ck, warps,
                                                          shared_mem):
-                    raise _EarlyMasked
+                    raise EarlyMasked
 
         return dev.launch(program, grid, block, params=params,
                           shared_words=shared_words, watchdog=watchdog,
                           instrumentation=tool, round_hook=hook,
                           resume=resume)
 
-    inject = obs.span("epr.inject", app=app, model=model.value, index=index)
-    try:
-        with inject:
-            inject.set(outcome="due")  # stands unless the run completes
-            try:
-                bits = w.run(dev, launcher)
-            except _EarlyMasked:
-                stats.early_exits += 1
-                _EARLY_EXITS.inc()
-                inject.set(outcome="masked", accel="early-exit")
-                return InjectionOutcome(app, model, "masked",
-                                        activations=tool.activations)
-            outcome = "masked" if np.array_equal(bits, golden.bits) else "sdc"
-            inject.set(outcome=outcome)
-    except DeviceError as exc:
-        return InjectionOutcome(app, model, "due", due_reason=exc.reason,
-                                activations=tool.activations)
-    return InjectionOutcome(app, model, outcome,
-                            activations=tool.activations)
+    return launcher
 
 
 __all__ = [
     "AccelStats",
+    "EarlyMasked",
     "activation_sites",
-    "run_one_injection_accel",
+    "behavior_key",
+    "replay_launcher",
 ]

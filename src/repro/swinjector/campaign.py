@@ -11,6 +11,12 @@ the injection plan is partitioned into deterministic work units keyed by
 content-addressed cache, and — when a :class:`repro.campaign.CampaignStore`
 is supplied — completed units are persisted so the campaign can be
 resumed after interruption.
+
+Every injection runs through one replay function,
+:func:`run_one_injection`: handed a golden trace it takes the
+checkpointed differential replay shortcuts of
+:mod:`repro.swinjector.accel`; without one it is the cold replay that
+``--no-accel`` selects.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro.campaign.goldens import (
     CHECKPOINT_CACHE,
     DEFAULT_MEM_WORDS,
     GOLDEN_CACHE,
+    GoldenTrace,
     cached_workload,
 )
 from repro.campaign.plans import CampaignPlan, chunked
@@ -42,6 +49,7 @@ from repro.common.rng import DEFAULT_SEED
 from repro.errormodels.models import ErrorModel, SW_INJECTABLE
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.device import Device
+from repro.swinjector import accel
 from repro.swinjector.instrumentation import NVBitPERfi, make_descriptor
 from repro.workloads.registry import EVALUATION_APPS
 
@@ -91,7 +99,7 @@ class SwCampaignConfig:
     #: skip the fault-free prefix of every injection, classify
     #: never-activating descriptors without simulating, and early-exit
     #: reconverged runs — bit-identical outcomes, less work
-    #: (docs/PERFORMANCE.md); ``--no-accel`` keeps the cold-replay path
+    #: (docs/PERFORMANCE.md); ``--no-accel`` replays every injection cold
     accel: bool = True
 
 
@@ -176,25 +184,60 @@ def _golden_bits(app: str, scale: str, seed: int, mem_words: int):
 
 def run_one_injection(app: str, model: ErrorModel, index: int,
                       config: SwCampaignConfig, golden: np.ndarray,
-                      watchdog: int) -> InjectionOutcome:
-    """One NVBitPERfi run: fresh device, instrumented launches, classify."""
+                      watchdog: int, trace: GoldenTrace | None = None,
+                      stats: accel.AccelStats | None = None,
+                      sites: np.ndarray | None = None) -> InjectionOutcome:
+    """One NVBitPERfi run: fresh device, instrumented launches, classify
+    against the golden output bits *golden*.
+
+    Without *trace* this is the cold replay: every launch runs from
+    dynamic instruction 0 and every hook site is instrumented. With a
+    golden trace (:class:`~repro.campaign.goldens.GoldenTrace`) the same
+    run takes the shortcuts of :mod:`repro.swinjector.accel`, tallied in
+    *stats* (required with *trace*): a descriptor that never activates is
+    Masked without simulating, pre-activation launches are skipped, the
+    first-activation launch resumes from a golden checkpoint, and a run
+    that reconverges with golden past its last activation site exits
+    Masked early. *sites* (the descriptor's activation sites in *trace*)
+    may be precomputed.
+    """
     desc = make_descriptor(model, config.seed, index)
-    tool = NVBitPERfi(desc)
+    tool = NVBitPERfi(desc, site_filter=trace is not None)
     w = cached_workload(app, config.scale, config.seed)
-    dev = Device(DeviceConfig(global_mem_words=config.mem_words))
-
-    def launcher(program, grid, block, params=(), shared_words=None):
-        return dev.launch(program, grid, block, params=params,
-                          shared_words=shared_words, watchdog=watchdog,
-                          instrumentation=tool)
-
     # one span covers faulty run + classification; the outcome becomes a
     # span attribute, so the trace shows what each injection resolved to
     inject = obs.span("epr.inject", app=app, model=model.value, index=index)
+    if trace is not None:
+        if sites is None:
+            progs = {p.name: p for p in w.programs().values()}
+            sites = accel.activation_sites(trace, desc, tool.injector, progs)
+        if sites.size == 0:
+            # never activates: the faulty run IS the golden run
+            stats.never_activates(trace)
+            with inject:
+                inject.set(outcome="masked", accel="never-activates")
+            return InjectionOutcome(app, model, "masked")
+
+    dev = Device(DeviceConfig(global_mem_words=config.mem_words))
+    if trace is None:
+        def launcher(program, grid, block, params=(), shared_words=None):
+            return dev.launch(program, grid, block, params=params,
+                              shared_words=shared_words, watchdog=watchdog,
+                              instrumentation=tool)
+    else:
+        launcher = accel.replay_launcher(dev, trace, sites, tool, watchdog,
+                                         stats)
+
     try:
         with inject:
             inject.set(outcome="due")  # stands unless the run completes
-            bits = w.run(dev, launcher)
+            try:
+                bits = w.run(dev, launcher)
+            except accel.EarlyMasked:
+                stats.early_exit()
+                inject.set(outcome="masked", accel="early-exit")
+                return InjectionOutcome(app, model, "masked",
+                                        activations=tool.activations)
             outcome = "masked" if np.array_equal(bits, golden) else "sdc"
             inject.set(outcome=outcome)
     except DeviceError as exc:
@@ -207,24 +250,21 @@ def run_one_injection(app: str, model: ErrorModel, index: int,
 # campaign-engine integration (kind: "epr")
 # ---------------------------------------------------------------------
 
-def _run_unit_accel(app: str, model: ErrorModel, indices, cfg, golden,
-                    watchdog: int, pruner) -> tuple[list, dict]:
-    """Accelerated unit body: plan all injections, bucket them by resume
-    checkpoint (injections sharing an epoch restore the same snapshot
-    back-to-back), run, and re-emit outcomes in original index order so
-    the unit's result is byte-identical to the sequential path."""
-    from repro.swinjector.accel import (
-        AccelStats,
-        activation_sites,
-        behavior_key,
-        run_one_injection_accel,
-    )
+def _run_unit(app: str, model: ErrorModel, indices, cfg, golden: np.ndarray,
+              watchdog: int, pruner, trace) -> tuple[list, dict]:
+    """Unit body: outcomes in index order plus the unit's accel dict.
 
-    with obs.span("epr.trace", app=app):
-        trace = CHECKPOINT_CACHE.get(app, cfg.scale, cfg.seed, cfg.mem_words)
-    w = cached_workload(app, cfg.scale, cfg.seed)
-    progs = {p.name: p for p in w.programs().values()}
-    stats = AccelStats()
+    Without *trace* every injection replays cold, in index order. With a
+    golden trace the injections are planned first: behaviorally identical
+    descriptors share one run, and the runs are bucketed by resume
+    checkpoint (injections sharing an epoch restore the same snapshot
+    back-to-back). Outcomes are re-emitted in index order either way, so
+    the unit's result is byte-identical across the two settings."""
+    stats = None
+    if trace is not None:
+        stats = accel.AccelStats()
+        w = cached_workload(app, cfg.scale, cfg.seed)
+        progs = {p.name: p for p in w.programs().values()}
     by_index: dict[int, InjectionOutcome] = {}
     planned = []
     groups: dict[tuple, list[int]] = {}
@@ -233,7 +273,10 @@ def _run_unit_accel(app: str, model: ErrorModel, indices, cfg, golden,
         if pruner is not None and pruner.statically_masked(desc):
             by_index[i] = InjectionOutcome(app, model, "masked", pruned=True)
             continue
-        key = behavior_key(desc)
+        if trace is None:
+            planned.append(((-1, -1), i, None, [i]))
+            continue
+        key = accel.behavior_key(desc)
         if key is not None:
             members = groups.get(key)
             if members is not None:
@@ -246,7 +289,7 @@ def _run_unit_accel(app: str, model: ErrorModel, indices, cfg, golden,
         else:
             members = [i]
         tool = NVBitPERfi(desc)
-        sites = activation_sites(trace, desc, tool.injector, progs)
+        sites = accel.activation_sites(trace, desc, tool.injector, progs)
         if sites.size:
             ck = trace.best_checkpoint(int(sites[0]))
             epoch = (trace.launch_of(int(sites[0])),
@@ -256,11 +299,12 @@ def _run_unit_accel(app: str, model: ErrorModel, indices, cfg, golden,
         planned.append((epoch, i, sites, members))
     planned.sort(key=lambda t: (t[0], t[1]))
     for _, i, sites, members in planned:
-        out = run_one_injection_accel(app, model, i, cfg, golden,
-                                      trace, watchdog, stats, sites=sites)
+        out = run_one_injection(app, model, i, cfg, golden, watchdog,
+                                trace, stats, sites)
         for j in members:
             by_index[j] = out if j == i else replace(out)
-    return [by_index[i] for i in indices], stats.as_dict()
+    accel_stats = stats.as_dict() if stats is not None else {"enabled": False}
+    return [by_index[i] for i in indices], accel_stats
 
 
 @register_runner("epr")
@@ -270,8 +314,9 @@ def _run_epr_unit(payload: dict) -> dict:
     With ``static_prune`` the unit first asks the static analyzer; a
     descriptor proved statically Masked is recorded as a Masked outcome
     with zero activations instead of being simulated. With ``accel`` (the
-    default) injections run through checkpointed differential replay
-    (:mod:`repro.swinjector.accel`). Unit ids, index assignment and
+    default) the unit loop is handed the golden trace and injections run
+    through checkpointed differential replay (:mod:`repro.swinjector.accel`);
+    without it the same loop replays them cold. Unit ids, index assignment and
     outcomes are identical either way, so accelerated, pruned and plain
     campaigns (and resumes mixing them) stay comparable unit-for-unit.
     """
@@ -280,30 +325,22 @@ def _run_epr_unit(payload: dict) -> dict:
     scale, seed = payload["scale"], payload["seed"]
     mem_words = payload["mem_words"]
     static_prune = bool(payload.get("static_prune", False))
-    accel = bool(payload.get("accel", True))
+    use_accel = bool(payload.get("accel", True))
     with obs.span("epr.golden", app=app):
         golden = GOLDEN_CACHE.get(app, scale, seed, mem_words)
     watchdog = 10 * golden.dynamic_instructions + 10_000
     cfg = SwCampaignConfig(apps=(app,), models=(model,), scale=scale,
                            seed=seed, mem_words=mem_words)
     pruner = _pruner_for(app, scale, seed) if static_prune else None
-    accel_stats: dict = {"enabled": False}
     with obs.span("epr.unit", app=app, model=model.value,
                   injections=len(payload["indices"])):
-        if accel:
-            outcomes, accel_stats = _run_unit_accel(
-                app, model, payload["indices"], cfg, golden, watchdog,
-                pruner)
-        else:
-            outcomes = []
-            for i in payload["indices"]:
-                if pruner is not None and pruner.statically_masked(
-                        make_descriptor(model, seed, i)):
-                    outcomes.append(InjectionOutcome(app, model, "masked",
-                                                     pruned=True))
-                else:
-                    outcomes.append(run_one_injection(app, model, i, cfg,
-                                                      golden.bits, watchdog))
+        trace = None
+        if use_accel:
+            with obs.span("epr.trace", app=app):
+                trace = CHECKPOINT_CACHE.get(app, scale, seed, mem_words)
+        outcomes, accel_stats = _run_unit(
+            app, model, payload["indices"], cfg, golden.bits, watchdog,
+            pruner, trace)
     for o in outcomes:
         _INJECTIONS_TOTAL.inc(model=model.value, workload=app,
                               outcome=o.outcome)

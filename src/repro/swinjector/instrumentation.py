@@ -78,7 +78,7 @@ class NVBitPERfi:
         or ``True``.  A hook at a non-returned site is a guaranteed no-op
         pair (``before`` only clears ``_active_ctx``; ``after`` then does
         nothing), so skipping it is bit-identical.  Disabled by default so
-        ``--no-accel`` keeps the legacy hook-everywhere behaviour.
+        ``--no-accel`` (the cold replay) hooks every site.
         """
         if not self.site_filter:
             return True

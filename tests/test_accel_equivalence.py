@@ -121,9 +121,9 @@ class TestGateEquivalence:
         faults = sample_faults(full_fault_list(unit.netlist), 256, seed=3)
         golden = _golden_run(unit, gate_stimuli)
         stats: dict = {}
-        accel = _run_batch(unit, faults, gate_stimuli, golden, 4,
+        accel = _run_batch(unit, faults, gate_stimuli, golden,
                            accel=True, stats=stats)
-        legacy = _run_batch(unit, faults, gate_stimuli, golden, 4,
+        legacy = _run_batch(unit, faults, gate_stimuli, golden,
                             accel=False)
         assert [record_to_json(r) for r in accel] == \
                [record_to_json(r) for r in legacy]
@@ -137,9 +137,9 @@ class TestGateEquivalence:
         stims = list(gate_stimuli[:8]) * 3
         golden = _golden_run(unit, stims)
         stats: dict = {}
-        accel = _run_batch(unit, faults, stims, golden, 2, accel=True,
+        accel = _run_batch(unit, faults, stims, golden, accel=True,
                            stats=stats)
-        legacy = _run_batch(unit, faults, stims, golden, 2, accel=False)
+        legacy = _run_batch(unit, faults, stims, golden, accel=False)
         assert [record_to_json(r) for r in accel] == \
                [record_to_json(r) for r in legacy]
         assert stats["stimuli_deduped"] == 16
@@ -262,17 +262,32 @@ class TestCliPlumbing:
         for r in store.load_results().values():
             assert r.value["accel"]["enabled"] is True
 
-    def test_swinjector_cli_flag_parses(self):
-        # flag must exist and default off
-        import argparse
+    @staticmethod
+    def _saved_with_and_without_accel(main, argv, tmp_path):
+        from repro.faultinjection.results import load_result
 
-        from repro.swinjector.__main__ import main  # noqa: F401 (import ok)
+        fast, cold = tmp_path / "accel.json", tmp_path / "no-accel.json"
+        assert main(argv + ["--save", str(fast)]) == 0
+        assert main(argv + ["--no-accel", "--save", str(cold)]) == 0
+        return load_result(fast), load_result(cold)
 
-        # parse via a fresh parser mirror: exercise argparse wiring only
-        parser = argparse.ArgumentParser()
-        parser.add_argument("--no-accel", action="store_true")
-        assert parser.parse_args([]).no_accel is False
-        assert parser.parse_args(["--no-accel"]).no_accel is True
+    def test_swinjector_cli_no_accel_saves_equal_results(self, tmp_path):
+        from repro.swinjector.__main__ import main
+
+        a, b = self._saved_with_and_without_accel(
+            main, ["--apps", "vectoradd", "--models", "WV", "IAT", "-n", "3"],
+            tmp_path)
+        assert len(a.outcomes) == 6
+        assert a == b
+
+    def test_faultinjection_cli_no_accel_saves_equal_results(self, tmp_path):
+        from repro.faultinjection.__main__ import main
+
+        a, b = self._saved_with_and_without_accel(
+            main, ["--unit", "decoder", "--max-faults", "96",
+                   "--max-stimuli", "6"], tmp_path)
+        assert a.total_faults == 96
+        assert a == b
 
     def test_descriptor_behavior_key_covers_all_models(self):
         from repro.errormodels.models import SW_INJECTABLE
@@ -290,7 +305,7 @@ class TestGateAccelStats:
         faults = sample_faults(full_fault_list(unit.netlist), 128, seed=3)
         golden = _golden_run(unit, gate_stimuli)
         stats: dict = {}
-        _run_batch(unit, faults, gate_stimuli, golden, 2, accel=True,
+        _run_batch(unit, faults, gate_stimuli, golden, accel=True,
                    stats=stats)
         # tiny stimuli toggle only part of the decoder: some (fault,
         # stimulus) pairs must be provably inert

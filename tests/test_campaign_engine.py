@@ -282,6 +282,23 @@ class TestGateOnEngine:
         assert resumed.category_counts() == plain.category_counts()
         assert resumed.faults_per_error() == plain.faults_per_error()
 
+    def test_spec_aggregate_reports_replayed_stimuli(self):
+        # max_stimuli above the profiled count: the aggregate must report
+        # the stimuli the units replayed, not the cap
+        from repro.faultinjection.campaign import GateCampaignSpec
+
+        spec = GateCampaignSpec()
+        plan = spec.build(spec.default_config(
+            unit="decoder", max_faults=64, max_stimuli=200,
+            stimuli_per_workload=4))
+        n = len(plan.context["stimuli"])
+        assert n < 200
+        results = execute(plan.units, EngineConfig(processes=1),
+                          context=plan.context)
+        agg = spec.aggregate(plan.config, results)
+        assert agg.num_stimuli == n
+        assert agg.total_faults == 64
+
 
 class TestCli:
     def test_run_resume_status_roundtrip(self, tmp_path, capsys):

@@ -63,42 +63,55 @@ class TestErrors:
 
 
 class TestCheckpointing:
-    def test_resume_produces_identical_result(self, tmp_path):
-        from repro.faultinjection import CampaignConfig, run_gate_campaign
+    """Gate campaigns resume from a :class:`CampaignStore`."""
+
+    @staticmethod
+    def _setup():
+        from repro.faultinjection import CampaignConfig
         from repro.profiling import stimuli_from_program
         from repro.workloads import get_workload
 
         w = get_workload("vectoradd", scale="tiny")
         stimuli = stimuli_from_program(w.program())
         cfg = CampaignConfig(unit="decoder", max_faults=256, max_stimuli=8,
-                             words=1)  # several small batches
+                             words=1, processes=1)  # several small batches
+        return cfg, stimuli
+
+    @staticmethod
+    def _same(res, plain):
+        from repro.faultinjection.campaign import record_to_json
+
+        assert res.num_stimuli == plain.num_stimuli
+        assert [record_to_json(r) for r in res.records] == \
+            [record_to_json(r) for r in plain.records]
+        assert res.category_counts() == plain.category_counts()
+        assert res.faults_per_error() == plain.faults_per_error()
+
+    def test_resume_produces_identical_result(self, tmp_path):
+        from repro.campaign.store import CampaignStore
+
+        cfg, stimuli = self._setup()
         plain = run_gate_campaign(cfg, stimuli)
 
-        ckpt = tmp_path / "gate.ckpt.jsonl"
-        first = run_gate_campaign(cfg, stimuli, checkpoint_path=str(ckpt))
-        assert ckpt.exists()
-        # second run consumes the checkpoint (all batches cached)
-        resumed = run_gate_campaign(cfg, stimuli, checkpoint_path=str(ckpt))
+        store = CampaignStore(tmp_path / "gate")
+        first = run_gate_campaign(cfg, stimuli, store=store)
+        assert store.manifest_path.exists()
+        done = store.completed_ids()
+        assert len(done) == 4
+        # second run on the same store executes nothing (all batches done)
+        resumed = run_gate_campaign(cfg, stimuli, store=store)
+        assert store.completed_ids() == done
         for res in (first, resumed):
-            assert res.category_counts() == plain.category_counts()
-            assert res.faults_per_error() == plain.faults_per_error()
+            self._same(res, plain)
 
     def test_partial_checkpoint_resumes_missing_batches(self, tmp_path):
-        import json
+        from repro.campaign.store import CampaignStore
 
-        from repro.faultinjection import CampaignConfig, run_gate_campaign
-        from repro.profiling import stimuli_from_program
-        from repro.workloads import get_workload
-
-        w = get_workload("vectoradd", scale="tiny")
-        stimuli = stimuli_from_program(w.program())
-        cfg = CampaignConfig(unit="decoder", max_faults=256, max_stimuli=8,
-                             words=1)
-        ckpt = tmp_path / "gate.ckpt.jsonl"
-        run_gate_campaign(cfg, stimuli, checkpoint_path=str(ckpt))
-        # drop the last batch line and resume
-        lines = ckpt.read_text().splitlines()
-        ckpt.write_text("\n".join(lines[:-1]) + "\n")
-        resumed = run_gate_campaign(cfg, stimuli, checkpoint_path=str(ckpt))
+        cfg, stimuli = self._setup()
+        store = CampaignStore(tmp_path / "gate")
+        partial = run_gate_campaign(cfg, stimuli, store=store, max_units=3)
+        assert len(store.completed_ids()) == 3
         plain = run_gate_campaign(cfg, stimuli)
-        assert resumed.category_counts() == plain.category_counts()
+        assert partial.total_faults < plain.total_faults
+        resumed = run_gate_campaign(cfg, stimuli, store=store)
+        self._same(resumed, plain)
