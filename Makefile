@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint campaign-smoke chaos-smoke obs-smoke oracle-check bench bench-baseline bench-compare bench-smoke report report-small claims docs examples clean
+.PHONY: install test lint campaign-smoke chaos-smoke obs-smoke oracle-check accel-check bench bench-baseline bench-compare bench-smoke report report-small claims docs examples clean
 
 install:
 	pip install -e .[test]
@@ -50,6 +50,15 @@ oracle-check:
 		PYTHONPATH=src $(PY) perfbench/run.py --workload $$w --oracle check \
 			|| exit 1; \
 	done
+
+# Shortcut anchor: run the accelerated epr-hang workload (its hangs take
+# the hang short-circuit, docs/PERFORMANCE.md) and exit 1 unless the last
+# JSON line reports "correct": true, i.e. every accelerated outcome
+# matched the frozen perfbench/oracle.json item by item.
+accel-check:
+	PYTHONPATH=src $(PY) perfbench/run.py --workload epr-hang --seconds 1 \
+		--trace 0 | tail -n 1 | $(PY) -c "import json, sys; \
+	sys.exit(0 if json.load(sys.stdin)['correct'] is True else 1)"
 
 # Full benchmark suite; exports machine-readable results for
 # bench-compare. BENCH_JSON is overridable (bench-baseline uses it to

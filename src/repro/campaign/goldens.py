@@ -75,8 +75,8 @@ def _bits_digest(bits: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(bits).tobytes()).hexdigest()
 
 
-def _compute(app: str, scale: str, seed: int, mem_words: int) -> GoldenRun:
-    w = cached_workload(app, scale, seed)
+def golden_run(w, mem_words: int, key: str = "") -> GoldenRun:
+    """Fault-free run of workload *w* on a fresh *mem_words* device."""
     dev = Device(DeviceConfig(global_mem_words=mem_words))
     executed = {"n": 0}
 
@@ -87,9 +87,13 @@ def _compute(app: str, scale: str, seed: int, mem_words: int) -> GoldenRun:
         return res
 
     bits = w.run(dev, launcher)
-    digest = _bits_digest(bits)
-    return GoldenRun(key=golden_key(app, scale, seed, mem_words), bits=bits,
-                     dynamic_instructions=executed["n"], digest=digest)
+    return GoldenRun(key=key, bits=bits, dynamic_instructions=executed["n"],
+                     digest=_bits_digest(bits))
+
+
+def _compute(app: str, scale: str, seed: int, mem_words: int) -> GoldenRun:
+    return golden_run(cached_workload(app, scale, seed), mem_words,
+                      golden_key(app, scale, seed, mem_words))
 
 
 class ContentCache:
@@ -325,10 +329,14 @@ class GoldenTrace:
     #: SHA-256 of the golden output bits this trace reproduces
     digest: str
 
+    @functools.cached_property
+    def _starts(self) -> np.ndarray:
+        return np.array([rec.start_index for rec in self.launches],
+                        dtype=np.int64)
+
     def launch_of(self, index: int) -> int:
         """Launch ordinal containing global dynamic instruction *index*."""
-        starts = [rec.start_index for rec in self.launches]
-        return int(np.searchsorted(starts, index, side="right")) - 1
+        return int(np.searchsorted(self._starts, index, side="right")) - 1
 
     def best_checkpoint(self, index: int):
         """Latest checkpoint inside *index*'s launch with
@@ -343,16 +351,15 @@ class GoldenTrace:
         return best
 
 
-def _trace_compute(app: str, scale: str, seed: int,
-                   mem_words: int) -> GoldenTrace:
-    """Instrumented golden run: record every dynamic instruction, take a
-    checkpoint at every K-th round boundary, snapshot the device after
-    each launch, and verify the output bits against the golden cache."""
+def golden_trace(w, mem_words: int, golden: GoldenRun,
+                 key: str = "") -> GoldenTrace:
+    """Instrumented golden run of workload *w*: record every dynamic
+    instruction, take a checkpoint at every K-th round boundary, snapshot
+    the device after each launch, and verify the output bits against
+    *golden* (its :func:`golden_run`)."""
     from repro.gpusim.snapshot import capture_checkpoint, snapshot_device
 
-    golden = GOLDEN_CACHE.get(app, scale, seed, mem_words)
     every = checkpoint_epoch(golden.dynamic_instructions)
-    w = cached_workload(app, scale, seed)
     dev = Device(DeviceConfig(global_mem_words=mem_words))
 
     ev_pc: list[int] = []
@@ -399,8 +406,8 @@ def _trace_compute(app: str, scale: str, seed: int,
     digest = _bits_digest(bits)
     if digest != golden.digest or state["base"] != golden.dynamic_instructions:
         raise RuntimeError(
-            f"golden trace of {app}/{scale} diverged from the cached golden "
-            f"run (nondeterministic workload?)")
+            f"golden trace of {w.meta.name}/{w.scale} diverged from the "
+            f"cached golden run (nondeterministic workload?)")
 
     if masks:
         packed = np.packbits(np.asarray(masks, dtype=bool), axis=1,
@@ -410,7 +417,7 @@ def _trace_compute(app: str, scale: str, seed: int,
         ev_mask = np.zeros(0, dtype=np.uint32)
     coords = tuple(sorted(coord_index, key=coord_index.get))
     return GoldenTrace(
-        key=trace_key(app, scale, seed, mem_words),
+        key=key,
         ev_pc=np.asarray(ev_pc, dtype=np.int32),
         ev_coord=np.asarray(ev_coord, dtype=np.int32),
         ev_mask=ev_mask,
@@ -422,6 +429,13 @@ def _trace_compute(app: str, scale: str, seed: int,
         epoch=every,
         digest=golden.digest,
     )
+
+
+def _trace_compute(app: str, scale: str, seed: int,
+                   mem_words: int) -> GoldenTrace:
+    return golden_trace(cached_workload(app, scale, seed), mem_words,
+                        GOLDEN_CACHE.get(app, scale, seed, mem_words),
+                        trace_key(app, scale, seed, mem_words))
 
 
 # -- trace (de)serialization for the .npz spill -----------------------

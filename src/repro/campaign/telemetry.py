@@ -33,8 +33,8 @@ class ShardStats:
     cache_hits: int = 0
     cache_misses: int = 0
     #: acceleration accounting merged across units (EPR: restores,
-    #: saved_instructions, early_exits, skipped, collapsed; gate:
-    #: pairs_dropped, stimuli_deduped, lanes_refilled, replays)
+    #: saved_instructions, early_exits, skipped, collapsed, hang_cycles;
+    #: gate: pairs_dropped, stimuli_deduped, lanes_refilled, replays)
     accel: dict = field(default_factory=dict)
 
     @property

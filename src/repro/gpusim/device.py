@@ -134,7 +134,14 @@ class Device:
         at the top of every CTA scheduling round (``executed`` is the
         launch-cumulative instruction count) — the golden tracer captures
         checkpoints there and the accelerated injector compares state
-        against them (see :mod:`repro.gpusim.snapshot`).
+        against them (see :mod:`repro.gpusim.snapshot`). A hook returns
+        ``None``/0, or a positive count that fast-forwards the launch's
+        instruction counter: ``executed`` grows by it before the round
+        runs, and nothing else changes. The accelerated injector returns
+        whole periods of a run it has proved periodic (docs/PERFORMANCE.md,
+        "Hang short-circuit"), keeping the counter within the watchdog
+        budget, so the watchdog fires in the same slice as without the
+        hook.
 
         *resume* (a :class:`~repro.gpusim.snapshot.LaunchResume`) skips the
         already-executed prefix: device state is restored from the
@@ -261,7 +268,9 @@ class Device:
         base = executed
         while True:
             if round_hook is not None:
-                round_hook(cta, executed, warps, shared_mem)
+                skipped = round_hook(cta, executed, warps, shared_mem)
+                if skipped:
+                    executed += skipped
             progress = 0
             unfinished = [w for w in warps if not w.finished]
             if not unfinished:

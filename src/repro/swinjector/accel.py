@@ -19,7 +19,10 @@ when it is handed a golden trace. It
   at or before the first site;
 * declares Masked early when the post-activation state reconverges with a
   golden checkpoint at an aligned ``(launch, cta, executed)`` boundary
-  and no activation sites remain.
+  and no activation sites remain;
+* fast-forwards a launch that has outrun its golden counterpart and
+  provably repeats its round-boundary state straight to the slice where
+  its watchdog fires (:class:`HangCycle`).
 
 Every shortcut is equivalence-preserving — outcomes, DUE reasons and
 activation counts are bit-identical to the cold replay (the
@@ -29,6 +32,8 @@ tests/test_accel_equivalence.py).
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +41,22 @@ import numpy as np
 from repro import obs
 from repro.campaign.goldens import GoldenTrace
 from repro.gpusim.device import LaunchResult
-from repro.gpusim.snapshot import checkpoint_matches, restore_device
+from repro.gpusim.snapshot import (
+    capture_checkpoint,
+    checkpoint_matches,
+    restore_device,
+)
+from repro.swinjector.injectors import BaseInjector
 
 _CK_RESTORES = obs.REGISTRY.counter("checkpoint_restores_total")
 _PREFIX_SAVED = obs.REGISTRY.counter("prefix_instructions_saved_total")
 _EARLY_EXITS = obs.REGISTRY.counter("early_exits_total")
+_HANG_CYCLES = obs.REGISTRY.counter("hang_cycles_total")
+
+#: round digests :class:`HangCycle` keeps per CTA before it starts over,
+#: bounding its memory (~4 MiB); a period longer than half of this many
+#: rounds may be missed and is then left to the watchdog
+_MAX_ROUNDS = 1 << 15
 
 
 class EarlyMasked(Exception):
@@ -60,12 +76,15 @@ class AccelStats:
     skipped: int = 0
     #: injections sharing a behaviorally identical descriptor's run
     collapsed: int = 0
+    #: hangs fast-forwarded to their watchdog slice (:class:`HangCycle`)
+    hang_cycles: int = 0
 
     def as_dict(self) -> dict:
         return {"enabled": True, "restores": self.restores,
                 "saved_instructions": self.saved_instructions,
                 "early_exits": self.early_exits, "skipped": self.skipped,
-                "collapsed": self.collapsed}
+                "collapsed": self.collapsed,
+                "hang_cycles": self.hang_cycles}
 
     def never_activates(self, trace: GoldenTrace) -> None:
         """Tally an injection classified Masked without simulating."""
@@ -77,6 +96,13 @@ class AccelStats:
         """Tally a run that reconverged with golden (:class:`EarlyMasked`)."""
         self.early_exits += 1
         _EARLY_EXITS.inc()
+
+    def hang_cycle(self, instructions: int) -> None:
+        """Tally a hang fast-forwarded over *instructions*."""
+        self.hang_cycles += 1
+        self.saved_instructions += instructions
+        _HANG_CYCLES.inc()
+        _PREFIX_SAVED.inc(instructions)
 
 
 #: descriptor fields each model's injector actually reads (beyond the
@@ -141,23 +167,127 @@ def activation_sites(trace: GoldenTrace, desc, injector,
         (desc.matches_warp(sm, sub, slot) for sm, sub, slot in trace.coords),
         dtype=bool, count=len(trace.coords))
     ok = np.zeros(n, dtype=bool)
+    pc_masks: dict[str, np.ndarray] = {}
     for rec in trace.launches:
         s = rec.start_index
         e = s + rec.instructions_executed
-        pc_ok = _target_pc_mask(injector, programs[rec.program])
+        pc_ok = pc_masks.get(rec.program)
+        if pc_ok is None:
+            pc_ok = pc_masks[rec.program] = _target_pc_mask(
+                injector, programs[rec.program])
         ok[s:e] = pc_ok[trace.ev_pc[s:e]]
     ok &= coord_ok[trace.ev_coord]
     ok &= (trace.ev_mask & np.uint32(desc.thread_mask & 0xFFFFFFFF)) != 0
     return np.flatnonzero(ok)
 
 
+def injector_state(injector: BaseInjector) -> bytes:
+    """An injector's instance state as bytes: every attribute except its
+    (constant) descriptor, an IPP delegate included. Pickling is
+    faithful, so equal bytes mean equal state."""
+    return pickle.dumps({k: v for k, v in vars(injector).items()
+                         if k != "desc"}, protocol=5)
+
+
+def _round_digest(dev, warps, shared_mem, inj: bytes) -> bytes:
+    """SHA-256 of the round-boundary state: global memory up to the
+    allocation break, the CTA's shared memory, every warp's registers,
+    predicates, alive mask, reconvergence stack and barrier flag, and the
+    injector state *inj*.  A hit is only a candidate (memory past the
+    break is not hashed, and digests can collide); :class:`HangCycle`
+    confirms it by exact comparison."""
+    h = hashlib.sha256()
+    g = dev.global_mem
+    h.update(g.data[:g._brk])
+    h.update(shared_mem.data)
+    for w in warps:
+        h.update(w.regs)
+        h.update(w.preds)
+        h.update(w.alive)
+        h.update(b"%d %d" % (w.at_barrier, len(w.stack)))
+        for e in w.stack:
+            h.update(b"%d %d" % (-1 if e.reconv_pc is None else e.reconv_pc,
+                                 e.next_pc))
+            h.update(e.mask)
+    h.update(inj)
+    return h.digest()
+
+
+class HangCycle:
+    """Round hook that proves a launch periodic and fast-forwards it to
+    the slice where its watchdog fires.
+
+    Once a launch has outrun its golden counterpart, each round boundary
+    of the current CTA is digested (:func:`_round_digest`). A digest seen
+    before at ``executed - P`` makes ``P`` a candidate period: the state
+    is captured exactly (:func:`~repro.gpusim.snapshot.capture_checkpoint`
+    plus :func:`injector_state`) and one more period is simulated. If the
+    state at ``executed + P`` equals the capture, the simulator's
+    determinism makes the run periodic for ever; the hook then returns
+    ``k·P`` with ``k = (watchdog - executed) // P`` (``Device.launch``
+    adds it to the launch counter) and credits the ``k·ΔA`` activations
+    those periods would have made. Plain simulation covers the last
+    partial period, so the watchdog fires in the same slice, with the same
+    activation count, as in the cold replay (docs/PERFORMANCE.md, "Hang
+    short-circuit"). A hang that never repeats is left to the watchdog.
+    """
+
+    def __init__(self, dev, tool, watchdog: int, stats: AccelStats):
+        self.dev = dev
+        self.tool = tool
+        self.watchdog = watchdog
+        self.stats = stats
+        self.cta = None
+        #: round digest -> launch-cumulative count where it was last seen
+        self.seen: dict[bytes, int] = {}
+        #: (checkpoint, injector state, activations, period) under test
+        self.candidate = None
+        self.done = False
+
+    def __call__(self, cta, executed, warps, shared_mem):
+        if self.done:
+            return None
+        if cta != self.cta:
+            self.cta = cta
+            self.seen.clear()
+            self.candidate = None
+        tool = self.tool
+        if self.candidate is not None:
+            ck, ck_inj, activations, period = self.candidate
+            if executed < ck.executed + period:
+                return None
+            self.candidate = None
+            if (executed == ck.executed + period
+                    and injector_state(tool.injector) == ck_inj
+                    and checkpoint_matches(self.dev, ck, warps, shared_mem)):
+                self.done = True
+                k = (self.watchdog - executed) // period
+                if k <= 0:
+                    return None
+                tool.activations += k * (tool.activations - activations)
+                self.stats.hang_cycle(k * period)
+                return k * period
+        inj = injector_state(tool.injector)
+        key = _round_digest(self.dev, warps, shared_mem, inj)
+        prev = self.seen.get(key)
+        if len(self.seen) >= _MAX_ROUNDS:
+            self.seen.clear()
+        self.seen[key] = executed
+        if prev is not None:
+            ck = capture_checkpoint(self.dev, -1, cta, executed, -1, warps,
+                                    shared_mem)
+            self.candidate = (ck, inj, tool.activations, executed - prev)
+        return None
+
+
 def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
                     watchdog: int, stats: AccelStats):
     """Workload launcher for a faulty run on *dev* that activates at
     *sites* (non-empty): pre-activation launches are skipped, the
-    first-activation launch resumes from the latest golden checkpoint, and
-    a round boundary past the last site that matches a golden checkpoint
-    raises :class:`EarlyMasked`."""
+    first-activation launch resumes from the latest golden checkpoint, a
+    round boundary past the last site that matches a golden checkpoint
+    raises :class:`EarlyMasked`, and a launch that outruns its golden
+    counterpart (or has none) is watched by :class:`HangCycle`."""
     first = int(sites[0])
     last = int(sites[-1])
     ck_at = {(c.launch, c.cta, c.executed): c for c in trace.checkpoints}
@@ -191,10 +321,16 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
                 _CK_RESTORES.inc()
                 _PREFIX_SAVED.inc(ck.executed)
 
-        hook = None
-        if rec is not None:
+        hang = HangCycle(dev, tool, watchdog, stats)
+        if rec is None:
+            hook = hang  # past the golden launch list: no golden to meet
+        else:
             def hook(cta, executed, warps, shared_mem,
-                     _base=rec.start_index, _m=m):
+                     _base=rec.start_index, _m=m,
+                     _golden=rec.instructions_executed):
+                if executed > _golden:
+                    # past every golden checkpoint of this launch
+                    return hang(cta, executed, warps, shared_mem)
                 idx = _base + executed
                 if last >= idx:
                     return  # activation sites remain: cannot exit yet
@@ -214,7 +350,9 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
 __all__ = [
     "AccelStats",
     "EarlyMasked",
+    "HangCycle",
     "activation_sites",
     "behavior_key",
+    "injector_state",
     "replay_launcher",
 ]

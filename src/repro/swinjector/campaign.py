@@ -13,7 +13,8 @@ is supplied — completed units are persisted so the campaign can be
 resumed after interruption.
 
 Every injection runs through one replay function,
-:func:`run_one_injection`: handed a golden trace it takes the
+:func:`replay_injection` (:func:`run_one_injection` draws the campaign's
+seeded descriptor for it): handed a golden trace it takes the
 checkpointed differential replay shortcuts of
 :mod:`repro.swinjector.accel`; without one it is the cold replay that
 ``--no-accel`` selects.
@@ -187,8 +188,22 @@ def run_one_injection(app: str, model: ErrorModel, index: int,
                       watchdog: int, trace: GoldenTrace | None = None,
                       stats: accel.AccelStats | None = None,
                       sites: np.ndarray | None = None) -> InjectionOutcome:
-    """One NVBitPERfi run: fresh device, instrumented launches, classify
-    against the golden output bits *golden*.
+    """One NVBitPERfi run of injection *index* of *model* on *app*: the
+    campaign's seeded descriptor, replayed by :func:`replay_injection`."""
+    return replay_injection(
+        cached_workload(app, config.scale, config.seed),
+        make_descriptor(model, config.seed, index), golden, watchdog,
+        config.mem_words, trace, stats, sites, index=index)
+
+
+def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
+                     mem_words: int, trace: GoldenTrace | None = None,
+                     stats: accel.AccelStats | None = None,
+                     sites: np.ndarray | None = None,
+                     index: int = -1) -> InjectionOutcome:
+    """One NVBitPERfi run of descriptor *desc* on workload *w*: fresh
+    device, instrumented launches, classify against the golden output
+    bits *golden*.
 
     Without *trace* this is the cold replay: every launch runs from
     dynamic instruction 0 and every hook site is instrumented. With a
@@ -196,14 +211,14 @@ def run_one_injection(app: str, model: ErrorModel, index: int,
     run takes the shortcuts of :mod:`repro.swinjector.accel`, tallied in
     *stats* (required with *trace*): a descriptor that never activates is
     Masked without simulating, pre-activation launches are skipped, the
-    first-activation launch resumes from a golden checkpoint, and a run
-    that reconverges with golden past its last activation site exits
-    Masked early. *sites* (the descriptor's activation sites in *trace*)
-    may be precomputed.
+    first-activation launch resumes from a golden checkpoint, a run that
+    reconverges with golden past its last activation site exits Masked
+    early, and a hang that provably repeats its state is fast-forwarded
+    to its watchdog slice. *sites* (the descriptor's activation sites in
+    *trace*) may be precomputed.
     """
-    desc = make_descriptor(model, config.seed, index)
+    app, model = w.meta.name, desc.model
     tool = NVBitPERfi(desc, site_filter=trace is not None)
-    w = cached_workload(app, config.scale, config.seed)
     # one span covers faulty run + classification; the outcome becomes a
     # span attribute, so the trace shows what each injection resolved to
     inject = obs.span("epr.inject", app=app, model=model.value, index=index)
@@ -218,7 +233,7 @@ def run_one_injection(app: str, model: ErrorModel, index: int,
                 inject.set(outcome="masked", accel="never-activates")
             return InjectionOutcome(app, model, "masked")
 
-    dev = Device(DeviceConfig(global_mem_words=config.mem_words))
+    dev = Device(DeviceConfig(global_mem_words=mem_words))
     if trace is None:
         def launcher(program, grid, block, params=(), shared_words=None):
             return dev.launch(program, grid, block, params=params,

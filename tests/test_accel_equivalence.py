@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errormodels.descriptor import ErrorDescriptor
 from repro.errormodels.models import ErrorModel
 from repro.faultinjection.campaign import (
     _golden_run,
@@ -22,8 +23,10 @@ from repro.faultinjection.campaign import (
 from repro.gatelevel.faults import full_fault_list, sample_faults
 from repro.gatelevel.sim import LogicSim
 from repro.gatelevel.units import build_unit
+from repro.isa import CmpOp, KernelBuilder, RZ
 from repro.swinjector.campaign import _run_epr_unit
 from repro.swinjector.instrumentation import NVBitPERfi, make_descriptor
+from repro.workloads.base import Workload, WorkloadMeta
 
 #: ≥1 control-flow model (IAT) and resource-management models (IMS, IMD)
 #: next to datapath (IRA), scheduler-adjacent (WV) and decode (IOC) ones
@@ -112,6 +115,157 @@ class TestEprEquivalence:
         legacy = _epr_unit("vectoradd", "WV", n, accel=False, seed=seed)
         a, b = twins
         assert legacy["outcomes"][a] == legacy["outcomes"][b]
+
+
+#: the benchmark's campaign seed, at which index 0 of these models hangs
+HANG_SEED = 0x5C23
+
+
+class TestHangCycleEquivalence:
+    """A hang fast-forwarded to its watchdog slice (``HangCycle``) ends
+    exactly like the cold replay: same outcome, DUE reason and activation
+    count; hangs that never repeat fall back to the watchdog."""
+
+    @pytest.mark.parametrize("model", ["IAL", "IOC"])
+    def test_mxm_hang_is_short_circuited(self, model):
+        accel = _epr_unit("mxm", model, 1, accel=True, seed=HANG_SEED)
+        legacy = _epr_unit("mxm", model, 1, accel=False, seed=HANG_SEED)
+        assert accel["outcomes"] == legacy["outcomes"]
+        assert legacy["outcomes"][0]["due_reason"] == "watchdog-timeout"
+        assert accel["accel"]["hang_cycles"] >= 1
+
+    def test_quicksort_hang_without_cycle_falls_back(self):
+        accel = _epr_unit("quicksort", "IMD", 1, accel=True, seed=HANG_SEED)
+        legacy = _epr_unit("quicksort", "IMD", 1, accel=False,
+                           seed=HANG_SEED)
+        assert accel["outcomes"] == legacy["outcomes"]
+        assert legacy["outcomes"][0]["due_reason"] == "watchdog-timeout"
+        assert accel["accel"]["hang_cycles"] == 0
+
+    # -- isa.builder kernels ----------------------------------------------
+    # Every ISETP of a WV victim writes the inverted predicate. The loop
+    # below turns its exit test into data (SEL) and back into a predicate,
+    # so under WV the two flips cancel on the exit test while the counter
+    # step becomes 0: the loop spins at i == 0 for ever.
+
+    @pytest.mark.parametrize("shape, desc, cycles", [
+        # in-place global store in the loop: the state repeats
+        ("inplace", ErrorDescriptor(ErrorModel.WV), 1),
+        # the store address advances: the state never repeats
+        ("advance", ErrorDescriptor(ErrorModel.WV), 0),
+        # a corrupted loop bound (8 ^ 1<<16) counts up past the budget
+        ("inplace", ErrorDescriptor(ErrorModel.IMS, bit_err_mask=1 << 16), 0),
+        # CTA 1 (on SM 1) hangs after CTA 0 completed
+        ("two-ctas", ErrorDescriptor(ErrorModel.WV, sm_id=1), 1),
+        # the hang is in a launch the golden run never makes
+        ("relaunch", ErrorDescriptor(ErrorModel.WV), 1),
+    ])
+    def test_builder_kernel_hangs(self, shape, desc, cycles):
+        assert _builder_hang(shape, desc).hang_cycles == cycles
+
+    def test_digest_table_cap_falls_back_to_watchdog(self, monkeypatch):
+        # the in-place loop repeats every 3 rounds; a table that starts
+        # over every 2 rounds never sees the repeat
+        from repro.swinjector import accel
+
+        monkeypatch.setattr(accel, "_MAX_ROUNDS", 2)
+        assert _builder_hang("inplace",
+                             ErrorDescriptor(ErrorModel.WV)).hang_cycles == 0
+
+
+_MEM_WORDS = 1 << 16
+
+
+def _builder_hang(shape: str, desc):
+    """Replay *desc* on :class:`_HangApp` accelerated and cold, assert both
+    end in the same watchdog DUE, and return the accelerated stats."""
+    from repro.campaign.goldens import golden_run, golden_trace
+    from repro.swinjector.accel import AccelStats
+    from repro.swinjector.campaign import replay_injection
+
+    w = _HangApp(shape)
+    golden = golden_run(w, _MEM_WORDS)
+    trace = golden_trace(w, _MEM_WORDS, golden)
+    # far below the campaign's 10 x golden + 10 000, to keep the cold
+    # replays short; any budget past the golden length is a valid one
+    watchdog = 4_096
+    stats = AccelStats()
+    fast = replay_injection(w, desc, golden.bits, watchdog, _MEM_WORDS,
+                            trace, stats)
+    cold = replay_injection(w, desc, golden.bits, watchdog, _MEM_WORDS)
+    assert fast == cold
+    assert cold.outcome == "due" and cold.due_reason == "watchdog-timeout"
+    assert cold.activations > 0
+    return stats
+
+
+def _loop_kernel(advance: bool):
+    """``do { out[0] = i; step = i < n; i += step } while (step != 0)``,
+    storing to ``out + 4*iteration`` instead when *advance*."""
+    k = KernelBuilder("loop", nregs=16)
+    n = k.load_param(0)
+    ptr = k.load_param(1)
+    i = k.mov32i_new(0)
+    one = k.mov32i_new(1)
+    step = k.reg()
+    p, q = k.pred(), k.pred()
+    head = k.label()
+    k.gst(ptr, i)
+    if advance:
+        k.iadd(ptr, ptr, imm=4)
+    k.isetp(p, i, n, CmpOp.LT)
+    k.sel(step, one, RZ, p)
+    k.iadd(i, i, step)
+    k.isetp(q, step, RZ, CmpOp.NE)
+    k.bra(head, pred=q)
+    k.exit()
+    return k.build()
+
+
+def _flag_kernel():
+    """``out[0] = (n == 8)``."""
+    k = KernelBuilder("flag", nregs=8)
+    n = k.load_param(0)
+    ptr = k.load_param(1)
+    one = k.mov32i_new(1)
+    p = k.pred()
+    k.isetp(p, n, imm=8, cmp=CmpOp.EQ)
+    v = k.reg()
+    k.sel(v, one, RZ, p)
+    k.gst(ptr, v)
+    k.exit()
+    return k.build()
+
+
+class _HangApp(Workload):
+    """One-warp CTAs running :func:`_loop_kernel` over ``n = 8``; with
+    ``relaunch`` the host first runs :func:`_flag_kernel` and launches the
+    loop only when the flag comes back wrong (never, in the golden run)."""
+
+    meta = WorkloadMeta("hang-shapes", "int32", "test", "isa.builder")
+    scales = {"tiny": {}}
+
+    def __init__(self, shape: str):
+        self.shape = shape
+        super().__init__("tiny")
+
+    def _init_data(self) -> None:
+        pass
+
+    def _build_programs(self):
+        return {"loop": _loop_kernel(self.shape == "advance"),
+                "flag": _flag_kernel()}
+
+    def run(self, device, launcher):
+        out = device.alloc(64)
+        progs = self.programs()
+        if self.shape == "relaunch":
+            launcher(progs["flag"], grid=1, block=32, params=(8, out))
+            if device.read(out, 1)[0] == 1:
+                return device.read(out, 64)
+        grid = 2 if self.shape == "two-ctas" else 1
+        launcher(progs["loop"], grid=grid, block=32, params=(8, out))
+        return device.read(out, 64)
 
 
 class TestGateEquivalence:

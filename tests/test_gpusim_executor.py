@@ -371,6 +371,50 @@ class TestFaults:
         with pytest.raises(WatchdogTimeoutError):
             device.launch(k.build(), grid=1, block=1, watchdog=10_000)
 
+    def test_round_hook_fast_forward_keeps_watchdog_slice(self, device):
+        # two warps spin on `BAR; BRA`: after the first round (one BAR
+        # each) every round runs BRA+BAR per warp, a period of 4
+        # instructions and 4 hook sites
+        k = KernelBuilder("hang_bar", nregs=8)
+        lbl = k.label()
+        k.bar()
+        k.bra(lbl)
+        k.exit()
+        program = k.build()
+        budget = 10_000
+
+        class Counting:
+            def __init__(self):
+                self.before_calls = 0
+
+            def before(self, ctx):
+                self.before_calls += 1
+
+            def after(self, ctx):
+                pass
+
+        cold = Counting()
+        with pytest.raises(WatchdogTimeoutError):
+            device.launch(program, grid=1, block=64, watchdog=budget,
+                          instrumentation=cold)
+
+        fast = Counting()
+        skipped = []
+
+        def hook(cta, executed, warps, shared_mem):
+            if executed < 64 or skipped:
+                return None
+            periods = (budget - executed) // 4
+            fast.before_calls += 4 * periods
+            skipped.append(4 * periods)
+            return 4 * periods
+
+        with pytest.raises(WatchdogTimeoutError):
+            device.launch(program, grid=1, block=64, watchdog=budget,
+                          instrumentation=fast, round_hook=hook)
+        assert skipped and skipped[0] > budget // 2
+        assert fast.before_calls == cold.before_calls
+
     def test_block_too_large(self, device):
         k = KernelBuilder("big", nregs=8)
         k.exit()
