@@ -51,14 +51,18 @@ oracle-check:
 			|| exit 1; \
 	done
 
-# Shortcut anchor: run the accelerated epr-hang workload (its hangs take
-# the hang short-circuit, docs/PERFORMANCE.md) and exit 1 unless the last
-# JSON line reports "correct": true, i.e. every accelerated outcome
-# matched the frozen perfbench/oracle.json item by item.
+# Shortcut anchor: run both accelerated EPR workloads (epr-hang's hangs
+# take the hang short-circuit, epr-short's inert IAL descriptors the inert
+# shortcut; docs/PERFORMANCE.md) and exit 1 unless each last JSON line
+# reports "correct": true, i.e. every accelerated outcome matched the
+# frozen perfbench/oracle.json item by item.
 accel-check:
-	PYTHONPATH=src $(PY) perfbench/run.py --workload epr-hang --seconds 1 \
-		--trace 0 | tail -n 1 | $(PY) -c "import json, sys; \
-	sys.exit(0 if json.load(sys.stdin)['correct'] is True else 1)"
+	for w in epr-hang epr-short; do \
+		PYTHONPATH=src $(PY) perfbench/run.py --workload $$w --seconds 1 \
+			--trace 0 | tail -n 1 | $(PY) -c "import json, sys; \
+	sys.exit(0 if json.load(sys.stdin)['correct'] is True else 1)" \
+			|| exit 1; \
+	done
 
 # Full benchmark suite; exports machine-readable results for
 # bench-compare. BENCH_JSON is overridable (bench-baseline uses it to

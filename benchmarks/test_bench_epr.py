@@ -102,8 +102,8 @@ def test_bench_campaign_accel_speedup(benchmark):
         kwargs={"chunk": n}, rounds=1, iterations=1, warmup_rounds=0)
 
     def normalized(res):
-        return [(o.app, o.model, o.outcome, o.due_reason, o.activations,
-                 o.pruned) for o in res.outcomes]
+        return [(o.app, o.model, o.outcome, o.due_reason, o.activations)
+                for o in res.outcomes]
 
     assert normalized(accel) == normalized(legacy)
     t_accel = benchmark.stats.stats.mean

@@ -1,21 +1,17 @@
-"""Static-analyzer cost and the campaign speedup bought by pruning.
+"""Static-analyzer cost and the gate-level fault-list reduction.
 
-Tracks three numbers:
+Tracks two numbers:
 
 * analyzer wall-time — full CFG + liveness + lint over every registered
   kernel (the cost `make lint` pays);
-* EPR campaign throughput with and without ``static_prune`` on a
-  prune-friendly model mix (the speedup the pruner buys);
 * gate-level fault-list reduction from structural collapsing.
 """
 
 from __future__ import annotations
 
-from repro.errormodels.models import ErrorModel
 from repro.gatelevel.faults import full_fault_list, structural_fault_list
 from repro.gatelevel.units import build_unit
 from repro.staticanalysis import CFG, Liveness, lint_program
-from repro.swinjector import SwCampaignConfig, run_epr_campaign
 from repro.workloads import iter_workloads
 
 
@@ -39,39 +35,6 @@ def test_bench_analyzer_full_registry(benchmark):
     mean = benchmark.stats.stats.mean
     benchmark.extra_info["kernels"] = kernels
     benchmark.extra_info["kernels_per_sec"] = round(kernels / mean, 1)
-
-
-_PRUNE_CFG = dict(
-    apps=("vectoradd", "mxm"),
-    models=(ErrorModel.WV, ErrorModel.IIO, ErrorModel.IAL, ErrorModel.IMD),
-    injections_per_model=8, scale="tiny", processes=1,
-)
-
-
-def _bench_prune(regen, benchmark, static_prune: bool, label: str):
-    cfg = SwCampaignConfig(**_PRUNE_CFG, static_prune=static_prune)
-    res = regen(run_epr_campaign, cfg)
-    n = len(res.outcomes)
-    pruned = sum(o.pruned for o in res.outcomes)
-    mean = benchmark.stats.stats.mean
-    benchmark.extra_info["injections"] = n
-    benchmark.extra_info["pruned"] = pruned
-    benchmark.extra_info[f"injections_per_sec_{label}"] = round(n / mean, 1)
-    return res, pruned
-
-
-def test_bench_epr_unpruned_baseline(regen, benchmark):
-    """Baseline: every injection simulated."""
-    res, pruned = _bench_prune(regen, benchmark, False, "baseline")
-    assert pruned == 0
-
-
-def test_bench_epr_static_pruned(regen, benchmark):
-    """Same campaign with --static-prune: strictly fewer simulations,
-    identical classifications (the property tests assert equality)."""
-    res, pruned = _bench_prune(regen, benchmark, True, "pruned")
-    assert pruned > 0
-    assert all(o.outcome == "masked" for o in res.outcomes if o.pruned)
 
 
 def test_bench_gate_fault_collapse(benchmark):

@@ -34,7 +34,6 @@ from pathlib import Path
 
 from repro import obs
 from repro.campaign.engine import EngineConfig, execute
-from repro.campaign.goldens import GOLDEN_CACHE
 from repro.campaign.plans import KINDS, get_spec
 from repro.campaign.store import CampaignStore
 from repro.campaign.telemetry import Telemetry
@@ -49,8 +48,6 @@ from repro.resilience.watchdog import CampaignInterrupted
 EXIT_HOLES = 3
 #: ``verify`` / ``repair`` exit code when problems were found
 EXIT_VERIFY = 4
-
-GOLDENS_DIRNAME = "goldens"
 
 
 def _engine_options(args, max_units=None) -> EngineConfig:
@@ -79,8 +76,6 @@ def _config_overrides(args) -> dict:
         over["injections_per_model"] = args.injections
     if getattr(args, "chunk", None):
         over["chunk"] = args.chunk
-    if getattr(args, "static_prune", False):
-        over["static_prune"] = True
     if getattr(args, "unit", None):
         over["unit"] = args.unit
     if getattr(args, "max_faults", None) is not None:
@@ -124,7 +119,7 @@ def cmd_run(args) -> int:
     spec = get_spec(args.kind)
     config = spec.default_config(**_config_overrides(args))
     store = CampaignStore(args.dir, durable=getattr(args, "durable", False))
-    GOLDEN_CACHE.persist_to(store.directory / GOLDENS_DIRNAME)
+    spec.spill_to(config, store.directory)
     plan = spec.build(config)
     print(f"campaign {args.kind}: {len(plan.units)} work units "
           f"-> {store.directory}")
@@ -141,8 +136,8 @@ def cmd_resume(args) -> int:
     if getattr(args, "retry_quarantined", False):
         requeued = store.clear_quarantine()
         print(f"re-queued {requeued} quarantined unit(s)")
-    GOLDEN_CACHE.persist_to(store.directory / GOLDENS_DIRNAME)
     spec = get_spec(manifest["kind"])
+    spec.spill_to(manifest["config"], store.directory)
     plan = spec.build(manifest["config"])
     pending = manifest["total_units"] - len(store.completed_ids())
     print(f"resuming {manifest['kind']} campaign in {store.directory}: "
@@ -423,10 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="injections per (app, model) (epr)")
     run.add_argument("--chunk", type=int,
                      help="injections per work unit (epr)")
-    run.add_argument("--static-prune", action="store_true",
-                     help="skip simulating injections the static analyzer "
-                          "proves Masked; they still count in every EPR "
-                          "denominator (epr)")
     # gate knobs
     run.add_argument("--unit", choices=["wsc", "fetch", "decoder"],
                      help="target unit (gate)")

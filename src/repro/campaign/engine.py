@@ -140,15 +140,6 @@ class UnitResult:
         return 0
 
     @property
-    def pruned(self) -> int:
-        """Items resolved statically (not simulated) within this unit."""
-        if self.ok and isinstance(self.value, dict):
-            n = self.value.get("pruned")
-            if isinstance(n, int):
-                return n
-        return 0
-
-    @property
     def accel(self) -> dict | None:
         """Per-unit acceleration accounting (restores, saved instructions,
         dropped pairs, ...) reported by the runner, or None."""

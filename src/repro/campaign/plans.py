@@ -6,9 +6,10 @@ campaign: its config dict (what goes into the manifest), its work units
 shared inputs (what forked workers inherit copy-on-write).
 
 Campaign kinds are contributed by the injection layers; each layer module
-exposes a ``CAMPAIGN_SPEC`` object with four methods::
+exposes a ``CAMPAIGN_SPEC`` object with five methods::
 
     default_config(**overrides) -> dict      # JSON-able, manifest-ready
+    spill_to(config, directory) -> None      # reference caches to disk
     build(config: dict) -> CampaignPlan      # deterministic from config
     aggregate(config, results) -> result     # dict[unit_id, UnitResult] -> obj
     summarize(result) -> dict                # printable summary

@@ -25,8 +25,6 @@ from repro.campaign.engine import UnitResult
 class ShardStats:
     units: int = 0
     items: int = 0
-    #: items decided statically (skipped simulations); subset of ``items``
-    pruned: int = 0
     elapsed: float = 0.0
     retries: int = 0
     failures: int = 0
@@ -52,7 +50,6 @@ class ShardStats:
     def add(self, result: UnitResult) -> None:
         self.units += 1
         self.items += result.items
-        self.pruned += result.pruned
         self.elapsed += result.elapsed
         self.retries += result.retries
         self.failures += 0 if result.ok else 1
@@ -116,7 +113,6 @@ class Telemetry:
         for s in self.shards.values():
             t.units += s.units
             t.items += s.items
-            t.pruned += s.pruned
             t.elapsed += s.elapsed
             t.retries += s.retries
             t.failures += s.failures
@@ -140,13 +136,11 @@ class Telemetry:
 
     def progress_line(self) -> str:
         t = self.totals
-        pruned = f", {t.pruned} pruned" if t.pruned else ""
         saved = t.accel.get("saved_instructions", 0)
-        if saved:
-            pruned += f", {saved} instr saved"
+        saved = f", {saved} instr saved" if saved else ""
         quarantined = (f", {self.quarantined} quarantined"
                        if self.quarantined else "")
-        return (f"[campaign] {t.units} units, {t.items} items{pruned}, "
+        return (f"[campaign] {t.units} units, {t.items} items{saved}, "
                 f"{self.wall_items_per_sec():.1f} items/s, "
                 f"cache {100 * self.cache_hit_rate():.1f}%, "
                 f"{t.retries} retries, {t.failures} failures{quarantined}")
@@ -156,7 +150,6 @@ class Telemetry:
         return {
             "units": t.units,
             "items": t.items,
-            "pruned": t.pruned,
             "failures": t.failures,
             "retries": t.retries,
             "wall_seconds": round(self.wall_elapsed(), 3),
@@ -171,7 +164,6 @@ class Telemetry:
                 shard: {
                     "units": s.units,
                     "items": s.items,
-                    "pruned": s.pruned,
                     "elapsed": round(s.elapsed, 3),
                     "items_per_sec": round(s.items_per_sec, 2),
                     "retries": s.retries,

@@ -520,6 +520,11 @@ class GateCampaignSpec:
                             accel=bool(config.get("accel", True)))
         return _build_gate_plan(cc, prof.stimuli, plan_config=dict(config))
 
+    @staticmethod
+    def spill_to(config: dict, directory) -> None:
+        """Gate campaigns keep no reference runs on disk: ``build``
+        recomputes the golden simulation from the config."""
+
     def aggregate(self, config: dict,
                   results: dict[str, UnitResult]) -> GateCampaignResult:
         return _aggregate_gate(config["unit"], results)

@@ -10,8 +10,9 @@ Public surface:
 * :func:`repro.staticanalysis.lint.lint_program` — the rule-based
   kernel linter (``python -m repro.staticanalysis``).
 * :class:`repro.staticanalysis.prune.StaticPruner` — ACE-style
-  statically-Masked classification of error descriptors, consumed by
-  ``repro.campaign`` plans via ``--static-prune``.
+  statically-Masked classification of error descriptors; the accelerated
+  EPR replay consults it to classify injections whose every activation
+  is inert without simulating them.
 """
 
 from repro.staticanalysis.cfg import CFG, BasicBlock, build_cfg

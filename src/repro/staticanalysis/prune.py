@@ -3,10 +3,11 @@
 Given the full static program set of a workload, :class:`StaticPruner`
 decides — per error descriptor — whether the injection is *statically
 Masked*: no dynamic execution of any kernel can propagate the error to
-architectural state that is ever observed.  Campaigns skip simulating
-such descriptors and record them directly as Masked, keeping the EPR
-denominator (and therefore every reported rate) identical to an
-unpruned campaign.
+architectural state that is ever observed.  Once a descriptor has
+activation sites in the golden trace only R2 can hold, and the
+accelerated EPR replay (:func:`repro.swinjector.campaign.replay_injection`)
+then records it Masked, with one activation per golden site, without
+simulating it (docs/PERFORMANCE.md, "Inert activations").
 
 Soundness rules (each maps 1:1 onto the injector mechanics in
 :mod:`repro.swinjector.injectors`):

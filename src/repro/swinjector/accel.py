@@ -11,7 +11,8 @@ the shortcuts :func:`repro.swinjector.campaign.run_one_injection` takes
 when it is handed a golden trace. It
 
 * computes every injection's activation sites without simulating
-  (:func:`activation_sites`), classifying never-activating descriptors as
+  (:func:`activation_sites`), classifying never-activating descriptors,
+  and those whose every activation the static analyzer proves inert, as
   Masked with zero simulated instructions;
 * skips whole pre-activation launches (restoring the golden post-launch
   device snapshot so host-side reads between launches are identical) and
@@ -86,8 +87,9 @@ class AccelStats:
                 "collapsed": self.collapsed,
                 "hang_cycles": self.hang_cycles}
 
-    def never_activates(self, trace: GoldenTrace) -> None:
-        """Tally an injection classified Masked without simulating."""
+    def skip(self, trace: GoldenTrace) -> None:
+        """Tally an injection classified Masked without simulating (it
+        never activates, or every activation is inert)."""
         self.skipped += 1
         self.saved_instructions += trace.total_instructions
         _PREFIX_SAVED.inc(trace.total_instructions)

@@ -22,6 +22,7 @@ checkpointed differential replay shortcuts of
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -91,15 +92,10 @@ class SwCampaignConfig:
     timeout: float = 600.0
     #: re-runs of a failed unit before it is quarantined/recorded
     retries: int = 2
-    #: skip simulating descriptors the static analyzer proves Masked
-    #: (:class:`repro.staticanalysis.StaticPruner`); they are recorded as
-    #: Masked outcomes, so every EPR denominator — and every EPR figure —
-    #: is identical to an unpruned campaign
-    static_prune: bool = False
     #: checkpointed differential replay (:mod:`repro.swinjector.accel`):
     #: skip the fault-free prefix of every injection, classify
-    #: never-activating descriptors without simulating, and early-exit
-    #: reconverged runs — bit-identical outcomes, less work
+    #: never-activating and inert descriptors without simulating, and
+    #: early-exit reconverged runs — bit-identical outcomes, less work
     #: (docs/PERFORMANCE.md); ``--no-accel`` replays every injection cold
     accel: bool = True
 
@@ -111,8 +107,6 @@ class InjectionOutcome:
     outcome: str
     due_reason: str | None = None
     activations: int = 0
-    #: True when the outcome was decided statically (never simulated)
-    pruned: bool = False
 
 
 @dataclass
@@ -149,30 +143,25 @@ class EprResult:
         return 100.0 * sum(o.outcome != "masked" for o in self.outcomes) / n
 
 
-#: kept under its historical name; the cache itself moved to repro.campaign
-_cached_workload = cached_workload
-
-#: per-process StaticPruner cache keyed by (app, scale, seed); building
-#: one costs a CFG + liveness solve per kernel, amortized over the whole
-#: (app, model) injection set
-_PRUNERS: dict[tuple[str, str, int], "object"] = {}
+#: one StaticPruner per cached workload instance: building one costs a
+#: CFG + liveness solve per kernel, amortized over every injection on
+#: that instance (a fresh workload cache, as in a fresh process, pays it
+#: again)
+_ANALYZERS = weakref.WeakKeyDictionary()
 
 
-def _pruner_for(app: str, scale: str, seed: int):
-    """Shared :class:`~repro.staticanalysis.StaticPruner` for a workload.
+def _analyzer_of(w):
+    """Shared :class:`~repro.staticanalysis.StaticPruner` for workload *w*.
 
     Imported lazily: ``repro.swinjector`` loads this module from its
     package ``__init__``, and the pruner imports the injectors back from
     this package.
     """
-    key = (app, scale, seed)
-    pruner = _PRUNERS.get(key)
+    pruner = _ANALYZERS.get(w)
     if pruner is None:
         from repro.staticanalysis.prune import StaticPruner
 
-        w = cached_workload(app, scale, seed)
-        pruner = StaticPruner(w.programs().values())
-        _PRUNERS[key] = pruner
+        pruner = _ANALYZERS[w] = StaticPruner(w.programs().values())
     return pruner
 
 
@@ -209,8 +198,9 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
     dynamic instruction 0 and every hook site is instrumented. With a
     golden trace (:class:`~repro.campaign.goldens.GoldenTrace`) the same
     run takes the shortcuts of :mod:`repro.swinjector.accel`, tallied in
-    *stats* (required with *trace*): a descriptor that never activates is
-    Masked without simulating, pre-activation launches are skipped, the
+    *stats* (required with *trace*): a descriptor that never activates,
+    or whose every activation the static analyzer proves inert, is Masked
+    without simulating, pre-activation launches are skipped, the
     first-activation launch resumes from a golden checkpoint, a run that
     reconverges with golden past its last activation site exits Masked
     early, and a hang that provably repeats its state is fast-forwarded
@@ -228,10 +218,19 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
             sites = accel.activation_sites(trace, desc, tool.injector, progs)
         if sites.size == 0:
             # never activates: the faulty run IS the golden run
-            stats.never_activates(trace)
+            stats.skip(trace)
             with inject:
                 inject.set(outcome="masked", accel="never-activates")
             return InjectionOutcome(app, model, "masked")
+        if _analyzer_of(w).statically_masked(desc):
+            # every activation is inert (rule R2: the corruption lands in
+            # state no later instruction reads), so the faulty run follows
+            # the golden trajectory and activates at exactly its sites
+            stats.skip(trace)
+            with inject:
+                inject.set(outcome="masked", accel="inert")
+            return InjectionOutcome(app, model, "masked",
+                                    activations=int(sites.size))
 
     dev = Device(DeviceConfig(global_mem_words=mem_words))
     if trace is None:
@@ -266,7 +265,7 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
 # ---------------------------------------------------------------------
 
 def _run_unit(app: str, model: ErrorModel, indices, cfg, golden: np.ndarray,
-              watchdog: int, pruner, trace) -> tuple[list, dict]:
+              watchdog: int, trace) -> tuple[list, dict]:
     """Unit body: outcomes in index order plus the unit's accel dict.
 
     Without *trace* every injection replays cold, in index order. With a
@@ -284,13 +283,10 @@ def _run_unit(app: str, model: ErrorModel, indices, cfg, golden: np.ndarray,
     planned = []
     groups: dict[tuple, list[int]] = {}
     for i in indices:
-        desc = make_descriptor(model, cfg.seed, i)
-        if pruner is not None and pruner.statically_masked(desc):
-            by_index[i] = InjectionOutcome(app, model, "masked", pruned=True)
-            continue
         if trace is None:
             planned.append(((-1, -1), i, None, [i]))
             continue
+        desc = make_descriptor(model, cfg.seed, i)
         key = accel.behavior_key(desc)
         if key is not None:
             members = groups.get(key)
@@ -326,27 +322,24 @@ def _run_unit(app: str, model: ErrorModel, indices, cfg, golden: np.ndarray,
 def _run_epr_unit(payload: dict) -> dict:
     """Engine runner: one chunk of injections for one (app, model).
 
-    With ``static_prune`` the unit first asks the static analyzer; a
-    descriptor proved statically Masked is recorded as a Masked outcome
-    with zero activations instead of being simulated. With ``accel`` (the
-    default) the unit loop is handed the golden trace and injections run
-    through checkpointed differential replay (:mod:`repro.swinjector.accel`);
-    without it the same loop replays them cold. Unit ids, index assignment and
-    outcomes are identical either way, so accelerated, pruned and plain
-    campaigns (and resumes mixing them) stay comparable unit-for-unit.
+    With ``accel`` (the default) the unit loop is handed the golden trace
+    and injections run through checkpointed differential replay
+    (:mod:`repro.swinjector.accel`); without it the same loop replays them
+    cold. Unit ids, index assignment and outcomes are identical either
+    way, so accelerated and plain campaigns (and resumes mixing them) stay
+    comparable unit-for-unit. Payload keys this runner does not know
+    (older versions wrote more) are ignored.
     """
     app = payload["app"]
     model = ErrorModel(payload["model"])
     scale, seed = payload["scale"], payload["seed"]
     mem_words = payload["mem_words"]
-    static_prune = bool(payload.get("static_prune", False))
     use_accel = bool(payload.get("accel", True))
     with obs.span("epr.golden", app=app):
         golden = GOLDEN_CACHE.get(app, scale, seed, mem_words)
     watchdog = 10 * golden.dynamic_instructions + 10_000
     cfg = SwCampaignConfig(apps=(app,), models=(model,), scale=scale,
                            seed=seed, mem_words=mem_words)
-    pruner = _pruner_for(app, scale, seed) if static_prune else None
     with obs.span("epr.unit", app=app, model=model.value,
                   injections=len(payload["indices"])):
         trace = None
@@ -355,7 +348,7 @@ def _run_epr_unit(payload: dict) -> dict:
                 trace = CHECKPOINT_CACHE.get(app, scale, seed, mem_words)
         outcomes, accel_stats = _run_unit(
             app, model, payload["indices"], cfg, golden.bits, watchdog,
-            pruner, trace)
+            trace)
     for o in outcomes:
         _INJECTIONS_TOTAL.inc(model=model.value, workload=app,
                               outcome=o.outcome)
@@ -364,12 +357,11 @@ def _run_epr_unit(payload: dict) -> dict:
                                    workload=app)
     return {
         "items": len(outcomes),
-        "pruned": sum(o.pruned for o in outcomes),
         "golden_digest": golden.digest,
         "accel": accel_stats,
         "outcomes": [
             {"outcome": o.outcome, "due_reason": o.due_reason,
-             "activations": o.activations, "pruned": o.pruned}
+             "activations": o.activations}
             for o in outcomes
         ],
     }
@@ -389,7 +381,6 @@ class EprCampaignSpec:
             "seed": DEFAULT_SEED,
             "mem_words": DEFAULT_MEM_WORDS,
             "chunk": DEFAULT_CHUNK,
-            "static_prune": False,
             "accel": True,
         }
         cfg.update({k: v for k, v in overrides.items() if v is not None})
@@ -409,9 +400,18 @@ class EprCampaignSpec:
             "seed": config.seed,
             "mem_words": config.mem_words,
             "chunk": chunk,
-            "static_prune": config.static_prune,
             "accel": config.accel,
         }
+
+    @staticmethod
+    def spill_to(config: dict, directory) -> None:
+        """Spill the reference runs *config* uses under the campaign
+        *directory*: golden runs always, checkpoint traces when the
+        campaign is accelerated. A resume in a fresh process then reuses
+        them instead of recomputing every reference."""
+        GOLDEN_CACHE.persist_to(directory / "goldens")
+        if config.get("accel", True):
+            CHECKPOINT_CACHE.persist_to(directory / "checkpoints")
 
     @staticmethod
     def _iter_unit_specs(config: dict):
@@ -441,8 +441,6 @@ class EprCampaignSpec:
                               "scale": config["scale"],
                               "seed": config["seed"],
                               "mem_words": config["mem_words"],
-                              "static_prune": config.get("static_prune",
-                                                         False),
                               "accel": config.get("accel", True)})
             for uid, app, model, indices in self._iter_unit_specs(config)
         )
@@ -458,7 +456,6 @@ class EprCampaignSpec:
             injections_per_model=config["injections_per_model"],
             scale=config["scale"], seed=config["seed"],
             mem_words=config["mem_words"],
-            static_prune=config.get("static_prune", False),
             accel=config.get("accel", True),
         )
         result = EprResult(config=cfg)
@@ -470,14 +467,12 @@ class EprCampaignSpec:
                 result.outcomes.append(InjectionOutcome(
                     app=app, model=ErrorModel(model), outcome=o["outcome"],
                     due_reason=o["due_reason"],
-                    activations=o["activations"],
-                    pruned=o.get("pruned", False)))
+                    activations=o["activations"]))
         return result
 
     def summarize(self, result: EprResult) -> dict:
         return {
             "injections": len(result.outcomes),
-            "pruned": sum(o.pruned for o in result.outcomes),
             "overall_epr_%": round(result.overall_epr(), 2),
             "outcome_counts": dict(Counter(o.outcome
                                            for o in result.outcomes)),
@@ -502,11 +497,7 @@ def run_epr_campaign(config: SwCampaignConfig | None = None, *,
     spec = CAMPAIGN_SPEC
     plan_config = spec.config_of(config, chunk=chunk)
     if store is not None:
-        # spill golden runs next to the results so a resume (in a fresh
-        # process) reuses them instead of recomputing every reference
-        GOLDEN_CACHE.persist_to(store.directory / "goldens")
-        if config.accel:
-            CHECKPOINT_CACHE.persist_to(store.directory / "checkpoints")
+        spec.spill_to(plan_config, store.directory)
     plan = spec.build(plan_config)
     if telemetry is not None:
         telemetry.note_warm(*plan.warm_stats)

@@ -23,7 +23,7 @@ from repro.faultinjection.campaign import (
 from repro.gatelevel.faults import full_fault_list, sample_faults
 from repro.gatelevel.sim import LogicSim
 from repro.gatelevel.units import build_unit
-from repro.isa import CmpOp, KernelBuilder, RZ
+from repro.isa import PT, CmpOp, KernelBuilder, RZ
 from repro.swinjector.campaign import _run_epr_unit
 from repro.swinjector.instrumentation import NVBitPERfi, make_descriptor
 from repro.workloads.base import Workload, WorkloadMeta
@@ -59,9 +59,9 @@ class TestEprEquivalence:
 
     def test_never_activating_descriptor_is_masked_not_pruned(self):
         # an IAT descriptor pinned to warp slots no tiny launch populates
-        # never activates: accel classifies it without simulating, but it
-        # must stay a plain masked outcome (pruned is reserved for the
-        # static analyzer) so stores stay comparable with --no-accel
+        # never activates: accel classifies it without simulating, and it
+        # must stay a plain masked outcome so stores stay comparable with
+        # --no-accel
         found = False
         for i in range(64):
             desc = make_descriptor(ErrorModel.IAT, 11, i)
@@ -73,8 +73,7 @@ class TestEprEquivalence:
         accel = _epr_unit("vectoradd", "IAT", i + 1, accel=True)
         legacy = _epr_unit("vectoradd", "IAT", i + 1, accel=False)
         assert accel["outcomes"] == legacy["outcomes"]
-        out = accel["outcomes"][i]
-        assert out["outcome"] == "masked" and not out["pruned"]
+        assert accel["outcomes"][i]["outcome"] == "masked"
 
     def test_campaign_store_outcomes_match(self, tmp_path):
         from repro.campaign.store import CampaignStore
@@ -89,8 +88,8 @@ class TestEprEquivalence:
         rl = run_epr_campaign(SwCampaignConfig(**kw, accel=False), store=sl)
 
         def norm(res):
-            return [(o.app, o.model, o.outcome, o.due_reason, o.activations,
-                     o.pruned) for o in res.outcomes]
+            return [(o.app, o.model, o.outcome, o.due_reason, o.activations)
+                    for o in res.outcomes]
 
         assert norm(ra) == norm(rl)
         # stored unit records agree outcome-for-outcome (the accel stats
@@ -115,6 +114,67 @@ class TestEprEquivalence:
         legacy = _epr_unit("vectoradd", "WV", n, accel=False, seed=seed)
         a, b = twins
         assert legacy["outcomes"][a] == legacy["outcomes"][b]
+
+    # IAL enable forces the victim lanes of predicated-off instructions; on
+    # a kernel whose every INT/FP32 instruction is @PT that is the
+    # identity (rule R2), so the accelerated replay classifies it without
+    # simulating. A predicated target is not provably inert and is replayed.
+    @pytest.mark.parametrize("predicated, skipped", [(False, 1), (True, 0)])
+    def test_ial_enable_inert_only_on_unpredicated_targets(self, predicated,
+                                                           skipped):
+        from repro.campaign.goldens import golden_run, golden_trace
+        from repro.swinjector.accel import AccelStats
+        from repro.swinjector.campaign import replay_injection
+
+        w = _LaneApp(predicated)
+        golden = golden_run(w, _MEM_WORDS)
+        trace = golden_trace(w, _MEM_WORDS, golden)
+        desc = ErrorDescriptor(ErrorModel.IAL, lane=3,
+                               lane_enable_mode="enable")
+        watchdog = 10 * golden.dynamic_instructions + 10_000
+        stats = AccelStats()
+        fast = replay_injection(w, desc, golden.bits, watchdog, _MEM_WORDS,
+                                trace, stats)
+        cold = replay_injection(w, desc, golden.bits, watchdog, _MEM_WORDS)
+        assert fast == cold
+        assert cold.outcome == "masked" and cold.activations > 0
+        assert stats.skipped == skipped
+
+
+def _lane_kernel(predicated: bool):
+    """``out[0] = 5 + 1``; with *predicated* the increment runs under a
+    predicate that is false on every lane, so ``out[0] = 5``."""
+    k = KernelBuilder("lanes", nregs=8)
+    ptr = k.load_param(0)
+    v = k.mov32i_new(5)
+    p = k.pred()
+    k.isetp(p, v, imm=5, cmp=CmpOp.NE)
+    k.iadd(v, v, imm=1, pred=p if predicated else PT)
+    k.gst(ptr, v)
+    k.exit()
+    return k.build()
+
+
+class _LaneApp(Workload):
+    """One warp running :func:`_lane_kernel`."""
+
+    meta = WorkloadMeta("lane-shapes", "int32", "test", "isa.builder")
+    scales = {"tiny": {}}
+
+    def __init__(self, predicated: bool):
+        self.predicated = predicated
+        super().__init__("tiny")
+
+    def _init_data(self) -> None:
+        pass
+
+    def _build_programs(self):
+        return {"lanes": _lane_kernel(self.predicated)}
+
+    def run(self, device, launcher):
+        out = device.alloc(4)
+        launcher(self.programs()["lanes"], grid=1, block=32, params=(out,))
+        return device.read(out, 4)
 
 
 #: the benchmark's campaign seed, at which index 0 of these models hangs

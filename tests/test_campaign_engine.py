@@ -31,6 +31,7 @@ from repro.campaign import (
 )
 from repro.campaign.engine import DEFAULT_SHARDS, register_runner
 from repro.campaign.goldens import GOLDEN_CACHE, golden_key
+from repro.campaign.plans import get_spec
 from repro.common.exceptions import ConfigError
 from repro.errormodels.models import ErrorModel
 from repro.swinjector import SwCampaignConfig, run_epr_campaign
@@ -240,6 +241,34 @@ class TestEprResume:
                 fresh.counts("vectoradd", m)
         assert resumed.overall_epr() == fresh.overall_epr()
 
+    def test_store_with_retired_prune_keys_resumes(self, tmp_path):
+        # older versions wrote a static_prune config key and per-unit and
+        # per-outcome pruned keys; resume and aggregate ignore them
+        from repro.campaign.__main__ import main
+
+        spec = get_spec("epr")
+        config = spec.default_config(apps=["vectoradd"], models=["WV"],
+                                     injections_per_model=4, chunk=2,
+                                     static_prune=True)
+        plan = spec.build(config)
+        store = CampaignStore(tmp_path / "old")
+        store.write_manifest("epr", plan.config, len(plan.units))
+        first = plan.units[0]
+        r = execute([first], EngineConfig(processes=1))[first.unit_id]
+        r.value["pruned"] = 0
+        for o in r.value["outcomes"]:
+            o["pruned"] = False
+        store.append_result(r)
+
+        assert main(["resume", "--dir", str(store.directory),
+                     "--serial"]) == 0
+        resumed = spec.aggregate(plan.config, store.load_results())
+        fresh = run_epr_campaign(SwCampaignConfig(
+            apps=("vectoradd",), models=(ErrorModel.WV,),
+            injections_per_model=4, processes=1), chunk=2)
+        assert [(o.outcome, o.activations) for o in resumed.outcomes] == \
+            [(o.outcome, o.activations) for o in fresh.outcomes]
+
     def test_resume_skips_completed_units(self, tmp_path):
         cfg = SwCampaignConfig(**self.CFG, processes=1)
         store = CampaignStore(tmp_path / "campaign")
@@ -316,6 +345,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"complete": true' in out
         assert '"injections": 4' in out
+
+    def test_resume_reuses_spilled_checkpoint_traces(self, tmp_path):
+        from repro.campaign.__main__ import main
+        from repro.campaign.goldens import CHECKPOINT_CACHE
+
+        d = str(tmp_path / "cli")
+        # each CLI call runs in a fresh process: caches start empty
+        GOLDEN_CACHE.clear()
+        CHECKPOINT_CACHE.clear()
+        try:
+            assert main(["run", "--scale", "tiny", "--apps", "vectoradd",
+                         "--models", "WV", "--injections", "4", "--chunk",
+                         "2", "--interrupt-after", "1", "--serial",
+                         "--dir", d]) == 0
+            GOLDEN_CACHE.clear()
+            CHECKPOINT_CACHE.clear()
+            assert main(["resume", "--dir", d, "--serial"]) == 0
+            assert GOLDEN_CACHE.misses == 0
+            assert CHECKPOINT_CACHE.misses == 0
+            assert CHECKPOINT_CACHE.disk_hits == 1
+        finally:
+            GOLDEN_CACHE.persist_to(None)
+            CHECKPOINT_CACHE.persist_to(None)
 
     def test_status_on_non_campaign_dir_errors(self, tmp_path):
         from repro.campaign.__main__ import main

@@ -1,10 +1,10 @@
 """Static injection-site pruning: soundness rules and the campaign
 equivalence property.
 
-The load-bearing guarantee is that ``--static-prune`` changes *what is
-simulated*, never *what is reported*: a pruned campaign must produce
-bit-for-bit identical EPR classifications while running strictly fewer
-simulations.
+The load-bearing guarantee is that the analyzer changes *what is
+simulated*, never *what is reported*: the accelerated EPR replay, which
+classifies inert descriptors without simulating them, must produce
+outcomes, DUE reasons and activation counts identical to ``--no-accel``.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import pytest
 
 from repro.campaign.engine import EngineConfig, execute
 from repro.campaign.plans import get_spec
-from repro.campaign.telemetry import Telemetry
 from repro.errormodels.descriptor import ErrorDescriptor
 from repro.errormodels.models import ErrorModel
 from repro.isa.instruction import RZ, Instruction
 from repro.isa.opcodes import CmpOp, Op
 from repro.isa.program import Program
 from repro.staticanalysis import StaticPruner
+from repro.swinjector.accel import behavior_key
+from repro.swinjector.instrumentation import make_descriptor
 
 
 def _prog(instrs, nregs=8, name="k", shared_words=0) -> Program:
@@ -162,55 +163,40 @@ class TestPruneRules:
 
 
 class TestCampaignEquivalence:
-    """Seeded pruned and unpruned campaigns must agree bit-for-bit."""
+    """The accelerated replay classifies inert descriptors (rule R2)
+    without simulating them; its campaign must still agree with
+    ``--no-accel`` item for item, activation counts included."""
 
     APPS = ["vectoradd", "mxm"]
     MODELS = ["WV", "IIO", "IRA", "IAL", "IMD"]
 
-    def _run(self, static_prune: bool):
+    def _run(self, accel: bool):
         spec = get_spec("epr")
         config = spec.default_config(
             apps=self.APPS, models=self.MODELS, injections_per_model=8,
-            chunk=4, scale="tiny", static_prune=static_prune)
+            chunk=4, scale="tiny", accel=accel)
         plan = spec.build(config)
-        telemetry = Telemetry()
         results = execute(plan.units, EngineConfig(processes=2),
-                          context=plan.context, telemetry=telemetry)
-        return spec.aggregate(config, results), telemetry, spec
+                          context=plan.context)
+        return plan, results
 
-    def test_pruned_campaign_identical_and_smaller(self):
-        base, base_tel, spec = self._run(static_prune=False)
-        pruned, pruned_tel, _ = self._run(static_prune=True)
-
-        for app in self.APPS:
-            for model in (ErrorModel(m) for m in self.MODELS):
-                assert base.counts(app, model) == pruned.counts(app, model), \
-                    f"EPR classification drifted for ({app}, {model.value})"
-        assert base.overall_epr() == pruned.overall_epr()
-
-        n_pruned = sum(o.pruned for o in pruned.outcomes)
-        assert n_pruned > 0, "static pruning never fired"
-        assert sum(o.pruned for o in base.outcomes) == 0
-        assert len(base.outcomes) == len(pruned.outcomes)
-        # every pruned outcome reconciles as Masked
-        assert all(o.outcome == "masked"
-                   for o in pruned.outcomes if o.pruned)
-
-        # the speedup is visible in telemetry: same item count, fewer sims
-        assert pruned_tel.report()["pruned"] == n_pruned
-        assert base_tel.report()["pruned"] == 0
-        assert pruned_tel.report()["items"] == base_tel.report()["items"]
-
-        # and in the summary
-        assert spec.summarize(pruned)["pruned"] == n_pruned
-
-    def test_unit_ids_unchanged_by_pruning(self):
-        spec = get_spec("epr")
-        ids = []
-        for flag in (False, True):
-            config = spec.default_config(
-                apps=["vectoradd"], models=["WV"], injections_per_model=4,
-                chunk=2, scale="tiny", static_prune=flag)
-            plan = spec.build(config)
-            ids.append([u.unit_id for u in plan.units])
-        assert ids[0] == ids[1]
+    def test_accelerated_campaign_matches_no_accel(self):
+        plan, fast = self._run(accel=True)
+        _, cold = self._run(accel=False)
+        skipped = never = 0
+        for unit in plan.units:
+            got = fast[unit.unit_id].value
+            want = cold[unit.unit_id].value
+            key = [(o["outcome"], o["due_reason"], o["activations"])
+                   for o in got["outcomes"]]
+            assert key == [(o["outcome"], o["due_reason"], o["activations"])
+                           for o in want["outcomes"]], unit.unit_id
+            skipped += got["accel"]["skipped"]
+            # the never-activating runs the unit classified: one per
+            # behavior key (collapsed twins share their representative)
+            model = ErrorModel(unit.payload["model"])
+            never += len({
+                behavior_key(make_descriptor(model, unit.payload["seed"], i))
+                for i, o in zip(unit.payload["indices"], want["outcomes"])
+                if o["activations"] == 0})
+        assert skipped > never, "the inert shortcut never fired"
