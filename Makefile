@@ -89,10 +89,13 @@ bench-compare: bench
 	$(PY) benchmarks/compare.py benchmarks/BENCH_baseline.json \
 		$(BENCH_JSON) --threshold 0.20
 
-# Fast CI subset: single-injection cost + campaign-engine throughput.
+# Fast CI subset: single-injection cost + campaign-engine throughput +
+# simulator warp-instruction throughput.
 bench-smoke:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/test_bench_epr.py \
-		--benchmark-only -q -k "single_injection or campaign_throughput" \
+		benchmarks/test_bench_simulator.py::test_bench_warp_instruction_throughput \
+		--benchmark-only -q \
+		-k "single_injection or campaign_throughput or warp_instruction_throughput" \
 		--benchmark-json=BENCH_smoke.json
 
 report:

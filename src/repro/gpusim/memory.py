@@ -14,6 +14,9 @@ import numpy as np
 
 from repro.common.exceptions import ConfigError, MemoryFaultError
 
+_U32 = np.uint32
+_TWO = _U32(2)
+
 
 class _WordMemory:
     """Bounds-checked word-addressable backing store."""
@@ -25,45 +28,73 @@ class _WordMemory:
             raise ConfigError(f"{self.kind}: size must be positive")
         self.num_words = num_words
         self.data = np.zeros(num_words, dtype=np.uint32)
+        nbytes = 4 * num_words
+        if nbytes & (nbytes - 1) == 0:
+            # power-of-two size: misaligned or out of bounds <=> any of
+            # these address bits is set
+            self._bad_bits = _U32((~(nbytes - 1) | 3) & 0xFFFFFFFF)
+            self._limit = None
+        else:
+            self._bad_bits = _U32(3)
+            self._limit = _U32(min(nbytes, 0xFFFFFFFF))
 
     # -- vectorized lane accessors ------------------------------------
-    def _word_index(self, byte_addr: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Validate active lanes' byte addresses; return word indices."""
-        addr = byte_addr.astype(np.int64)
-        act = addr[mask]
-        if act.size:
-            if np.any(act & 3):
-                bad = int(act[(act & 3) != 0][0])
-                raise MemoryFaultError(
-                    f"{self.kind}: misaligned access at byte 0x{bad:x}"
-                )
-            words = act >> 2
-            if np.any((words < 0) | (words >= self.num_words)):
-                bad = int(act[((act >> 2) < 0) | ((act >> 2) >= self.num_words)][0])
-                raise MemoryFaultError(
-                    f"{self.kind}: out-of-bounds access at byte 0x{bad:x} "
-                    f"(size {self.num_words * 4} bytes)"
-                )
-        return addr >> 2
+    def _check(self, byte_addr: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """Validate the uint32 byte addresses of the lanes in *mask* (every
+        lane when ``None``); return the word index of every lane.
 
-    def load(self, byte_addr: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Gather one word per lane; inactive lanes return 0."""
-        words = self._word_index(byte_addr, mask)
-        out = np.zeros(byte_addr.shape, dtype=np.uint32)
-        if mask.any():
-            out[mask] = self.data[words[mask]]
-        return out
+        One pass over the active lanes tests alignment and bounds together
+        (for a power-of-two size, out-of-bounds means a set bit at or above
+        the size, so a single AND covers both); only a faulting access
+        pays for the exact message.
+        """
+        act = byte_addr if mask is None else byte_addr[mask]
+        if np.count_nonzero(act & self._bad_bits) or (
+                self._limit is not None
+                and np.count_nonzero(act >= self._limit)):
+            self._fault(act)
+        return byte_addr >> _TWO
 
-    def store(self, byte_addr: np.ndarray, values: np.ndarray, mask: np.ndarray) -> None:
+    def _fault(self, act: np.ndarray) -> None:
+        """Raise for the first misaligned active lane, else the first
+        out-of-bounds one."""
+        addr = act.astype(np.int64)
+        misaligned = (addr & 3) != 0
+        if misaligned.any():
+            bad = int(addr[misaligned][0])
+            raise MemoryFaultError(
+                f"{self.kind}: misaligned access at byte 0x{bad:x}"
+            )
+        words = addr >> 2
+        bad = int(addr[(words < 0) | (words >= self.num_words)][0])
+        raise MemoryFaultError(
+            f"{self.kind}: out-of-bounds access at byte 0x{bad:x} "
+            f"(size {self.num_words * 4} bytes)"
+        )
+
+    def load(self, byte_addr: np.ndarray,
+             mask: np.ndarray | None = None) -> np.ndarray:
+        """Gather one word per lane of a uint32 address vector; lanes
+        outside *mask* return 0 (``None`` = every lane is active)."""
+        words = self._check(byte_addr, mask)
+        if mask is None:
+            return self.data[words]
+        # inactive lanes may hold any address: gather word 0 for them
+        return np.where(mask, self.data[words * mask], _U32(0))
+
+    def store(self, byte_addr: np.ndarray, values: np.ndarray,
+              mask: np.ndarray | None = None) -> None:
         """Scatter one word per active lane.
 
         Lanes writing the same address resolve in ascending lane order
         (last writer wins), matching the unspecified-but-deterministic
         behaviour real GPUs exhibit for intra-warp write conflicts.
         """
-        words = self._word_index(byte_addr, mask)
-        if mask.any():
-            self.data[words[mask]] = values.astype(np.uint32)[mask]
+        words = self._check(byte_addr, mask)
+        if mask is None:
+            self.data[words] = values
+        else:
+            self.data[words[mask]] = values[mask]
 
     # -- scalar host accessors -----------------------------------------
     def read_words(self, byte_addr: int, count: int) -> np.ndarray:
@@ -116,10 +147,7 @@ class ConstantMemory(_WordMemory):
 
     kind = "constant"
 
-    def load(self, byte_addr: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return super().load(byte_addr, mask)
-
-    def store(self, byte_addr, values, mask) -> None:  # pragma: no cover
+    def store(self, byte_addr, values, mask=None) -> None:
         raise MemoryFaultError("constant memory is not writable from kernels")
 
 

@@ -37,6 +37,14 @@ class Program:
     labels: dict[str, int] = field(default_factory=dict)
     shared_words: int = 0
 
+    def __getstate__(self) -> dict:
+        # the executor caches its decode table on the program object
+        # (repro.gpusim.executor.decode); a derived cache is never pickled
+        # or copied, and it is no field, so == and repr ignore it
+        state = dict(self.__dict__)
+        state.pop("_decoded", None)
+        return state
+
     def __len__(self) -> int:
         return len(self.instructions)
 
