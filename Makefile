@@ -52,8 +52,9 @@ oracle-check:
 	done
 
 # Shortcut anchor: run both accelerated EPR workloads (epr-hang's hangs
-# take the hang short-circuit, epr-short's inert IAL descriptors the inert
-# shortcut; docs/PERFORMANCE.md) and exit 1 unless each last JSON line
+# take the hang short-circuit, its lenet/IMS count-up loops the affine
+# fast-forward, epr-short's inert IAL descriptors the inert shortcut;
+# docs/PERFORMANCE.md) and exit 1 unless each last JSON line
 # reports "correct": true, i.e. every accelerated outcome matched the
 # frozen perfbench/oracle.json item by item.
 accel-check:

@@ -137,11 +137,15 @@ class Device:
         against them (see :mod:`repro.gpusim.snapshot`). A hook returns
         ``None``/0, or a positive count that fast-forwards the launch's
         instruction counter: ``executed`` grows by it before the round
-        runs, and nothing else changes. The accelerated injector returns
-        whole periods of a run it has proved periodic (docs/PERFORMANCE.md,
-        "Hang short-circuit"), keeping the counter within the watchdog
-        budget, so the watchdog fires in the same slice as without the
-        hook.
+        runs. A hook may also rewrite the register values of the current
+        CTA's warps (in place, e.g. ``warp.regs += delta``) and words of
+        global memory; the round then runs from the rewritten state. Any
+        other change is outside the contract. The accelerated injector
+        returns whole periods of a loop it has proved to repeat, and for a
+        count-up loop writes the registers and words those periods would
+        have left (docs/PERFORMANCE.md, "Hang short-circuit" and "Affine
+        fast-forward"). It keeps the counter within the watchdog budget,
+        so the watchdog fires in the same slice as without the hook.
 
         *resume* (a :class:`~repro.gpusim.snapshot.LaunchResume`) skips the
         already-executed prefix: device state is restored from the

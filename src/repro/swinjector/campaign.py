@@ -203,8 +203,9 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
     without simulating, pre-activation launches are skipped, the
     first-activation launch resumes from a golden checkpoint, a run that
     reconverges with golden past its last activation site exits Masked
-    early, and a hang that provably repeats its state is fast-forwarded
-    to its watchdog slice. *sites* (the descriptor's activation sites in
+    early, and a loop that provably repeats its state, or moves it by a
+    constant delta per period, is fast-forwarded over the periods proved
+    to repeat. *sites* (the descriptor's activation sites in
     *trace*) may be precomputed.
     """
     app, model = w.meta.name, desc.model
@@ -233,6 +234,10 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
                                     activations=int(sites.size))
 
     dev = Device(DeviceConfig(global_mem_words=mem_words))
+    #: shortcuts the accelerated replay took, in order: "cycle"/"affine"
+    #: per loop fast-forward, then "early-exit"; the last one is the
+    #: span's ``accel`` attribute
+    shortcuts: list[str] = []
     if trace is None:
         def launcher(program, grid, block, params=(), shared_words=None):
             return dev.launch(program, grid, block, params=params,
@@ -240,7 +245,7 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
                               instrumentation=tool)
     else:
         launcher = accel.replay_launcher(dev, trace, sites, tool, watchdog,
-                                         stats)
+                                         stats, shortcuts)
 
     try:
         with inject:
@@ -249,9 +254,13 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
                 bits = w.run(dev, launcher)
             except accel.EarlyMasked:
                 stats.early_exit()
-                inject.set(outcome="masked", accel="early-exit")
+                shortcuts.append("early-exit")
+                inject.set(outcome="masked")
                 return InjectionOutcome(app, model, "masked",
                                         activations=tool.activations)
+            finally:
+                if shortcuts:
+                    inject.set(accel=shortcuts[-1])
             outcome = "masked" if np.array_equal(bits, golden) else "sdc"
             inject.set(outcome=outcome)
     except DeviceError as exc:

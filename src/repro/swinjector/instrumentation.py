@@ -68,6 +68,10 @@ class NVBitPERfi:
         #: skip hook sites that cannot activate (accelerated path only)
         self.site_filter = site_filter
         self._pcs_cache: dict[int, tuple[object, frozenset[int]]] = {}
+        #: observer of every step while set: ``before(ctx, activated)``
+        #: after the error function, ``after(ctx)`` before it (the
+        #: accelerated replay records one loop period this way)
+        self.recorder = None
 
     # ------------------------------------------------------------------
     def slice_gate(self, warp) -> bool | frozenset[int]:
@@ -78,9 +82,10 @@ class NVBitPERfi:
         or ``True``.  A hook at a non-returned site is a guaranteed no-op
         pair (``before`` only clears ``_active_ctx``; ``after`` then does
         nothing), so skipping it is bit-identical.  Disabled by default so
-        ``--no-accel`` (the cold replay) hooks every site.
+        ``--no-accel`` (the cold replay) hooks every site; a set
+        :attr:`recorder` sees every site too.
         """
-        if not self.site_filter:
+        if not self.site_filter or self.recorder is not None:
             return True
         d = self.descriptor
         if not d.matches_warp(warp.sm_id, warp.subpartition, warp.warp_slot):
@@ -115,8 +120,12 @@ class NVBitPERfi:
         if victims is not None:
             self.activations += 1
             self.injector.before(ctx, victims)
+        if self.recorder is not None:
+            self.recorder.before(ctx, victims is not None)
 
     def after(self, ctx: HookContext) -> None:
+        if self.recorder is not None:
+            self.recorder.after(ctx)
         if self._active_ctx:
             victims = self._thread_sel & ctx.exec_mask
             self.injector.after(ctx, victims)
