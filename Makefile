@@ -22,9 +22,10 @@ lint:
 	fi
 	PYTHONPATH=src $(PY) -m repro.staticanalysis
 
-# End-to-end campaign-engine self-test: run a tiny resumable EPR campaign,
-# simulate an interrupt, resume it, and verify the counts match an
-# uninterrupted run (and that the golden-run cache hit rate exceeds 90%).
+# End-to-end campaign-engine self-test: run a tiny resumable EPR campaign
+# and a tiny rtl-avf campaign, simulate an interrupt, resume each, and
+# verify the results match an uninterrupted run (and that the EPR
+# golden-run cache hit rate exceeds 90%).
 campaign-smoke:
 	PYTHONPATH=src $(PY) -m repro.campaign smoke
 

@@ -2,8 +2,9 @@
 
 Every campaign in this repository — the software-level EPR campaigns
 (:mod:`repro.swinjector.campaign`), the gate-level stuck-at campaigns
-(:mod:`repro.faultinjection.campaign`) and the FAPR sweeps driven by
-:mod:`repro.experiments.gate_experiments` — is an embarrassingly parallel
+(:mod:`repro.faultinjection.campaign`), the FAPR sweeps driven by
+:mod:`repro.experiments.gate_experiments` and the RTL AVF and t-MxM
+studies (:mod:`repro.rtl.campaign`) — is an embarrassingly parallel
 bag of independent *work units*. This package provides the one engine
 they all run on:
 
@@ -23,7 +24,8 @@ they all run on:
 
 ``python -m repro.campaign`` exposes ``run`` / ``resume`` / ``status`` /
 ``verify`` / ``repair`` / ``smoke`` / ``chaos-smoke`` on top of the
-registered campaign kinds (``epr``, ``gate``). See ``docs/CAMPAIGNS.md``
+registered campaign kinds (``epr``, ``gate``, ``rtl-avf``, ``rtl-tmxm``):
+the one CLI of all three levels. See ``docs/CAMPAIGNS.md``
 for the architecture and on-disk format, and ``docs/RESILIENCE.md`` for
 the crash-safety / corruption-detection / chaos-testing layer
 (:mod:`repro.resilience`).

@@ -3,6 +3,8 @@
 Examples::
 
     python -m repro.campaign run --kind epr --scale tiny --dir runs/epr
+    python -m repro.campaign run --kind gate --unit decoder --dir runs/gate
+    python -m repro.campaign run --kind rtl-tmxm --dir runs/tmxm
     python -m repro.campaign run --scale tiny --interrupt-after 8 --dir runs/x
     python -m repro.campaign resume --dir runs/x
     python -m repro.campaign status --dir runs/x
@@ -11,12 +13,15 @@ Examples::
     python -m repro.campaign smoke              # run -> interrupt -> resume
     python -m repro.campaign chaos-smoke        # ...with faults injected
 
-``run`` creates (or continues) a campaign directory holding a manifest and
-an append-only ``results.jsonl``; ``resume`` rebuilds the plan from the
-manifest and executes only the missing work units. ``smoke`` is the
-self-test wired into ``make campaign-smoke``; ``chaos-smoke`` replays it
-under injected worker kills, hangs, torn writes, bit flips and ENOSPC
-(``make chaos-smoke``; see docs/RESILIENCE.md).
+Kinds: ``epr`` (software EPR), ``gate`` (gate-level FAPR), ``rtl-avf``
+and ``rtl-tmxm`` (RTL AVF/syndromes and t-MxM, at their function defaults
+plus ``--seed``). ``run`` creates (or continues) a campaign directory
+holding a manifest and an append-only ``results.jsonl``; ``resume``
+rebuilds the plan from the manifest and executes only the missing work
+units. ``smoke`` is the self-test wired into ``make campaign-smoke``;
+``chaos-smoke`` replays it under injected worker kills, hangs, torn
+writes, bit flips and ENOSPC (``make chaos-smoke``; see
+docs/RESILIENCE.md).
 
 Exit codes: 0 success; 1 smoke failure; 2 config/usage error;
 3 campaign complete-with-holes (quarantined units); 4 verify/repair found
@@ -62,13 +67,24 @@ def _engine_options(args, max_units=None) -> EngineConfig:
                         max_units=max_units, **kwargs)
 
 
+def _app_list(text: str) -> list[str]:
+    """``--apps`` value: comma-separated registered workload names."""
+    from repro.workloads.registry import workload_names
+
+    apps = [a.strip() for a in text.split(",") if a.strip()]
+    unknown = sorted(set(apps) - set(workload_names()))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown app(s): {unknown}")
+    return apps
+
+
 def _config_overrides(args) -> dict:
     over = {
         "scale": getattr(args, "scale", None),
         "seed": getattr(args, "seed", None),
     }
     if getattr(args, "apps", None):
-        over["apps"] = [a.strip() for a in args.apps.split(",") if a.strip()]
+        over["apps"] = args.apps
     if getattr(args, "models", None):
         over["models"] = [m.strip().upper()
                          for m in args.models.split(",") if m.strip()]
@@ -198,47 +214,58 @@ def cmd_repair(args) -> int:
     return 0
 
 
+def _interrupt_resume_fresh(spec, config: dict, directory: Path,
+                            failures: list[str]):
+    """Run *config* serially up to a third of its units, resume it on a
+    pool, and run it again uninterrupted; returns the store status and the
+    resumed and fresh aggregates."""
+    store = CampaignStore(directory)
+    plan = spec.build(config)
+    total = len(plan.units)
+    cut = max(1, total // 3)
+    print(f"smoke: {plan.kind}: {total} units; interrupting after {cut}")
+
+    # phase 1: serial run, simulated interrupt after `cut` units
+    status = _execute_plan(spec, plan, store,
+                           EngineConfig(processes=1, max_units=cut),
+                           quiet=True)
+    if status["complete"] or status["completed_units"] != cut:
+        failures.append(
+            f"{plan.kind}: interrupted run should stop at {cut} units, "
+            f"got {status['completed_units']}")
+
+    # phase 2: resume on a pool; engine skips the completed units
+    status = _execute_plan(spec, plan, store,
+                           EngineConfig(processes=2), quiet=True)
+    if not status["complete"]:
+        failures.append(
+            f"{plan.kind}: resume left campaign incomplete: {status}")
+    resumed = spec.aggregate(plan.config, store.load_results())
+
+    # reference: uninterrupted in-memory run on a pool
+    fresh = spec.aggregate(plan.config,
+                           execute(plan.units, EngineConfig(processes=2)))
+    return status, resumed, fresh
+
+
 def cmd_smoke(args) -> int:
     """End-to-end resumability self-test (run -> interrupt -> resume).
 
-    Verifies the three engine guarantees: an interrupted + resumed
-    campaign equals an uninterrupted one, worker count does not change
-    results, and the golden-run cache absorbs >90% of reference runs.
+    For a tiny EPR and a tiny ``rtl-avf`` campaign, verifies the engine
+    guarantees: an interrupted + resumed campaign equals an uninterrupted
+    one, and worker count does not change results; for EPR also that the
+    golden-run cache absorbs >90% of reference runs.
     """
-    spec = get_spec("epr")
-    config = spec.default_config(
-        apps=["vectoradd", "gemm"], models=["WV", "IIO", "IAT"],
-        injections_per_model=8, chunk=2, scale="tiny")
     base = Path(args.dir) if args.dir else Path(
         tempfile.mkdtemp(prefix="campaign-smoke-"))
     failures: list[str] = []
     try:
-        store = CampaignStore(base / "interrupted")
-        plan = spec.build(config)
-        total = len(plan.units)
-        cut = max(1, total // 3)
-        print(f"smoke: {total} units; interrupting after {cut}")
-
-        # phase 1: serial run, simulated interrupt after `cut` units
-        status = _execute_plan(spec, plan, store,
-                               EngineConfig(processes=1, max_units=cut),
-                               quiet=True)
-        if status["complete"] or status["completed_units"] != cut:
-            failures.append(
-                f"interrupted run should stop at {cut} units, "
-                f"got {status['completed_units']}")
-
-        # phase 2: resume on a pool; engine skips the completed units
-        status = _execute_plan(spec, plan, store,
-                               EngineConfig(processes=2), quiet=True)
-        if not status["complete"]:
-            failures.append(f"resume left campaign incomplete: {status}")
-        resumed = spec.aggregate(plan.config, store.load_results())
-
-        # reference: uninterrupted in-memory run on a pool
-        fresh_results = execute(plan.units, EngineConfig(processes=2))
-        fresh = spec.aggregate(plan.config, fresh_results)
-
+        spec = get_spec("epr")
+        config = spec.default_config(
+            apps=["vectoradd", "gemm"], models=["WV", "IIO", "IAT"],
+            injections_per_model=8, chunk=2, scale="tiny")
+        status, resumed, fresh = _interrupt_resume_fresh(
+            spec, config, base / "interrupted", failures)
         for app in config["apps"]:
             for model in resumed.config.models:
                 a = resumed.counts(app, model)
@@ -256,6 +283,21 @@ def cmd_smoke(args) -> int:
         print(f"smoke: {status['completed_units']}/{status['total_units']} "
               f"units, {status['items']} injections, cache hit rate {rate}, "
               f"overall EPR {resumed.overall_epr():.1f}%")
+
+        spec = get_spec("rtl-avf")
+        config = spec.default_config(
+            benches=["FADD", "IADD", "FSIN"], input_ranges=["M"],
+            max_sites_per_module=8)
+        status, resumed, fresh = _interrupt_resume_fresh(
+            spec, config, base / "rtl-avf", failures)
+        if resumed.rows != fresh.rows:
+            failures.append("rtl-avf rows differ between resumed and fresh")
+        if ([(k, v.tobytes()) for k, v in resumed.syndromes.items()]
+                != [(k, v.tobytes()) for k, v in fresh.syndromes.items()]):
+            failures.append(
+                "rtl-avf syndromes differ between resumed and fresh")
+        print(f"smoke: rtl-avf {status['completed_units']}/"
+              f"{status['total_units']} units, {status['items']} injections")
     finally:
         if not args.keep and not args.dir:
             shutil.rmtree(base, ignore_errors=True)
@@ -263,7 +305,8 @@ def cmd_smoke(args) -> int:
         for f in failures:
             print(f"SMOKE FAIL: {f}", file=sys.stderr)
         return 1
-    print("campaign smoke: OK (interrupt -> resume == fresh; cache > 90%)")
+    print("campaign smoke: OK (epr and rtl-avf interrupt -> resume == "
+          "fresh; cache > 90%)")
     return 0
 
 
@@ -412,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "bit-identical either way (see docs/PERFORMANCE.md)")
     _add_exec_args(run)
     # epr knobs
-    run.add_argument("--apps", help="comma-separated app names (epr)")
+    run.add_argument("--apps", type=_app_list,
+                     help="comma-separated app names (epr)")
     run.add_argument("--models", help="comma-separated error models (epr)")
     run.add_argument("--injections", type=int,
                      help="injections per (app, model) (epr)")

@@ -5,8 +5,8 @@ campaign: its config dict (what goes into the manifest), its work units
 (what the engine executes) and optionally a process-wide context of large
 shared inputs (what forked workers inherit copy-on-write).
 
-Campaign kinds are contributed by the injection layers; each layer module
-exposes a ``CAMPAIGN_SPEC`` object with five methods::
+Campaign kinds are contributed by the injection layers; each kind names
+a spec object (``module:attribute``) with five methods::
 
     default_config(**overrides) -> dict      # JSON-able, manifest-ready
     spill_to(config, directory) -> None      # reference caches to disk
@@ -27,11 +27,13 @@ from typing import Sequence
 from repro.common.exceptions import ConfigError
 from repro.campaign.engine import WorkUnit
 
-#: campaign kind -> module that defines its CAMPAIGN_SPEC (lazy import
-#: keeps repro.campaign free of dependencies on the injection layers)
+#: campaign kind -> ``module:attribute`` of its spec (lazy import keeps
+#: repro.campaign free of dependencies on the injection layers)
 KINDS = {
-    "epr": "repro.swinjector.campaign",
-    "gate": "repro.faultinjection.campaign",
+    "epr": "repro.swinjector.campaign:CAMPAIGN_SPEC",
+    "gate": "repro.faultinjection.campaign:CAMPAIGN_SPEC",
+    "rtl-avf": "repro.rtl.campaign:AVF_SPEC",
+    "rtl-tmxm": "repro.rtl.campaign:TMXM_SPEC",
 }
 
 
@@ -57,15 +59,14 @@ def chunked(seq: Sequence, size: int) -> list[list]:
 def get_spec(kind: str):
     """Resolve a campaign kind to its spec object (lazy import)."""
     try:
-        module_name = KINDS[kind]
+        module_name, _, attr = KINDS[kind].partition(":")
     except KeyError:
         raise ConfigError(
             f"unknown campaign kind {kind!r}; known: {sorted(KINDS)}")
-    module = importlib.import_module(module_name)
-    return module.CAMPAIGN_SPEC
+    return getattr(importlib.import_module(module_name), attr)
 
 
 def ensure_kind_loaded(kind: str) -> None:
     """Import the module providing *kind* so its runner registers."""
     if kind in KINDS:
-        importlib.import_module(KINDS[kind])
+        importlib.import_module(KINDS[kind].partition(":")[0])

@@ -530,6 +530,7 @@ class GateCampaignSpec:
         return _aggregate_gate(config["unit"], results)
 
     def summarize(self, result: GateCampaignResult) -> dict:
+        faults, times = result.faults_per_error(), result.times_produced()
         return {
             "unit": result.unit,
             "faults": result.total_faults,
@@ -537,6 +538,11 @@ class GateCampaignSpec:
                                  for k, v in result.category_rates().items()},
             "multi_model_fault_fraction": round(
                 result.multi_model_fault_fraction(), 3),
+            "fapr_per_model": {
+                m.value: {"fapr_%": round(v, 2), "faults": faults[m],
+                          "times_produced": times[m]}
+                for m, v in sorted(result.fapr().items(),
+                                   key=lambda kv: -kv[1])},
         }
 
 

@@ -15,12 +15,17 @@ is preserved: 8 execution lanes serve a 32-thread warp in 4 sub-groups,
 two SFUs are shared by 16 threads each, scheduler state is warp-wide —
 which is what makes multi-thread corruptions emerge where the paper sees
 them.
+
+Both studies run on the campaign engine as the ``rtl-avf`` and
+``rtl-tmxm`` kinds of :mod:`repro.rtl.campaign`; :mod:`repro.rtl.avf` and
+:mod:`repro.rtl.tmxm_campaign` hold their result types.
 """
 
 from repro.rtl.sites import RtlSite, module_sites, RTL_MODULES
 from repro.rtl.injector import RtlInjection, RtlOutcome, run_rtl_injection
-from repro.rtl.avf import MicrobenchAvfCampaign, AvfRow, run_microbench_avf
-from repro.rtl.tmxm_campaign import TmxmCampaignResult, run_tmxm_campaign
+from repro.rtl.avf import MicrobenchAvfCampaign, AvfRow
+from repro.rtl.tmxm_campaign import TmxmCampaignResult
+from repro.rtl.campaign import run_microbench_avf, run_tmxm_campaign
 
 __all__ = [
     "RtlSite",

@@ -1,4 +1,7 @@
-"""Micro-benchmark AVF campaign (Fig 3) and syndrome capture (Figs 4/5)."""
+"""Micro-benchmark AVF results (Fig 3) and syndrome capture (Figs 4/5).
+
+The campaign itself is the ``rtl-avf`` kind of :mod:`repro.rtl.campaign`.
+"""
 
 from __future__ import annotations
 
@@ -6,73 +9,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.rng import DEFAULT_SEED, make_rng
-from repro.gpusim.config import DeviceConfig
-from repro.gpusim.device import Device
-from repro.rtl.injector import RtlInjection, run_rtl_injection
-from repro.rtl.sites import module_sites
-from repro.workloads.microbench import (
-    ARITH_FP,
-    ARITH_INT,
-    CTRL_OPS,
-    MEM_OPS,
-    MICROBENCH_NAMES,
-    NTHREADS,
-    SFU_OPS,
-    build_microbench,
-)
+from repro.rtl.injector import RtlTally
+from repro.workloads.microbench import ARITH_FP, ARITH_INT, SFU_OPS
 
-#: micro-benchmarks whose FUs are idle (paper skips FU injection for them)
-_NO_FU = set(MEM_OPS) | set(CTRL_OPS)
-
-
-def _fu_module_for(name: str) -> str | None:
-    if name in ARITH_INT:
-        return "fu_int"
-    if name in ARITH_FP:
-        return "fu_fp32"
-    if name in SFU_OPS:
-        return "fu_sfu"
-    return None
+#: the functional unit each arithmetic micro-benchmark exercises; memory
+#: and control benches leave the FUs idle (the paper skips them there)
+_FU_MODULE = {**dict.fromkeys(ARITH_INT, "fu_int"),
+              **dict.fromkeys(ARITH_FP, "fu_fp32"),
+              **dict.fromkeys(SFU_OPS, "fu_sfu")}
 
 
 def modules_for_bench(name: str) -> list[str]:
     """The paper's Fig 3 module set for one micro-benchmark."""
-    mods = ["scheduler", "pipeline"]
-    fu = _fu_module_for(name)
-    if fu is not None and name not in _NO_FU:
-        mods.insert(0, fu)
-    return mods
+    fu = _FU_MODULE.get(name)
+    return [fu, "scheduler", "pipeline"] if fu else ["scheduler", "pipeline"]
 
 
 @dataclass
-class AvfRow:
+class AvfRow(RtlTally):
     """AVF of one (micro-benchmark, module) pair, averaged over inputs."""
 
     module: str
     bench: str
     input_range: str
-    n_injections: int = 0
-    n_sdc_single: int = 0
-    n_sdc_multi: int = 0
-    n_due: int = 0
     corrupted_thread_counts: list[int] = field(default_factory=list)
-
-    @property
-    def avf_sdc_single(self) -> float:
-        return 100.0 * self.n_sdc_single / max(self.n_injections, 1)
-
-    @property
-    def avf_sdc_multi(self) -> float:
-        return 100.0 * self.n_sdc_multi / max(self.n_injections, 1)
 
     @property
     def avf_sdc(self) -> float:
         return self.avf_sdc_single + self.avf_sdc_multi
-
-    @property
-    def avf_due(self) -> float:
-        return 100.0 * self.n_due / max(self.n_injections, 1)
 
     @property
     def mean_corrupted_threads(self) -> float:
@@ -110,81 +74,3 @@ class MicrobenchAvfCampaign:
                  input_range: str) -> np.ndarray:
         return self.syndromes.get((bench, module, input_range),
                                   np.empty(0))
-
-
-def _make_runner(mb):
-    """Build a runner whose hang watchdog is scaled to the golden run:
-    a fault that makes the kernel run 20x longer is a hang."""
-    watchdog = {"budget": 200_000}
-
-    def runner(hooks):
-        device = Device(DeviceConfig(global_mem_words=1 << 24))
-        ptrs = [device.alloc_array(a) for a in mb.inputs.values()]
-        pout = device.alloc(mb.num_outputs)
-        res = device.launch(mb.program, 1, NTHREADS, params=[*ptrs, pout],
-                            watchdog=watchdog["budget"],
-                            instrumentation=hooks)
-        if hooks is None:
-            watchdog["budget"] = 20 * res.instructions_executed + 500
-        return device.read(pout, mb.num_outputs)
-
-    return runner
-
-
-def run_microbench_avf(
-    benches: list[str] | None = None,
-    modules: list[str] | None = None,
-    input_ranges: tuple[str, ...] = ("S", "M", "L"),
-    values_per_range: int = 2,
-    max_sites_per_module: int | None = 120,
-    seed: int = DEFAULT_SEED,
-) -> MicrobenchAvfCampaign:
-    """Run the Fig 3 campaign (scaled by default; pass ``None`` caps for
-    paper scale)."""
-    benches = benches or MICROBENCH_NAMES
-    rows: list[AvfRow] = []
-    syndromes: dict[tuple[str, str, str], list[np.ndarray]] = {}
-
-    for bench in benches:
-        bench_modules = [m for m in modules_for_bench(bench)
-                         if modules is None or m in modules]
-        for module in bench_modules:
-            sites = module_sites(module)
-            rng = make_rng(seed, "rtl-avf", bench, module)
-            if max_sites_per_module and len(sites) > max_sites_per_module:
-                pick = rng.choice(len(sites), size=max_sites_per_module,
-                                  replace=False)
-                sites = [sites[i] for i in sorted(pick)]
-            for input_range in input_ranges:
-                row = AvfRow(module, bench, input_range)
-                pool: list[np.ndarray] = []
-                for vi in range(values_per_range):
-                    mb = build_microbench(bench, input_range, seed=seed,
-                                          value_index=vi)
-                    runner = _make_runner(mb)
-                    golden = runner(None)
-                    for site in sites:
-                        stuck = int(rng.integers(0, 2))
-                        out = run_rtl_injection(
-                            runner, RtlInjection(site, stuck), golden,
-                            fp_output=mb.is_fp)
-                        row.n_injections += 1
-                        if out.outcome == "due":
-                            row.n_due += 1
-                        elif out.outcome == "sdc":
-                            if out.num_corrupted > 1:
-                                row.n_sdc_multi += 1
-                            else:
-                                row.n_sdc_single += 1
-                            row.corrupted_thread_counts.append(
-                                out.num_corrupted)
-                            pool.append(out.rel_errors)
-                rows.append(row)
-                if pool:
-                    key = (bench, module, input_range)
-                    syndromes.setdefault(key, []).extend(pool)
-
-    return MicrobenchAvfCampaign(
-        rows=rows,
-        syndromes={k: np.concatenate(v) for k, v in syndromes.items()},
-    )

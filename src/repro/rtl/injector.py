@@ -11,7 +11,6 @@ the fault is permanent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,6 +21,8 @@ from repro.common.exceptions import (
     WatchdogTimeoutError,
 )
 from repro.gpusim.alu import eval_alu
+from repro.gpusim.config import DeviceConfig
+from repro.gpusim.device import Device
 from repro.gpusim.executor import HookContext, WARP_SIZE
 from repro.isa.instruction import RZ
 from repro.isa.opcodes import Op, OpClass, is_valid_opcode
@@ -121,12 +122,12 @@ class RtlInstrumentation:
         elif s.kind in ("ctl_opcode", "ctl_dest", "ctl_memflags", "ctl_pred",
                         "ctl_wben"):
             self._lanes = _positions_sticky_group(s.index)
-        elif s.kind == "ibuf_opcode":
-            self._lanes = np.arange(WARP_SIZE)
         elif s.kind == "ctl_grpmask":
             self._lanes = _positions_sticky_lane(s.index, s.bit)
         else:
             self._lanes = np.arange(WARP_SIZE)
+        self._lane_mask = np.zeros(WARP_SIZE, dtype=bool)
+        self._lane_mask[self._lanes] = True
 
     # ------------------------------------------------------------------
     def _module_matches(self, ctx: HookContext) -> bool:
@@ -141,11 +142,6 @@ class RtlInstrumentation:
         if m == "pipeline":
             return cl in _ALU_CLASSES or ctx.instr.info.is_mem
         return True  # scheduler: every instruction
-
-    def _mask_of(self, positions: np.ndarray) -> np.ndarray:
-        m = np.zeros(WARP_SIZE, dtype=bool)
-        m[positions] = True
-        return m
 
     # ------------------------------------------------------------------
     def _fault_active_now(self) -> bool:
@@ -219,13 +215,13 @@ class RtlInstrumentation:
                 if bad & 8:
                     guard = ~guard
                 exec_mask = ctx.exec_mask.copy()
-                sel = self._mask_of(self._lanes)
+                sel = self._lane_mask
                 exec_mask[sel] = (ctx.active_mask & guard)[sel]
                 ctx.override_exec_mask(exec_mask)
         elif kind == "ctl_wben":
             if stuck:
                 exec_mask = ctx.exec_mask.copy()
-                sel = self._mask_of(self._lanes)
+                sel = self._lane_mask
                 exec_mask[sel] = (ctx.active_mask & ctx.warp.alive)[sel]
                 ctx.override_exec_mask(exec_mask)
             else:
@@ -251,7 +247,7 @@ class RtlInstrumentation:
             if ctx.instr.info.is_mem and ctx.instr.srcs:
                 base = ctx.instr.srcs[0]
                 old = ctx.read_reg(base)
-                mask = self._mask_of(self._lanes) & ctx.exec_mask
+                mask = self._lane_mask & ctx.exec_mask
                 if mask.any() and base != RZ:
                     new = old.copy()
                     new[mask] = _apply_bit(old[mask], 2 + 3 * s.bit, stuck)
@@ -267,20 +263,14 @@ class RtlInstrumentation:
         instr = ctx.instr
         writes = instr.info.writes_reg and instr.dst != RZ
 
-        if kind == "res" and writes:
-            mask = self._mask_of(self._lanes) & ctx.exec_mask
-            if mask.any():
-                val = ctx.read_reg(instr.dst)
-                val[mask] = _apply_bit(val[mask], s.bit, stuck)
-                ctx.write_reg(instr.dst, val, mask)
-        elif kind == "sfu_out" and writes:
-            mask = self._mask_of(self._lanes) & ctx.exec_mask
+        if kind in ("res", "sfu_out") and writes:
+            mask = self._lane_mask & ctx.exec_mask
             if mask.any():
                 val = ctx.read_reg(instr.dst)
                 val[mask] = _apply_bit(val[mask], s.bit, stuck)
                 ctx.write_reg(instr.dst, val, mask)
         elif kind == "sfu_counter" and writes:
-            mask = self._mask_of(self._lanes) & ctx.exec_mask
+            mask = self._lane_mask & ctx.exec_mask
             pos = np.nonzero(mask)[0]
             if len(pos) >= 2:
                 val = ctx.read_reg(instr.dst)
@@ -300,7 +290,7 @@ class RtlInstrumentation:
             _, _srcs = self._pending
             bad_dst = _apply_bit_int(instr.dst, s.bit, stuck)
             if bad_dst != instr.dst:
-                mask = self._mask_of(self._lanes) & ctx.exec_mask
+                mask = self._lane_mask & ctx.exec_mask
                 if mask.any():
                     if bad_dst != RZ and bad_dst >= ctx.nregs:
                         raise InvalidRegisterError(
@@ -313,7 +303,7 @@ class RtlInstrumentation:
             _, srcs = self._pending
             bad = _apply_bit_int(int(instr.op), s.bit, stuck)
             if bad != int(instr.op):
-                mask = self._mask_of(self._lanes) & ctx.exec_mask
+                mask = self._lane_mask & ctx.exec_mask
                 if mask.any():
                     if not is_valid_opcode(bad):
                         raise IllegalInstructionError(
@@ -333,7 +323,7 @@ class RtlInstrumentation:
         elif kind == "ctl_wben" and not stuck:
             # no write-back: undo the result on the affected lanes
             if self._saved and writes:
-                mask = self._mask_of(self._lanes) & ctx.exec_mask
+                mask = self._lane_mask & ctx.exec_mask
                 reg, old, _ = self._saved[0]
                 ctx.write_reg(reg, old, mask)
             self._saved = []
@@ -346,7 +336,7 @@ class RtlInstrumentation:
         reg = instr.srcs[operand_idx]
         if reg == RZ:
             return
-        mask = self._mask_of(self._lanes) & ctx.exec_mask
+        mask = self._lane_mask & ctx.exec_mask
         if not mask.any():
             return
         old = ctx.read_reg(reg)
@@ -392,9 +382,38 @@ class RtlOutcome:
     def num_corrupted(self) -> int:
         return 0 if self.corrupted is None else len(self.corrupted)
 
+
+@dataclass(kw_only=True)
+class RtlTally:
+    """Masked/SDC/DUE counters of one cell of an RTL study; SDCs split by
+    whether one or several output elements were corrupted."""
+
+    n_injections: int = 0
+    n_due: int = 0
+    n_sdc_single: int = 0
+    n_sdc_multi: int = 0
+
+    def tally(self, outcome: str, num_corrupted: int = 0) -> None:
+        """Count one injection outcome (``masked`` | ``sdc`` | ``due``)."""
+        self.n_injections += 1
+        if outcome == "due":
+            self.n_due += 1
+        elif outcome == "sdc" and num_corrupted > 1:
+            self.n_sdc_multi += 1
+        elif outcome == "sdc":
+            self.n_sdc_single += 1
+
     @property
-    def multi_thread(self) -> bool:
-        return self.num_corrupted > 1
+    def avf_sdc_single(self) -> float:
+        return 100.0 * self.n_sdc_single / max(self.n_injections, 1)
+
+    @property
+    def avf_sdc_multi(self) -> float:
+        return 100.0 * self.n_sdc_multi / max(self.n_injections, 1)
+
+    @property
+    def avf_due(self) -> float:
+        return 100.0 * self.n_due / max(self.n_injections, 1)
 
 
 def relative_errors(golden_bits: np.ndarray, faulty_bits: np.ndarray,
@@ -412,20 +431,36 @@ def relative_errors(golden_bits: np.ndarray, faulty_bits: np.ndarray,
     return np.nan_to_num(rel, nan=1e30, posinf=1e30)
 
 
-def run_rtl_injection(
-    runner: Callable[[RtlInstrumentation | None], np.ndarray],
-    injection: RtlInjection,
-    golden_bits: np.ndarray,
-    fp_output: bool,
-) -> RtlOutcome:
-    """Run *runner* under one permanent RTL fault and classify the result."""
-    hooks = RtlInstrumentation(injection)
+def run_target(target, watchdog: int, hooks: RtlInstrumentation | None = None
+               ) -> tuple[np.ndarray, int]:
+    """Run *target* (anything with ``run_golden(device, launcher)``) on a
+    fresh device, every launch under *hooks* and a *watchdog* instruction
+    budget; returns its output bits and the instructions it executed."""
+    device = Device(DeviceConfig(global_mem_words=1 << 24))
+    executed = 0
+
+    def launch(program, grid, block, params=(), shared_words=None):
+        nonlocal executed
+        res = device.launch(program, grid, block, params=params,
+                            shared_words=shared_words, watchdog=watchdog,
+                            instrumentation=hooks)
+        executed += res.instructions_executed
+        return res
+
+    return target.run_golden(device, launch), executed
+
+
+def run_rtl_injection(target, injection: RtlInjection,
+                      golden_bits: np.ndarray, watchdog: int) -> RtlOutcome:
+    """Run *target* under one RTL fault and classify the result against
+    *golden_bits*; a run past *watchdog* instructions is a hang (DUE)."""
     try:
-        faulty = runner(hooks)
+        faulty, _ = run_target(target, watchdog,
+                               RtlInstrumentation(injection))
     except DeviceError as exc:
         return RtlOutcome(injection, "due", due_reason=exc.reason)
     diff = np.nonzero(faulty != golden_bits)[0]
     if diff.size == 0:
         return RtlOutcome(injection, "masked")
-    rel = relative_errors(golden_bits, faulty, diff, fp_output)
+    rel = relative_errors(golden_bits, faulty, diff, target.is_fp)
     return RtlOutcome(injection, "sdc", corrupted=diff, rel_errors=rel)

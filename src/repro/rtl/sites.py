@@ -21,6 +21,7 @@ match the paper's Figure 3 injection targets:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 NUM_LANES = 8
@@ -140,8 +141,9 @@ def pipeline_sites() -> list[RtlSite]:
     return sites
 
 
-def module_sites(module: str) -> list[RtlSite]:
-    """The full site list of one RTL module."""
+@functools.cache
+def module_sites(module: str) -> tuple[RtlSite, ...]:
+    """The full site list of one RTL module (built once per process)."""
     table = {
         "fu_int": fu_int_sites,
         "fu_fp32": fu_fp32_sites,
@@ -151,7 +153,7 @@ def module_sites(module: str) -> list[RtlSite]:
     }
     if module not in table:
         raise KeyError(f"unknown RTL module {module!r}; known: {RTL_MODULES}")
-    return table[module]()
+    return tuple(table[module]())
 
 
 def control_fraction(module: str) -> float:

@@ -1,5 +1,8 @@
-"""t-MxM RTL campaign: Fig 6 (AVF per tile type), Fig 7/Table 3 (spatial
-patterns) and Fig 8 (per-element syndrome of row/block patterns)."""
+"""t-MxM RTL results: Fig 6 (AVF per tile type), Fig 7/Table 3 (spatial
+patterns) and Fig 8 (per-element syndrome of row/block patterns).
+
+The campaign itself is the ``rtl-tmxm`` kind of :mod:`repro.rtl.campaign`.
+"""
 
 from __future__ import annotations
 
@@ -7,86 +10,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.rng import DEFAULT_SEED, make_rng
-from repro.gpusim.config import DeviceConfig
-from repro.gpusim.device import Device
-from repro.isa.builder import KernelBuilder
-from repro.isa.opcodes import SpecialReg
-from repro.rtl.injector import RtlInjection, run_rtl_injection
-from repro.rtl.sites import module_sites
-from repro.syndrome.patterns import SpatialPattern, classify_pattern, pattern_histogram
-from repro.workloads.tmxm import TILE, TILE_TYPES, make_tile
+from repro.rtl.injector import RtlTally
+from repro.syndrome.patterns import SpatialPattern, pattern_histogram
 
 #: Fig 6 injects the scheduler and pipeline only (FU faults cause no
 #: multi-thread corruption in t-MxM, as the paper argues)
 TMXM_MODULES = ("scheduler", "pipeline")
 
 
-def build_tmxm_rowmajor_program():
-    """t-MxM with C[i,j] computed by thread (tid.x = i, tid.y = j).
-
-    The row index maps onto the physical lane (tid.x % 8), reproducing the
-    FlexGrip lane assignment under which per-lane pipeline faults corrupt
-    *rows* of the output tile — the dominant pipeline pattern of Table 3.
-    """
-    k = KernelBuilder("tmxm_rtl", nregs=32)
-    i = k.s2r_tid_x()                       # row  (lane-persistent)
-    j = k.s2r_new(SpecialReg.TID_Y)         # column
-    a_ptr = k.load_param(0)
-    b_ptr = k.load_param(1)
-    c_ptr = k.load_param(2)
-    acc = k.movf_new(0.0)
-    t8 = k.mov32i_new(TILE)
-    a_addr = k.reg()
-    k.imul(a_addr, i, t8)
-    k.shl(a_addr, a_addr, imm=2)
-    k.iadd(a_addr, a_addr, a_ptr)
-    b_addr = k.reg()
-    k.shl(b_addr, j, imm=2)
-    k.iadd(b_addr, b_addr, b_ptr)
-    va, vb = k.reg(), k.reg()
-    kk = k.reg()
-    with k.for_range(kk, 0, t8):
-        k.gld(va, a_addr)
-        k.gld(vb, b_addr)
-        k.ffma(acc, va, vb, acc)
-        k.iadd(a_addr, a_addr, imm=4)
-        k.iadd(b_addr, b_addr, imm=TILE * 4)
-    out = k.reg()
-    k.imad(out, i, t8, j)
-    k.shl(out, out, imm=2)
-    k.iadd(out, out, c_ptr)
-    k.gst(out, acc)
-    k.exit()
-    return k.build()
-
-
 @dataclass
-class TmxmCell:
+class TmxmCell(RtlTally):
     """AVF counters for one (module, tile type)."""
 
     module: str
     tile_type: str
-    n_injections: int = 0
-    n_due: int = 0
-    n_sdc_single: int = 0
-    n_sdc_multi: int = 0
     patterns: list[SpatialPattern] = field(default_factory=list)
     #: (pattern, rel_errors) per multi-element SDC
     syndromes: list[tuple[SpatialPattern, np.ndarray]] = field(
         default_factory=list)
-
-    @property
-    def avf_due(self) -> float:
-        return 100.0 * self.n_due / max(self.n_injections, 1)
-
-    @property
-    def avf_sdc_single(self) -> float:
-        return 100.0 * self.n_sdc_single / max(self.n_injections, 1)
-
-    @property
-    def avf_sdc_multi(self) -> float:
-        return 100.0 * self.n_sdc_multi / max(self.n_injections, 1)
 
     @property
     def multi_fraction_of_sdcs(self) -> float:
@@ -103,77 +44,11 @@ class TmxmCampaignResult:
 
     def pattern_distribution(self, module: str) -> dict[SpatialPattern, float]:
         """Table 3 row: % of multi-element patterns for one module."""
-        pats: list[SpatialPattern] = []
-        for (m, _t), cell in self.cells.items():
-            if m == module:
-                pats.extend(cell.patterns)
-        return pattern_histogram(pats)
+        return pattern_histogram([p for (m, _), cell in self.cells.items()
+                                  if m == module for p in cell.patterns])
 
     def syndromes_by_pattern(self, module: str,
                              pattern: SpatialPattern) -> list[np.ndarray]:
         """Fig 8 data: per-injection element-wise relative errors."""
-        out = []
-        for (m, _t), cell in self.cells.items():
-            if m != module:
-                continue
-            out.extend(rel for p, rel in cell.syndromes if p is pattern)
-        return out
-
-
-def run_tmxm_campaign(
-    modules: tuple[str, ...] = TMXM_MODULES,
-    tile_types: tuple[str, ...] = TILE_TYPES,
-    values_per_type: int = 2,
-    max_sites_per_module: int | None = 150,
-    seed: int = DEFAULT_SEED,
-) -> TmxmCampaignResult:
-    program = build_tmxm_rowmajor_program()
-    cells: dict[tuple[str, str], TmxmCell] = {}
-
-    for module in modules:
-        sites = module_sites(module)
-        rng = make_rng(seed, "tmxm-campaign", module)
-        if max_sites_per_module and len(sites) > max_sites_per_module:
-            pick = rng.choice(len(sites), size=max_sites_per_module,
-                              replace=False)
-            sites = [sites[i] for i in sorted(pick)]
-        for tile_type in tile_types:
-            cell = TmxmCell(module, tile_type)
-            cells[(module, tile_type)] = cell
-            for vi in range(values_per_type):
-                a = make_tile(tile_type, seed=seed, value_index=vi)
-                b = make_tile(tile_type, seed=seed, value_index=vi + 100)
-
-                watchdog = {"budget": 100_000}
-
-                def runner(hooks, _a=a, _b=b, _wd=watchdog):
-                    device = Device(DeviceConfig(global_mem_words=1 << 24))
-                    pa = device.alloc_array(_a)
-                    pb = device.alloc_array(_b)
-                    pc = device.alloc(TILE * TILE)
-                    res = device.launch(program, 1, (TILE, TILE),
-                                        params=[pa, pb, pc],
-                                        watchdog=_wd["budget"],
-                                        instrumentation=hooks)
-                    if hooks is None:
-                        _wd["budget"] = 20 * res.instructions_executed + 500
-                    return device.read(pc, TILE * TILE)
-
-                golden = runner(None)
-                for site in sites:
-                    stuck = int(rng.integers(0, 2))
-                    out = run_rtl_injection(
-                        runner, RtlInjection(site, stuck), golden,
-                        fp_output=True)
-                    cell.n_injections += 1
-                    if out.outcome == "due":
-                        cell.n_due += 1
-                    elif out.outcome == "sdc":
-                        pat = classify_pattern(out.corrupted, (TILE, TILE))
-                        if out.num_corrupted > 1:
-                            cell.n_sdc_multi += 1
-                            cell.patterns.append(pat)
-                            cell.syndromes.append((pat, out.rel_errors))
-                        else:
-                            cell.n_sdc_single += 1
-    return TmxmCampaignResult(cells=cells)
+        return [rel for (m, _), cell in self.cells.items() if m == module
+                for p, rel in cell.syndromes if p is pattern]

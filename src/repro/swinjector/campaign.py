@@ -485,6 +485,10 @@ class EprCampaignSpec:
             "overall_epr_%": round(result.overall_epr(), 2),
             "outcome_counts": dict(Counter(o.outcome
                                            for o in result.outcomes)),
+            "epr_per_model_%": {
+                m.value: {k: round(v, 2)
+                          for k, v in result.average_epr(m).items()}
+                for m in result.config.models},
         }
 
 

@@ -68,33 +68,38 @@ def make_tile(tile_type: str, seed: int = 0, value_index: int = 0) -> np.ndarray
     return pick.copy()
 
 
-def build_tmxm_program() -> Program:
-    """One thread per output element of an 8x8 tile product."""
+def build_tmxm_rowmajor_program() -> Program:
+    """One thread per output element: C[i,j] by thread (tid.x = i, tid.y = j).
+
+    The row index maps onto the physical lane (tid.x % 8), reproducing the
+    FlexGrip lane assignment under which per-lane pipeline faults corrupt
+    *rows* of the output tile — the dominant pipeline pattern of Table 3.
+    """
     k = KernelBuilder("tmxm", nregs=32)
-    tx = k.s2r_tid_x()
-    ty = k.s2r_new(SpecialReg.TID_Y)
+    i = k.s2r_tid_x()                       # row  (lane-persistent)
+    j = k.s2r_new(SpecialReg.TID_Y)         # column
     a_ptr = k.load_param(0)
     b_ptr = k.load_param(1)
     c_ptr = k.load_param(2)
     acc = k.movf_new(0.0)
     t8 = k.mov32i_new(TILE)
     a_addr = k.reg()
-    k.imul(a_addr, ty, t8)
+    k.imul(a_addr, i, t8)
     k.shl(a_addr, a_addr, imm=2)
     k.iadd(a_addr, a_addr, a_ptr)
     b_addr = k.reg()
-    k.shl(b_addr, tx, imm=2)
+    k.shl(b_addr, j, imm=2)
     k.iadd(b_addr, b_addr, b_ptr)
     va, vb = k.reg(), k.reg()
-    i = k.reg()
-    with k.for_range(i, 0, t8):
+    kk = k.reg()
+    with k.for_range(kk, 0, t8):
         k.gld(va, a_addr)
         k.gld(vb, b_addr)
         k.ffma(acc, va, vb, acc)
         k.iadd(a_addr, a_addr, imm=4)
         k.iadd(b_addr, b_addr, imm=TILE * 4)
     out = k.reg()
-    k.imad(out, ty, t8, tx)
+    k.imad(out, i, t8, j)
     k.shl(out, out, imm=2)
     k.iadd(out, out, c_ptr)
     k.gst(out, acc)
@@ -116,7 +121,10 @@ class TMxM:
                value_index: int = 0) -> "TMxM":
         a = make_tile(tile_type, seed, value_index)
         b = make_tile(tile_type, seed, value_index + 100)
-        return cls(tile_type, a, b, build_tmxm_program())
+        return cls(tile_type, a, b, build_tmxm_rowmajor_program())
+
+    #: the output tile is FP32
+    is_fp = True
 
     def run_golden(self, device, launcher=None) -> np.ndarray:
         from repro.workloads.base import default_launcher

@@ -1,53 +1,66 @@
-"""Tests for the command-line entry points."""
+"""Tests for the command-line entry point, ``python -m repro.campaign``,
+driving the software-injector (``epr``) and gate-level (``gate``) kinds."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faultinjection.__main__ import main as fi_main
-from repro.faultinjection.results import load_result
-from repro.swinjector.__main__ import main as sw_main
+from repro.campaign.__main__ import main
+from repro.campaign.plans import get_spec
+from repro.campaign.store import CampaignStore
+
+
+def _stored(kind: str, directory):
+    store = CampaignStore(directory)
+    return get_spec(kind).aggregate(store.load_manifest()["config"],
+                                    store.load_results())
 
 
 class TestSwInjectorCli:
-    def test_runs_and_prints(self, capsys):
-        rc = sw_main(["--apps", "vectoradd", "--models", "WV", "-n", "3"])
+    """The ``epr`` kind."""
+
+    def test_runs_and_prints(self, tmp_path, capsys):
+        rc = main(["run", "--apps", "vectoradd", "--models", "WV",
+                   "--injections", "3", "--serial", "--dir", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "overall EPR" in out
+        assert "overall_epr_%" in out
         assert "WV" in out
 
     def test_save(self, tmp_path, capsys):
-        p = tmp_path / "epr.json"
-        rc = sw_main(["--apps", "vectoradd", "--models", "IIO", "-n", "2",
-                      "--save", str(p)])
+        rc = main(["run", "--apps", "vectoradd", "--models", "IIO",
+                   "--injections", "2", "--serial", "--dir", str(tmp_path)])
         assert rc == 0
-        res = load_result(p)
+        res = _stored("epr", tmp_path)
         assert sum(res.counts("vectoradd",
                               res.config.models[0]).values()) == 2
 
-    def test_rejects_unknown_app(self):
+    def test_rejects_unknown_app(self, tmp_path):
         with pytest.raises(SystemExit):
-            sw_main(["--apps", "doom"])
+            main(["run", "--apps", "doom", "--dir", str(tmp_path)])
 
 
 class TestFaultInjectionCli:
-    def test_runs_and_prints(self, capsys):
-        rc = fi_main(["--unit", "decoder", "--max-faults", "128",
-                      "--max-stimuli", "8"])
+    """The ``gate`` kind."""
+
+    def test_runs_and_prints(self, tmp_path, capsys):
+        rc = main(["run", "--kind", "gate", "--unit", "decoder",
+                   "--max-faults", "128", "--max-stimuli", "8", "--serial",
+                   "--dir", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "FAPR" in out
+        assert "fapr_per_model" in out
         assert "sw_error" in out
 
     def test_save(self, tmp_path, capsys):
-        p = tmp_path / "gate.json"
-        rc = fi_main(["--unit", "decoder", "--max-faults", "64",
-                      "--max-stimuli", "6", "--save", str(p)])
+        rc = main(["run", "--kind", "gate", "--unit", "decoder",
+                   "--max-faults", "64", "--max-stimuli", "6", "--serial",
+                   "--dir", str(tmp_path)])
         assert rc == 0
-        res = load_result(p)
+        res = _stored("gate", tmp_path)
         assert res.unit == "decoder"
 
-    def test_requires_unit(self):
+    def test_requires_unit(self, tmp_path):
         with pytest.raises(SystemExit):
-            fi_main([])
+            main(["run", "--kind", "gate", "--unit", "alu",
+                  "--dir", str(tmp_path)])

@@ -3,9 +3,12 @@ paper-shape properties of the AVF and t-MxM campaigns."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignStore, EngineConfig, execute, get_spec
 from repro.rtl import (
     RtlInjection,
     RtlSite,
@@ -14,7 +17,8 @@ from repro.rtl import (
     run_rtl_injection,
     run_tmxm_campaign,
 )
-from repro.rtl.avf import _make_runner, modules_for_bench
+from repro.rtl.avf import modules_for_bench
+from repro.rtl.campaign import reference_run
 from repro.rtl.sites import control_fraction
 from repro.syndrome import SpatialPattern
 from repro.workloads.microbench import build_microbench
@@ -44,58 +48,55 @@ class TestSites:
 
 
 class TestInjectorMechanics:
-    def _golden_and_runner(self, bench="IADD"):
+    def _golden_and_watchdog(self, bench="IADD"):
         mb = build_microbench(bench, "M")
-        runner = _make_runner(mb)
-        return mb, runner, runner(None)
+        return (mb, *reference_run(mb))
 
     def test_null_injection_is_masked_when_bit_matches(self):
         # stuck a result bit at the value it already has for all threads:
         # outcome must not be DUE, and determinism must hold
-        mb, runner, golden = self._golden_and_runner()
+        mb, golden, watchdog = self._golden_and_watchdog()
         site = RtlSite("fu_int", "res", 0, 31)
-        out1 = run_rtl_injection(runner, RtlInjection(site, 0), golden, False)
-        out2 = run_rtl_injection(runner, RtlInjection(site, 0), golden, False)
+        out1 = run_rtl_injection(mb, RtlInjection(site, 0), golden, watchdog)
+        out2 = run_rtl_injection(mb, RtlInjection(site, 0), golden, watchdog)
         assert out1.outcome == out2.outcome
 
     def test_result_bit_corrupts_single_thread(self):
-        mb, runner, golden = self._golden_and_runner()
+        mb, golden, watchdog = self._golden_and_watchdog()
         # force bit 20 of the result of per-thread unit 5
         site = RtlSite("fu_int", "res", 5, 20)
         g = golden.copy()
         want_flip = (g[5] & (1 << 20)) != 0
-        out = run_rtl_injection(runner, RtlInjection(site, 0 if want_flip else 1),
-                                golden, False)
+        out = run_rtl_injection(mb, RtlInjection(site, 0 if want_flip else 1),
+                                golden, watchdog)
         assert out.outcome == "sdc"
         assert 5 in out.corrupted.tolist()
 
     def test_internal_sites_never_propagate(self):
-        mb, runner, golden = self._golden_and_runner()
+        mb, golden, watchdog = self._golden_and_watchdog()
         for bit in (0, 10, 31):
             site = RtlSite("fu_int", "internal", 3, bit)
-            out = run_rtl_injection(runner, RtlInjection(site, 1), golden, False)
+            out = run_rtl_injection(mb, RtlInjection(site, 1), golden, watchdog)
             assert out.outcome == "masked"
 
     def test_scheduler_mask_stuck0_desschedules_thread(self):
-        mb, runner, golden = self._golden_and_runner()
+        mb, golden, watchdog = self._golden_and_watchdog()
         site = RtlSite("scheduler", "active_bit", 0, 9)
-        out = run_rtl_injection(runner, RtlInjection(site, 0), golden, False)
+        out = run_rtl_injection(mb, RtlInjection(site, 0), golden, watchdog)
         assert out.outcome == "sdc"
         # thread 9 of both warps never stores its output
         assert set(out.corrupted.tolist()) == {9, 41}
 
     def test_sfu_faults_hit_only_sfu_ops(self):
-        mb, runner, golden = self._golden_and_runner("IADD")
+        mb, golden, watchdog = self._golden_and_watchdog("IADD")
         site = RtlSite("fu_sfu", "sfu_in", 0, 12)
-        out = run_rtl_injection(runner, RtlInjection(site, 1), golden, False)
+        out = run_rtl_injection(mb, RtlInjection(site, 1), golden, watchdog)
         assert out.outcome == "masked"  # no SFU instructions in IADD
 
     def test_sfu_busy_hangs_sfu_bench(self):
-        mb = build_microbench("FSIN", "M")
-        runner = _make_runner(mb)
-        golden = runner(None)
+        mb, golden, watchdog = self._golden_and_watchdog("FSIN")
         site = RtlSite("fu_sfu", "sfu_busy", 0, 0)
-        out = run_rtl_injection(runner, RtlInjection(site, 1), golden, True)
+        out = run_rtl_injection(mb, RtlInjection(site, 1), golden, watchdog)
         assert out.outcome == "due"
 
     def test_modules_for_bench_skips_idle_fus(self):
@@ -203,3 +204,76 @@ class TestTmxmPaperShapes:
         cb = b.cell("pipeline", "random")
         assert (ca.n_due, ca.n_sdc_single, ca.n_sdc_multi) == \
             (cb.n_due, cb.n_sdc_single, cb.n_sdc_multi)
+
+
+def _avf_digest(camp) -> str:
+    h = hashlib.sha256()
+    for r in camp.rows:
+        h.update(repr((r.module, r.bench, r.input_range, r.n_injections,
+                       r.n_sdc_single, r.n_sdc_multi, r.n_due,
+                       r.corrupted_thread_counts)).encode())
+    for key, arr in camp.syndromes.items():
+        h.update(repr(key).encode())
+        h.update(arr.dtype.str.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _tmxm_digest(res) -> str:
+    h = hashlib.sha256()
+    for key, c in res.cells.items():
+        h.update(repr((key, c.module, c.tile_type, c.n_injections, c.n_due,
+                       c.n_sdc_single, c.n_sdc_multi,
+                       [p.name for p in c.patterns])).encode())
+        for p, rel in c.syndromes:
+            h.update(p.name.encode())
+            h.update(rel.dtype.str.encode())
+            h.update(rel.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestPinnedResults:
+    """Every AvfRow/TmxmCell field, key order and syndrome byte of a small
+    config of each study, frozen from the hand-written study loops that
+    the ``rtl-avf``/``rtl-tmxm`` campaign kinds replaced."""
+
+    def test_avf(self):
+        camp = run_microbench_avf(
+            benches=["FADD", "IMUL", "FSIN", "BRA"], input_ranges=("S", "L"),
+            values_per_range=2, max_sites_per_module=15)
+        assert _avf_digest(camp) == "c7870bcc8e0aaeac"
+
+    def test_tmxm(self):
+        res = run_tmxm_campaign(values_per_type=1, max_sites_per_module=25)
+        assert _tmxm_digest(res) == "86289ed6eab9cae3"
+
+
+@pytest.mark.parametrize("kind, overrides, digest", [
+    ("rtl-avf", {"benches": ["FADD", "GLD"], "input_ranges": ["M"],
+                 "max_sites_per_module": 10}, _avf_digest),
+    ("rtl-tmxm", {"tile_types": ["max", "zero"], "values_per_type": 1,
+                  "max_sites_per_module": 12}, _tmxm_digest),
+])
+def test_serial_pool_and_resumed_runs_agree(kind, overrides, digest,
+                                             tmp_path):
+    spec = get_spec(kind)
+    config = spec.default_config(**overrides)
+    plan = spec.build(config)
+    serial = spec.aggregate(config,
+                            execute(plan.units, EngineConfig(processes=1)))
+    pooled = spec.aggregate(config,
+                            execute(plan.units, EngineConfig(processes=2)))
+
+    store = CampaignStore(tmp_path)
+    store.write_manifest(plan.kind, plan.config, len(plan.units))
+    cut = len(plan.units) // 2
+    execute(plan.units, EngineConfig(processes=1, max_units=cut), store=store)
+    assert len(store.completed_ids()) == cut
+    execute(plan.units, EngineConfig(processes=2), store=store)
+    resumed = spec.aggregate(config, store.load_results())
+
+    summary = spec.summarize(serial)
+    assert summary["injections"] == sum(len(u.payload["sites"])
+                                        for u in plan.units)
+    assert any(v["sdc_multi"] for v in summary["avf_%"].values())
+    assert digest(serial) == digest(pooled) == digest(resumed)
