@@ -19,8 +19,9 @@ they all run on:
   of once per injection (:mod:`repro.campaign.goldens`);
 * an append-only JSONL result store with a manifest that makes any
   campaign resumable after interruption (:mod:`repro.campaign.store`);
-* per-shard throughput / cache / retry telemetry
-  (:mod:`repro.campaign.telemetry`).
+  its unit results are the campaign's one ledger, and
+  :func:`~repro.campaign.store.fold_results` is the one place that sums
+  them into units, items, retries, failures, cache hits and accel totals.
 
 ``python -m repro.campaign`` exposes ``run`` / ``resume`` / ``status`` /
 ``verify`` / ``repair`` / ``smoke`` / ``chaos-smoke`` on top of the
@@ -43,8 +44,7 @@ from repro.campaign.engine import (
 )
 from repro.campaign.goldens import GOLDEN_CACHE, GoldenCache, GoldenRun, golden_key
 from repro.campaign.plans import CampaignPlan, chunked, get_spec
-from repro.campaign.store import CampaignStore, config_fingerprint
-from repro.campaign.telemetry import ShardStats, Telemetry
+from repro.campaign.store import CampaignStore, config_fingerprint, fold_results
 
 __all__ = [
     "CampaignPlan",
@@ -54,14 +54,13 @@ __all__ = [
     "GOLDEN_CACHE",
     "GoldenCache",
     "GoldenRun",
-    "ShardStats",
-    "Telemetry",
     "UnitResult",
     "WorkUnit",
     "chunked",
     "config_fingerprint",
     "default_processes",
     "execute",
+    "fold_results",
     "get_spec",
     "golden_key",
     "register_runner",

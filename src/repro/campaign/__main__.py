@@ -38,10 +38,9 @@ import tempfile
 from pathlib import Path
 
 from repro import obs
-from repro.campaign.engine import EngineConfig, execute
+from repro.campaign.engine import EngineConfig, UnitResult, execute
 from repro.campaign.plans import KINDS, get_spec
-from repro.campaign.store import CampaignStore
-from repro.campaign.telemetry import Telemetry
+from repro.campaign.store import CampaignStore, fold_results
 from repro.common.exceptions import ConfigError, ReproError
 from repro.obs import log
 from repro.resilience import chaos
@@ -53,6 +52,8 @@ from repro.resilience.watchdog import CampaignInterrupted
 EXIT_HOLES = 3
 #: ``verify`` / ``repair`` exit code when problems were found
 EXIT_VERIFY = 4
+#: committed units between two live progress lines
+PROGRESS_EVERY = 10
 
 
 def _engine_options(args, max_units=None) -> EngineConfig:
@@ -105,23 +106,43 @@ def _config_overrides(args) -> dict:
     return over
 
 
+def _progress_line(ledger: dict) -> str:
+    """One progress line from a :func:`fold_results` ledger (or a store
+    status, which carries the same keys)."""
+    saved = ledger["accel"].get("saved_instructions", 0)
+    saved = f", {saved} instr saved" if saved else ""
+    quarantined = ledger.get("quarantined_units", 0)
+    quarantined = f", {quarantined} quarantined" if quarantined else ""
+    return (f"[campaign] {ledger['units']} units, {ledger['items']} items"
+            f"{saved}, {ledger['items_per_sec']:.1f} items/s, "
+            f"cache {100 * ledger['cache_hit_rate']:.1f}%, "
+            f"{ledger['retries']} retries, "
+            f"{ledger['failed_units']} failures{quarantined}")
+
+
 def _execute_plan(spec, plan, store: CampaignStore, options: EngineConfig,
                   quiet: bool = False) -> dict:
-    progress = None if quiet else (lambda line: log.info(line))
-    telemetry = Telemetry(progress=progress)
-    telemetry.note_warm(*plan.warm_stats)
     if not store.manifest_path.exists():
         store.write_manifest(plan.kind, plan.config, len(plan.units), extra={
             "golden_warm": {"hits": plan.warm_stats[0],
                             "misses": plan.warm_stats[1]}})
     else:
         store.check_fingerprint(plan.kind, plan.config)
-    executed = execute(plan.units, options, context=plan.context,
-                       store=store, telemetry=telemetry)
+    on_result = None
+    if not quiet:
+        seen: dict[str, UnitResult] = {}
+
+        def on_result(result: UnitResult) -> None:
+            seen[result.unit_id] = result
+            if len(seen) % PROGRESS_EVERY == 0:
+                log.info(_progress_line(fold_results(seen, plan.warm_stats)))
+
+    execute(plan.units, options, context=plan.context, store=store,
+            on_result=on_result)
     obs.flush(store.directory)
     status = store.status()
     if not quiet:
-        print(telemetry.progress_line())
+        print(_progress_line(status))
         print(json.dumps(status, indent=2))
         if status["complete"]:
             result = spec.aggregate(plan.config, store.load_results())
@@ -218,7 +239,8 @@ def _interrupt_resume_fresh(spec, config: dict, directory: Path,
                             failures: list[str]):
     """Run *config* serially up to a third of its units, resume it on a
     pool, and run it again uninterrupted; returns the store status and the
-    resumed and fresh aggregates."""
+    resumed and fresh aggregates. The resumed store's accel totals must
+    equal the fold of the fresh run's result map."""
     store = CampaignStore(directory)
     plan = spec.build(config)
     total = len(plan.units)
@@ -243,9 +265,12 @@ def _interrupt_resume_fresh(spec, config: dict, directory: Path,
     resumed = spec.aggregate(plan.config, store.load_results())
 
     # reference: uninterrupted in-memory run on a pool
-    fresh = spec.aggregate(plan.config,
-                           execute(plan.units, EngineConfig(processes=2)))
-    return status, resumed, fresh
+    results = execute(plan.units, EngineConfig(processes=2))
+    fresh_accel = fold_results(results)["accel"]
+    if status["accel"] != fresh_accel:
+        failures.append(f"{plan.kind}: resumed accel totals "
+                        f"{status['accel']} != fresh {fresh_accel}")
+    return status, resumed, spec.aggregate(plan.config, results)
 
 
 def cmd_smoke(args) -> int:
@@ -253,8 +278,9 @@ def cmd_smoke(args) -> int:
 
     For a tiny EPR and a tiny ``rtl-avf`` campaign, verifies the engine
     guarantees: an interrupted + resumed campaign equals an uninterrupted
-    one, and worker count does not change results; for EPR also that the
-    golden-run cache absorbs >90% of reference runs.
+    one (aggregate and accel totals), and worker count does not change
+    results; for EPR also that the golden-run cache absorbs >90% of
+    reference runs.
     """
     base = Path(args.dir) if args.dir else Path(
         tempfile.mkdtemp(prefix="campaign-smoke-"))
@@ -281,7 +307,9 @@ def cmd_smoke(args) -> int:
         if rate <= 0.9:
             failures.append(f"golden cache hit rate {rate} <= 0.9")
         print(f"smoke: {status['completed_units']}/{status['total_units']} "
-              f"units, {status['items']} injections, cache hit rate {rate}, "
+              f"units, {status['items']} injections, "
+              f"{status['accel'].get('saved_instructions', 0)} instr saved, "
+              f"cache hit rate {rate}, "
               f"overall EPR {resumed.overall_epr():.1f}%")
 
         spec = get_spec("rtl-avf")
@@ -306,7 +334,7 @@ def cmd_smoke(args) -> int:
             print(f"SMOKE FAIL: {f}", file=sys.stderr)
         return 1
     print("campaign smoke: OK (epr and rtl-avf interrupt -> resume == "
-          "fresh; cache > 90%)")
+          "fresh, accel totals included; cache > 90%)")
     return 0
 
 

@@ -40,6 +40,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro import obs
 from repro.common.exceptions import ConfigError, ReproError
 from repro.common.rng import derive_seed
+from repro.obs import log
 from repro.resilience import chaos
 from repro.resilience.watchdog import (
     CampaignInterrupted,
@@ -49,9 +50,9 @@ from repro.resilience.watchdog import (
 )
 
 #: number of deterministic shards a plan is partitioned into. Shards are a
-#: scheduling/telemetry granularity, not a correctness concern: the mapping
-#: unit -> shard depends only on the campaign seed and the unit id, never on
-#: the worker count.
+#: scheduling granularity, not a correctness concern: the mapping unit ->
+#: shard depends only on the campaign seed and the unit id, never on the
+#: worker count.
 DEFAULT_SHARDS = 8
 
 #: hard cap on the default pool size; campaigns scale past this only when
@@ -360,9 +361,7 @@ def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
     if heartbeats is not None:
         watchdog = Watchdog(
             heartbeats, options.timeout, grace=options.watchdog_grace,
-            kill_grace=options.watchdog_grace,
-            on_escalate=lambda pid, sig: obs.BUS.emit(
-                "engine.watchdog", {"pid": pid, "signal": sig}))
+            kill_grace=options.watchdog_grace, on_escalate=_note_escalation)
         watchdog.start()
     results: list[UnitResult] = []
     interrupted = False
@@ -404,9 +403,6 @@ def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
             watchdog.stop()
             if watchdog.sigterms or watchdog.sigkills:
                 dirty = True
-                obs.BUS.emit("engine.watchdog.summary",
-                             {"sigterm": watchdog.sigterms,
-                              "sigkill": watchdog.sigkills})
         if dirty or interrupted:
             pool.terminate()
         else:
@@ -415,11 +411,16 @@ def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
     return results, interrupted
 
 
+def _note_escalation(pid: int, sig: str) -> None:
+    """Watchdog callback: a stalled worker was sent *sig*."""
+    obs.event("engine.watchdog", pid=pid, signal=sig)
+    log.warning(f"[campaign] watchdog: {sig} to stalled worker {pid}")
+
+
 def execute(units: Iterable[WorkUnit],
             options: EngineConfig | None = None, *,
             context: dict | None = None,
             store=None,
-            telemetry=None,
             completed: Iterable[str] = (),
             on_result: Callable[[UnitResult], None] | None = None,
             ) -> dict[str, UnitResult]:
@@ -432,14 +433,10 @@ def execute(units: Iterable[WorkUnit],
     SIGINT/SIGTERM raises :class:`CampaignInterrupted` *after* the
     already-finished units were committed (``.results`` carries them).
     """
-    from repro.campaign.telemetry import Telemetry
-
     options = options or EngineConfig()
     processes = options.processes or default_processes()
     if context is not None:
         set_context(context)
-    if telemetry is None:
-        telemetry = Telemetry()
 
     skip = set(completed)
     if store is not None:
@@ -463,92 +460,80 @@ def execute(units: Iterable[WorkUnit],
             _UNITS_QUARANTINED.inc(kind=result.kind)
             obs.event("unit.quarantine", unit=result.unit_id,
                       reason=quarantine_reason)
-            obs.BUS.emit("unit.quarantine", result)
             if store is not None:
                 store.append_quarantine(result, quarantine_reason)
-        else:
-            obs.BUS.emit("unit.commit", result)
-            if store is not None:
-                store.append_result(result)
+        elif store is not None:
+            store.append_result(result)
         if on_result is not None:
             on_result(result)
 
-    # Telemetry consumes the engine's event stream rather than being
-    # called directly; subscriptions are scoped to this execute() call.
-    subscriptions = obs.BUS.subscribed(
-        ("unit.commit", telemetry.record),
-        ("unit.retry", telemetry.note_retry),
-        ("unit.quarantine", telemetry.note_quarantined),
-        ("engine.watchdog.summary", telemetry.note_watchdog),
-    )
     attempt = 0
     guard = SignalGuard() if options.handle_signals else None
     interrupted = False
-    with subscriptions:
-        if guard is not None:
-            guard.__enter__()
-        try:
-            while pending and not interrupted:
-                if attempt > 0:
-                    time.sleep(options.backoff * (2 ** (attempt - 1)))
-                pooled = processes > 1 and len(pending) > 1
-                with obs.span("engine.wave", attempt=attempt,
-                              pending=len(pending),
-                              mode="pool" if pooled else "serial"):
-                    if pooled:
-                        try:
-                            results, interrupted = _run_wave_pool(
-                                pending, processes, options, guard, attempt)
-                        except (OSError, ValueError) as exc:
-                            # no fork / fd exhaustion / bad pool size:
-                            # degrade, don't die
-                            telemetry.note_degraded(
-                                f"pool unavailable ({exc}); "
-                                "running serially")
-                            results, interrupted = _run_wave_serial(
-                                pending, guard, attempt)
-                    else:
+    if guard is not None:
+        guard.__enter__()
+    try:
+        while pending and not interrupted:
+            if attempt > 0:
+                time.sleep(options.backoff * (2 ** (attempt - 1)))
+            pooled = processes > 1 and len(pending) > 1
+            with obs.span("engine.wave", attempt=attempt,
+                          pending=len(pending),
+                          mode="pool" if pooled else "serial"):
+                if pooled:
+                    try:
+                        results, interrupted = _run_wave_pool(
+                            pending, processes, options, guard, attempt)
+                    except (OSError, ValueError) as exc:
+                        # no fork / fd exhaustion / bad pool size:
+                        # degrade, don't die
+                        reason = f"pool unavailable ({exc})"
+                        obs.event("engine.degraded", reason=reason)
+                        log.warning(f"[campaign] degraded: {reason}; "
+                                    "running serially")
                         results, interrupted = _run_wave_serial(
                             pending, guard, attempt)
+                else:
+                    results, interrupted = _run_wave_serial(
+                        pending, guard, attempt)
 
-                by_id = {u.unit_id: u for u in pending}
-                pending = []
-                for r in results:
-                    r.retries = attempt
-                    if r.ok:
-                        commit(r)
-                        continue
-                    if options.fail_fast:
-                        raise CampaignUnitError(r.unit_id,
-                                                r.error or "unknown error")
-                    if r.hard_failure:
-                        hard_fails[r.unit_id] = \
-                            hard_fails.get(r.unit_id, 0) + 1
-                    poison = (hard_fails.get(r.unit_id, 0)
-                              >= options.hard_fail_limit)
-                    if attempt < options.retries and not poison:
-                        _UNIT_RETRIES.inc(kind=r.kind)
-                        obs.event("unit.retry", unit=r.unit_id,
-                                  attempt=attempt)
-                        obs.BUS.emit("unit.retry", r)
-                        pending.append(by_id[r.unit_id])
-                        continue
-                    if store is not None and options.quarantine:
-                        reason = (
-                            f"poison unit: {hard_fails.get(r.unit_id, 0)} "
-                            f"hard failures (worker lost)" if poison else
-                            f"retries exhausted after {attempt + 1} attempts")
-                        commit(r, quarantine_reason=reason)
-                    else:
-                        commit(r)
-                attempt += 1
-            if interrupted or (guard is not None and guard.requested):
-                signum = (guard.signum if guard is not None
-                          and guard.signum else _signal.SIGINT)
-                exc = CampaignInterrupted(signum, committed=len(done))
-                exc.results = done
-                raise exc
-        finally:
-            if guard is not None:
-                guard.__exit__(None, None, None)
+            by_id = {u.unit_id: u for u in pending}
+            pending = []
+            for r in results:
+                r.retries = attempt
+                if r.ok:
+                    commit(r)
+                    continue
+                if options.fail_fast:
+                    raise CampaignUnitError(r.unit_id,
+                                            r.error or "unknown error")
+                if r.hard_failure:
+                    hard_fails[r.unit_id] = \
+                        hard_fails.get(r.unit_id, 0) + 1
+                poison = (hard_fails.get(r.unit_id, 0)
+                          >= options.hard_fail_limit)
+                if attempt < options.retries and not poison:
+                    _UNIT_RETRIES.inc(kind=r.kind)
+                    obs.event("unit.retry", unit=r.unit_id,
+                              attempt=attempt)
+                    pending.append(by_id[r.unit_id])
+                    continue
+                if store is not None and options.quarantine:
+                    reason = (
+                        f"poison unit: {hard_fails.get(r.unit_id, 0)} "
+                        f"hard failures (worker lost)" if poison else
+                        f"retries exhausted after {attempt + 1} attempts")
+                    commit(r, quarantine_reason=reason)
+                else:
+                    commit(r)
+            attempt += 1
+        if interrupted or (guard is not None and guard.requested):
+            signum = (guard.signum if guard is not None
+                      and guard.signum else _signal.SIGINT)
+            exc = CampaignInterrupted(signum, committed=len(done))
+            exc.results = done
+            raise exc
+    finally:
+        if guard is not None:
+            guard.__exit__(None, None, None)
     return done

@@ -177,39 +177,66 @@ class CampaignStore:
 
     # -- summary -------------------------------------------------------
     def status(self) -> dict:
-        """Aggregate view used by ``python -m repro.campaign status``."""
+        """Aggregate view used by ``python -m repro.campaign status``:
+        :func:`fold_results` over the stored results plus the manifest's
+        completion and the quarantine and integrity counts."""
         manifest = self.load_manifest()
-        results = self.load_results()
-        quarantined = self.load_quarantine()
-        ok = [r for r in results.values() if r.ok]
-        failed = [r for r in results.values() if not r.ok]
-        items = sum(r.items for r in ok)
-        elapsed = sum(r.elapsed for r in results.values())
         warm = manifest.get("golden_warm", {})
-        hits = sum(r.cache_hits for r in results.values()) + warm.get("hits", 0)
-        misses = (sum(r.cache_misses for r in results.values())
-                  + warm.get("misses", 0))
+        ledger = fold_results(self.load_results(),
+                              (warm.get("hits", 0), warm.get("misses", 0)))
+        quarantined = len(self.load_quarantine())
+        done = ledger["completed_units"]
         total = manifest.get("total_units", 0)
-        complete = bool(total) and len(ok) == total
+        complete = bool(total) and done == total
         return {
             "kind": manifest.get("kind"),
             "directory": str(self.directory),
             "total_units": total,
-            "completed_units": len(ok),
-            "failed_units": len(failed),
-            "quarantined_units": len(quarantined),
+            "quarantined_units": quarantined,
             "complete": complete,
             "complete_with_holes": (bool(total) and not complete
-                                    and len(ok) + len(quarantined) >= total
-                                    and len(quarantined) > 0),
+                                    and done + quarantined >= total
+                                    and quarantined > 0),
             "integrity_issues": len(self.last_scan.issues)
             if self.last_scan else 0,
-            "items": items,
-            "unit_seconds": round(elapsed, 3),
-            "items_per_sec": round(items / elapsed, 2) if elapsed else 0.0,
-            "retries": sum(r.retries for r in results.values()),
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "cache_hit_rate": round(hits / (hits + misses), 4)
-            if hits + misses else 0.0,
+            **ledger,
         }
+
+
+def fold_results(results: dict[str, UnitResult],
+                 warm: tuple[int, int] = (0, 0)) -> dict:
+    """The campaign ledger: every count a campaign reports, summed from
+    its unit results alone.
+
+    *results* is a ``{unit_id: UnitResult}`` map — what
+    :func:`~repro.campaign.engine.execute` returns or what
+    :meth:`CampaignStore.load_results` loads — and *warm* the golden-cache
+    ``(hits, misses)`` charged to the plan's warm-up before any unit ran.
+    ``accel`` sums each successful unit's numeric ``accel`` values (bools
+    such as ``enabled`` are skipped); it is ``{}`` for kinds without one.
+    """
+    units = results.values()
+    ok = [r for r in units if r.ok]
+    items = sum(r.items for r in ok)
+    elapsed = sum(r.elapsed for r in units)
+    hits = warm[0] + sum(r.cache_hits for r in units)
+    misses = warm[1] + sum(r.cache_misses for r in units)
+    accel: dict = {}
+    for r in ok:
+        for k, v in (r.accel or {}).items():
+            if isinstance(v, (int, float)) and not isinstance(v, bool):
+                accel[k] = accel.get(k, 0) + v
+    return {
+        "units": len(results),
+        "completed_units": len(ok),
+        "failed_units": len(results) - len(ok),
+        "items": items,
+        "unit_seconds": round(elapsed, 3),
+        "items_per_sec": round(items / elapsed, 2) if elapsed else 0.0,
+        "retries": sum(r.retries for r in units),
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "cache_hit_rate": round(hits / (hits + misses), 4)
+        if hits + misses else 0.0,
+        "accel": accel,
+    }

@@ -47,10 +47,6 @@ from repro.gatelevel.units.base import Stimulus, UnitModel
 
 #: one increment per simulated fault, labeled ``{unit, category}``
 _FAULTS_TOTAL = obs.REGISTRY.counter("faults_total")
-#: lanes handed to a fault from the pending queue after dynamic retirement
-_LANES_REFILLED = obs.REGISTRY.counter("lanes_refilled_total")
-#: (fault, stimulus) replays proven no-ops from the golden toggle info
-_PAIRS_DROPPED = obs.REGISTRY.counter("fault_stimulus_pairs_dropped_total")
 
 
 @dataclass(frozen=True)
@@ -301,7 +297,6 @@ def _replay_batch(unit, batch_faults, nets, sa, records, stimuli, golden,
                 np.where(sa == 0, gi["ever1"][nets], gi["ever0"][nets]))
             dropped = n - int(active.size)
             stats["pairs_dropped"] += dropped * mult
-            _PAIRS_DROPPED.inc(dropped * mult)
         else:
             active = np.arange(n)
         if active.size == 0:
@@ -313,8 +308,6 @@ def _replay_batch(unit, batch_faults, nets, sa, records, stimuli, golden,
             refilled = int(np.count_nonzero(active != np.arange(m)))
             stats["lanes_refilled"] += refilled
             stats["replays"] += 1
-            if refilled:
-                _LANES_REFILLED.inc(refilled)
         w = (m + 63) // 64
         sim = sims.get(w)
         if sim is None:
@@ -453,7 +446,7 @@ def _aggregate_gate(unit_name: str,
 
 def run_gate_campaign(config: CampaignConfig,
                       stimuli: list[Stimulus], *,
-                      store=None, telemetry=None,
+                      store=None,
                       max_units: int | None = None) -> GateCampaignResult:
     """Run the gate-level campaign for one unit over *stimuli*.
 
@@ -471,7 +464,7 @@ def run_gate_campaign(config: CampaignConfig,
                            fail_fast=config.fail_fast, max_units=max_units,
                            timeout=config.timeout, retries=config.retries)
     results = execute(plan.units, options, context=plan.context,
-                      store=store, telemetry=telemetry)
+                      store=store)
     if store is not None:
         obs.flush(store.directory)
         results = {**store.load_results(), **results}

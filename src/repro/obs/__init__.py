@@ -1,4 +1,4 @@
-"""Unified observability: tracing spans, metrics, event bus and sinks.
+"""Unified observability: tracing spans, metrics and sinks.
 
 Three pillars, all dependency-free and near-zero-cost when disabled:
 
@@ -16,15 +16,14 @@ Three pillars, all dependency-free and near-zero-cost when disabled:
 
 Everything hangs off one module-level switch: :func:`enable` /
 :func:`disable` (or ``REPRO_OBS=1`` via :func:`enable_from_env`).
-The always-on :data:`BUS` carries in-process lifecycle events —
-``repro.campaign.Telemetry`` consumes engine ``unit.commit`` /
-``unit.retry`` events from it rather than being called directly.
+Nothing here is a campaign's accounting: while the switch is off every
+counter is a no-op, so a campaign's counts come from its unit results
+(:func:`repro.campaign.store.fold_results`), which are always written.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 
 from repro.obs import log, metrics, sinks, trace
 from repro.obs._runtime import FLAG
@@ -32,7 +31,6 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import RECORDER, event, span
 
 __all__ = [
-    "BUS",
     "FLAG",
     "RECORDER",
     "REGISTRY",
@@ -79,44 +77,6 @@ def reset() -> None:
     disable()
     RECORDER.clear()
     REGISTRY.reset()
-
-
-# ---------------------------------------------------------------------
-# in-process event bus (always on; enablement only gates *recording*)
-# ---------------------------------------------------------------------
-
-class EventBus:
-    """Minimal synchronous pub/sub used for engine lifecycle events."""
-
-    def __init__(self) -> None:
-        self._subs: dict[str, list] = {}
-
-    def subscribe(self, topic: str, fn) -> tuple:
-        self._subs.setdefault(topic, []).append(fn)
-        return (topic, fn)
-
-    def unsubscribe(self, token: tuple) -> None:
-        topic, fn = token
-        subs = self._subs.get(topic, [])
-        if fn in subs:
-            subs.remove(fn)
-
-    @contextmanager
-    def subscribed(self, *pairs):
-        """Scope subscriptions to a block: ``subscribed((topic, fn), ...)``."""
-        tokens = [self.subscribe(t, f) for t, f in pairs]
-        try:
-            yield self
-        finally:
-            for token in tokens:
-                self.unsubscribe(token)
-
-    def emit(self, topic: str, payload=None) -> None:
-        for fn in tuple(self._subs.get(topic, ())):
-            fn(payload)
-
-
-BUS = EventBus()
 
 
 # ---------------------------------------------------------------------

@@ -12,7 +12,7 @@ gap:
 * :class:`Watchdog` — a parent-side daemon thread that scans the board
   and escalates on any worker stalled past the unit timeout: SIGTERM
   first, SIGKILL after a grace period. Escalations are counted and
-  reported through campaign telemetry;
+  reported as ``engine.watchdog`` obs events and log warnings;
 * :class:`SignalGuard` — installs SIGINT/SIGTERM handlers that request
   a *cooperative* stop: the engine finishes committing the results it
   already has (the store is append-only and checksummed, so the

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
 from repro.campaign.goldens import GoldenTrace
 from repro.common.exceptions import InvalidRegisterError
 from repro.gpusim.device import LaunchResult
@@ -58,11 +57,6 @@ from repro.gpusim.snapshot import (
 from repro.isa.instruction import RZ
 from repro.isa.opcodes import MemSpace, Op
 from repro.swinjector.injectors import BaseInjector
-
-_CK_RESTORES = obs.REGISTRY.counter("checkpoint_restores_total")
-_PREFIX_SAVED = obs.REGISTRY.counter("prefix_instructions_saved_total")
-_EARLY_EXITS = obs.REGISTRY.counter("early_exits_total")
-_HANG_CYCLES = obs.REGISTRY.counter("hang_cycles_total")
 
 #: round digests :class:`HangCycle` keeps per CTA in each of its two
 #: tables before that table starts over, bounding its memory (~4 MiB a
@@ -89,7 +83,8 @@ class EarlyMasked(Exception):
 
 @dataclass
 class AccelStats:
-    """Per-work-unit acceleration accounting (surfaced in telemetry)."""
+    """Per-work-unit acceleration accounting: the unit result's ``accel``
+    dict, summed by :func:`repro.campaign.store.fold_results`."""
 
     restores: int = 0
     saved_instructions: int = 0
@@ -114,19 +109,15 @@ class AccelStats:
         never activates, or every activation is inert)."""
         self.skipped += 1
         self.saved_instructions += trace.total_instructions
-        _PREFIX_SAVED.inc(trace.total_instructions)
 
     def early_exit(self) -> None:
         """Tally a run that reconverged with golden (:class:`EarlyMasked`)."""
         self.early_exits += 1
-        _EARLY_EXITS.inc()
 
     def hang_cycle(self, instructions: int) -> None:
         """Tally a loop fast-forwarded over *instructions* (either kind)."""
         self.hang_cycles += 1
         self.saved_instructions += instructions
-        _HANG_CYCLES.inc()
-        _PREFIX_SAVED.inc(instructions)
 
 
 #: descriptor fields each model's injector actually reads (beyond the
@@ -664,7 +655,6 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
             # identical memory) and report the golden statistics
             restore_device(dev, trace.post_launch[m])
             stats.saved_instructions += rec.instructions_executed
-            _PREFIX_SAVED.inc(rec.instructions_executed)
             return LaunchResult(
                 program=rec.program, grid=rec.grid, block=rec.block,
                 num_ctas=rec.num_ctas, warps_per_cta=rec.warps_per_cta,
@@ -677,8 +667,6 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
                 resume = ck.resume()
                 stats.restores += 1
                 stats.saved_instructions += ck.executed
-                _CK_RESTORES.inc()
-                _PREFIX_SAVED.inc(ck.executed)
 
         hang = HangCycle(dev, tool, watchdog, stats, shortcuts)
         if rec is None:

@@ -496,7 +496,7 @@ CAMPAIGN_SPEC = EprCampaignSpec()
 
 
 def run_epr_campaign(config: SwCampaignConfig | None = None, *,
-                     store=None, telemetry=None,
+                     store=None,
                      max_units: int | None = None,
                      chunk: int = DEFAULT_CHUNK) -> EprResult:
     """Run the full software-level campaign of Figures 10/11.
@@ -512,8 +512,6 @@ def run_epr_campaign(config: SwCampaignConfig | None = None, *,
     if store is not None:
         spec.spill_to(plan_config, store.directory)
     plan = spec.build(plan_config)
-    if telemetry is not None:
-        telemetry.note_warm(*plan.warm_stats)
     if store is not None and not store.manifest_path.exists():
         store.write_manifest(plan.kind, plan.config, len(plan.units),
                              extra={"golden_warm": {
@@ -522,7 +520,7 @@ def run_epr_campaign(config: SwCampaignConfig | None = None, *,
     options = EngineConfig(processes=config.processes,
                            fail_fast=config.fail_fast, max_units=max_units,
                            timeout=config.timeout, retries=config.retries)
-    results = execute(plan.units, options, store=store, telemetry=telemetry)
+    results = execute(plan.units, options, store=store)
     if store is not None:
         obs.flush(store.directory)
         results = {**store.load_results(), **results}

@@ -20,13 +20,13 @@ from repro.campaign import (
     CampaignStore,
     CampaignUnitError,
     EngineConfig,
-    Telemetry,
     UnitResult,
     WorkUnit,
     chunked,
     config_fingerprint,
     default_processes,
     execute,
+    fold_results,
     shard_of,
 )
 from repro.campaign.engine import DEFAULT_SHARDS, register_runner
@@ -93,16 +93,15 @@ class TestEngineCore:
         assert len(results) == 2
 
     def test_crash_is_recorded_after_retries(self):
-        telemetry = Telemetry()
         results = execute(_units("test-crash", 1),
-                          EngineConfig(processes=1, retries=2, backoff=0.0),
-                          telemetry=telemetry)
+                          EngineConfig(processes=1, retries=2, backoff=0.0))
         r = results["test-crash/000"]
         assert not r.ok
         assert r.retries == 2
         assert "ValueError" in r.error and "synthetic crash" in r.error
-        assert telemetry.totals.failures == 1
-        assert telemetry.totals.retries >= 2
+        ledger = fold_results(results)
+        assert ledger["failed_units"] == 1
+        assert ledger["retries"] == 2
 
     def test_fail_fast_propagates_worker_traceback(self):
         with pytest.raises(CampaignUnitError) as exc:
@@ -146,8 +145,9 @@ class TestStore:
     def test_append_and_reload(self, tmp_path):
         store = CampaignStore(tmp_path / "c")
         store.write_manifest("test-echo", {"n": 2}, total_units=2)
-        store.append_result(UnitResult("u/0", "test-echo", 0, ok=True,
-                                       value={"items": 3}, elapsed=0.5))
+        store.append_result(UnitResult(
+            "u/0", "test-echo", 0, ok=True, elapsed=0.5,
+            value={"items": 3, "accel": {"enabled": True, "restores": 2}}))
         store.append_result(UnitResult("u/1", "test-echo", 1, ok=False,
                                        error="boom", elapsed=0.1))
         results = store.load_results()
@@ -156,6 +156,7 @@ class TestStore:
         status = store.status()
         assert status["completed_units"] == 1
         assert status["failed_units"] == 1
+        assert status["accel"] == {"restores": 2}  # bools are not summed
         assert not status["complete"]
 
     def test_fingerprint_guard(self, tmp_path):
@@ -187,13 +188,15 @@ class TestGoldenCache:
 
     def test_campaign_hit_rate_above_90pct(self):
         GOLDEN_CACHE.clear()
-        telemetry = Telemetry()
         cfg = SwCampaignConfig(apps=("vectoradd",),
                                models=(ErrorModel.WV, ErrorModel.IIO),
                                injections_per_model=10, scale="tiny",
                                processes=1)
-        run_epr_campaign(cfg, telemetry=telemetry, chunk=1)
-        assert telemetry.cache_hit_rate() > 0.9
+        spec = get_spec("epr")
+        plan = spec.build(spec.config_of(cfg, chunk=1))
+        results = execute(plan.units, EngineConfig(processes=1))
+        # the plan's warm-up miss counts against the rate
+        assert fold_results(results, plan.warm_stats)["cache_hit_rate"] > 0.9
         # one golden compute per (app, scale, seed), never per injection
         assert GOLDEN_CACHE.misses == 1
 
@@ -274,10 +277,31 @@ class TestEprResume:
         store = CampaignStore(tmp_path / "campaign")
         run_epr_campaign(cfg, store=store, chunk=2)
         before = store.results_path.read_text()
-        telemetry = Telemetry()
-        run_epr_campaign(cfg, store=store, telemetry=telemetry, chunk=2)
-        assert telemetry.totals.units == 0  # nothing re-executed
+        spec = get_spec("epr")
+        plan = spec.build(spec.config_of(cfg, chunk=2))
+        executed = execute(plan.units, EngineConfig(processes=1), store=store)
+        assert fold_results(executed)["units"] == 0  # nothing re-executed
+        run_epr_campaign(cfg, store=store, chunk=2)
         assert store.results_path.read_text() == before
+
+    def test_ledger_independent_of_workers_and_resume(self, tmp_path):
+        spec = get_spec("epr")
+        plan = spec.build(spec.default_config(
+            apps=["vectoradd"], models=["WV", "IAT"],
+            injections_per_model=4, chunk=2, scale="tiny"))
+        serial = fold_results(execute(plan.units, EngineConfig(processes=1)))
+        pooled = fold_results(execute(plan.units, EngineConfig(processes=2)))
+        store = CampaignStore(tmp_path / "campaign")
+        store.write_manifest(plan.kind, plan.config, len(plan.units))
+        execute(plan.units, EngineConfig(processes=1, max_units=1),
+                store=store)
+        assert store.status()["units"] == 1
+        execute(plan.units, EngineConfig(processes=1), store=store)
+        resumed = store.status()
+        for key in ("units", "items", "failed_units", "accel"):
+            assert serial[key] == pooled[key] == resumed[key], key
+        assert serial["units"] == len(plan.units)
+        assert serial["accel"]["saved_instructions"] > 0
 
     def test_truncated_results_requeue_units(self, tmp_path):
         cfg = SwCampaignConfig(**self.CFG, processes=1)

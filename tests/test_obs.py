@@ -258,30 +258,6 @@ class TestCaptureAbsorb:
 
 
 # ---------------------------------------------------------------------
-# event bus
-# ---------------------------------------------------------------------
-
-class TestEventBus:
-    def test_emit_reaches_subscriber(self):
-        bus = obs.EventBus()
-        seen = []
-        token = bus.subscribe("t", seen.append)
-        bus.emit("t", 1)
-        bus.unsubscribe(token)
-        bus.emit("t", 2)
-        assert seen == [1]
-
-    def test_subscribed_scopes_to_block(self):
-        bus = obs.EventBus()
-        seen = []
-        with bus.subscribed(("a", seen.append), ("b", seen.append)):
-            bus.emit("a", "x")
-            bus.emit("b", "y")
-        bus.emit("a", "z")
-        assert seen == ["x", "y"]
-
-
-# ---------------------------------------------------------------------
 # sinks + chrome trace
 # ---------------------------------------------------------------------
 
