@@ -39,6 +39,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.campaign.engine import EngineConfig, UnitResult, execute
+from repro.campaign.goldens import CHECKPOINT_CACHE, GOLDEN_CACHE
 from repro.campaign.plans import KINDS, get_spec
 from repro.campaign.store import CampaignStore, fold_results
 from repro.common.exceptions import ConfigError, ReproError
@@ -242,6 +243,7 @@ def _interrupt_resume_fresh(spec, config: dict, directory: Path,
     resumed and fresh aggregates. The resumed store's accel totals must
     equal the fold of the fresh run's result map."""
     store = CampaignStore(directory)
+    spec.spill_to(config, store.directory)
     plan = spec.build(config)
     total = len(plan.units)
     cut = max(1, total // 3)
@@ -273,6 +275,27 @@ def _interrupt_resume_fresh(spec, config: dict, directory: Path,
     return status, resumed, spec.aggregate(plan.config, results)
 
 
+def _resume_loads_references(spec, config: dict, directory: Path,
+                             failures: list[str]) -> None:
+    """Build *config*'s plan the way a resume in a fresh process does
+    (in-memory caches empty, spill under *directory*): every golden run and
+    checkpoint trace must load from the spill, none be recomputed."""
+    caches = (GOLDEN_CACHE, CHECKPOINT_CACHE)
+    for cache in caches:
+        cache.clear()
+    try:
+        spec.spill_to(config, directory)
+        spec.build(config)
+        for cache in caches:
+            if cache.misses:
+                failures.append(
+                    f"resume recomputed {cache.misses} {cache.kind} "
+                    f"reference run(s) spilled under {directory}")
+    finally:
+        for cache in caches:
+            cache.persist_to(None)
+
+
 def cmd_smoke(args) -> int:
     """End-to-end resumability self-test (run -> interrupt -> resume).
 
@@ -280,7 +303,8 @@ def cmd_smoke(args) -> int:
     guarantees: an interrupted + resumed campaign equals an uninterrupted
     one (aggregate and accel totals), and worker count does not change
     results; for EPR also that the golden-run cache absorbs >90% of
-    reference runs.
+    reference runs and that a resume with empty in-memory caches loads
+    every reference run from the campaign directory.
     """
     base = Path(args.dir) if args.dir else Path(
         tempfile.mkdtemp(prefix="campaign-smoke-"))
@@ -290,6 +314,10 @@ def cmd_smoke(args) -> int:
         config = spec.default_config(
             apps=["vectoradd", "gemm"], models=["WV", "IIO", "IAT"],
             injections_per_model=8, chunk=2, scale="tiny")
+        # start as a fresh process does: the run must compute and spill
+        # every reference run
+        GOLDEN_CACHE.clear()
+        CHECKPOINT_CACHE.clear()
         status, resumed, fresh = _interrupt_resume_fresh(
             spec, config, base / "interrupted", failures)
         for app in config["apps"]:
@@ -302,6 +330,8 @@ def cmd_smoke(args) -> int:
                         f"resumed={a} fresh={b}")
         if resumed.overall_epr() != fresh.overall_epr():
             failures.append("overall EPR differs between resumed and fresh")
+        _resume_loads_references(spec, config, base / "interrupted",
+                                 failures)
 
         rate = status["cache_hit_rate"]
         if rate <= 0.9:
@@ -334,7 +364,8 @@ def cmd_smoke(args) -> int:
             print(f"SMOKE FAIL: {f}", file=sys.stderr)
         return 1
     print("campaign smoke: OK (epr and rtl-avf interrupt -> resume == "
-          "fresh, accel totals included; cache > 90%)")
+          "fresh, accel totals included; cache > 90%; resume reuses the "
+          "spilled reference runs)")
     return 0
 
 

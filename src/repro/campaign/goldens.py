@@ -8,6 +8,12 @@ once per process. Campaigns :meth:`~ContentCache.warm` it in the parent
 before the worker pool forks, so every worker inherits the entries
 copy-on-write and every work unit is a cache hit.
 
+There is one reference run, :func:`reference_run`. An accelerated
+campaign warms the checkpoint-trace cache first: its one instrumented
+pass yields the golden run too, which lands in :data:`GOLDEN_CACHE` (or
+is checked against the entry already there). ``--no-accel`` campaigns
+run the same function untraced (:func:`golden_run`).
+
 Entries are content-addressed: the key is the SHA-256 of the identity
 tuple ``(workload, scale, seed, mem_words)`` and each entry additionally
 records the SHA-256 digest of the golden output bits, so result stores can
@@ -75,22 +81,6 @@ def _bits_digest(bits: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(bits).tobytes()).hexdigest()
 
 
-def golden_run(w, mem_words: int, key: str = "") -> GoldenRun:
-    """Fault-free run of workload *w* on a fresh *mem_words* device."""
-    dev = Device(DeviceConfig(global_mem_words=mem_words))
-    executed = {"n": 0}
-
-    def launcher(program, grid, block, params=(), shared_words=None):
-        res = dev.launch(program, grid, block, params=params,
-                         shared_words=shared_words)
-        executed["n"] += res.instructions_executed
-        return res
-
-    bits = w.run(dev, launcher)
-    return GoldenRun(key=key, bits=bits, dynamic_instructions=executed["n"],
-                     digest=_bits_digest(bits))
-
-
 def _compute(app: str, scale: str, seed: int, mem_words: int) -> GoldenRun:
     return golden_run(cached_workload(app, scale, seed), mem_words,
                       golden_key(app, scale, seed, mem_words))
@@ -140,8 +130,12 @@ class ContentCache:
         self.disk_dir.mkdir(parents=True, exist_ok=True)
 
     def get(self, app: str, scale: str, seed: int,
-            mem_words: int = DEFAULT_MEM_WORDS):
-        """Return the entry, computing (and counting a miss) if absent."""
+            mem_words: int = DEFAULT_MEM_WORDS, computed=None):
+        """Return the entry, computing (and counting a miss) if absent.
+
+        *computed* is an entry the caller already built: on a miss it is
+        stored (and spilled) instead of computing one; on a hit the
+        cached entry is returned and the caller compares the two."""
         key = self._key_fn(app, scale, seed, mem_words)
         entry = self._entries.get(key)
         if entry is not None:
@@ -157,8 +151,10 @@ class ContentCache:
             return entry
         self.misses += 1
         _CACHE_LOOKUPS.inc(cache=self.kind, result="miss")
-        with obs.span(self._span, app=app, scale=scale):
-            entry = self._compute(app, scale, seed, mem_words)
+        entry = computed
+        if entry is None:
+            with obs.span(self._span, app=app, scale=scale):
+                entry = self._compute(app, scale, seed, mem_words)
         self._entries[key] = entry
         self._disk_store(entry)
         return entry
@@ -177,7 +173,8 @@ class ContentCache:
             return None
         try:
             with np.load(path, allow_pickle=False) as z:
-                arrays = {k: np.array(z[k]) for k in z.files}
+                # each z[k] reads a fresh array out of the file
+                arrays = {k: z[k] for k in z.files}
             return self._decode(key, arrays)
         except Exception as exc:
             self.disk_rejects += 1
@@ -272,7 +269,8 @@ GOLDEN_CACHE = GoldenCache()
 # descriptor's activation sites can be computed without simulating, plus
 # restorable checkpoints so the fault-free prefix is never re-executed.
 # Traces are content-addressed by the same identity tuple as golden runs
-# and digest-bound to the golden bits they were captured against.
+# and digest-bound to the golden bits they were captured against: the
+# traced pass that builds a trace also builds its golden run.
 
 def trace_key(app: str, scale: str, seed: int,
               mem_words: int = DEFAULT_MEM_WORDS) -> str:
@@ -281,11 +279,27 @@ def trace_key(app: str, scale: str, seed: int,
     return hashlib.sha256(ident.encode()).hexdigest()
 
 
-def checkpoint_epoch(dynamic_instructions: int) -> int:
-    """Checkpoint spacing K for a run of the given length: ~16 epochs,
-    clamped so tiny runs are not drowned in snapshots and huge runs do
-    not snapshot too rarely."""
-    return max(64, min(8192, dynamic_instructions // 16 or 64))
+#: checkpoint spacing (dynamic instructions) a reference pass starts with
+EPOCH_MIN = 64
+#: the spacing doubles up to this
+EPOCH_MAX = 8192
+#: more checkpoints held than this thins them and doubles the spacing
+MAX_CHECKPOINTS = 32
+
+
+def thin_checkpoints(checkpoints: list, every: int) -> int:
+    """The checkpoint epoch rule, applied after each capture.
+
+    A reference pass does not know its length until it ends, so its
+    checkpoint spacing starts at :data:`EPOCH_MIN`. Once more than
+    :data:`MAX_CHECKPOINTS` are held, every other one is dropped in place
+    (the first and the newest stay) and the spacing doubles, up to
+    :data:`EPOCH_MAX`. Returns the spacing for the next capture.
+    """
+    if len(checkpoints) <= MAX_CHECKPOINTS or every >= EPOCH_MAX:
+        return every
+    del checkpoints[1::2]
+    return min(2 * every, EPOCH_MAX)
 
 
 @dataclass(frozen=True)
@@ -351,15 +365,20 @@ class GoldenTrace:
         return best
 
 
-def golden_trace(w, mem_words: int, golden: GoldenRun,
-                 key: str = "") -> GoldenTrace:
-    """Instrumented golden run of workload *w*: record every dynamic
-    instruction, take a checkpoint at every K-th round boundary, snapshot
-    the device after each launch, and verify the output bits against
-    *golden* (its :func:`golden_run`)."""
+def reference_run(w, mem_words: int, key: str = "",
+                  traced_key: str | None = None):
+    """The fault-free reference run of workload *w* on a fresh
+    *mem_words* device: ``(GoldenRun, GoldenTrace | None)``.
+
+    With *traced_key* (the trace's key) the one pass is instrumented: it
+    records every dynamic instruction, takes checkpoints at round
+    boundaries spaced by :func:`thin_checkpoints`'s rule, and snapshots
+    the device after each launch. Without it (``--no-accel`` campaigns)
+    the pass runs plain and the trace is ``None``.
+    """
     from repro.gpusim.snapshot import capture_checkpoint, snapshot_device
 
-    every = checkpoint_epoch(golden.dynamic_instructions)
+    traced = traced_key is not None
     dev = Device(DeviceConfig(global_mem_words=mem_words))
 
     ev_pc: list[int] = []
@@ -369,7 +388,7 @@ def golden_trace(w, mem_words: int, golden: GoldenRun,
     launches: list[LaunchRecord] = []
     checkpoints: list = []
     post_launch: list = []
-    state = {"launch": 0, "base": 0, "last_ck": 0}
+    state = {"launch": 0, "base": 0, "last_ck": 0, "every": EPOCH_MIN}
 
     def trace_fn(ev):
         ci = coord_index.setdefault(
@@ -382,32 +401,35 @@ def golden_trace(w, mem_words: int, golden: GoldenRun,
         if executed == 0:
             return
         idx = state["base"] + executed
-        if idx - state["last_ck"] < every:
+        if idx - state["last_ck"] < state["every"]:
             return
         state["last_ck"] = idx
         checkpoints.append(capture_checkpoint(
             dev, state["launch"], cta, executed, idx, warps, shared_mem))
+        state["every"] = thin_checkpoints(checkpoints, state["every"])
+
+    hooks = {"trace_fn": trace_fn, "round_hook": round_hook} if traced else {}
 
     def launcher(program, grid, block, params=(), shared_words=None):
         res = dev.launch(program, grid, block, params=params,
-                         shared_words=shared_words, trace_fn=trace_fn,
-                         round_hook=round_hook)
-        launches.append(LaunchRecord(
-            program=res.program, grid=res.grid, block=res.block,
-            num_ctas=res.num_ctas, warps_per_cta=res.warps_per_cta,
-            instructions_executed=res.instructions_executed,
-            start_index=state["base"]))
-        post_launch.append(snapshot_device(dev))
+                         shared_words=shared_words, **hooks)
+        if traced:
+            launches.append(LaunchRecord(
+                program=res.program, grid=res.grid, block=res.block,
+                num_ctas=res.num_ctas, warps_per_cta=res.warps_per_cta,
+                instructions_executed=res.instructions_executed,
+                start_index=state["base"]))
+            post_launch.append(snapshot_device(dev))
         state["base"] += res.instructions_executed
         state["launch"] += 1
         return res
 
     bits = w.run(dev, launcher)
-    digest = _bits_digest(bits)
-    if digest != golden.digest or state["base"] != golden.dynamic_instructions:
-        raise RuntimeError(
-            f"golden trace of {w.meta.name}/{w.scale} diverged from the "
-            f"cached golden run (nondeterministic workload?)")
+    golden = GoldenRun(key=key, bits=bits,
+                       dynamic_instructions=state["base"],
+                       digest=_bits_digest(bits))
+    if not traced:
+        return golden, None
 
     if masks:
         packed = np.packbits(np.asarray(masks, dtype=bool), axis=1,
@@ -416,8 +438,8 @@ def golden_trace(w, mem_words: int, golden: GoldenRun,
     else:
         ev_mask = np.zeros(0, dtype=np.uint32)
     coords = tuple(sorted(coord_index, key=coord_index.get))
-    return GoldenTrace(
-        key=key,
+    return golden, GoldenTrace(
+        key=traced_key,
         ev_pc=np.asarray(ev_pc, dtype=np.int32),
         ev_coord=np.asarray(ev_coord, dtype=np.int32),
         ev_mask=ev_mask,
@@ -426,16 +448,32 @@ def golden_trace(w, mem_words: int, golden: GoldenRun,
         checkpoints=tuple(checkpoints),
         post_launch=tuple(post_launch),
         total_instructions=state["base"],
-        epoch=every,
+        epoch=state["every"],
         digest=golden.digest,
     )
 
 
+def golden_run(w, mem_words: int, key: str = "") -> GoldenRun:
+    """Fault-free run of workload *w*: the untraced reference run."""
+    return reference_run(w, mem_words, key)[0]
+
+
 def _trace_compute(app: str, scale: str, seed: int,
                    mem_words: int) -> GoldenTrace:
-    return golden_trace(cached_workload(app, scale, seed), mem_words,
-                        GOLDEN_CACHE.get(app, scale, seed, mem_words),
-                        trace_key(app, scale, seed, mem_words))
+    """One traced pass builds both references: its :class:`GoldenRun`
+    goes into :data:`GOLDEN_CACHE` (a golden miss) unless an entry for
+    the key exists already, in memory or spilled, which it must equal."""
+    w = cached_workload(app, scale, seed)
+    golden, trace = reference_run(w, mem_words,
+                                  golden_key(app, scale, seed, mem_words),
+                                  trace_key(app, scale, seed, mem_words))
+    held = GOLDEN_CACHE.get(app, scale, seed, mem_words, computed=golden)
+    if (held.digest != golden.digest
+            or held.dynamic_instructions != golden.dynamic_instructions):
+        raise RuntimeError(
+            f"golden trace of {w.meta.name}/{w.scale} diverged from the "
+            f"cached golden run (nondeterministic workload?)")
+    return trace
 
 
 # -- trace (de)serialization for the .npz spill -----------------------

@@ -226,6 +226,7 @@ class Device:
                 # counters were restored with the device state, so CTAs
                 # after this one claim the same slots a cold run would)
                 shared_mem.data[:resume.shared.size] = resume.shared
+                shared_mem.reach(resume.shared.size)
                 warps = resume.make_warps(program, block3, grid3,
                                           (cx, cy, cz))
             else:

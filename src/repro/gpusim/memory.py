@@ -16,10 +16,31 @@ from repro.common.exceptions import ConfigError, MemoryFaultError
 
 _U32 = np.uint32
 _TWO = _U32(2)
+#: smallest written extent a memory tracks (words)
+_MIN_EXTENT = 1024
+
+
+def _addr_bits(nbytes: int) -> np.uint32:
+    """Address bits that make an access misaligned or put it at or past
+    byte *nbytes* (a power of two)."""
+    return _U32((~(nbytes - 1) | 3) & 0xFFFFFFFF)
+
+
+def _pow2_at_least(n: int) -> int:
+    return 1 << max(n - 1, 0).bit_length()
 
 
 class _WordMemory:
-    """Bounds-checked word-addressable backing store."""
+    """Bounds-checked word-addressable backing store.
+
+    ``extent`` is a written-extent high-water mark: every word at or past
+    it is zero. It is a power of two (at least ``_MIN_EXTENT``) capped at
+    the size, so a kernel store tests it with the same single AND as its
+    bounds check, and only a store past it takes the slow path that
+    raises it. Host writes raise it too; code that writes ``data``
+    directly calls :meth:`reach`. Snapshots trim and compare memory
+    within ``[0, extent)`` instead of scanning the whole array.
+    """
 
     kind = "memory"
 
@@ -32,32 +53,52 @@ class _WordMemory:
         if nbytes & (nbytes - 1) == 0:
             # power-of-two size: misaligned or out of bounds <=> any of
             # these address bits is set
-            self._bad_bits = _U32((~(nbytes - 1) | 3) & 0xFFFFFFFF)
+            self._bad_bits = _addr_bits(nbytes)
             self._limit = None
         else:
             self._bad_bits = _U32(3)
             self._limit = _U32(min(nbytes, 0xFFFFFFFF))
+        self.set_extent(0)
+
+    # -- written extent ------------------------------------------------
+    def set_extent(self, words: int) -> None:
+        """Set the extent to cover words ``[0, words)``; the caller
+        guarantees every word past them is zero."""
+        cap = min(max(_MIN_EXTENT, _pow2_at_least(words)),
+                  _pow2_at_least(self.num_words))
+        self.extent = min(cap, self.num_words)
+        # stores at or past the extent (or misaligned / out of bounds)
+        # set one of these bits
+        self._store_bits = _addr_bits(4 * cap)
+
+    def reach(self, words: int) -> None:
+        """Note that words ``[0, words)`` may now be nonzero."""
+        if words > self.extent:
+            self.set_extent(words)
 
     # -- vectorized lane accessors ------------------------------------
-    def _check(self, byte_addr: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    def _check(self, byte_addr: np.ndarray, mask: np.ndarray | None,
+               bits: np.uint32) -> np.ndarray:
         """Validate the uint32 byte addresses of the lanes in *mask* (every
         lane when ``None``); return the word index of every lane.
 
         One pass over the active lanes tests alignment and bounds together
         (for a power-of-two size, out-of-bounds means a set bit at or above
-        the size, so a single AND covers both); only a faulting access
-        pays for the exact message.
+        the size, so a single AND with *bits* covers both); only a faulting
+        access pays for the exact message. Stores pass the extent's bits,
+        which also catch a store past the extent: that one raises it.
         """
         act = byte_addr if mask is None else byte_addr[mask]
-        if np.count_nonzero(act & self._bad_bits) or (
+        if np.count_nonzero(act & bits) or (
                 self._limit is not None
                 and np.count_nonzero(act >= self._limit)):
             self._fault(act)
+            self.reach(int(act.max()) // 4 + 1)
         return byte_addr >> _TWO
 
     def _fault(self, act: np.ndarray) -> None:
         """Raise for the first misaligned active lane, else the first
-        out-of-bounds one."""
+        out-of-bounds one; return when every lane is in bounds."""
         addr = act.astype(np.int64)
         misaligned = (addr & 3) != 0
         if misaligned.any():
@@ -66,17 +107,19 @@ class _WordMemory:
                 f"{self.kind}: misaligned access at byte 0x{bad:x}"
             )
         words = addr >> 2
-        bad = int(addr[(words < 0) | (words >= self.num_words)][0])
-        raise MemoryFaultError(
-            f"{self.kind}: out-of-bounds access at byte 0x{bad:x} "
-            f"(size {self.num_words * 4} bytes)"
-        )
+        out = (words < 0) | (words >= self.num_words)
+        if out.any():
+            bad = int(addr[out][0])
+            raise MemoryFaultError(
+                f"{self.kind}: out-of-bounds access at byte 0x{bad:x} "
+                f"(size {self.num_words * 4} bytes)"
+            )
 
     def load(self, byte_addr: np.ndarray,
              mask: np.ndarray | None = None) -> np.ndarray:
         """Gather one word per lane of a uint32 address vector; lanes
         outside *mask* return 0 (``None`` = every lane is active)."""
-        words = self._check(byte_addr, mask)
+        words = self._check(byte_addr, mask, self._bad_bits)
         if mask is None:
             return self.data[words]
         # inactive lanes may hold any address: gather word 0 for them
@@ -90,7 +133,7 @@ class _WordMemory:
         (last writer wins), matching the unspecified-but-deterministic
         behaviour real GPUs exhibit for intra-warp write conflicts.
         """
-        words = self._check(byte_addr, mask)
+        words = self._check(byte_addr, mask, self._store_bits)
         if mask is None:
             self.data[words] = values
         else:
@@ -109,6 +152,7 @@ class _WordMemory:
             raise ConfigError(f"{self.kind}: host writes must be 32-bit typed")
         start = self._host_index(byte_addr, values.size)
         self.data[start:start + values.size] = values
+        self.reach(start + values.size)
 
     def _host_index(self, byte_addr: int, count: int) -> int:
         if byte_addr % 4:

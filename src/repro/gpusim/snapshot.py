@@ -15,9 +15,12 @@ observe downstream:
   stack, barrier flag and the executed-instruction counter;
 * the resumed CTA's shared memory.
 
-Memories are stored as trimmed prefixes (trailing zero words dropped):
-restoring zero-fills the full array first, so a snapshot of a 4 MiB
-global memory holding a few KiB of live data costs a few KiB.
+Memories are stored as trimmed prefixes (trailing zero words dropped).
+Each memory keeps a written extent (``_WordMemory.extent``) past which
+every word is zero, so trimming scans backwards from the extent rather
+than from the end of the array, and restoring zero-fills only below the
+extent: a snapshot of a 4 MiB global memory holding a few KiB of live
+data costs a few KiB to take, store and restore.
 
 Equality helpers (:func:`device_matches`, :func:`checkpoint_matches`)
 implement the early-exit comparator: if the faulty run's state equals
@@ -41,19 +44,41 @@ from repro.common.exceptions import ConfigError
 from repro.gpusim.executor import WarpState, _StackEntry
 
 
-def _trim(data: np.ndarray) -> np.ndarray:
-    """Copy of *data* without its trailing zero words."""
-    nz = np.flatnonzero(data)
-    end = int(nz[-1]) + 1 if nz.size else 0
-    return data[:end].copy()
+#: words per step of :func:`_trim`'s backward scan
+_TRIM_CHUNK = 4096
 
 
-def _prefix_equal(full: np.ndarray, trimmed: np.ndarray) -> bool:
-    """Does *full* equal *trimmed* padded with zeros?"""
+def _trim(mem) -> np.ndarray:
+    """Copy of *mem*'s words without the trailing zero words.
+
+    Words at or past ``mem.extent`` are zero, so the last nonzero word is
+    searched backwards from the extent one chunk at a time: the cost
+    follows the live footprint, not the size of the memory.
+    """
+    data = mem.data
+    end = mem.extent
+    while end > 0:
+        start = max(0, end - _TRIM_CHUNK)
+        nz = np.flatnonzero(data[start:end])
+        if nz.size:
+            return data[:start + int(nz[-1]) + 1].copy()
+        end = start
+    return data[:0].copy()
+
+
+def _prefix_equal(mem, trimmed: np.ndarray) -> bool:
+    """Do *mem*'s words equal *trimmed* padded with zeros?"""
     t = trimmed.size
-    if not np.array_equal(full[:t], trimmed):
+    if not np.array_equal(mem.data[:t], trimmed):
         return False
-    return not full[t:].any()
+    return not mem.data[t:mem.extent].any()
+
+
+def _restore_words(mem, trimmed: np.ndarray) -> None:
+    """Set *mem*'s words to *trimmed* padded with zeros."""
+    mem.data[:mem.extent] = 0
+    mem.data[:trimmed.size] = trimmed
+    mem.set_extent(trimmed.size)
 
 
 # ---------------------------------------------------------------------
@@ -74,9 +99,9 @@ class DeviceSnapshot:
 def snapshot_device(dev) -> DeviceSnapshot:
     return DeviceSnapshot(
         mem_words=dev.config.global_mem_words,
-        global_data=_trim(dev.global_mem.data),
+        global_data=_trim(dev.global_mem),
         global_brk=dev.global_mem._brk,
-        constant_data=_trim(dev.constant_mem.data),
+        constant_data=_trim(dev.constant_mem),
         slot_counters=tuple(sorted(
             (sm, sub, slot)
             for (sm, sub), slot in dev._slot_counters.items())),
@@ -88,13 +113,9 @@ def restore_device(dev, snap: DeviceSnapshot) -> None:
         raise ConfigError(
             f"snapshot taken with {snap.mem_words} global words cannot "
             f"restore onto a {dev.config.global_mem_words}-word device")
-    g = dev.global_mem.data
-    g[:] = 0
-    g[:snap.global_data.size] = snap.global_data
+    _restore_words(dev.global_mem, snap.global_data)
     dev.global_mem._brk = snap.global_brk
-    c = dev.constant_mem.data
-    c[:] = 0
-    c[:snap.constant_data.size] = snap.constant_data
+    _restore_words(dev.constant_mem, snap.constant_data)
     dev._slot_counters.clear()
     for sm, sub, slot in snap.slot_counters:
         dev._slot_counters[(sm, sub)] = slot
@@ -105,7 +126,7 @@ def device_matches(dev, snap: DeviceSnapshot) -> bool:
     memory excluded: it is host-written per launch and identical by
     construction for the same launch sequence)."""
     return (_device_control_matches(dev, snap)
-            and _prefix_equal(dev.global_mem.data, snap.global_data))
+            and _prefix_equal(dev.global_mem, snap.global_data))
 
 
 def _device_control_matches(dev, snap: DeviceSnapshot) -> bool:
@@ -309,7 +330,7 @@ def checkpoint_delta(dev, ck: Checkpoint, warps, shared_mem,
     old = ck.device.global_data
     t = old.size
     words = np.concatenate((np.flatnonzero(g[:t] != old),
-                            t + np.flatnonzero(g[t:])))
+                            t + np.flatnonzero(g[t:dev.global_mem.extent])))
     if words.size > max_words:
         return None
     before = np.zeros(words.size, dtype=np.uint32)

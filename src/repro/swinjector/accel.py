@@ -608,9 +608,11 @@ class HangCycle:
         if not k:
             return self._give_up(executed, c.period)
         warps[i].regs += regs1[i] * _U32(k & 0xFFFFFFFF)
-        g = self.dev.global_mem.data
+        g = self.dev.global_mem
         for w, d in mem1.items():
-            g[w] = (int(g[w]) + k * d) & 0xFFFFFFFF
+            g.data[w] = (int(g.data[w]) + k * d) & 0xFFFFFFFF
+        if mem1:
+            g.reach(max(mem1) + 1)
         return self._jump(k, c.period, gained1, "affine")
 
     def _jump(self, k: int, period: int, gained: int, kind: str) -> int:

@@ -344,6 +344,11 @@ def _run_epr_unit(payload: dict) -> dict:
     scale, seed = payload["scale"], payload["seed"]
     mem_words = payload["mem_words"]
     use_accel = bool(payload.get("accel", True))
+    trace = None
+    if use_accel:
+        # the trace first: a traced pass also builds the golden run
+        with obs.span("epr.trace", app=app):
+            trace = CHECKPOINT_CACHE.get(app, scale, seed, mem_words)
     with obs.span("epr.golden", app=app):
         golden = GOLDEN_CACHE.get(app, scale, seed, mem_words)
     watchdog = 10 * golden.dynamic_instructions + 10_000
@@ -351,10 +356,6 @@ def _run_epr_unit(payload: dict) -> dict:
                            seed=seed, mem_words=mem_words)
     with obs.span("epr.unit", app=app, model=model.value,
                   injections=len(payload["indices"])):
-        trace = None
-        if use_accel:
-            with obs.span("epr.trace", app=app):
-                trace = CHECKPOINT_CACHE.get(app, scale, seed, mem_words)
         outcomes, accel_stats = _run_unit(
             app, model, payload["indices"], cfg, golden.bits, watchdog,
             trace)
@@ -433,15 +434,15 @@ class EprCampaignSpec:
                     yield uid, app, model, list(indices)
 
     def build(self, config: dict) -> CampaignPlan:
+        specs = [(app, config["scale"], config["seed"], config["mem_words"])
+                 for app in config["apps"]]
         h0, m0 = GOLDEN_CACHE.stats()
-        GOLDEN_CACHE.warm((app, config["scale"], config["seed"],
-                           config["mem_words"]) for app in config["apps"])
         if config.get("accel", True):
             # warm traces in the parent so forked workers inherit the
-            # checkpoints copy-on-write instead of re-tracing per process
-            CHECKPOINT_CACHE.warm((app, config["scale"], config["seed"],
-                                   config["mem_words"])
-                                  for app in config["apps"])
+            # checkpoints copy-on-write instead of re-tracing per process;
+            # each traced pass also builds (or checks) its golden run
+            CHECKPOINT_CACHE.warm(specs)
+        GOLDEN_CACHE.warm(specs)
         h1, m1 = GOLDEN_CACHE.stats()
         units = tuple(
             WorkUnit(unit_id=uid, kind="epr", shard=shard_of(uid,

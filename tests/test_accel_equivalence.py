@@ -126,13 +126,12 @@ class TestEprEquivalence:
     @pytest.mark.parametrize("predicated, skipped", [(False, 1), (True, 0)])
     def test_ial_enable_inert_only_on_unpredicated_targets(self, predicated,
                                                            skipped):
-        from repro.campaign.goldens import golden_run, golden_trace
+        from repro.campaign.goldens import reference_run
         from repro.swinjector.accel import AccelStats
         from repro.swinjector.campaign import replay_injection
 
         w = _LaneApp(predicated)
-        golden = golden_run(w, _MEM_WORDS)
-        trace = golden_trace(w, _MEM_WORDS, golden)
+        golden, trace = reference_run(w, _MEM_WORDS, traced_key="")
         desc = ErrorDescriptor(ErrorModel.IAL, lane=3,
                                lane_enable_mode="enable")
         watchdog = 10 * golden.dynamic_instructions + 10_000
@@ -244,13 +243,12 @@ _MEM_WORDS = 1 << 16
 def _builder_hang(shape: str, desc):
     """Replay *desc* on :class:`_HangApp` accelerated and cold, assert both
     end in the same watchdog DUE, and return the accelerated stats."""
-    from repro.campaign.goldens import golden_run, golden_trace
+    from repro.campaign.goldens import reference_run
     from repro.swinjector.accel import AccelStats
     from repro.swinjector.campaign import replay_injection
 
     w = _HangApp(shape)
-    golden = golden_run(w, _MEM_WORDS)
-    trace = golden_trace(w, _MEM_WORDS, golden)
+    golden, trace = reference_run(w, _MEM_WORDS, traced_key="")
     # far below the campaign's 10 x golden + 10 000, to keep the cold
     # replays short; any budget past the golden length is a valid one
     watchdog = 4_096
@@ -436,13 +434,12 @@ def _count_replay(spec: _Count, watchdog: int = 20_000):
     """Replay IMS(``spec.mask``) on :class:`_CountApp` accelerated and
     cold, assert equal outcome, DUE reason and message, activations and
     output bits, and return ``(cold outcome, accelerated stats)``."""
-    from repro.campaign.goldens import golden_run, golden_trace
+    from repro.campaign.goldens import reference_run
     from repro.swinjector.accel import AccelStats
     from repro.swinjector.campaign import replay_injection
 
     w = _CountApp(spec)
-    golden = golden_run(w, _MEM_WORDS)
-    trace = golden_trace(w, _MEM_WORDS, golden)
+    golden, trace = reference_run(w, _MEM_WORDS, traced_key="")
     desc = ErrorDescriptor(ErrorModel.IMS, bit_err_mask=spec.mask)
     stats = AccelStats()
     fast = replay_injection(w, desc, golden.bits, watchdog, _MEM_WORDS,
@@ -583,7 +580,7 @@ class TestAffineFastForward:
 
     def test_span_names_the_fast_forward(self):
         from repro import obs
-        from repro.campaign.goldens import golden_run, golden_trace
+        from repro.campaign.goldens import reference_run
         from repro.swinjector.accel import AccelStats
         from repro.swinjector.campaign import replay_injection
 
@@ -596,8 +593,7 @@ class TestAffineFastForward:
                     ("inplace", ErrorDescriptor(ErrorModel.IMS,
                                                 bit_err_mask=1 << 16))):
                 w = _HangApp(shape)
-                golden = golden_run(w, _MEM_WORDS)
-                trace = golden_trace(w, _MEM_WORDS, golden)
+                golden, trace = reference_run(w, _MEM_WORDS, traced_key="")
                 replay_injection(w, desc, golden.bits, 4_096, _MEM_WORDS,
                                  trace, AccelStats())
                 (span,) = [r for r in obs.RECORDER.drain()

@@ -9,12 +9,19 @@ uninterrupted one.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.goldens import (
+    EPOCH_MAX,
+    EPOCH_MIN,
+    MAX_CHECKPOINTS,
     CheckpointCache,
-    checkpoint_epoch,
+    thin_checkpoints,
     trace_key,
 )
 from repro.gpusim import Device, DeviceConfig
@@ -30,6 +37,7 @@ from repro.gpusim.snapshot import (
     warp_matches,
 )
 from repro.isa import CmpOp, KernelBuilder
+from repro.workloads import EVALUATION_APPS, get_workload
 
 MEM = 1 << 16
 
@@ -107,6 +115,114 @@ class TestDeviceSnapshot:
         assert device_matches(dev, snap0)
         restore_device(dev, after)
         assert device_matches(dev, after)
+
+
+def _poke_kernel():
+    """Every lane stores param 1 at byte address param 0."""
+    k = KernelBuilder("poke", nregs=8)
+    addr = k.load_param(0)
+    value = k.load_param(1)
+    k.gst(addr, value)
+    k.exit()
+    return k.build()
+
+
+def _full_scan_trim(data: np.ndarray) -> np.ndarray:
+    """Reference trim: scan every word of the memory."""
+    nz = np.flatnonzero(data)
+    return data[:int(nz[-1]) + 1 if nz.size else 0]
+
+
+_WORD = st.one_of(st.integers(0, 80), st.integers(MEM - 80, MEM - 1),
+                  st.integers(0, MEM - 1))
+_VALUE = st.one_of(st.just(0), st.integers(1, 0xFFFFFFFF))
+_OPS = st.one_of(
+    st.tuples(st.just("alloc"), st.integers(1, 3000)),
+    st.tuples(st.just("host"), _WORD, _VALUE),
+    st.tuples(st.just("store"), _WORD, _VALUE),
+    st.tuples(st.just("snap")),
+    st.tuples(st.just("restore"), st.integers(0, 7)),
+    st.tuples(st.just("reset")),
+)
+
+
+class TestTrimProperty:
+    """``snapshot_device`` trims within the written extent; its arrays
+    must equal a trim that scans the whole memory."""
+
+    @staticmethod
+    def _check(dev: Device) -> None:
+        snap = snapshot_device(dev)
+        for mem, got in ((dev.global_mem, snap.global_data),
+                         (dev.constant_mem, snap.constant_data)):
+            assert np.array_equal(got, _full_scan_trim(mem.data))
+            assert not mem.data[mem.extent:].any()
+        assert device_matches(dev, snap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_OPS, max_size=10))
+    def test_trim_equals_full_scan(self, ops):
+        dev = _device()
+        program = _poke_kernel()
+        snaps = [snapshot_device(dev)]
+        self._check(dev)
+        for op in ops:
+            if op[0] == "alloc":
+                dev.alloc_array(np.arange(1, op[1] + 1, dtype=np.uint32))
+            elif op[0] == "host":
+                dev.write(4 * op[1], np.array([op[2]], dtype=np.uint32))
+            elif op[0] == "store":
+                dev.launch(program, grid=(1, 1, 1), block=(32, 1, 1),
+                           params=(4 * op[1], op[2]))
+            elif op[0] == "snap":
+                snaps.append(snapshot_device(dev))
+            elif op[0] == "restore":
+                snap = snaps[op[1] % len(snaps)]
+                restore_device(dev, snap)
+                assert device_matches(dev, snap)
+            else:
+                dev.reset_memory()
+            self._check(dev)
+
+    def test_all_zero(self):
+        dev = _device()
+        self._check(dev)
+        assert snapshot_device(dev).global_data.size == 0
+
+    def test_only_last_word(self):
+        dev = _device()
+        dev.write(4 * (MEM - 1), np.array([5], dtype=np.uint32))
+        self._check(dev)
+        assert snapshot_device(dev).global_data.size == MEM
+
+    def test_writes_past_brk(self):
+        dev = _device()
+        dev.alloc_array(np.ones(8, dtype=np.uint32))
+        dev.write(4 * 3000, np.array([7], dtype=np.uint32))
+        self._check(dev)
+        dev.launch(_poke_kernel(), grid=(1, 1, 1), block=(32, 1, 1),
+                   params=(4 * (MEM - 100), 9))
+        self._check(dev)
+        assert snapshot_device(dev).global_data.size == MEM - 99
+
+    def test_restore_larger_and_smaller(self):
+        dev = _device()
+        dev.write(0, np.ones(4, dtype=np.uint32))
+        small = snapshot_device(dev)
+        dev.write(4 * 50_000, np.ones(4, dtype=np.uint32))
+        large = snapshot_device(dev)
+        for snap in (small, large, small):
+            restore_device(dev, snap)
+            self._check(dev)
+            assert np.array_equal(snapshot_device(dev).global_data,
+                                  snap.global_data)
+
+    def test_reset_memory(self):
+        dev = _device()
+        dev.write(4 * 40_000, np.ones(4, dtype=np.uint32))
+        dev.reset_memory()
+        self._check(dev)
+        assert snapshot_device(dev).global_data.size == 0
 
 
 class TestWarpSnapshot:
@@ -230,10 +346,17 @@ class TestCheckpointResume:
 
 class TestCheckpointCache:
     def test_epoch_bounds(self):
-        assert checkpoint_epoch(0) == 64
-        assert checkpoint_epoch(100) == 64
-        assert checkpoint_epoch(16 * 8192) == 8192
-        assert checkpoint_epoch(10 ** 9) == 8192
+        assert (EPOCH_MIN, EPOCH_MAX, MAX_CHECKPOINTS) == (64, 8192, 32)
+        held = list(range(32))
+        assert thin_checkpoints(held, 64) == 64 and held == list(range(32))
+        held.append(32)
+        # every other one goes, the first and the newest stay
+        assert thin_checkpoints(held, 64) == 128
+        assert held == list(range(0, 33, 2))
+        assert thin_checkpoints(list(range(33)), 4096) == 8192
+        # capped: past EPOCH_MAX the spacing stays and nothing is dropped
+        held = list(range(40))
+        assert thin_checkpoints(held, 8192) == 8192 and len(held) == 40
 
     def test_content_addressed_and_hit_counted(self):
         cache = CheckpointCache()
@@ -298,3 +421,79 @@ class TestCheckpointCache:
         for ck in trace.checkpoints:
             rec = trace.launches[ck.launch]
             assert ck.index == rec.start_index + ck.executed
+
+
+class _Nondeterministic:
+    """Toy workload whose output changes on every run."""
+
+    meta = SimpleNamespace(name="nondeterministic")
+    scale = "tiny"
+
+    def __init__(self):
+        self.runs = 0
+
+    def run(self, dev, launcher):
+        self.runs += 1
+        ptr = dev.alloc_array(np.full(32, self.runs, dtype=np.uint32))
+        launcher(_counting_kernel(), (1, 1, 1), (32, 1, 1), params=(ptr,))
+        return dev.read(ptr, 32)
+
+
+class TestReferencePass:
+    """One traced pass builds the golden run and the checkpoint trace."""
+
+    @pytest.mark.parametrize("app", sorted(EVALUATION_APPS))
+    def test_traced_pass_equals_untraced(self, app):
+        from repro.campaign.goldens import golden_run, reference_run
+
+        w = get_workload(app, scale="tiny", seed=1)
+        plain = golden_run(w, 1 << 20)
+        golden, trace = reference_run(w, 1 << 20, traced_key="t")
+        assert np.array_equal(golden.bits, plain.bits)
+        assert golden.dynamic_instructions == plain.dynamic_instructions
+        assert golden.digest == plain.digest
+        assert trace.total_instructions == golden.dynamic_instructions
+        assert trace.digest == golden.digest
+        assert EPOCH_MIN <= trace.epoch <= EPOCH_MAX
+        assert len(trace.checkpoints) <= MAX_CHECKPOINTS
+        index = [ck.index for ck in trace.checkpoints]
+        assert all(b - a >= EPOCH_MIN for a, b in zip([0] + index, index))
+
+    def test_trace_miss_fills_golden_cache(self):
+        from repro.campaign.goldens import GOLDEN_CACHE
+
+        GOLDEN_CACHE.clear()
+        trace = CheckpointCache().get("vectoradd", "tiny", 5)
+        assert GOLDEN_CACHE.stats() == (0, 1)
+        golden = GOLDEN_CACHE.get("vectoradd", "tiny", 5)
+        assert GOLDEN_CACHE.stats() == (1, 1)
+        assert golden.digest == trace.digest
+        GOLDEN_CACHE.clear()
+
+    def test_nondeterminism_raises_against_existing_golden(
+            self, monkeypatch, tmp_path):
+        from repro.campaign import goldens
+        from repro.campaign.goldens import GOLDEN_CACHE
+
+        toy = _Nondeterministic()
+        monkeypatch.setattr(goldens, "cached_workload",
+                            lambda app, scale, seed: toy)
+        GOLDEN_CACHE.clear()
+        try:
+            # no golden entry yet: the traced pass provides it
+            CheckpointCache().get("toy", "tiny", 1, MEM)
+            assert GOLDEN_CACHE.misses == 1
+            # an in-memory entry
+            with pytest.raises(RuntimeError, match="nondeterministic"):
+                CheckpointCache().get("toy", "tiny", 1, MEM)
+            # a spilled entry, as a resume in a fresh process sees it
+            GOLDEN_CACHE.clear()
+            GOLDEN_CACHE.persist_to(tmp_path)
+            GOLDEN_CACHE.get("toy", "tiny", 2, MEM)
+            GOLDEN_CACHE.clear()
+            GOLDEN_CACHE.persist_to(tmp_path)
+            with pytest.raises(RuntimeError, match="nondeterministic"):
+                CheckpointCache().get("toy", "tiny", 2, MEM)
+            assert GOLDEN_CACHE.disk_hits == 1
+        finally:
+            GOLDEN_CACHE.clear()
