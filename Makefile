@@ -22,11 +22,12 @@ lint:
 	fi
 	PYTHONPATH=src $(PY) -m repro.staticanalysis
 
-# End-to-end campaign-engine self-test: run a tiny resumable EPR campaign
-# and a tiny rtl-avf campaign, simulate an interrupt, resume each, and
-# verify the results and the ledger's accel totals match an uninterrupted
-# run (and that the EPR golden-run cache hit rate exceeds 90% and a resume
-# with empty in-memory caches recomputes no golden run or trace).
+# End-to-end campaign-engine self-test: run a tiny resumable EPR, gate
+# and rtl-avf campaign, simulate an interrupt, resume each, and verify
+# the results (EPR counts, gate records, AVF rows and syndromes) and the
+# ledger's accel totals match an uninterrupted run (and that the EPR
+# golden-run cache hit rate exceeds 90% and a resume with empty in-memory
+# caches recomputes no golden run or trace).
 campaign-smoke:
 	PYTHONPATH=src $(PY) -m repro.campaign smoke
 

@@ -8,9 +8,10 @@ studies (:mod:`repro.rtl.campaign`) — is an embarrassingly parallel
 bag of independent *work units*. This package provides the one engine
 they all run on:
 
-* :class:`~repro.campaign.engine.WorkUnit` / deterministic sharding —
-  an injection plan is partitioned by seed, so results are bit-identical
-  regardless of worker count or scheduling (:mod:`repro.campaign.engine`);
+* :class:`~repro.campaign.engine.WorkUnit` — an injection plan is
+  partitioned into units seeded by their stable identity, so results are
+  bit-identical regardless of worker count or scheduling
+  (:mod:`repro.campaign.engine`);
 * a process-pool executor with per-unit timeouts, bounded retries with
   exponential backoff, ``fail_fast`` exception propagation, and graceful
   degradation to serial execution (:func:`repro.campaign.engine.execute`);
@@ -21,7 +22,11 @@ they all run on:
   campaign resumable after interruption (:mod:`repro.campaign.store`);
   its unit results are the campaign's one ledger, and
   :func:`~repro.campaign.store.fold_results` is the one place that sums
-  them into units, items, retries, failures, cache hits and accel totals.
+  them into units, items, retries, failures, cache hits and accel totals;
+* one entry point, :func:`~repro.campaign.plans.run_campaign`: spec + config
+  (+ optional store) -> plan -> engine -> aggregate. It is the only code
+  that writes or checks a manifest, so every stored campaign — from the
+  library or the CLI — is resumable by ``python -m repro.campaign resume``.
 
 ``python -m repro.campaign`` exposes ``run`` / ``resume`` / ``status`` /
 ``verify`` / ``repair`` / ``smoke`` / ``chaos-smoke`` on top of the
@@ -40,10 +45,9 @@ from repro.campaign.engine import (
     default_processes,
     execute,
     register_runner,
-    shard_of,
 )
 from repro.campaign.goldens import GOLDEN_CACHE, GoldenCache, GoldenRun, golden_key
-from repro.campaign.plans import CampaignPlan, chunked, get_spec
+from repro.campaign.plans import CampaignPlan, chunked, get_spec, run_campaign
 from repro.campaign.store import CampaignStore, config_fingerprint, fold_results
 
 __all__ = [
@@ -64,5 +68,5 @@ __all__ = [
     "get_spec",
     "golden_key",
     "register_runner",
-    "shard_of",
+    "run_campaign",
 ]

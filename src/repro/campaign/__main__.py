@@ -38,9 +38,9 @@ import tempfile
 from pathlib import Path
 
 from repro import obs
-from repro.campaign.engine import EngineConfig, UnitResult, execute
+from repro.campaign.engine import EngineConfig, UnitResult
 from repro.campaign.goldens import CHECKPOINT_CACHE, GOLDEN_CACHE
-from repro.campaign.plans import KINDS, get_spec
+from repro.campaign.plans import KINDS, get_spec, run_campaign
 from repro.campaign.store import CampaignStore, fold_results
 from repro.common.exceptions import ConfigError, ReproError
 from repro.obs import log
@@ -121,34 +121,28 @@ def _progress_line(ledger: dict) -> str:
             f"{ledger['failed_units']} failures{quarantined}")
 
 
-def _execute_plan(spec, plan, store: CampaignStore, options: EngineConfig,
-                  quiet: bool = False) -> dict:
-    if not store.manifest_path.exists():
-        store.write_manifest(plan.kind, plan.config, len(plan.units), extra={
-            "golden_warm": {"hits": plan.warm_stats[0],
-                            "misses": plan.warm_stats[1]}})
-    else:
-        store.check_fingerprint(plan.kind, plan.config)
-    on_result = None
-    if not quiet:
-        seen: dict[str, UnitResult] = {}
+def _run_and_report(spec, config: dict, store: CampaignStore,
+                    options: EngineConfig) -> int:
+    """``run``/``resume``: :func:`run_campaign` into *store*, logging a
+    progress line every :data:`PROGRESS_EVERY` committed units, then the
+    store status and, once complete, the kind's summary."""
+    seen: dict[str, UnitResult] = {}
 
-        def on_result(result: UnitResult) -> None:
-            seen[result.unit_id] = result
-            if len(seen) % PROGRESS_EVERY == 0:
-                log.info(_progress_line(fold_results(seen, plan.warm_stats)))
+    def on_result(result: UnitResult) -> None:
+        seen[result.unit_id] = result
+        if len(seen) % PROGRESS_EVERY == 0:
+            warm = store.load_manifest().get("golden_warm", {})
+            log.info(_progress_line(fold_results(
+                seen, (warm.get("hits", 0), warm.get("misses", 0)))))
 
-    execute(plan.units, options, context=plan.context, store=store,
-            on_result=on_result)
-    obs.flush(store.directory)
+    result = run_campaign(spec, config, options, store=store,
+                          on_result=on_result)
     status = store.status()
-    if not quiet:
-        print(_progress_line(status))
-        print(json.dumps(status, indent=2))
-        if status["complete"]:
-            result = spec.aggregate(plan.config, store.load_results())
-            print(json.dumps(spec.summarize(result), indent=2))
-    return status
+    print(_progress_line(status))
+    print(json.dumps(status, indent=2))
+    if status["complete"]:
+        print(json.dumps(spec.summarize(result), indent=2))
+    return EXIT_HOLES if status["complete_with_holes"] else 0
 
 
 def cmd_run(args) -> int:
@@ -157,13 +151,10 @@ def cmd_run(args) -> int:
     spec = get_spec(args.kind)
     config = spec.default_config(**_config_overrides(args))
     store = CampaignStore(args.dir, durable=getattr(args, "durable", False))
-    spec.spill_to(config, store.directory)
-    plan = spec.build(config)
-    print(f"campaign {args.kind}: {len(plan.units)} work units "
-          f"-> {store.directory}")
-    status = _execute_plan(spec, plan, store,
-                           _engine_options(args, max_units=args.interrupt_after))
-    return EXIT_HOLES if status["complete_with_holes"] else 0
+    print(f"campaign {args.kind} -> {store.directory}")
+    return _run_and_report(
+        spec, config, store,
+        _engine_options(args, max_units=args.interrupt_after))
 
 
 def cmd_resume(args) -> int:
@@ -174,14 +165,11 @@ def cmd_resume(args) -> int:
     if getattr(args, "retry_quarantined", False):
         requeued = store.clear_quarantine()
         print(f"re-queued {requeued} quarantined unit(s)")
-    spec = get_spec(manifest["kind"])
-    spec.spill_to(manifest["config"], store.directory)
-    plan = spec.build(manifest["config"])
     pending = manifest["total_units"] - len(store.completed_ids())
     print(f"resuming {manifest['kind']} campaign in {store.directory}: "
           f"{pending} of {manifest['total_units']} units pending")
-    status = _execute_plan(spec, plan, store, _engine_options(args))
-    return EXIT_HOLES if status["complete_with_holes"] else 0
+    return _run_and_report(get_spec(manifest["kind"]), manifest["config"],
+                           store, _engine_options(args))
 
 
 def cmd_status(args) -> int:
@@ -239,40 +227,44 @@ def cmd_repair(args) -> int:
 def _interrupt_resume_fresh(spec, config: dict, directory: Path,
                             failures: list[str]):
     """Run *config* serially up to a third of its units, resume it on a
-    pool, and run it again uninterrupted; returns the store status and the
-    resumed and fresh aggregates. The resumed store's accel totals must
-    equal the fold of the fresh run's result map."""
+    pool, and run it again uninterrupted in memory; returns the store
+    status and the resumed and fresh aggregates. The resumed store's
+    accel totals must equal the fold of the fresh run's results."""
     store = CampaignStore(directory)
-    spec.spill_to(config, store.directory)
-    plan = spec.build(config)
-    total = len(plan.units)
+    # no units: plans the campaign into the directory (manifest, spill)
+    run_campaign(spec, config, EngineConfig(processes=1, max_units=0),
+                 store=store)
+    total = store.load_manifest()["total_units"]
     cut = max(1, total // 3)
-    print(f"smoke: {plan.kind}: {total} units; interrupting after {cut}")
+    print(f"smoke: {spec.kind}: {total} units; interrupting after {cut}")
 
     # phase 1: serial run, simulated interrupt after `cut` units
-    status = _execute_plan(spec, plan, store,
-                           EngineConfig(processes=1, max_units=cut),
-                           quiet=True)
+    run_campaign(spec, config, EngineConfig(processes=1, max_units=cut),
+                 store=store)
+    status = store.status()
     if status["complete"] or status["completed_units"] != cut:
         failures.append(
-            f"{plan.kind}: interrupted run should stop at {cut} units, "
+            f"{spec.kind}: interrupted run should stop at {cut} units, "
             f"got {status['completed_units']}")
 
     # phase 2: resume on a pool; engine skips the completed units
-    status = _execute_plan(spec, plan, store,
-                           EngineConfig(processes=2), quiet=True)
+    resumed = run_campaign(spec, config, EngineConfig(processes=2),
+                           store=store)
+    status = store.status()
     if not status["complete"]:
         failures.append(
-            f"{plan.kind}: resume left campaign incomplete: {status}")
-    resumed = spec.aggregate(plan.config, store.load_results())
+            f"{spec.kind}: resume left campaign incomplete: {status}")
 
     # reference: uninterrupted in-memory run on a pool
-    results = execute(plan.units, EngineConfig(processes=2))
+    results: dict[str, UnitResult] = {}
+    fresh = run_campaign(
+        spec, config, EngineConfig(processes=2),
+        on_result=lambda r: results.__setitem__(r.unit_id, r))
     fresh_accel = fold_results(results)["accel"]
     if status["accel"] != fresh_accel:
-        failures.append(f"{plan.kind}: resumed accel totals "
+        failures.append(f"{spec.kind}: resumed accel totals "
                         f"{status['accel']} != fresh {fresh_accel}")
-    return status, resumed, spec.aggregate(plan.config, results)
+    return status, resumed, fresh
 
 
 def _resume_loads_references(spec, config: dict, directory: Path,
@@ -299,13 +291,15 @@ def _resume_loads_references(spec, config: dict, directory: Path,
 def cmd_smoke(args) -> int:
     """End-to-end resumability self-test (run -> interrupt -> resume).
 
-    For a tiny EPR and a tiny ``rtl-avf`` campaign, verifies the engine
+    For a tiny EPR, ``gate`` and ``rtl-avf`` campaign, verifies the engine
     guarantees: an interrupted + resumed campaign equals an uninterrupted
     one (aggregate and accel totals), and worker count does not change
     results; for EPR also that the golden-run cache absorbs >90% of
     reference runs and that a resume with empty in-memory caches loads
     every reference run from the campaign directory.
     """
+    from repro.faultinjection.campaign import record_to_json
+
     base = Path(args.dir) if args.dir else Path(
         tempfile.mkdtemp(prefix="campaign-smoke-"))
     failures: list[str] = []
@@ -342,6 +336,18 @@ def cmd_smoke(args) -> int:
               f"cache hit rate {rate}, "
               f"overall EPR {resumed.overall_epr():.1f}%")
 
+        spec = get_spec("gate")
+        config = spec.default_config(max_faults=192, max_stimuli=8, words=1)
+        status, resumed, fresh = _interrupt_resume_fresh(
+            spec, config, base / "gate", failures)
+        if (resumed.num_stimuli != fresh.num_stimuli
+                or [record_to_json(r) for r in resumed.records]
+                != [record_to_json(r) for r in fresh.records]):
+            failures.append("gate records differ between resumed and fresh")
+        print(f"smoke: gate {status['completed_units']}/"
+              f"{status['total_units']} units, {status['items']} faults, "
+              f"{status['accel'].get('pairs_dropped', 0)} pairs dropped")
+
         spec = get_spec("rtl-avf")
         config = spec.default_config(
             benches=["FADD", "IADD", "FSIN"], input_ranges=["M"],
@@ -363,8 +369,8 @@ def cmd_smoke(args) -> int:
         for f in failures:
             print(f"SMOKE FAIL: {f}", file=sys.stderr)
         return 1
-    print("campaign smoke: OK (epr and rtl-avf interrupt -> resume == "
-          "fresh, accel totals included; cache > 90%; resume reuses the "
+    print("campaign smoke: OK (epr, gate and rtl-avf interrupt -> resume "
+          "== fresh, accel totals included; cache > 90%; resume reuses the "
           "spilled reference runs)")
     return 0
 
@@ -391,18 +397,17 @@ def cmd_chaos_smoke(args) -> int:
                 if args.faults is None else args.faults)
     try:
         store = CampaignStore(base / "chaotic")
-        plan = spec.build(config)
-        print(f"chaos-smoke: {len(plan.units)} units under "
-              f"REPRO_CHAOS='{spec_str}' (seed {args.chaos_seed})")
+        print(f"chaos-smoke: REPRO_CHAOS='{spec_str}' "
+              f"(seed {args.chaos_seed})")
 
         # phase 1: run with chaos active — short unit timeout so injected
         # hangs cost seconds, not the default 10-minute budget
         state = chaos.configure(spec_str, seed=args.chaos_seed)
         try:
-            _execute_plan(spec, plan, store,
-                          EngineConfig(processes=2, timeout=8.0, retries=2,
-                                       watchdog_grace=1.0),
-                          quiet=True)
+            run_campaign(spec, config,
+                         EngineConfig(processes=2, timeout=8.0, retries=2,
+                                      watchdog_grace=1.0),
+                         store=store)
         finally:
             chaos.deactivate()
         fired = dict(state.fired)
@@ -424,23 +429,23 @@ def cmd_chaos_smoke(args) -> int:
                 failures.append(f"repair left problems:\n{after.render()}")
 
         # phase 3: clean resume fills every hole left by the faults
-        status = _execute_plan(spec, plan, store,
-                               EngineConfig(processes=2), quiet=True)
+        survived = run_campaign(spec, config, EngineConfig(processes=2),
+                                store=store)
+        status = store.status()
         if not (status["complete"] or status["complete_with_holes"]):
             failures.append(f"resume did not converge: {status}")
         if status["quarantined_units"]:
             print(f"chaos-smoke: {status['quarantined_units']} unit(s) "
                   "quarantined; re-queueing for the equivalence check")
             store.clear_quarantine()
-            status = _execute_plan(spec, plan, store,
-                                   EngineConfig(processes=2), quiet=True)
+            survived = run_campaign(spec, config, EngineConfig(processes=2),
+                                    store=store)
+            status = store.status()
         if not status["complete"]:
             failures.append(f"campaign did not complete: {status}")
 
         # phase 4: equivalence against a fault-free reference
-        survived = spec.aggregate(plan.config, store.load_results())
-        fresh = spec.aggregate(plan.config,
-                               execute(plan.units, EngineConfig(processes=2)))
+        fresh = run_campaign(spec, config, EngineConfig(processes=2))
         for app in config["apps"]:
             for model in survived.config.models:
                 a = survived.counts(app, model)

@@ -39,7 +39,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro import obs
 from repro.common.exceptions import ConfigError, ReproError
-from repro.common.rng import derive_seed
 from repro.obs import log
 from repro.resilience import chaos
 from repro.resilience.watchdog import (
@@ -48,12 +47,6 @@ from repro.resilience.watchdog import (
     SignalGuard,
     Watchdog,
 )
-
-#: number of deterministic shards a plan is partitioned into. Shards are a
-#: scheduling granularity, not a correctness concern: the mapping unit ->
-#: shard depends only on the campaign seed and the unit id, never on the
-#: worker count.
-DEFAULT_SHARDS = 8
 
 #: hard cap on the default pool size; campaigns scale past this only when
 #: the caller (or REPRO_PROCESSES) asks explicitly.
@@ -108,8 +101,6 @@ class WorkUnit:
     kind: str
     #: runner parameters; must be picklable (JSON-serializable preferred)
     payload: dict
-    #: deterministic shard index in ``range(DEFAULT_SHARDS)``
-    shard: int = 0
 
 
 @dataclass
@@ -118,7 +109,6 @@ class UnitResult:
 
     unit_id: str
     kind: str
-    shard: int
     ok: bool
     value: dict | None = None
     error: str | None = None
@@ -165,12 +155,6 @@ class UnitResult:
     @classmethod
     def from_json(cls, data: dict) -> "UnitResult":
         return cls(**data)
-
-
-def shard_of(unit_id: str, seed: int = 0,
-             num_shards: int = DEFAULT_SHARDS) -> int:
-    """Deterministic shard for *unit_id* — stable across runs and workers."""
-    return derive_seed(seed, "shard", unit_id) % num_shards
 
 
 # ---------------------------------------------------------------------
@@ -312,8 +296,7 @@ def _execute_unit(unit: WorkUnit, attempt: int = 0) -> UnitResult:
     token = obs.capture_begin() if in_worker else None
     t0 = time.perf_counter()
     try:
-        with obs.span("engine.unit", unit=unit.unit_id, kind=unit.kind,
-                      shard=unit.shard):
+        with obs.span("engine.unit", unit=unit.unit_id, kind=unit.kind):
             value = get_runner(unit.kind)(unit.payload)
         ok, error = True, None
     except Exception:
@@ -323,7 +306,7 @@ def _execute_unit(unit: WorkUnit, attempt: int = 0) -> UnitResult:
             _HEARTBEAT[0].clear(_HEARTBEAT[1])
     elapsed = time.perf_counter() - t0
     return UnitResult(
-        unit_id=unit.unit_id, kind=unit.kind, shard=unit.shard, ok=ok,
+        unit_id=unit.unit_id, kind=unit.kind, ok=ok,
         value=value, error=error, elapsed=elapsed,
         cache_hits=GOLDEN_CACHE.hits - h0,
         cache_misses=GOLDEN_CACHE.misses - m0,
@@ -332,38 +315,51 @@ def _execute_unit(unit: WorkUnit, attempt: int = 0) -> UnitResult:
 
 
 def _run_wave_serial(units: Sequence[WorkUnit],
+                     settle: Callable[[UnitResult], None],
                      guard: SignalGuard | None = None,
-                     attempt: int = 0) -> tuple[list[UnitResult], bool]:
-    results: list[UnitResult] = []
+                     attempt: int = 0) -> bool:
+    """One attempt over *units* in this process, each result handed to
+    *settle* as it arrives. Returns whether a shutdown signal left a unit
+    unrun (a signal that arrives during the last unit cuts nothing)."""
     for u in units:
         if guard is not None and guard.requested:
-            return results, True
-        results.append(_execute_unit(u, attempt))
-    return results, guard is not None and guard.requested
+            return True
+        settle(_execute_unit(u, attempt))
+    return False
 
 
 def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
                    options: EngineConfig,
+                   settle: Callable[[UnitResult], None],
                    guard: SignalGuard | None = None,
-                   attempt: int = 0) -> tuple[list[UnitResult], bool]:
-    """One attempt over *units* on a fork pool, with per-unit timeouts.
+                   attempt: int = 0) -> bool | None:
+    """One attempt over *units* on a fork pool, with per-unit timeouts;
+    each result is handed to *settle* as it arrives, in unit order.
 
     A timed-out unit is recorded as a retryable (hard) failure; the pool
     is terminated afterwards so a hung worker cannot leak into later
     waves, and the watchdog reclaims stalled workers mid-wave. Returns
-    the results plus whether a shutdown signal cut the wave short.
+    whether a shutdown signal cut the wave short, or ``None`` when no
+    pool could be created (the caller runs the wave serially).
     """
     ctx = mp.get_context("fork")
-    heartbeats = (Heartbeats(processes + 32) if options.watchdog else None)
-    pool = ctx.Pool(processes, initializer=_worker_init,
-                    initargs=(heartbeats,))
+    try:
+        heartbeats = (Heartbeats(processes + 32) if options.watchdog
+                      else None)
+        pool = ctx.Pool(processes, initializer=_worker_init,
+                        initargs=(heartbeats,))
+    except (OSError, ValueError) as exc:
+        # no fork / fd exhaustion / bad pool size: degrade, don't die
+        reason = f"pool unavailable ({exc})"
+        obs.event("engine.degraded", reason=reason)
+        log.warning(f"[campaign] degraded: {reason}; running serially")
+        return None
     watchdog = None
     if heartbeats is not None:
         watchdog = Watchdog(
             heartbeats, options.timeout, grace=options.watchdog_grace,
             kill_grace=options.watchdog_grace, on_escalate=_note_escalation)
         watchdog.start()
-    results: list[UnitResult] = []
     interrupted = False
     dirty = False  # a worker was lost or the wave was cut short
     try:
@@ -371,33 +367,33 @@ def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
                    for u in units]
         for u, h in handles:
             deadline = time.monotonic() + options.timeout
-            while True:
+            result = None
+            while result is None:
                 if guard is not None and guard.requested:
                     interrupted = True
                     break
                 try:
-                    results.append(h.get(_POLL_SECONDS))
-                    break
+                    result = h.get(_POLL_SECONDS)
                 except mp.TimeoutError:
                     if time.monotonic() >= deadline:
                         dirty = True
-                        results.append(UnitResult(
-                            unit_id=u.unit_id, kind=u.kind, shard=u.shard,
-                            ok=False,
+                        result = UnitResult(
+                            unit_id=u.unit_id, kind=u.kind, ok=False,
                             error=f"{_TIMEOUT_PREFIX} "
                                   f"{options.timeout:.0f}s",
-                            elapsed=options.timeout))
-                        break
+                            elapsed=options.timeout)
                 except Exception:
                     dirty = True
-                    results.append(UnitResult(
-                        unit_id=u.unit_id, kind=u.kind, shard=u.shard,
-                        ok=False,
+                    result = UnitResult(
+                        unit_id=u.unit_id, kind=u.kind, ok=False,
                         error=f"{_POOL_FAILURE_PREFIX}\n"
-                              f"{traceback.format_exc()}"))
-                    break
+                              f"{traceback.format_exc()}")
             if interrupted:
                 break
+            settle(result)
+    except BaseException:
+        dirty = True  # settle raised: do not wait for the rest of the wave
+        raise
     finally:
         if watchdog is not None:
             watchdog.stop()
@@ -408,7 +404,7 @@ def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
         else:
             pool.close()
         pool.join()
-    return results, interrupted
+    return interrupted
 
 
 def _note_escalation(pid: int, sig: str) -> None:
@@ -468,66 +464,62 @@ def execute(units: Iterable[WorkUnit],
             on_result(result)
 
     attempt = 0
+    by_id: dict[str, WorkUnit] = {}
+    retry: list[WorkUnit] = []
+
+    def settle(r: UnitResult) -> None:
+        """Commit *r* the moment it arrives, or queue its unit for the
+        next wave."""
+        r.retries = attempt
+        if r.ok:
+            commit(r)
+            return
+        if options.fail_fast:
+            raise CampaignUnitError(r.unit_id, r.error or "unknown error")
+        if r.hard_failure:
+            hard_fails[r.unit_id] = hard_fails.get(r.unit_id, 0) + 1
+        poison = hard_fails.get(r.unit_id, 0) >= options.hard_fail_limit
+        if attempt < options.retries and not poison:
+            _UNIT_RETRIES.inc(kind=r.kind)
+            obs.event("unit.retry", unit=r.unit_id, attempt=attempt)
+            retry.append(by_id[r.unit_id])
+        elif store is not None and options.quarantine:
+            reason = (
+                f"poison unit: {hard_fails.get(r.unit_id, 0)} "
+                f"hard failures (worker lost)" if poison else
+                f"retries exhausted after {attempt + 1} attempts")
+            commit(r, quarantine_reason=reason)
+        else:
+            commit(r)
+
     guard = SignalGuard() if options.handle_signals else None
-    interrupted = False
+    interrupted = False  # a signal cut a wave short
+
+    def signalled() -> bool:
+        return guard is not None and guard.requested
+
     if guard is not None:
         guard.__enter__()
     try:
-        while pending and not interrupted:
+        while pending and not interrupted and not signalled():
             if attempt > 0:
                 time.sleep(options.backoff * (2 ** (attempt - 1)))
+            by_id = {u.unit_id: u for u in pending}
+            retry = []
             pooled = processes > 1 and len(pending) > 1
             with obs.span("engine.wave", attempt=attempt,
                           pending=len(pending),
                           mode="pool" if pooled else "serial"):
-                if pooled:
-                    try:
-                        results, interrupted = _run_wave_pool(
-                            pending, processes, options, guard, attempt)
-                    except (OSError, ValueError) as exc:
-                        # no fork / fd exhaustion / bad pool size:
-                        # degrade, don't die
-                        reason = f"pool unavailable ({exc})"
-                        obs.event("engine.degraded", reason=reason)
-                        log.warning(f"[campaign] degraded: {reason}; "
-                                    "running serially")
-                        results, interrupted = _run_wave_serial(
-                            pending, guard, attempt)
-                else:
-                    results, interrupted = _run_wave_serial(
-                        pending, guard, attempt)
-
-            by_id = {u.unit_id: u for u in pending}
-            pending = []
-            for r in results:
-                r.retries = attempt
-                if r.ok:
-                    commit(r)
-                    continue
-                if options.fail_fast:
-                    raise CampaignUnitError(r.unit_id,
-                                            r.error or "unknown error")
-                if r.hard_failure:
-                    hard_fails[r.unit_id] = \
-                        hard_fails.get(r.unit_id, 0) + 1
-                poison = (hard_fails.get(r.unit_id, 0)
-                          >= options.hard_fail_limit)
-                if attempt < options.retries and not poison:
-                    _UNIT_RETRIES.inc(kind=r.kind)
-                    obs.event("unit.retry", unit=r.unit_id,
-                              attempt=attempt)
-                    pending.append(by_id[r.unit_id])
-                    continue
-                if store is not None and options.quarantine:
-                    reason = (
-                        f"poison unit: {hard_fails.get(r.unit_id, 0)} "
-                        f"hard failures (worker lost)" if poison else
-                        f"retries exhausted after {attempt + 1} attempts")
-                    commit(r, quarantine_reason=reason)
-                else:
-                    commit(r)
+                cut = (_run_wave_pool(pending, processes, options, settle,
+                                      guard, attempt) if pooled else None)
+                if cut is None:
+                    cut = _run_wave_serial(pending, settle, guard, attempt)
+            interrupted = cut
+            pending = retry
             attempt += 1
-        if interrupted or (guard is not None and guard.requested):
+        # a signal interrupts only when it left a unit unrun or a retry
+        # pending; one that lands after the last commit changes nothing
+        if interrupted or (pending and signalled()):
             signum = (guard.signum if guard is not None
                       and guard.signum else _signal.SIGINT)
             exc = CampaignInterrupted(signum, committed=len(done))

@@ -1,4 +1,4 @@
-"""Campaign plans and the kind registry.
+"""Campaign plans, the kind registry and the one campaign entry point.
 
 A *plan* is the fully-materialized, deterministic description of one
 campaign: its config dict (what goes into the manifest), its work units
@@ -16,16 +16,24 @@ a spec object (``module:attribute``) with five methods::
 
 ``build`` must be a pure function of the config so that ``resume`` can
 rebuild the identical plan from the manifest alone.
+
+:func:`run_campaign` is the one way a spec and a config become a result:
+the library entry points (``run_epr_campaign``, ``run_microbench_avf``,
+``run_tmxm_campaign``) and every CLI command that executes a campaign
+call it, and it is the only code that writes or checks a campaign
+directory's manifest.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
+from repro import obs
+from repro.campaign import engine
+from repro.campaign.engine import EngineConfig, UnitResult, WorkUnit
 from repro.common.exceptions import ConfigError
-from repro.campaign.engine import WorkUnit
 
 #: campaign kind -> ``module:attribute`` of its spec (lazy import keeps
 #: repro.campaign free of dependencies on the injection layers)
@@ -70,3 +78,38 @@ def ensure_kind_loaded(kind: str) -> None:
     """Import the module providing *kind* so its runner registers."""
     if kind in KINDS:
         importlib.import_module(KINDS[kind].partition(":")[0])
+
+
+def run_campaign(spec, config: dict, options: EngineConfig | None = None, *,
+                 store=None,
+                 on_result: Callable[[UnitResult], None] | None = None):
+    """Run *spec*'s campaign for *config* and return its aggregate.
+
+    Without *store* the plan runs in memory. With a
+    :class:`~repro.campaign.store.CampaignStore` the reference runs spill
+    under its directory, a new directory gets a manifest (with the plan's
+    golden-cache warm-up) and an existing one must carry the same
+    fingerprint, or :class:`ConfigError` is raised instead of mixing
+    results; units already stored are skipped and merged into the
+    aggregate. *options* are the executor knobs (``max_units`` stops
+    early: the directory stays resumable) and *on_result* sees every
+    unit committed by this call.
+    """
+    if store is not None:
+        spec.spill_to(config, store.directory)
+    plan = spec.build(config)
+    if store is not None:
+        if store.manifest_path.exists():
+            store.check_fingerprint(plan.kind, plan.config)
+        else:
+            hits, misses = plan.warm_stats
+            store.write_manifest(plan.kind, plan.config, len(plan.units),
+                                 extra={"golden_warm": {"hits": hits,
+                                                        "misses": misses}})
+    # a module attribute, so a profiler that wraps engine.execute sees it
+    results = engine.execute(plan.units, options, context=plan.context,
+                             store=store, on_result=on_result)
+    if store is not None:
+        obs.flush(store.directory)
+        results = {**store.load_results(), **results}
+    return spec.aggregate(plan.config, results)

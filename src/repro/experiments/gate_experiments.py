@@ -1,18 +1,15 @@
 """T4/T5/F9/T6 — the gate-level characterization of WSC, fetch, decoder.
 
 The three-unit stuck-at sweep runs on the unified campaign engine
-(:mod:`repro.campaign`): pass ``campaign_dir`` to any sweep to persist
-per-unit results (manifest + ``results.jsonl``) so an interrupted sweep
-resumes from the completed fault batches.
+(:mod:`repro.campaign`), one in-memory campaign per unit; a resumable
+sweep is ``python -m repro.campaign run --kind gate`` per unit.
 """
 
 from __future__ import annotations
 
 import functools
-from pathlib import Path
 
 from repro.analysis import ExperimentReport
-from repro.campaign.store import CampaignStore
 from repro.errormodels.models import ErrorModel
 from repro.faultinjection import CampaignConfig, GateCampaignResult, run_gate_campaign
 from repro.gatelevel import netlist_area
@@ -44,20 +41,12 @@ def _profile(scale: str, per_workload: int):
 
 @functools.lru_cache(maxsize=16)
 def _gate_campaign(unit: str, max_faults: int | None, max_stimuli: int,
-                   scale: str, processes: int = 1,
-                   campaign_dir: str | None = None) -> GateCampaignResult:
-    """One unit's stuck-at campaign, submitted through the engine.
-
-    With *campaign_dir*, each unit's fault batches land in
-    ``<campaign_dir>/<unit>`` and a re-run (after a kill) executes only
-    the missing batches.
-    """
+                   scale: str, processes: int = 1) -> GateCampaignResult:
+    """One unit's stuck-at campaign, submitted through the engine."""
     prof = _profile(scale, max(8, max_stimuli // 6))
     cfg = CampaignConfig(unit=unit, max_faults=max_faults,
                          max_stimuli=max_stimuli, processes=processes)
-    store = (CampaignStore(Path(campaign_dir) / unit)
-             if campaign_dir else None)
-    return run_gate_campaign(cfg, prof.stimuli, store=store)
+    return run_gate_campaign(cfg, prof.stimuli)
 
 
 def run_tab_area(scale: str = "tiny", per_workload: int = 16
@@ -96,13 +85,11 @@ def run_tab_area(scale: str = "tiny", per_workload: int = 16
 
 def run_tab_hw_fault_rate(max_faults: int | None = 1024,
                           max_stimuli: int = 48, scale: str = "tiny",
-                          processes: int = 1,
-                          campaign_dir: str | None = None) -> ExperimentReport:
+                          processes: int = 1) -> ExperimentReport:
     """Table 5: % uncontrollable / masked / hang / SW-error per unit."""
     rows = []
     for unit in UNITS:
-        res = _gate_campaign(unit, max_faults, max_stimuli, scale, processes,
-                             campaign_dir)
+        res = _gate_campaign(unit, max_faults, max_stimuli, scale, processes)
         rates = res.category_rates()
         paper = PAPER_TABLE5[unit]
         rows.append({
@@ -125,13 +112,11 @@ def run_tab_hw_fault_rate(max_faults: int | None = 1024,
 
 
 def run_fig_fapr(max_faults: int | None = 1024, max_stimuli: int = 48,
-                 scale: str = "tiny", processes: int = 1,
-                 campaign_dir: str | None = None) -> ExperimentReport:
+                 scale: str = "tiny", processes: int = 1) -> ExperimentReport:
     """Fig 9: FAPR per error model per unit."""
     rows = []
     for unit in UNITS:
-        res = _gate_campaign(unit, max_faults, max_stimuli, scale, processes,
-                             campaign_dir)
+        res = _gate_campaign(unit, max_faults, max_stimuli, scale, processes)
         fapr = res.fapr()
         row = {"unit": unit.upper()}
         for m in ErrorModel:
@@ -149,13 +134,11 @@ def run_fig_fapr(max_faults: int | None = 1024, max_stimuli: int = 48,
 
 
 def run_tab_error_avf(max_faults: int | None = 1024, max_stimuli: int = 48,
-                      scale: str = "tiny", processes: int = 1,
-                      campaign_dir: str | None = None) -> ExperimentReport:
+                      scale: str = "tiny", processes: int = 1) -> ExperimentReport:
     """Table 6: per-error fault counts, AVF and dynamic production counts."""
     rows = []
     for unit in UNITS:
-        res = _gate_campaign(unit, max_faults, max_stimuli, scale, processes,
-                             campaign_dir)
+        res = _gate_campaign(unit, max_faults, max_stimuli, scale, processes)
         per = res.faults_per_error()
         times = res.times_produced()
         fapr = res.fapr()

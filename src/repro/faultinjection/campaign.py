@@ -3,8 +3,10 @@
 Fault batches execute as work units on the unified campaign engine
 (:mod:`repro.campaign`): the netlist stimuli and golden traces are shared
 with forked workers through the engine context (copy-on-write, never
-pickled per unit), batches retry on transient failure, and the engine's
-store/manifest layout survives interruption.
+pickled per unit) and batches retry on transient failure.
+:func:`run_gate_campaign` runs one unit over caller-supplied stimuli in
+memory; a stored, resumable campaign is a :class:`GateCampaignSpec`
+config run by :func:`repro.campaign.run_campaign`.
 
 Every batch runs through one replay loop (:func:`_replay_batch`): the
 accelerated setting drops provably no-op ``(fault, stimulus)`` pairs and
@@ -21,15 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.campaign import engine
 from repro.campaign.engine import (
     EngineConfig,
     UnitResult,
     WorkUnit,
     default_processes,
-    execute,
     get_context,
     register_runner,
-    shard_of,
 )
 from repro.campaign.plans import CampaignPlan
 from repro.common.rng import DEFAULT_SEED
@@ -69,10 +70,6 @@ class CampaignConfig:
     seed: int = DEFAULT_SEED
     processes: int = field(default_factory=default_processes)
     fail_fast: bool = True
-    #: per-unit wall-clock budget (engine watchdog backstop)
-    timeout: float = 600.0
-    #: re-runs of a failed unit before it is quarantined/recorded
-    retries: int = 2
     #: fault-list reduction applied before sampling: "none" keeps the raw
     #: stuck-at universe; "structural" collapses equivalent faults
     #: (BUF/NOT chains + controlling values) and drops untestable ones
@@ -392,9 +389,9 @@ def _run_gate_unit(payload: dict) -> dict:
     }
 
 
-def _build_gate_plan(config: CampaignConfig, stimuli: list[Stimulus],
-                     plan_config: dict | None = None) -> CampaignPlan:
-    """Materialize batches + shared context for one unit's campaign."""
+def _build_gate_plan(config: CampaignConfig, stimuli: list[Stimulus]
+                     ) -> tuple[tuple[WorkUnit, ...], dict]:
+    """Fault batches + shared context for one unit's campaign."""
     unit = build_unit(config.unit)
     faults = full_fault_list(unit.netlist)
     if config.collapse == "structural":
@@ -406,24 +403,15 @@ def _build_gate_plan(config: CampaignConfig, stimuli: list[Stimulus],
     golden = _golden_run(unit, stimuli)
 
     cap = 64 * config.words
-    units = []
-    for b, start in enumerate(range(0, len(faults), cap)):
-        uid = f"gate/{config.unit}/{b:05d}"
-        units.append(WorkUnit(
-            unit_id=uid, kind="gate", shard=shard_of(uid, config.seed),
-            payload={"batch": b,
-                     "faults": [(f.net, f.stuck_at)
-                                for f in faults[start:start + cap]]}))
+    units = tuple(
+        WorkUnit(unit_id=f"gate/{config.unit}/{b:05d}", kind="gate",
+                 payload={"batch": b,
+                          "faults": [(f.net, f.stuck_at)
+                                     for f in faults[start:start + cap]]})
+        for b, start in enumerate(range(0, len(faults), cap)))
     context = {"unit": config.unit, "stimuli": stimuli, "golden": golden,
                "accel": config.accel}
-    cfg_dict = plan_config if plan_config is not None else {
-        "unit": config.unit, "max_faults": config.max_faults,
-        "max_stimuli": config.max_stimuli, "words": config.words,
-        "seed": config.seed, "collapse": config.collapse,
-        "accel": config.accel,
-    }
-    return CampaignPlan(kind="gate", config=cfg_dict, units=tuple(units),
-                        context=context)
+    return units, context
 
 
 def _aggregate_gate(unit_name: str,
@@ -445,29 +433,18 @@ def _aggregate_gate(unit_name: str,
 # ---------------------------------------------------------------------
 
 def run_gate_campaign(config: CampaignConfig,
-                      stimuli: list[Stimulus], *,
-                      store=None,
-                      max_units: int | None = None) -> GateCampaignResult:
-    """Run the gate-level campaign for one unit over *stimuli*.
+                      stimuli: list[Stimulus]) -> GateCampaignResult:
+    """Run the gate-level campaign for one unit over *stimuli*, in memory.
 
-    With *store* (a :class:`repro.campaign.CampaignStore`) completed fault
-    batches are persisted in the engine's manifest + ``results.jsonl``
-    layout used by ``python -m repro.campaign`` and skipped on restart, so
-    paper-scale campaigns survive interruption. *max_units* bounds how
-    many pending batches this call executes.
+    A campaign that must survive interruption is a :class:`GateCampaignSpec`
+    config run by :func:`repro.campaign.run_campaign` with a store (or
+    ``python -m repro.campaign run --kind gate``): its manifest rebuilds
+    the profiled stimuli, so ``resume`` needs nothing else.
     """
-    plan = _build_gate_plan(config, stimuli)
-    if store is not None and not store.manifest_path.exists():
-        store.write_manifest(plan.kind, plan.config, len(plan.units))
-
-    options = EngineConfig(processes=config.processes,
-                           fail_fast=config.fail_fast, max_units=max_units,
-                           timeout=config.timeout, retries=config.retries)
-    results = execute(plan.units, options, context=plan.context,
-                      store=store)
-    if store is not None:
-        obs.flush(store.directory)
-        results = {**store.load_results(), **results}
+    units, context = _build_gate_plan(config, stimuli)
+    results = engine.execute(units, EngineConfig(
+        processes=config.processes, fail_fast=config.fail_fast),
+        context=context)
     return _aggregate_gate(config.unit, results)
 
 
@@ -511,7 +488,9 @@ class GateCampaignSpec:
                             words=config["words"], seed=config["seed"],
                             collapse=config.get("collapse", "none"),
                             accel=bool(config.get("accel", True)))
-        return _build_gate_plan(cc, prof.stimuli, plan_config=dict(config))
+        units, context = _build_gate_plan(cc, prof.stimuli)
+        return CampaignPlan(kind="gate", config=dict(config), units=units,
+                            context=context)
 
     @staticmethod
     def spill_to(config: dict, directory) -> None:

@@ -125,8 +125,8 @@ def cmd_smoke(args) -> int:
     ``{model,workload,outcome}`` labels equals the campaign item count.
     """
     from repro import obs
-    from repro.campaign.engine import EngineConfig, execute
-    from repro.campaign.plans import get_spec
+    from repro.campaign.engine import EngineConfig
+    from repro.campaign.plans import get_spec, run_campaign
     from repro.campaign.store import CampaignStore
 
     base = Path(args.dir) if args.dir else Path(
@@ -140,13 +140,12 @@ def cmd_smoke(args) -> int:
             apps=["vectoradd"], models=["WV", "IIO"],
             injections_per_model=4, chunk=2, scale="tiny")
         store = CampaignStore(base / "traced")
-        plan = spec.build(config)
-        store.write_manifest(plan.kind, plan.config, len(plan.units))
-        execute(plan.units, EngineConfig(processes=args.processes),
-                store=store)
-        written = obs.flush(store.directory)
-        if not written:
-            failures.append("flush wrote nothing with obs enabled")
+        # run_campaign flushes the sinks into the campaign directory
+        run_campaign(spec, config, EngineConfig(processes=args.processes),
+                     store=store)
+        for name in (sinks.EVENTS_NAME, sinks.METRICS_NAME):
+            if not (store.directory / name).exists():
+                failures.append(f"flush wrote no {name} with obs enabled")
 
         trace_path = sinks.export_trace(store.directory)
         failures.extend(sinks.validate_chrome_trace(trace_path))

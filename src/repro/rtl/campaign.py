@@ -17,16 +17,8 @@ import json
 
 import numpy as np
 
-from repro.campaign.engine import (
-    EngineConfig,
-    UnitResult,
-    WorkUnit,
-    default_processes,
-    execute,
-    register_runner,
-    shard_of,
-)
-from repro.campaign.plans import CampaignPlan
+from repro.campaign.engine import EngineConfig, UnitResult, WorkUnit, register_runner
+from repro.campaign.plans import CampaignPlan, run_campaign
 from repro.common.rng import DEFAULT_SEED, make_rng
 from repro.rtl.avf import AvfRow, MicrobenchAvfCampaign, modules_for_bench
 from repro.rtl.injector import RtlInjection, RtlTally, run_rtl_injection, run_target
@@ -134,18 +126,15 @@ class _RtlSpec:
         """Nothing to spill: each unit runs its own (short) golden pass."""
 
     def build(self, config: dict) -> CampaignPlan:
-        units = tuple(
-            WorkUnit(unit_id=uid, kind="rtl",
-                     shard=shard_of(uid, config["seed"]), payload=payload)
-            for uid, payload in self._units(config))
+        units = tuple(WorkUnit(unit_id=uid, kind="rtl", payload=payload)
+                      for uid, payload in self._units(config))
         return CampaignPlan(kind=self.kind, config=dict(config), units=units)
 
     def run(self, config: dict):
-        """Plan -> engine on the default pool (fail fast) -> aggregate."""
-        config = self.normalize(config)
-        results = execute(self.build(config).units, EngineConfig(
-            processes=default_processes(), fail_fast=True))
-        return self.aggregate(config, results)
+        """:func:`run_campaign` in memory on the default pool, failing
+        fast."""
+        return run_campaign(self, self.normalize(config),
+                            EngineConfig(fail_fast=True))
 
 
 class AvfCampaignSpec(_RtlSpec):

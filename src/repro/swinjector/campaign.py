@@ -34,9 +34,7 @@ from repro.campaign.engine import (
     UnitResult,
     WorkUnit,
     default_processes,
-    execute,
     register_runner,
-    shard_of,
 )
 from repro.campaign.goldens import (
     CHECKPOINT_CACHE,
@@ -45,7 +43,7 @@ from repro.campaign.goldens import (
     GoldenTrace,
     cached_workload,
 )
-from repro.campaign.plans import CampaignPlan, chunked
+from repro.campaign.plans import CampaignPlan, chunked, run_campaign
 from repro.common.exceptions import DeviceError
 from repro.common.rng import DEFAULT_SEED
 from repro.errormodels.models import ErrorModel, SW_INJECTABLE
@@ -88,10 +86,6 @@ class SwCampaignConfig:
     processes: int = field(default_factory=default_processes)
     mem_words: int = DEFAULT_MEM_WORDS
     fail_fast: bool = True
-    #: per-unit wall-clock budget (engine watchdog backstop)
-    timeout: float = 600.0
-    #: re-runs of a failed unit before it is quarantined/recorded
-    retries: int = 2
     #: checkpointed differential replay (:mod:`repro.swinjector.accel`):
     #: skip the fault-free prefix of every injection, classify
     #: never-activating and inert descriptors without simulating, and
@@ -383,16 +377,10 @@ class EprCampaignSpec:
     kind = "epr"
 
     def default_config(self, **overrides) -> dict:
-        cfg = {
-            "apps": list(SwCampaignConfig.apps),
-            "models": [m.value for m in SW_INJECTABLE],
-            "injections_per_model": 20,
-            "scale": "tiny",
-            "seed": DEFAULT_SEED,
-            "mem_words": DEFAULT_MEM_WORDS,
-            "chunk": DEFAULT_CHUNK,
-            "accel": True,
-        }
+        """:class:`SwCampaignConfig`'s defaults as a manifest config
+        (``processes`` is pinned only so the pool size is not read; it
+        is not part of the config)."""
+        cfg = self.config_of(SwCampaignConfig(processes=1))
         cfg.update({k: v for k, v in overrides.items() if v is not None})
         return cfg
 
@@ -445,8 +433,7 @@ class EprCampaignSpec:
         GOLDEN_CACHE.warm(specs)
         h1, m1 = GOLDEN_CACHE.stats()
         units = tuple(
-            WorkUnit(unit_id=uid, kind="epr", shard=shard_of(uid,
-                                                             config["seed"]),
+            WorkUnit(unit_id=uid, kind="epr",
                      payload={"app": app, "model": model, "indices": indices,
                               "scale": config["scale"],
                               "seed": config["seed"],
@@ -504,25 +491,14 @@ def run_epr_campaign(config: SwCampaignConfig | None = None, *,
 
     With *store* (a :class:`repro.campaign.CampaignStore`) the campaign is
     resumable: completed work units are skipped and their recorded results
-    merged into the aggregate. *max_units* bounds how many pending units
-    this call executes (simulated interruption / incremental runs).
+    merged into the aggregate, and a store written for a different config
+    raises :class:`~repro.common.exceptions.ConfigError`. *max_units*
+    bounds how many pending units this call executes (simulated
+    interruption / incremental runs).
     """
     config = config or SwCampaignConfig()
-    spec = CAMPAIGN_SPEC
-    plan_config = spec.config_of(config, chunk=chunk)
-    if store is not None:
-        spec.spill_to(plan_config, store.directory)
-    plan = spec.build(plan_config)
-    if store is not None and not store.manifest_path.exists():
-        store.write_manifest(plan.kind, plan.config, len(plan.units),
-                             extra={"golden_warm": {
-                                 "hits": plan.warm_stats[0],
-                                 "misses": plan.warm_stats[1]}})
-    options = EngineConfig(processes=config.processes,
-                           fail_fast=config.fail_fast, max_units=max_units,
-                           timeout=config.timeout, retries=config.retries)
-    results = execute(plan.units, options, store=store)
-    if store is not None:
-        obs.flush(store.directory)
-        results = {**store.load_results(), **results}
-    return spec.aggregate(plan_config, results)
+    return run_campaign(
+        CAMPAIGN_SPEC, CAMPAIGN_SPEC.config_of(config, chunk=chunk),
+        EngineConfig(processes=config.processes, fail_fast=config.fail_fast,
+                     max_units=max_units),
+        store=store)

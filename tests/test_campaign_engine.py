@@ -27,9 +27,9 @@ from repro.campaign import (
     default_processes,
     execute,
     fold_results,
-    shard_of,
+    run_campaign,
 )
-from repro.campaign.engine import DEFAULT_SHARDS, register_runner
+from repro.campaign.engine import register_runner
 from repro.campaign.goldens import GOLDEN_CACHE, golden_key
 from repro.campaign.plans import get_spec
 from repro.common.exceptions import ConfigError
@@ -64,7 +64,7 @@ def _flaky(payload: dict) -> dict:
 
 def _units(kind: str, n: int, **extra) -> list[WorkUnit]:
     return [WorkUnit(unit_id=f"{kind}/{i:03d}", kind=kind,
-                     payload={"x": i, **extra}, shard=shard_of(f"{kind}/{i}"))
+                     payload={"x": i, **extra})
             for i in range(n)]
 
 
@@ -119,13 +119,6 @@ class TestEngineCore:
         assert r.ok
         assert r.retries >= 1
 
-    def test_shards_are_deterministic_and_bounded(self):
-        ids = [f"epr/gemm/WV/{i:05d}" for i in range(200)]
-        shards = [shard_of(uid, seed=7) for uid in ids]
-        assert shards == [shard_of(uid, seed=7) for uid in ids]
-        assert set(shards) <= set(range(DEFAULT_SHARDS))
-        assert len(set(shards)) > 1  # actually spreads
-
     def test_chunked(self):
         assert chunked(range(5), 2) == [[0, 1], [2, 3], [4]]
         with pytest.raises(ConfigError):
@@ -146,9 +139,9 @@ class TestStore:
         store = CampaignStore(tmp_path / "c")
         store.write_manifest("test-echo", {"n": 2}, total_units=2)
         store.append_result(UnitResult(
-            "u/0", "test-echo", 0, ok=True, elapsed=0.5,
+            "u/0", "test-echo", ok=True, elapsed=0.5,
             value={"items": 3, "accel": {"enabled": True, "restores": 2}}))
-        store.append_result(UnitResult("u/1", "test-echo", 1, ok=False,
+        store.append_result(UnitResult("u/1", "test-echo", ok=False,
                                        error="boom", elapsed=0.1))
         results = store.load_results()
         assert results["u/0"].items == 3
@@ -318,20 +311,19 @@ class TestEprResume:
 
 class TestGateOnEngine:
     def test_store_resume_matches_plain_run(self, tmp_path):
-        from repro.faultinjection import CampaignConfig, run_gate_campaign
-        from repro.profiling import stimuli_from_program
-        from repro.workloads import get_workload
-
-        w = get_workload("vectoradd", scale="tiny")
-        stimuli = stimuli_from_program(w.program())
-        cfg = CampaignConfig(unit="decoder", max_faults=256, max_stimuli=8,
-                             words=1, processes=1)  # several small batches
-        plain = run_gate_campaign(cfg, stimuli)
+        spec = get_spec("gate")
+        config = spec.default_config(
+            unit="decoder", max_faults=256, max_stimuli=8, words=1,
+            stimuli_per_workload=4)  # several small batches
+        plain = run_campaign(spec, config, EngineConfig(processes=1))
 
         store = CampaignStore(tmp_path / "gate")
-        partial = run_gate_campaign(cfg, stimuli, store=store, max_units=2)
+        partial = run_campaign(spec, config,
+                               EngineConfig(processes=1, max_units=2),
+                               store=store)
         assert partial.total_faults < plain.total_faults
-        resumed = run_gate_campaign(cfg, stimuli, store=store)
+        resumed = run_campaign(spec, config, EngineConfig(processes=1),
+                               store=store)
         assert resumed.category_counts() == plain.category_counts()
         assert resumed.faults_per_error() == plain.faults_per_error()
 
@@ -351,6 +343,69 @@ class TestGateOnEngine:
         agg = spec.aggregate(plan.config, results)
         assert agg.num_stimuli == n
         assert agg.total_faults == 64
+
+
+def _same_result(kind: str, a, b) -> None:
+    """*a* and *b*, aggregates of one campaign kind, are equal."""
+    if kind == "rtl-avf":
+        assert a.rows == b.rows
+        assert [(k, v.tobytes()) for k, v in a.syndromes.items()] == \
+            [(k, v.tobytes()) for k, v in b.syndromes.items()]
+    elif kind == "epr":
+        assert a.outcomes == b.outcomes
+    else:
+        assert a == b
+
+
+#: one small config per store-backed kind (several units each)
+_STORED_CONFIGS = {
+    "epr": dict(apps=["vectoradd"], models=["WV", "IAT"],
+                injections_per_model=4, chunk=2),
+    "gate": dict(unit="decoder", max_faults=192, max_stimuli=8, words=1,
+                 stimuli_per_workload=4),
+    "rtl-avf": dict(benches=["FADD"], input_ranges=["M"],
+                    max_sites_per_module=8),
+}
+
+
+class TestRunCampaign:
+    """``run_campaign`` is the one path from a spec to a stored result."""
+
+    @pytest.fixture(autouse=True)
+    def _no_spill_left(self):
+        from repro.campaign.goldens import CHECKPOINT_CACHE
+
+        yield
+        GOLDEN_CACHE.persist_to(None)
+        CHECKPOINT_CACHE.persist_to(None)
+
+    def test_store_of_another_seed_is_refused(self, tmp_path):
+        base = dict(apps=("vectoradd",), models=(ErrorModel.WV,),
+                    injections_per_model=2, scale="tiny", processes=1)
+        store = CampaignStore(tmp_path / "epr")
+        run_epr_campaign(SwCampaignConfig(**base, seed=1), store=store)
+        before = store.results_path.read_text()
+        with pytest.raises(ConfigError):
+            run_epr_campaign(SwCampaignConfig(**base, seed=2), store=store)
+        assert store.results_path.read_text() == before
+
+    @pytest.mark.parametrize("kind", sorted(_STORED_CONFIGS))
+    def test_stored_run_resumes_from_the_cli(self, kind, tmp_path):
+        from repro.campaign.__main__ import main
+
+        spec = get_spec(kind)
+        config = spec.default_config(**_STORED_CONFIGS[kind])
+        store = CampaignStore(tmp_path / kind)
+        run_campaign(spec, config, EngineConfig(processes=1, max_units=1),
+                     store=store)
+        total = store.load_manifest()["total_units"]
+        assert len(store.completed_ids()) == 1 < total
+        assert main(["resume", "--dir", str(store.directory),
+                     "--serial"]) == 0
+        assert len(store.completed_ids()) == total
+        resumed = spec.aggregate(config, store.load_results())
+        fresh = run_campaign(spec, config, EngineConfig(processes=1))
+        _same_result(kind, resumed, fresh)
 
 
 class TestCli:

@@ -25,7 +25,7 @@ import time
 import pytest
 
 from repro.campaign import CampaignStore, EngineConfig, UnitResult, WorkUnit, execute
-from repro.campaign.engine import register_runner, shard_of
+from repro.campaign.engine import register_runner
 from repro.campaign.goldens import GoldenCache
 from repro.common.exceptions import ConfigError
 from repro.resilience import chaos, integrity
@@ -78,7 +78,7 @@ def _ignore_sigterm_and_sleep() -> None:
 
 def _units(kind: str, n: int) -> list[WorkUnit]:
     return [WorkUnit(unit_id=f"{kind}/{i:03d}", kind=kind,
-                     payload={"x": i}, shard=shard_of(f"{kind}/{i}"))
+                     payload={"x": i})
             for i in range(n)]
 
 

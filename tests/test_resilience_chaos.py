@@ -24,11 +24,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignStore, EngineConfig, WorkUnit, execute
-from repro.campaign.engine import register_runner, shard_of
+from repro.campaign import (
+    CampaignStore,
+    EngineConfig,
+    WorkUnit,
+    execute,
+    get_spec,
+    run_campaign,
+)
+from repro.campaign.engine import register_runner
 from repro.errormodels.models import ErrorModel
 from repro.resilience import chaos
 from repro.resilience.verify import normalize_record, verify_campaign
+from repro.resilience.watchdog import CampaignInterrupted
 from repro.swinjector import SwCampaignConfig, run_epr_campaign
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -97,18 +105,17 @@ cfg = SwCampaignConfig(apps=("vectoradd",),
 run_epr_campaign(cfg, store=CampaignStore(sys.argv[1]), chunk=1)
 """
 
-_GATE_SCRIPT = """
-import sys
-from repro.campaign import CampaignStore
-from repro.faultinjection import CampaignConfig, run_gate_campaign
-from repro.profiling import stimuli_from_program
-from repro.workloads import get_workload
+#: the gate campaign both the killed run and its references execute
+_GATE_CONFIG = dict(unit="decoder", max_faults=512, max_stimuli=8, words=1,
+                    stimuli_per_workload=4)
 
-w = get_workload("vectoradd", scale="tiny")
-stimuli = stimuli_from_program(w.program())
-cfg = CampaignConfig(unit="decoder", max_faults=512, max_stimuli=8,
-                     words=1, processes=2, fail_fast=False)
-run_gate_campaign(cfg, stimuli, store=CampaignStore(sys.argv[1]))
+_GATE_SCRIPT = f"""
+import sys
+from repro.campaign import CampaignStore, EngineConfig, get_spec, run_campaign
+
+spec = get_spec("gate")
+run_campaign(spec, spec.default_config(**{_GATE_CONFIG!r}),
+             EngineConfig(processes=2), store=CampaignStore(sys.argv[1]))
 """
 
 
@@ -153,23 +160,18 @@ class TestKillMinusNineAndResume:
         assert _normalized(store) == _normalized(fresh_store)
 
     def test_gate_campaign_survives_sigkill(self, tmp_path):
-        from repro.faultinjection import CampaignConfig, run_gate_campaign
-        from repro.profiling import stimuli_from_program
-        from repro.workloads import get_workload
-
         killed_dir = tmp_path / "killed"
         self._kill_mid_run(_GATE_SCRIPT, killed_dir)
         store = CampaignStore(killed_dir)
         assert store.manifest_path.exists()
 
-        w = get_workload("vectoradd", scale="tiny")
-        stimuli = stimuli_from_program(w.program())
-        cfg = CampaignConfig(unit="decoder", max_faults=512, max_stimuli=8,
-                             words=1, processes=1, fail_fast=False)
-        resumed = run_gate_campaign(cfg, stimuli, store=store)
+        spec = get_spec("gate")
+        config = spec.default_config(**_GATE_CONFIG)
+        serial = EngineConfig(processes=1)
+        resumed = run_campaign(spec, config, serial, store=store)
 
         fresh_store = CampaignStore(tmp_path / "fresh")
-        fresh = run_gate_campaign(cfg, stimuli, store=fresh_store)
+        fresh = run_campaign(spec, config, serial, store=fresh_store)
 
         assert resumed.category_counts() == fresh.category_counts()
         assert resumed.faults_per_error() == fresh.faults_per_error()
@@ -231,6 +233,44 @@ class TestSigintCli:
 
 
 # ---------------------------------------------------------------------
+# in-process signals: when a SIGINT interrupts the engine
+# ---------------------------------------------------------------------
+
+@register_runner("test-self-sigint")
+def _self_sigint(payload: dict) -> dict:
+    """Raises if asked to; SIGINTs its own (serial) process if asked to."""
+    if payload.get("crash"):
+        raise RuntimeError("synthetic failure, retried")
+    if payload.get("sigint"):
+        os.kill(os.getpid(), signal.SIGINT)
+    return {"items": 1}
+
+
+def _sigint_units(sigint_at: int, crash_at: int = -1) -> list[WorkUnit]:
+    return [WorkUnit(unit_id=f"test-self-sigint/{i}", kind="test-self-sigint",
+                     payload={"sigint": i == sigint_at,
+                              "crash": i == crash_at})
+            for i in range(4)]
+
+
+class TestLateSigint:
+    def test_sigint_in_the_last_unit_is_not_an_interrupt(self, tmp_path):
+        store = CampaignStore(tmp_path / "campaign")
+        store.write_manifest("test-self-sigint", {}, total_units=4)
+        results = execute(_sigint_units(3), EngineConfig(processes=1),
+                          store=store)
+        assert len(results) == 4
+        assert store.status()["complete"]
+
+    def test_sigint_with_a_retry_pending_interrupts(self):
+        with pytest.raises(CampaignInterrupted) as exc:
+            execute(_sigint_units(3, crash_at=0),
+                    EngineConfig(processes=1, backoff=0.0))
+        assert exc.value.committed == 3
+        assert "test-self-sigint/0" not in exc.value.results
+
+
+# ---------------------------------------------------------------------
 # in-process chaos: pool convergence under worker kills
 # ---------------------------------------------------------------------
 
@@ -256,7 +296,7 @@ class TestPoolChaosConvergence:
             if sum(_kill_rolls(s, uids, 0.25)[(u, 0)] for u in uids) == 1
             and not any(_kill_rolls(s, uids, 0.25)[(u, 1)] for u in uids))
         units = [WorkUnit(unit_id=uid, kind="test-chaos-echo",
-                          payload={"x": i}, shard=shard_of(uid))
+                          payload={"x": i})
                  for i, uid in enumerate(uids)]
         store = CampaignStore(tmp_path / "campaign")
         store.write_manifest("test-chaos-echo", {}, total_units=len(units))
@@ -277,8 +317,8 @@ class TestPoolChaosConvergence:
 
     def test_torn_appends_rewind_only_the_torn_units(self, tmp_path):
         units = [WorkUnit(unit_id=f"test-chaos-echo/{i:03d}",
-                          kind="test-chaos-echo", payload={"x": i},
-                          shard=shard_of(str(i))) for i in range(8)]
+                          kind="test-chaos-echo", payload={"x": i})
+                 for i in range(8)]
         store = CampaignStore(tmp_path / "campaign")
         store.write_manifest("test-chaos-echo", {}, total_units=len(units))
 
