@@ -39,8 +39,9 @@ chaos-smoke:
 	PYTHONPATH=src $(PY) -m repro.campaign chaos-smoke
 
 # Observability self-test: trace a tiny EPR campaign, export the chrome
-# trace, and verify the trace schema plus the metrics/campaign invariant
-# (injections_total summed over labels == campaign item count).
+# trace, and verify the trace schema and the trace against the ledger
+# (one engine.unit span per stored unit; epr.inject spans == ledger
+# items - accel.collapsed).
 obs-smoke:
 	PYTHONPATH=src $(PY) -m repro.obs smoke
 

@@ -52,7 +52,7 @@ def _timed(enabled: bool) -> float:
 
 
 def _span_cost(iters: int = 20000) -> float:
-    """Measured cost of one enabled span (incl. the span_seconds feed)."""
+    """Measured cost of one enabled span."""
     obs.enable()
     t0 = time.perf_counter()
     for _ in range(iters):
@@ -96,7 +96,8 @@ def test_bench_enabled_overhead_under_budget(regen, benchmark):
         t_traced = _timed(enabled=True)
         spans = obs.RECORDER.appended - mark
         per_span = _span_cost()
-        # x2: counter/histogram increments ride along with every span
+        # x2: headroom for the work that rides along with the spans
+        # (counter increments, capture windows)
         modeled = (spans * per_span * 2) / t_traced
     finally:
         obs.reset()

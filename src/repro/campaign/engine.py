@@ -55,8 +55,11 @@ MAX_DEFAULT_PROCESSES = 8
 #: granularity of the result-polling loop (signal responsiveness)
 _POLL_SECONDS = 0.2
 
-#: error-message prefixes of "hard" failures (the worker was lost, not
-#: just wrong); two of these quarantine a unit early
+#: hard failures (the worker was lost, not just wrong) before a unit is
+#: declared poison and quarantined even with retry budget left
+HARD_FAIL_LIMIT = 2
+
+#: error-message prefixes of hard failures
 _TIMEOUT_PREFIX = "timed out after"
 _POOL_FAILURE_PREFIX = "pool failure:"
 
@@ -225,27 +228,12 @@ class EngineConfig:
     #: stop after this many units (used to simulate interruption and to
     #: bound smoke runs); remaining units stay pending for ``resume``
     max_units: int | None = None
-    #: park units that exhaust retries (or hit ``hard_fail_limit``) in
-    #: the store's quarantine instead of recording them as plain
-    #: failures; only effective when a store is attached
-    quarantine: bool = True
-    #: hard failures (timeout / pool crash) before a unit is declared
-    #: poison and quarantined even with retry budget left
-    hard_fail_limit: int = 2
-    #: run the stalled-worker watchdog (SIGTERM -> SIGKILL) in pool mode
-    watchdog: bool = True
-    #: slack added to ``timeout`` before the watchdog fires, and grace
-    #: between its SIGTERM and SIGKILL
+    #: slack added to ``timeout`` before the stalled-worker watchdog
+    #: (pool mode) fires, and grace between its SIGTERM and SIGKILL
     watchdog_grace: float = 2.0
     #: checkpoint-and-exit on parent SIGINT/SIGTERM (main thread only)
     handle_signals: bool = True
 
-
-#: engine-side metric handles (no-ops while observability is disabled)
-_UNITS_TOTAL = obs.REGISTRY.counter("units_total")
-_UNIT_RETRIES = obs.REGISTRY.counter("unit_retries_total")
-_UNIT_SECONDS = obs.REGISTRY.histogram("unit_seconds")
-_UNITS_QUARANTINED = obs.REGISTRY.counter("units_quarantined_total")
 
 #: pid of the process that imported the engine (the campaign parent).
 #: Fork-pool workers inherit this value but report a different getpid(),
@@ -257,7 +245,7 @@ _MAIN_PID = os.getpid()
 _HEARTBEAT: tuple[Heartbeats, int] | None = None
 
 
-def _worker_init(heartbeats: Heartbeats | None) -> None:
+def _worker_init(heartbeats: Heartbeats) -> None:
     """Fork-pool initializer: reset inherited signal dispositions and
     claim a heartbeat slot for this worker.
 
@@ -271,8 +259,7 @@ def _worker_init(heartbeats: Heartbeats | None) -> None:
     global _HEARTBEAT
     _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
     _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
-    if heartbeats is not None:
-        _HEARTBEAT = (heartbeats, heartbeats.register())
+    _HEARTBEAT = (heartbeats, heartbeats.register())
 
 
 def _execute_unit(unit: WorkUnit, attempt: int = 0) -> UnitResult:
@@ -344,8 +331,7 @@ def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
     """
     ctx = mp.get_context("fork")
     try:
-        heartbeats = (Heartbeats(processes + 32) if options.watchdog
-                      else None)
+        heartbeats = Heartbeats(processes + 32)
         pool = ctx.Pool(processes, initializer=_worker_init,
                         initargs=(heartbeats,))
     except (OSError, ValueError) as exc:
@@ -354,12 +340,10 @@ def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
         obs.event("engine.degraded", reason=reason)
         log.warning(f"[campaign] degraded: {reason}; running serially")
         return None
-    watchdog = None
-    if heartbeats is not None:
-        watchdog = Watchdog(
-            heartbeats, options.timeout, grace=options.watchdog_grace,
-            kill_grace=options.watchdog_grace, on_escalate=_note_escalation)
-        watchdog.start()
+    watchdog = Watchdog(
+        heartbeats, options.timeout, grace=options.watchdog_grace,
+        kill_grace=options.watchdog_grace, on_escalate=_note_escalation)
+    watchdog.start()
     interrupted = False
     dirty = False  # a worker was lost or the wave was cut short
     try:
@@ -395,10 +379,9 @@ def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
         dirty = True  # settle raised: do not wait for the rest of the wave
         raise
     finally:
-        if watchdog is not None:
-            watchdog.stop()
-            if watchdog.sigterms or watchdog.sigkills:
-                dirty = True
+        watchdog.stop()
+        if watchdog.sigterms or watchdog.sigkills:
+            dirty = True
         if dirty or interrupted:
             pool.terminate()
         else:
@@ -450,10 +433,7 @@ def execute(units: Iterable[WorkUnit],
         done[result.unit_id] = result
         obs.absorb(result.obs)
         result.obs = None
-        _UNITS_TOTAL.inc(kind=result.kind, ok=str(result.ok).lower())
-        _UNIT_SECONDS.observe(result.elapsed, kind=result.kind)
         if quarantine_reason is not None:
-            _UNITS_QUARANTINED.inc(kind=result.kind)
             obs.event("unit.quarantine", unit=result.unit_id,
                       reason=quarantine_reason)
             if store is not None:
@@ -478,12 +458,11 @@ def execute(units: Iterable[WorkUnit],
             raise CampaignUnitError(r.unit_id, r.error or "unknown error")
         if r.hard_failure:
             hard_fails[r.unit_id] = hard_fails.get(r.unit_id, 0) + 1
-        poison = hard_fails.get(r.unit_id, 0) >= options.hard_fail_limit
+        poison = hard_fails.get(r.unit_id, 0) >= HARD_FAIL_LIMIT
         if attempt < options.retries and not poison:
-            _UNIT_RETRIES.inc(kind=r.kind)
             obs.event("unit.retry", unit=r.unit_id, attempt=attempt)
             retry.append(by_id[r.unit_id])
-        elif store is not None and options.quarantine:
+        elif store is not None:
             reason = (
                 f"poison unit: {hard_fails.get(r.unit_id, 0)} "
                 f"hard failures (worker lost)" if poison else

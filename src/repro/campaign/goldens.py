@@ -47,8 +47,6 @@ from repro.workloads import get_workload
 #: default global-memory size campaigns run workloads with
 DEFAULT_MEM_WORDS = 1 << 20
 
-_CACHE_LOOKUPS = obs.REGISTRY.counter("cache_lookups_total")
-
 
 def golden_key(app: str, scale: str, seed: int,
                mem_words: int = DEFAULT_MEM_WORDS) -> str:
@@ -91,7 +89,7 @@ class ContentCache:
     an optional integrity-checked disk spill.
 
     One class serves both reference caches; an instance is parameterized
-    by *kind* (the ``cache_lookups_total`` label and log name), *key_fn*
+    by *kind* (its log name), *key_fn*
     (identity tuple -> content address), *compute* (builds a missing
     entry, inside a span named *span*), and *encode*/*decode* (entry <->
     the named arrays of its ``<key><suffix>`` spill file). *decode*
@@ -140,17 +138,14 @@ class ContentCache:
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
-            _CACHE_LOOKUPS.inc(cache=self.kind, result="hit")
             return entry
         entry = self._disk_load(key)
         if entry is not None:
             self.hits += 1
             self.disk_hits += 1
-            _CACHE_LOOKUPS.inc(cache=self.kind, result="disk_hit")
             self._entries[key] = entry
             return entry
         self.misses += 1
-        _CACHE_LOOKUPS.inc(cache=self.kind, result="miss")
         entry = computed
         if entry is None:
             with obs.span(self._span, app=app, scale=scale):

@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 from repro import obs
 from repro.campaign import engine
 from repro.campaign.engine import EngineConfig, UnitResult, WorkUnit
+from repro.campaign.goldens import CHECKPOINT_CACHE, GOLDEN_CACHE
 from repro.common.exceptions import ConfigError
 
 #: campaign kind -> ``module:attribute`` of its spec (lazy import keeps
@@ -87,28 +88,37 @@ def run_campaign(spec, config: dict, options: EngineConfig | None = None, *,
 
     Without *store* the plan runs in memory. With a
     :class:`~repro.campaign.store.CampaignStore` the reference runs spill
-    under its directory, a new directory gets a manifest (with the plan's
-    golden-cache warm-up) and an existing one must carry the same
-    fingerprint, or :class:`ConfigError` is raised instead of mixing
-    results; units already stored are skipped and merged into the
-    aggregate. *options* are the executor knobs (``max_units`` stops
-    early: the directory stays resumable) and *on_result* sees every
-    unit committed by this call.
+    under its directory while the plan builds and runs (each reference
+    cache gets its previous spill directory back afterwards), a new
+    directory gets a manifest (with the plan's golden-cache warm-up) and
+    an existing one must carry the same fingerprint, or
+    :class:`ConfigError` is raised instead of mixing results; units
+    already stored are skipped and merged into the aggregate. *options*
+    are the executor knobs (``max_units`` stops early: the directory
+    stays resumable) and *on_result* sees every unit committed by this
+    call.
     """
-    if store is not None:
-        spec.spill_to(config, store.directory)
-    plan = spec.build(config)
-    if store is not None:
-        if store.manifest_path.exists():
-            store.check_fingerprint(plan.kind, plan.config)
-        else:
-            hits, misses = plan.warm_stats
-            store.write_manifest(plan.kind, plan.config, len(plan.units),
-                                 extra={"golden_warm": {"hits": hits,
-                                                        "misses": misses}})
-    # a module attribute, so a profiler that wraps engine.execute sees it
-    results = engine.execute(plan.units, options, context=plan.context,
-                             store=store, on_result=on_result)
+    caches = (GOLDEN_CACHE, CHECKPOINT_CACHE)
+    spilled = [cache.disk_dir for cache in caches]
+    try:
+        if store is not None:
+            spec.spill_to(config, store.directory)
+        plan = spec.build(config)
+        if store is not None:
+            if store.manifest_path.exists():
+                store.check_fingerprint(plan.kind, plan.config)
+            else:
+                hits, misses = plan.warm_stats
+                store.write_manifest(
+                    plan.kind, plan.config, len(plan.units),
+                    extra={"golden_warm": {"hits": hits, "misses": misses}})
+        # a module attribute, so a profiler that wraps engine.execute
+        # sees it
+        results = engine.execute(plan.units, options, context=plan.context,
+                                 store=store, on_result=on_result)
+    finally:
+        for cache, disk_dir in zip(caches, spilled):
+            cache.disk_dir = disk_dir
     if store is not None:
         obs.flush(store.directory)
         results = {**store.load_results(), **results}

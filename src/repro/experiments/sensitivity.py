@@ -13,32 +13,18 @@ physically meaningful knobs and measures how the outcome mix responds:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis import ExperimentReport
-from repro.common.exceptions import DeviceError
+from repro.campaign.goldens import DEFAULT_MEM_WORDS
 from repro.common.rng import DEFAULT_SEED
 from repro.errormodels import ErrorDescriptor, ErrorModel
-from repro.gpusim.config import DeviceConfig
-from repro.gpusim.device import Device
-from repro.swinjector import NVBitPERfi
+from repro.swinjector.campaign import replay_injection
 from repro.workloads import get_workload
 
 
-def _outcome(workload, golden, desc, watchdog=3_000_000) -> str:
-    tool = NVBitPERfi(desc)
-    dev = Device(DeviceConfig(global_mem_words=1 << 20))
-
-    def launcher(program, grid, block, params=(), shared_words=None):
-        return dev.launch(program, grid, block, params=params,
-                          shared_words=shared_words, watchdog=watchdog,
-                          instrumentation=tool)
-
-    try:
-        bits = workload.run(dev, launcher)
-    except DeviceError:
-        return "due"
-    return "masked" if np.array_equal(bits, golden) else "sdc"
+def _outcome(workload, golden, desc) -> str:
+    """Cold replay of *desc* (fixed 3M-instruction watchdog)."""
+    return replay_injection(workload, desc, golden, 3_000_000,
+                            DEFAULT_MEM_WORDS).outcome
 
 
 def run_sensitivity_study(app: str = "vectoradd", scale: str = "tiny",

@@ -46,10 +46,6 @@ from repro.gatelevel.sim import FaultBatch, LogicSim
 from repro.gatelevel.units import build_unit
 from repro.gatelevel.units.base import Stimulus, UnitModel
 
-#: one increment per simulated fault, labeled ``{unit, category}``
-_FAULTS_TOTAL = obs.REGISTRY.counter("faults_total")
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Gate-level campaign parameters.
@@ -378,8 +374,6 @@ def _run_gate_unit(payload: dict) -> dict:
                   faults=len(faults)):
         records = _run_batch(unit, faults, ctx["stimuli"], ctx["golden"],
                              accel=accel, stats=stats)
-    for r in records:
-        _FAULTS_TOTAL.inc(unit=ctx["unit"], category=r.category)
     return {
         "items": len(records),
         "batch": payload["batch"],

@@ -5,10 +5,9 @@ Three pillars, all dependency-free and near-zero-cost when disabled:
 * **tracing** (:mod:`repro.obs.trace`) — nested :func:`span` context
   managers with monotonic timing, ring-buffered per process and merged
   across fork-pool workers at unit-commit time;
-* **metrics** (:mod:`repro.obs.metrics`) — labeled counters, gauges and
-  fixed-bucket histograms with lossless mergeable snapshots
-  (``injections_total{model,workload,outcome}``,
-  ``sim_instructions_total``, ``span_seconds{name}``, ...);
+* **metrics** (:mod:`repro.obs.metrics`) — labeled counters with
+  lossless mergeable snapshots, for the counts no unit result carries
+  (``sim_instructions_total``);
 * **sinks** (:mod:`repro.obs.sinks`) — a JSONL event log and metrics
   file written next to the campaign store by :func:`flush`, plus a
   chrome-tracing/Perfetto ``trace.json`` exporter driven by

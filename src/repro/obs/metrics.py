@@ -1,11 +1,11 @@
-"""Labeled counters, gauges and fixed-bucket histograms.
+"""Labeled counters.
 
-All metrics live in a process-local :class:`MetricsRegistry`. Snapshots
-are plain JSON-able dicts and merge losslessly: fork-pool workers capture
-a per-unit *delta* snapshot (:func:`diff`) that travels back to the
-parent inside the unit result, where :meth:`MetricsRegistry.merge` folds
-it into the parent registry. Counters and histogram buckets add; gauges
-are last-write-wins.
+All counters live in a process-local :class:`MetricsRegistry`. Snapshots
+are plain JSON-able dicts (``{"counters": {name: {labelkey: value}}}``)
+and merge losslessly: fork-pool workers capture a per-unit *delta*
+snapshot (:func:`diff`) that travels back to the parent inside the unit
+result, where :meth:`MetricsRegistry.merge` adds it into the parent
+registry.
 
 Label sets are encoded as the canonical string ``"k1=v1,k2=v2"`` (keys
 sorted), so snapshots stay flat JSON objects.
@@ -13,13 +13,9 @@ sorted), so snapshots stay flat JSON objects.
 
 from __future__ import annotations
 
-import bisect
 import threading
 
 from repro.obs._runtime import FLAG
-
-#: default latency buckets (seconds); one overflow bucket is implicit
-DEFAULT_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
 
 
 def labelkey(labels: dict) -> str:
@@ -61,80 +57,18 @@ class Counter:
         return sum(self._values.values())
 
 
-class Gauge:
-    """Last-observed value per label set."""
-
-    __slots__ = ("name", "_values", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._values: dict[str, float] = {}
-        self._lock = threading.Lock()
-
-    def set(self, value: float, **labels) -> None:
-        if not FLAG.on:
-            return
-        with self._lock:
-            self._values[labelkey(labels)] = value
-
-    def value(self, **labels) -> float:
-        return self._values.get(labelkey(labels), 0)
-
-
-class Histogram:
-    """Fixed-bucket histogram per label set.
-
-    ``counts`` has ``len(buckets) + 1`` cells: cell *i* counts
-    observations ``<= buckets[i]``; the last cell is the overflow.
-    """
-
-    __slots__ = ("name", "buckets", "_series", "_lock")
-
-    def __init__(self, name: str, buckets=DEFAULT_BUCKETS):
-        self.name = name
-        self.buckets = tuple(sorted(float(b) for b in buckets))
-        self._series: dict[str, dict] = {}
-        self._lock = threading.Lock()
-
-    def observe(self, value: float, **labels) -> None:
-        if not FLAG.on:
-            return
-        self.observe_key(labelkey(labels), value)
-
-    def observe_key(self, key: str, value: float) -> None:
-        """Hot-path variant taking a precomputed :func:`labelkey`."""
-        if not FLAG.on:
-            return
-        with self._lock:
-            s = self._series.get(key)
-            if s is None:
-                s = self._series[key] = {
-                    "counts": [0] * (len(self.buckets) + 1),
-                    "sum": 0.0, "count": 0,
-                }
-            s["counts"][bisect.bisect_left(self.buckets, value)] += 1
-            s["sum"] += value
-            s["count"] += 1
-
-    def series(self, **labels) -> dict | None:
-        return self._series.get(labelkey(labels))
-
-
 class MetricsRegistry:
-    """Process-local registry of named metrics.
+    """Process-local registry of named counters.
 
-    Metric objects are created once and then held by call sites as
+    Counters are created once and then held by call sites as
     module-level handles, so :meth:`reset` clears their *values* in
     place rather than discarding the objects.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
-    # -- get-or-create -------------------------------------------------
     def counter(self, name: str) -> Counter:
         with self._lock:
             m = self._counters.get(name)
@@ -142,41 +76,13 @@ class MetricsRegistry:
                 m = self._counters[name] = Counter(name)
             return m
 
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            m = self._gauges.get(name)
-            if m is None:
-                m = self._gauges[name] = Gauge(name)
-            return m
-
-    def histogram(self, name: str, buckets=DEFAULT_BUCKETS) -> Histogram:
-        with self._lock:
-            m = self._histograms.get(name)
-            if m is None:
-                m = self._histograms[name] = Histogram(name, buckets)
-            return m
-
-    # -- snapshots -----------------------------------------------------
     def snapshot(self) -> dict:
-        """JSON-able copy of every non-empty metric."""
-        return {
-            "counters": {n: dict(c._values)
-                         for n, c in self._counters.items() if c._values},
-            "gauges": {n: dict(g._values)
-                       for n, g in self._gauges.items() if g._values},
-            "histograms": {
-                n: {
-                    "buckets": list(h.buckets),
-                    "series": {k: {"counts": list(s["counts"]),
-                                   "sum": s["sum"], "count": s["count"]}
-                               for k, s in h._series.items()},
-                }
-                for n, h in self._histograms.items() if h._series
-            },
-        }
+        """JSON-able copy of every non-empty counter."""
+        return {"counters": {n: dict(c._values)
+                             for n, c in self._counters.items() if c._values}}
 
     def merge(self, snap: dict | None) -> None:
-        """Fold a snapshot (typically a worker delta) into this registry."""
+        """Add a snapshot (typically a worker delta) into this registry."""
         if not snap:
             return
         for name, values in snap.get("counters", {}).items():
@@ -184,102 +90,33 @@ class MetricsRegistry:
             with c._lock:
                 for key, val in values.items():
                     c._values[key] = c._values.get(key, 0) + val
-        for name, values in snap.get("gauges", {}).items():
-            g = self.gauge(name)
-            with g._lock:
-                g._values.update(values)
-        for name, data in snap.get("histograms", {}).items():
-            h = self.histogram(name, buckets=tuple(data["buckets"]))
-            with h._lock:
-                for key, s in data["series"].items():
-                    dst = h._series.get(key)
-                    if dst is None:
-                        dst = h._series[key] = {
-                            "counts": [0] * (len(h.buckets) + 1),
-                            "sum": 0.0, "count": 0,
-                        }
-                    # bucket layouts match whenever both sides run the same
-                    # code; pad/fold defensively so merge never throws
-                    for i, c in enumerate(s["counts"]):
-                        dst["counts"][min(i, len(dst["counts"]) - 1)] += c
-                    dst["sum"] += s["sum"]
-                    dst["count"] += s["count"]
 
     def reset(self) -> None:
-        """Clear all recorded values (metric handles stay valid)."""
+        """Clear all recorded values (counter handles stay valid)."""
         for c in self._counters.values():
             with c._lock:
                 c._values.clear()
-        for g in self._gauges.values():
-            with g._lock:
-                g._values.clear()
-        for h in self._histograms.values():
-            with h._lock:
-                h._series.clear()
 
 
 def diff(before: dict, after: dict) -> dict:
     """Delta snapshot ``after - before`` (for worker-side unit capture)."""
-    out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
+    out: dict = {"counters": {}}
     for name, values in after.get("counters", {}).items():
         base = before.get("counters", {}).get(name, {})
         d = {k: v - base.get(k, 0)
              for k, v in values.items() if v != base.get(k, 0)}
         if d:
             out["counters"][name] = d
-    # gauges: report the latest value (last-write-wins on merge)
-    for name, values in after.get("gauges", {}).items():
-        base = before.get("gauges", {}).get(name, {})
-        d = {k: v for k, v in values.items() if v != base.get(k)}
-        if d:
-            out["gauges"][name] = d
-    for name, data in after.get("histograms", {}).items():
-        base = before.get("histograms", {}).get(name, {}).get("series", {})
-        series = {}
-        for key, s in data["series"].items():
-            b = base.get(key)
-            if b is None:
-                if s["count"]:
-                    series[key] = {"counts": list(s["counts"]),
-                                   "sum": s["sum"], "count": s["count"]}
-                continue
-            counts = [c - bc for c, bc in zip(s["counts"], b["counts"])]
-            count = s["count"] - b["count"]
-            if count:
-                series[key] = {"counts": counts,
-                               "sum": s["sum"] - b["sum"], "count": count}
-        if series:
-            out["histograms"][name] = {"buckets": list(data["buckets"]),
-                                       "series": series}
     return out
 
 
 def merge_snapshots(a: dict | None, b: dict | None) -> dict:
     """Combine two snapshots additively (for cumulative ``metrics.json``)."""
     tmp = MetricsRegistry()
-    was_on = FLAG.on
-    FLAG.on = True  # merge writes values directly, but keep invariants simple
-    try:
-        tmp.merge(a)
-        tmp.merge(b)
-    finally:
-        FLAG.on = was_on
+    tmp.merge(a)
+    tmp.merge(b)
     return tmp.snapshot()
 
 
 #: the process singleton; forked workers inherit it copy-on-write
 REGISTRY = MetricsRegistry()
-
-#: auto-fed by the tracer: every closed span observes its duration here,
-#: labeled by span name — "where did the time go" at zero extra call sites
-SPAN_SECONDS = REGISTRY.histogram("span_seconds")
-
-#: span names are few and stable; cache their label keys off the hot path
-_SPAN_KEYS: dict[str, str] = {}
-
-
-def observe_span(name: str, duration: float) -> None:
-    key = _SPAN_KEYS.get(name)
-    if key is None:
-        key = _SPAN_KEYS[name] = f"name={name}"
-    SPAN_SECONDS.observe_key(key, duration)

@@ -24,7 +24,6 @@ import threading
 import time
 from collections import deque
 
-from repro.obs import metrics
 from repro.obs._runtime import FLAG
 
 #: finished-span ring capacity per process; oldest records drop first
@@ -92,12 +91,11 @@ class Span:
                 stack.remove(self)
             except ValueError:
                 pass
-        dur = t1 - self._t0
         rec = {
             "type": "span",
             "name": self.name,
             "ts": self._t0,
-            "dur": dur,
+            "dur": t1 - self._t0,
             "pid": os.getpid(),
             "tid": threading.get_native_id(),
             "id": self.span_id,
@@ -108,7 +106,6 @@ class Span:
         if self.attrs:
             rec["attrs"] = self.attrs
         self._recorder.add(rec)
-        metrics.observe_span(self.name, dur)
         return False
 
 

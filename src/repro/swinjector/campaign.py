@@ -55,12 +55,6 @@ from repro.workloads.registry import EVALUATION_APPS
 
 OUTCOMES = ("masked", "sdc", "due")
 
-#: one increment per classified injection, labeled
-#: ``{model, workload, outcome}`` — summed over all labels this equals
-#: the campaign's reported item count (checked by ``repro.obs smoke``)
-_INJECTIONS_TOTAL = obs.REGISTRY.counter("injections_total")
-_ACTIVATIONS_TOTAL = obs.REGISTRY.counter("fault_activations_total")
-
 #: injections grouped into one work unit (the scheduling quantum; results
 #: are independent of it because every injection is seeded by its index)
 DEFAULT_CHUNK = 5
@@ -353,12 +347,6 @@ def _run_epr_unit(payload: dict) -> dict:
         outcomes, accel_stats = _run_unit(
             app, model, payload["indices"], cfg, golden.bits, watchdog,
             trace)
-    for o in outcomes:
-        _INJECTIONS_TOTAL.inc(model=model.value, workload=app,
-                              outcome=o.outcome)
-        if o.activations:
-            _ACTIVATIONS_TOTAL.inc(o.activations, model=model.value,
-                                   workload=app)
     return {
         "items": len(outcomes),
         "golden_digest": golden.digest,

@@ -371,14 +371,6 @@ _STORED_CONFIGS = {
 class TestRunCampaign:
     """``run_campaign`` is the one path from a spec to a stored result."""
 
-    @pytest.fixture(autouse=True)
-    def _no_spill_left(self):
-        from repro.campaign.goldens import CHECKPOINT_CACHE
-
-        yield
-        GOLDEN_CACHE.persist_to(None)
-        CHECKPOINT_CACHE.persist_to(None)
-
     def test_store_of_another_seed_is_refused(self, tmp_path):
         base = dict(apps=("vectoradd",), models=(ErrorModel.WV,),
                     injections_per_model=2, scale="tiny", processes=1)
@@ -388,6 +380,45 @@ class TestRunCampaign:
         with pytest.raises(ConfigError):
             run_epr_campaign(SwCampaignConfig(**base, seed=2), store=store)
         assert store.results_path.read_text() == before
+
+    def test_spill_is_scoped_to_its_campaign(self, tmp_path):
+        """A stored run spills its references into its own directory
+        only: a later in-memory campaign spills nothing there."""
+        from repro.campaign.goldens import CHECKPOINT_CACHE, trace_key
+
+        # empty caches: the gemm run below must compute (and could
+        # spill) its references
+        GOLDEN_CACHE.clear()
+        CHECKPOINT_CACHE.clear()
+        base = dict(models=(ErrorModel.WV,), injections_per_model=2,
+                    scale="tiny", processes=1)
+        a = CampaignStore(tmp_path / "a")
+        cfg = SwCampaignConfig(apps=("vectoradd",), **base)
+        run_epr_campaign(cfg, store=a)
+        run_epr_campaign(SwCampaignConfig(apps=("gemm",), **base))
+        ident = ("vectoradd", cfg.scale, cfg.seed, cfg.mem_words)
+        assert [p.name for p in (a.directory / "goldens").iterdir()] == \
+            [f"{golden_key(*ident)}.npz"]
+        assert [p.name for p in (a.directory / "checkpoints").iterdir()] == \
+            [f"{trace_key(*ident)}.trace.npz"]
+        assert GOLDEN_CACHE.disk_dir is None
+        assert CHECKPOINT_CACHE.disk_dir is None
+
+    def test_spill_gives_back_the_callers_directory(self, tmp_path):
+        from repro.campaign.goldens import CHECKPOINT_CACHE
+
+        own = tmp_path / "own"
+        GOLDEN_CACHE.persist_to(own)
+        try:
+            run_epr_campaign(
+                SwCampaignConfig(apps=("vectoradd",), models=(ErrorModel.WV,),
+                                 injections_per_model=2, scale="tiny",
+                                 processes=1),
+                store=CampaignStore(tmp_path / "a"))
+            assert GOLDEN_CACHE.disk_dir == own
+            assert CHECKPOINT_CACHE.disk_dir is None
+        finally:
+            GOLDEN_CACHE.persist_to(None)
 
     @pytest.mark.parametrize("kind", sorted(_STORED_CONFIGS))
     def test_stored_run_resumes_from_the_cli(self, kind, tmp_path):
@@ -433,20 +464,15 @@ class TestCli:
         # each CLI call runs in a fresh process: caches start empty
         GOLDEN_CACHE.clear()
         CHECKPOINT_CACHE.clear()
-        try:
-            assert main(["run", "--scale", "tiny", "--apps", "vectoradd",
-                         "--models", "WV", "--injections", "4", "--chunk",
-                         "2", "--interrupt-after", "1", "--serial",
-                         "--dir", d]) == 0
-            GOLDEN_CACHE.clear()
-            CHECKPOINT_CACHE.clear()
-            assert main(["resume", "--dir", d, "--serial"]) == 0
-            assert GOLDEN_CACHE.misses == 0
-            assert CHECKPOINT_CACHE.misses == 0
-            assert CHECKPOINT_CACHE.disk_hits == 1
-        finally:
-            GOLDEN_CACHE.persist_to(None)
-            CHECKPOINT_CACHE.persist_to(None)
+        assert main(["run", "--scale", "tiny", "--apps", "vectoradd",
+                     "--models", "WV", "--injections", "4", "--chunk", "2",
+                     "--interrupt-after", "1", "--serial", "--dir", d]) == 0
+        GOLDEN_CACHE.clear()
+        CHECKPOINT_CACHE.clear()
+        assert main(["resume", "--dir", d, "--serial"]) == 0
+        assert GOLDEN_CACHE.misses == 0
+        assert CHECKPOINT_CACHE.misses == 0
+        assert CHECKPOINT_CACHE.disk_hits == 1
 
     def test_status_on_non_campaign_dir_errors(self, tmp_path):
         from repro.campaign.__main__ import main

@@ -8,6 +8,7 @@ from repro.analysis import ExperimentReport, format_table
 from repro.experiments import (
     run_fig_avf,
     run_fig_avg_epr,
+    run_sensitivity_study,
     run_tab_apps,
     run_tab_area,
     run_tab_hw_fault_rate,
@@ -48,6 +49,30 @@ class TestCheapDrivers:
             "pct_of_fp32_core"]
         assert 0 < units["FP32 unit"]["utilization_%"] < 100
         assert units["WSC"]["utilization_%"] == 100.0
+
+
+class TestSensitivity:
+    def test_rows_are_pinned(self):
+        """S1's outcomes on tiny vectoradd (cold replay, 3M watchdog)."""
+        rep = run_sensitivity_study()
+        assert [(r["sweep"], r["value"], r["outcome"]) for r in rep.rows] == [
+            ("IIO bit position", 0, "due"),
+            ("IIO bit position", 4, "sdc"),
+            ("IIO bit position", 8, "sdc"),
+            ("IIO bit position", 16, "sdc"),
+            ("IIO bit position", 24, "due"),
+            ("IIO bit position", 30, "due"),
+            ("IAT victim threads", 1, "sdc"),
+            ("IAT victim threads", 2, "sdc"),
+            ("IAT victim threads", 8, "masked"),
+            ("IAT victim threads", 16, "masked"),
+            ("IAT victim threads", 31, "sdc"),
+            ("IAW index bit", 0, "masked"),
+            ("IAW index bit", 2, "masked"),
+            ("IAW index bit", 4, "masked"),
+            ("IAW index bit", 5, "sdc"),
+            ("IAW index bit", 6, "sdc"),
+        ]
 
 
 class TestScaledDrivers:

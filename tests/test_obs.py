@@ -4,7 +4,7 @@ Covers the guarantees the instrumented campaigns rely on:
 
 * span nesting and parent ids, and capture/absorb merging across
   process boundaries (fork-pool workers);
-* histogram bucket math and lossless snapshot diff/merge;
+* lossless counter snapshot diff/merge;
 * chrome-trace export schema validity (Perfetto-loadable);
 * no-op mode: with observability disabled, campaign results are
   byte-identical to a repo without the instrumentation (no ``obs`` key
@@ -22,9 +22,9 @@ from repro import obs
 from repro.campaign import CampaignStore
 from repro.errormodels.models import ErrorModel
 from repro.obs import log, metrics, sinks
+from repro.obs.__main__ import trace_vs_ledger
 from repro.obs.metrics import (
     Counter,
-    Histogram,
     MetricsRegistry,
     labelkey,
     parse_labelkey,
@@ -96,13 +96,6 @@ class TestSpans:
         assert ev["parent"] == parent.span_id
         assert ev["attrs"] == {"unit": "epr/x/1"}
 
-    def test_span_feeds_span_seconds_histogram(self):
-        _enabled()
-        with obs.span("timed"):
-            pass
-        series = metrics.SPAN_SECONDS.series(name="timed")
-        assert series is not None and series["count"] == 1
-
 
 class TestRecorder:
     def test_ring_drops_oldest(self):
@@ -162,17 +155,6 @@ class TestMetrics:
         assert c.value(model="WV", outcome="masked") == 2
         assert c.total() == 4
 
-    def test_histogram_bucket_placement(self):
-        _enabled()
-        h = Histogram("lat", buckets=(1.0, 2.0, 4.0))
-        for v in (0.5, 1.0, 1.5, 4.0, 99.0):
-            h.observe(v)
-        s = h.series()
-        # bisect_left: boundary values land in their own bucket
-        assert s["counts"] == [2, 1, 1, 1]
-        assert s["count"] == 5
-        assert s["sum"] == pytest.approx(106.0)
-
     def test_snapshot_diff_is_a_delta(self):
         _enabled()
         reg = MetricsRegistry()
@@ -181,22 +163,23 @@ class TestMetrics:
         before = reg.snapshot()
         c.inc(2, k="a")
         c.inc(1, k="b")
-        reg.histogram("h", buckets=(1.0,)).observe(0.5)
+        reg.counter("new").inc(4)
+        reg.counter("idle")
         delta = metrics.diff(before, reg.snapshot())
-        assert delta["counters"]["n"] == {"k=a": 2, "k=b": 1}
-        assert delta["histograms"]["h"]["series"][""]["count"] == 1
+        assert delta == {"counters": {"n": {"k=a": 2, "k=b": 1},
+                                      "new": {"": 4}}}
 
     def test_merge_folds_worker_delta(self):
         _enabled()
         reg = MetricsRegistry()
         reg.counter("n").inc(3, k="a")
-        reg.histogram("h", buckets=(1.0,)).observe(0.5)
+        reg.counter("m").inc(1)
         snap = reg.snapshot()
         reg2 = MetricsRegistry()
         reg2.counter("n").inc(1, k="a")
         reg2.merge(snap)
         assert reg2.counter("n").value(k="a") == 4
-        assert reg2.histogram("h").series()["count"] == 1
+        assert reg2.counter("m").total() == 1
 
     def test_merge_snapshots_is_cumulative(self):
         _enabled()
@@ -320,20 +303,26 @@ _CFG = dict(apps=("vectoradd",), models=(ErrorModel.WV, ErrorModel.IIO),
 
 
 class TestCampaignIntegration:
-    def test_injections_total_matches_campaign_items(self, tmp_path):
+    def test_trace_matches_ledger(self, tmp_path):
+        """One ``engine.unit`` span per stored unit and one ``epr.inject``
+        span per injection not collapsed onto an identical one."""
         _enabled()
         store = CampaignStore(tmp_path / "traced")
-        res = run_epr_campaign(SwCampaignConfig(**_CFG, processes=1),
-                               store=store, chunk=2)
-        expected = len(_CFG["apps"]) * len(_CFG["models"]) * 4
-        assert len(res.outcomes) == expected
-        data = sinks.read_metrics(store.directory)
-        total = sum(data["counters"]["injections_total"].values())
-        assert total == expected
-        # label schema: {model, workload, outcome}
-        for key in data["counters"]["injections_total"]:
-            assert set(parse_labelkey(key)) == {"model", "workload",
-                                                "outcome"}
+        run_epr_campaign(SwCampaignConfig(**_CFG, processes=1),
+                         store=store, chunk=2)
+        records = sinks.read_events(store.directory)
+        results = store.load_results()
+        ledger = store.status()
+        assert ledger["items"] == 8
+        assert ledger["accel"]["collapsed"] == 2  # the subtraction matters
+        units = [r["attrs"]["unit"] for r in records
+                 if r["name"] == "engine.unit"]
+        assert sorted(units) == sorted(results)
+        injects = [r for r in records if r["name"] == "epr.inject"]
+        assert len(injects) == 8 - 2
+        assert trace_vs_ledger(records, results, ledger) == []
+        one_dropped = [r for r in records if r is not injects[0]]
+        assert trace_vs_ledger(one_dropped, results, ledger)
 
     def test_traced_campaign_spans_cover_all_layers(self, tmp_path):
         _enabled()
@@ -347,16 +336,24 @@ class TestCampaignIntegration:
         assert sinks.validate_chrome_trace(trace_path) == []
 
     def test_pool_workers_merge_into_parent(self, tmp_path):
-        """Fork workers' spans/metrics surface in the parent's sinks."""
+        """Fork workers' spans and counters surface in the parent's
+        sinks: from the same warm caches, a pooled run counts as many
+        simulated instructions as a serial one."""
+        import os
+
+        run_epr_campaign(SwCampaignConfig(**_CFG, processes=1), chunk=2)
         _enabled()
-        store = CampaignStore(tmp_path / "pooled")
-        res = run_epr_campaign(SwCampaignConfig(**_CFG, processes=2),
-                               store=store, chunk=2)
-        expected = len(_CFG["apps"]) * len(_CFG["models"]) * 4
-        assert len(res.outcomes) == expected
-        data = sinks.read_metrics(store.directory)
-        assert sum(data["counters"]["injections_total"].values()) == expected
-        assert any(r["name"] == "epr.inject"
+        counted = {}
+        for processes in (1, 2):
+            store = CampaignStore(tmp_path / f"p{processes}")
+            run_epr_campaign(SwCampaignConfig(**_CFG, processes=processes),
+                             store=store, chunk=2)
+            data = sinks.read_metrics(store.directory)
+            counted[processes] = sum(
+                data["counters"]["sim_instructions_total"].values())
+        assert counted[1] > 0
+        assert counted[2] == counted[1]
+        assert any(r["name"] == "epr.inject" and r["pid"] != os.getpid()
                    for r in sinks.read_events(store.directory))
 
     def test_disabled_mode_results_are_byte_identical(self, tmp_path):

@@ -314,29 +314,6 @@ class TestQuarantine:
                                               backoff=0.0), store=store)
         assert set(results) == {"test-always-crash/000"}
 
-    def test_quarantine_disabled_records_plain_failure(self, tmp_path):
-        store = CampaignStore(tmp_path / "campaign")
-        store.write_manifest("mixed", {}, total_units=1)
-        execute(_units("test-always-crash", 1),
-                EngineConfig(processes=1, retries=0, backoff=0.0,
-                             quarantine=False), store=store)
-        assert not store.quarantined_ids()
-        assert not store.load_results()["test-always-crash/000"].ok
-
-    def test_hard_fail_limit_zero_quarantines_soft_failures(self, tmp_path):
-        # with hard_fail_limit=0 every failure is immediately poison —
-        # including soft ones with no hard_fails entry; regression for a
-        # KeyError while formatting the quarantine reason
-        store = CampaignStore(tmp_path / "campaign")
-        store.write_manifest("mixed", {}, total_units=1)
-        execute(_units("test-always-crash", 1),
-                EngineConfig(processes=1, retries=2, backoff=0.0,
-                             hard_fail_limit=0), store=store)
-        q = store.load_quarantine()
-        assert set(q) == {"test-always-crash/000"}
-        assert "poison unit: 0 hard failures" in \
-            q["test-always-crash/000"]["reason"]
-
     def test_status_cli_exit_code_3_on_holes(self, tmp_path, capsys):
         from repro.campaign.__main__ import EXIT_HOLES, main
 
@@ -429,8 +406,7 @@ class TestLiveness:
         # pool initializer must restore SIGTERM=default / SIGINT=ignore
         # or Pool.terminate() and the watchdog cannot kill a worker
         results = execute(_units("test-signal-probe", 4),
-                          EngineConfig(processes=2, watchdog=False,
-                                       handle_signals=True))
+                          EngineConfig(processes=2, handle_signals=True))
         assert len(results) == 4
         for r in results.values():
             assert r.ok
