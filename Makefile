@@ -55,14 +55,16 @@ oracle-check:
 			|| exit 1; \
 	done
 
-# Shortcut anchor: run both accelerated EPR workloads (epr-hang's hangs
-# take the hang short-circuit, its lenet/IMS count-up loops the affine
-# fast-forward, epr-short's inert IAL descriptors the inert shortcut;
-# docs/PERFORMANCE.md) and exit 1 unless each last JSON line
-# reports "correct": true, i.e. every accelerated outcome matched the
-# frozen perfbench/oracle.json item by item.
+# Shortcut anchor: run the accelerated benchmark workloads (epr-hang's
+# hangs take the hang short-circuit, its lenet/IMS count-up loops the
+# affine fast-forward, epr-short's inert IAL descriptors the inert
+# shortcut, gate-units the dynamic fault dropping, stimuli dedup, packed
+# golden run and per-stimulus classification; docs/PERFORMANCE.md) and
+# exit 1 unless each last JSON line reports "correct": true, i.e. every
+# accelerated outcome matched the frozen perfbench/oracle.json item by
+# item.
 accel-check:
-	for w in epr-hang epr-short; do \
+	for w in epr-hang epr-short gate-units; do \
 		PYTHONPATH=src $(PY) perfbench/run.py --workload $$w --seconds 1 \
 			--trace 0 | tail -n 1 | $(PY) -c "import json, sys; \
 	sys.exit(0 if json.load(sys.stdin)['correct'] is True else 1)" \

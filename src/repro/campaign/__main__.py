@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -600,7 +601,16 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "dir", None) is None and args.command == "run":
         args.dir = str(Path(".campaigns") / args.kind)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout (``status | head``): stop quietly, and
+        # point stdout at /dev/null so the exit-time flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except CampaignInterrupted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         return exc.exit_code

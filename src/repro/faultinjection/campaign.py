@@ -34,7 +34,8 @@ from repro.campaign.engine import (
 )
 from repro.campaign.plans import CampaignPlan
 from repro.common.rng import DEFAULT_SEED
-from repro.errormodels.classify import classify_output_diff
+from repro.common.exceptions import ConfigError
+from repro.errormodels.classify import StimulusContext
 from repro.errormodels.models import ErrorModel
 from repro.gatelevel.faults import (
     StuckAtFault,
@@ -42,7 +43,13 @@ from repro.gatelevel.faults import (
     sample_faults,
     structural_fault_list,
 )
-from repro.gatelevel.sim import FaultBatch, LogicSim
+from repro.gatelevel.sim import (
+    ALL_ONES,
+    FaultBatch,
+    LogicSim,
+    bus_values,
+    lane_bits,
+)
 from repro.gatelevel.units import build_unit
 from repro.gatelevel.units.base import Stimulus, UnitModel
 
@@ -173,76 +180,138 @@ class GateCampaignResult:
 # golden reference
 # ---------------------------------------------------------------------
 
-def _golden_run(unit: UnitModel, stimuli: list[Stimulus]):
+def _output_rows(netlist) -> tuple[np.ndarray, list[tuple[str, int, int]]]:
+    """Every output net in one bit-plane (netlist output order), and each
+    output's ``(name, first row, end row)`` in it."""
+    rows, spans, lo = [], [], 0
+    for name, nets in netlist.outputs.items():
+        rows.append(nets)
+        spans.append((name, lo, lo + len(nets)))
+        lo += len(nets)
+    return np.concatenate(rows), spans
+
+
+@dataclass
+class GoldenRun:
+    """Fault-free reference of one campaign's stimuli.
+
+    ``per_stimulus[j]`` is stimulus *j*'s golden record: per-cycle output
+    values (``cycles``), per-net toggle info (``ever1``/``ever0``) and the
+    liveness outputs it asserts (``live``). ``ever1``/``ever0`` are their
+    union over the campaign. ``planes[c]`` is cycle *c*'s output bit-plane
+    as simulated, (output bits, words) with lane *j* carrying stimulus *j*
+    (rows in :func:`_output_rows` order).
+    """
+
+    per_stimulus: list[dict]
+    ever1: np.ndarray
+    ever0: np.ndarray
+    planes: np.ndarray
+
+    def golden_bits(self, j: int) -> np.ndarray:
+        """(cycles, output bits): all-ones where stimulus *j*'s golden
+        output bit is 1, else 0 — the plane a faulty word is XORed with."""
+        bit = (self.planes[:, :, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
+        return bit * ALL_ONES
+
+
+def _golden_run(unit: UnitModel, stimuli: list[Stimulus]) -> GoldenRun:
     """Golden outputs + per-net toggle info per stimulus."""
     with obs.span("gate.golden", stimuli=len(stimuli)):
         return _golden_run_inner(unit, stimuli)
 
 
-def _golden_run_inner(unit: UnitModel, stimuli: list[Stimulus]):
-    sim = LogicSim(unit.netlist, num_words=1)
-    golden = []
-    for stim in stimuli:
-        sim.reset()
-        sim.set_faults(None)
-        ever1 = np.zeros(unit.netlist.num_nets, dtype=bool)
-        ever0 = np.zeros(unit.netlist.num_nets, dtype=bool)
-        per_cycle = []
-        liveness = {name: False for name in unit.liveness_outputs}
-        for inp in unit.transaction(stim):
-            outs = sim.cycle(inp)
-            nz = sim.vals[:, 0] != 0
-            ever1 |= nz
-            ever0 |= ~nz
-            vals = {name: int(sim.lane_values(arr, 1)[0])
-                    for name, arr in outs.items()}
-            per_cycle.append(vals)
-            for name in unit.liveness_outputs:
-                if vals[name]:
-                    liveness[name] = True
-        golden.append({
-            "cycles": per_cycle,
+def _golden_run_inner(unit: UnitModel, stimuli: list[Stimulus]) -> GoldenRun:
+    """One pattern-parallel pass: lane *j* carries stimulus *j*.
+
+    Exact: without a fault every gate and DFF is a bitwise op on each
+    lane separately, so lanes never interact and lane *j* computes what a
+    one-stimulus simulation of stimulus *j* computes. Padding lanes past
+    the last stimulus are never read.
+    """
+    nl = unit.netlist
+    n = len(stimuli)
+    txs = [unit.transaction(stim) for stim in stimuli]
+    lengths = sorted({len(tx) for tx in txs})
+    if len(lengths) > 1:
+        raise ConfigError(f"{unit.name}: transactions of {lengths} cycles; "
+                          "one golden pass needs one length")
+    n_cycles = lengths[0] if lengths else 0
+    sim = LogicSim(nl, num_words=max(1, (n + 63) // 64))
+    out_nets, spans = _output_rows(nl)
+    any1 = np.zeros_like(sim.vals)
+    any0 = np.zeros_like(sim.vals)
+    planes = np.zeros((n_cycles, len(out_nets), sim.num_words),
+                      dtype=np.uint64)
+    for c in range(n_cycles):
+        sim.cycle({name: sim.pack_patterns([tx[c][name] for tx in txs],
+                                           len(nets))
+                   for name, nets in nl.inputs.items() if name in txs[0][c]})
+        any1 |= sim.vals
+        any0 |= ~sim.vals
+        planes[c] = sim.vals[out_nets]
+    values = [{name: bus_values(lane_bits(planes[c, lo:hi], n)).tolist()
+               for name, lo, hi in spans} for c in range(n_cycles)]
+    union1 = np.zeros(nl.num_nets, dtype=bool)
+    union0 = np.zeros(nl.num_nets, dtype=bool)
+    per_stimulus = []
+    for j in range(n):
+        word, bit = j // 64, np.uint64(j % 64)
+        ever1 = ((any1[:, word] >> bit) & np.uint64(1)).astype(bool)
+        ever0 = ((any0[:, word] >> bit) & np.uint64(1)).astype(bool)
+        union1 |= ever1
+        union0 |= ever0
+        cycles = [{name: v[j] for name, v in vals.items()} for vals in values]
+        per_stimulus.append({
+            "cycles": cycles,
             "ever1": ever1,
             "ever0": ever0,
-            "live": liveness,
+            "live": {name: any(cyc[name] for cyc in cycles)
+                     for name in unit.liveness_outputs},
         })
-    return golden
+    return GoldenRun(per_stimulus, union1, union0, planes)
 
 
 # ---------------------------------------------------------------------
 # faulty batches
 # ---------------------------------------------------------------------
 
+#: bit *i* of a lane's model mask stands for ``_MODELS[i]``
+_MODELS = tuple(ErrorModel)
+_MODEL_BIT = {m: 1 << i for i, m in enumerate(_MODELS)}
+_MODEL_SHIFTS = np.arange(len(_MODELS))
+
+
 def _run_batch(unit: UnitModel, batch_faults: list[StuckAtFault],
-               stimuli: list[Stimulus], golden, accel: bool = True,
+               stimuli: list[Stimulus], golden: GoldenRun,
+               accel: bool = True,
                stats: dict | None = None) -> list[FaultRecord]:
     n = len(batch_faults)
-    records = [FaultRecord(f) for f in batch_faults]
-
-    # activation from golden toggle info, vectorized over the batch: a
-    # stuck-at-v fault activates iff its net ever carries ~v in some
-    # golden stimulus (same result as the per-fault scan, done once)
     nets = np.fromiter((f.net for f in batch_faults), dtype=np.int64, count=n)
     sa = np.fromiter((f.stuck_at for f in batch_faults), dtype=np.int64,
                      count=n)
-    if golden and n:
-        any1 = np.zeros(unit.netlist.num_nets, dtype=bool)
-        any0 = np.zeros(unit.netlist.num_nets, dtype=bool)
-        for gi in golden:
-            any1 |= gi["ever1"]
-            any0 |= gi["ever0"]
-        for i in np.flatnonzero(np.where(sa == 0, any1[nets], any0[nets])):
-            records[int(i)].activated = True
+    # activation from golden toggle info, vectorized over the batch: a
+    # stuck-at-v fault activates iff its net ever carries ~v in some
+    # golden stimulus
+    activated = np.where(sa == 0, golden.ever1[nets], golden.ever0[nets])
 
     with obs.span("gate.replay", faults=n, stimuli=len(stimuli)):
-        return _replay_batch(unit, batch_faults, nets, sa, records, stimuli,
-                             golden, accel, stats)
+        propagated, hang, counts = _replay_batch(
+            unit, batch_faults, nets, sa, stimuli, golden, accel, stats)
+    return [FaultRecord(
+        f, activated=bool(activated[i]), propagated=bool(propagated[i]),
+        hang=bool(hang[i]),
+        models=Counter({_MODELS[b]: int(counts[i, b])
+                        for b in np.flatnonzero(counts[i])}))
+        for i, f in enumerate(batch_faults)]
 
 
-def _replay_batch(unit, batch_faults, nets, sa, records, stimuli, golden,
+def _replay_batch(unit, batch_faults, nets, sa, stimuli, golden,
                   accel=True, stats=None):
     """Faulty replay + classification of one batch (the inject/classify
     phase of a gate unit; activation came from the golden toggle info).
+    Returns per fault whether it propagated, whether it hung, and how many
+    stimuli produced each model (a ``(faults, len(_MODELS))`` count matrix).
 
     With *accel*, dynamic fault dropping + stimuli dedup: per distinct
     stimulus, only the faults whose golden toggle info says they can
@@ -259,9 +328,24 @@ def _replay_batch(unit, batch_faults, nets, sa, records, stimuli, golden,
     *stats* is left untouched: the dense cold replay is the degenerate
     setting of the same loop.  Both settings yield bit-identical records
     (tests/test_accel_equivalence.py; ``make oracle-check``).
+
+    Per lane, the loop runs only NumPy: each cycle's outputs are XORed
+    with the stimulus's golden bit-plane in one op, and lanes are unpacked
+    only in cycles where some lane differs.  Per stimulus it decodes the
+    instruction once (:class:`StimulusContext`) and classifies each
+    distinct ``(semantic, golden, faulty)`` value once, then ORs the
+    resulting model mask into every lane that observed that value.
     """
     n = len(batch_faults)
-    out_names = list(unit.netlist.outputs)
+    out_nets, spans = _output_rows(unit.netlist)
+    starts = np.array([lo for _, lo, _ in spans], dtype=np.intp)
+    sems = [unit.output_semantics[name] for name, _, _ in spans]
+    live_rows = np.concatenate(
+        [np.arange(lo, hi) for name, lo, hi in spans
+         if name in unit.liveness_outputs] or [np.zeros(0, dtype=np.intp)])
+    propagated = np.zeros(n, dtype=bool)
+    hang = np.zeros(n, dtype=bool)
+    counts = np.zeros((n, len(_MODELS)), dtype=np.int64)
     if accel:
         if stats is None:
             stats = {}
@@ -284,7 +368,7 @@ def _replay_batch(unit, batch_faults, nets, sa, records, stimuli, golden,
 
     sims: dict[int, LogicSim] = {}
     for si, mult in reps:
-        stim, gi = stimuli[si], golden[si]
+        stim, gi = stimuli[si], golden.per_stimulus[si]
         if accel:
             active = np.flatnonzero(
                 np.where(sa == 0, gi["ever1"][nets], gi["ever0"][nets]))
@@ -306,46 +390,50 @@ def _replay_batch(unit, batch_faults, nets, sa, records, stimuli, golden,
         if sim is None:
             sims[w] = sim = LogicSim(unit.netlist, num_words=w)
         sim.reset()
-        sim.set_faults(FaultBatch([batch_faults[int(i)] for i in active],
+        sim.set_faults(FaultBatch([batch_faults[i] for i in active.tolist()],
                                   num_words=w))
-        live_seen = np.zeros(m, dtype=bool)
-        diffs_this_stim: dict[int, set[ErrorModel]] = {}
+        gold = golden.golden_bits(si)
+        ctx = StimulusContext.of(stim)
+        memo: dict[tuple[str, int, int], int] = {}
+        diff_words = np.zeros(w, dtype=np.uint64)
+        live_words = np.zeros(w, dtype=np.uint64)
+        lane_models = np.zeros(m, dtype=np.int64)
         for cyc, inp in enumerate(unit.transaction(stim)):
-            outs = sim.cycle(inp)
+            sim.cycle(inp)
+            out = sim.vals[out_nets]
+            live_words |= np.bitwise_or.reduce(out[live_rows], axis=0)
+            diff = out ^ gold[cyc][:, None]
+            dwords = np.bitwise_or.reduce(diff, axis=0)
+            if not dwords.any():
+                continue
+            diff_words |= dwords
+            bits = lane_bits(diff, m)               # (output bits, lane)
             gvals = gi["cycles"][cyc]
-            for name in out_names:
-                arr = outs[name]
-                gval = gvals[name]
-                gold_arr = sim.broadcast(gval, arr.shape[0])
-                diff = arr ^ gold_arr
-                dwords = np.bitwise_or.reduce(diff, axis=0)
-                if not dwords.any():
-                    continue
-                lanes = np.nonzero(sim.unpack_lanes(
-                    dwords[None, :], m).ravel())[0]
-                if lanes.size == 0:
-                    continue
-                fvals = sim.lane_values(arr, m)
-                sem = unit.output_semantics[name]
-                for lane in lanes:
-                    fi = int(active[lane])
-                    models = classify_output_diff(
-                        sem, stim, gval, int(fvals[lane]))
-                    if models:
-                        diffs_this_stim.setdefault(fi, set()).update(models)
-                    records[fi].propagated = True
-            for name in unit.liveness_outputs:
-                vals = sim.lane_values(outs[name], m)
-                live_seen |= vals != 0
+            row_hit = np.logical_or.reduceat(bits.any(axis=1), starts)
+            for k in np.flatnonzero(row_hit):
+                name, lo, hi = spans[k]
+                sub = bits[lo:hi]
+                lanes = np.flatnonzero(sub.any(axis=0))
+                gval, sem = gvals[name], sems[k]
+                flips = bus_values(sub[:, lanes]).tolist()
+                mask_of: dict[int, int] = {}
+                for d in set(flips):
+                    key = (sem, gval, d)
+                    mask = memo.get(key)
+                    if mask is None:
+                        mask = memo[key] = sum(
+                            _MODEL_BIT[mm]
+                            for mm in ctx.classify(sem, gval, gval ^ d))
+                    mask_of[d] = mask
+                lane_models[lanes] |= np.array([mask_of[d] for d in flips],
+                                               dtype=np.int64)
+        propagated[active[lane_bits(diff_words[None, :], m)[0] != 0]] = True
         # hang: golden asserted liveness but this lane never did; dropped
         # lanes replay the golden trajectory, so they assert iff golden did
         if any(gi["live"].values()):
-            for lane in np.flatnonzero(~live_seen):
-                records[int(active[lane])].hang = True
-        for fi, models in diffs_this_stim.items():
-            for mm in models:
-                records[fi].models[mm] += mult
-    return records
+            hang[active[lane_bits(live_words[None, :], m)[0] == 0]] = True
+        counts[active] += ((lane_models[:, None] >> _MODEL_SHIFTS) & 1) * mult
+    return propagated, hang, counts
 
 
 # ---------------------------------------------------------------------

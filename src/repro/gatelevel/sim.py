@@ -24,11 +24,39 @@ from repro.gatelevel.faults import StuckAtFault
 from repro.gatelevel.netlist import GateType, Netlist
 
 ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+_SHIFTS = np.arange(64, dtype=np.uint64)
+
+
+def lane_bits(arr: np.ndarray, n_lanes: int) -> np.ndarray:
+    """(rows, n_lanes) uint8 bit matrix of a (rows, W) word array: column
+    *j* is lane *j* (word ``j // 64``, bit ``j % 64``)."""
+    octets = np.ascontiguousarray(arr, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :n_lanes]
+
+
+def bus_values(bits: np.ndarray) -> np.ndarray:
+    """Integer per column of a (width, lanes) bit matrix, row 0 the LSB.
+    The values are uint64, so a bus wider than 64 bits is refused."""
+    width = bits.shape[0]
+    if width > 64:
+        raise ConfigError(f"{width}-bit bus exceeds the 64-bit lane value")
+    return np.bitwise_or.reduce(
+        bits.astype(np.uint64) << _SHIFTS[:width, None], axis=0)
+
+
+#: ``_EARLIER[i, j]``: lane *j* precedes lane *i* in their word
+_EARLIER = np.tri(64, k=-1, dtype=bool)
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(..., 64) bool -> (...) uint64 words, element *j* as bit *j*."""
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")[..., 0]
 
 
 @dataclass
 class FaultBatch:
-    """Up to ``64*num_words`` faults packed one per lane."""
+    """Up to ``64*num_words`` faults packed one per lane: fault *i* sits
+    on lane *i*, i.e. word ``i // 64``, bit ``i % 64``."""
 
     faults: list[StuckAtFault]
     num_words: int
@@ -40,34 +68,42 @@ class FaultBatch:
                 f"{64 * self.num_words}"
             )
 
-    def lane_of(self, i: int) -> tuple[int, int]:
-        """(word, bit) lane carrying fault *i*."""
-        return i // 64, i % 64
-
     def compile(self, levels: np.ndarray):
         """Group per level: unique (net, word) rows with clear/set masks."""
-        per_key: dict[tuple[int, int], list[int]] = {}
-        for i, f in enumerate(self.faults):
-            w, b = self.lane_of(i)
-            per_key.setdefault((f.net, w), []).append(i)
-        by_level: dict[int, list[tuple[int, int, int, int]]] = {}
-        for (net, w), idxs in per_key.items():
-            clear = 0
-            setm = 0
-            for i in idxs:
-                _, b = self.lane_of(i)
-                m = 1 << b
-                clear |= m
-                if self.faults[i].stuck_at:
-                    setm |= m
-            by_level.setdefault(int(levels[net]), []).append((net, w, clear, setm))
+        k = len(self.faults)
+        if k == 0:
+            return {}
+        used = (k + 63) // 64
+        nets = np.full(64 * used, -1, dtype=np.int64)
+        nets[:k] = np.fromiter((f.net for f in self.faults), np.int64, k)
+        sa1 = np.zeros(64 * used, dtype=bool)
+        sa1[:k] = np.fromiter((f.stuck_at for f in self.faults), bool, k)
+        nets, sa1 = nets.reshape(used, 64), sa1.reshape(used, 64)
+        # same[w, i, j]: lanes i and j of word w force the same net, so
+        # lane i's row of `same`, packed, is the clear mask of its row
+        same = nets[:, :, None] == nets[:, None, :]
+        clear = _pack_rows(same)
+        setm = _pack_rows(same & sa1[:, None, :])
+        # the first lane on a net in its word carries the row
+        lead = ~(same & _EARLIER).any(axis=2)
+        lead &= (np.arange(64 * used) < k).reshape(used, 64)
+        row_nets, row_words = nets[lead], np.nonzero(lead)[0]
+        row_levels = levels[row_nets]
+        # rows grouped by level (a stable counting sort): row i of
+        # `at_level` marks the rows on the i-th level present
+        present = np.flatnonzero(np.bincount(row_levels))
+        at_level = row_levels == present[:, None]
+        order = np.nonzero(at_level)[1]
+        row_nets, row_words = row_nets[order], row_words[order]
+        clear, setm = clear[lead][order], setm[lead][order]
         compiled = {}
-        for lvl, rows in by_level.items():
-            nets = np.array([r[0] for r in rows], dtype=np.int64)
-            words = np.array([r[1] for r in rows], dtype=np.int64)
-            clear = np.array([r[2] for r in rows], dtype=np.uint64)
-            setm = np.array([r[3] for r in rows], dtype=np.uint64)
-            compiled[lvl] = (nets, words, clear, setm)
+        start = 0
+        for lvl, end in zip(present.tolist(),
+                            np.cumsum(at_level.sum(axis=1)).tolist()):
+            cut = slice(start, end)
+            compiled[lvl] = (row_nets[cut], row_words[cut], clear[cut],
+                             setm[cut])
+            start = end
         return compiled
 
 
@@ -130,15 +166,12 @@ class LogicSim:
     def broadcast(self, value: int, width: int) -> np.ndarray:
         """(width, W) input array with every lane carrying *value*."""
         out = np.zeros((width, self.num_words), dtype=np.uint64)
-        set_bits = np.zeros(width, dtype=bool)
-        # value is an arbitrary-precision int: extract 64 bits at a time so
-        # the per-bit test is one vector op instead of a Python loop
-        for lo in range(0, width, 64):
-            w = min(64, width - lo)
-            chunk = np.uint64((value >> lo) & 0xFFFFFFFFFFFFFFFF)
-            shifts = np.arange(w, dtype=np.uint64)
-            set_bits[lo:lo + w] = ((chunk >> shifts) & np.uint64(1)) != 0
-        out[set_bits] = ALL_ONES
+        # value is an arbitrary-precision int: its low *width* bits as
+        # little-endian bytes, unpacked LSB-first in one vector op
+        raw = (value & ((1 << width) - 1)).to_bytes((width + 7) // 8, "little")
+        set_bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                                 bitorder="little")[:width]
+        out[set_bits.view(bool)] = ALL_ONES
         return out
 
     def pack_patterns(self, values, width: int) -> np.ndarray:
@@ -161,18 +194,10 @@ class LogicSim:
         out[:, :used] = np.bitwise_or.reduceat(bitmat, starts, axis=1)
         return out
 
-    def unpack_lanes(self, arr: np.ndarray, n_lanes: int) -> np.ndarray:
-        """(n_lanes, width) bit matrix from a (width, W) output array."""
-        width = arr.shape[0]
-        shifts = np.arange(64, dtype=np.uint64)
-        bits = ((arr[:, :, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-        return bits.reshape(width, self.num_words * 64).T[:n_lanes]
-
     def lane_values(self, arr: np.ndarray, n_lanes: int) -> np.ndarray:
-        """Integer value of the bus per lane (LSB-first)."""
-        bits = self.unpack_lanes(arr, n_lanes).astype(np.uint64)
-        weights = np.uint64(1) << np.arange(arr.shape[0], dtype=np.uint64)
-        return (bits * weights).sum(axis=1, dtype=np.uint64)
+        """Integer value of the bus per lane (LSB-first); buses are at
+        most 64 bits wide."""
+        return bus_values(lane_bits(arr, n_lanes))
 
     # ------------------------------------------------------------------
     def cycle(self, inputs: dict[str, int | np.ndarray]) -> dict[str, np.ndarray]:

@@ -872,6 +872,232 @@ class TestGateEquivalence:
         assert stats["stimuli_deduped"] == 16
 
 
+# ---------------------------------------------------------------------
+# gate level: packed golden run and per-stimulus classification against
+# test-local references (today's per-stimulus golden loop and a per-lane
+# classify_output_diff replay)
+# ---------------------------------------------------------------------
+
+GATE_UNITS = ("wsc", "fetch", "decoder")
+
+
+def _lane_ints(arr: np.ndarray, n: int) -> list[int]:
+    """Per-lane bus values of a (width, W) word array, LSB-first."""
+    lanes = np.arange(n)
+    bits = (arr[:, lanes // 64] >> (lanes % 64).astype(np.uint64)) \
+        & np.uint64(1)
+    return [sum(int(b) << i for i, b in enumerate(col))
+            for col in bits.T.tolist()]
+
+
+def _golden_reference(unit, stimuli) -> list[dict]:
+    """One 1-word simulation per stimulus (every lane the same stimulus)."""
+    sim = LogicSim(unit.netlist, num_words=1)
+    golden = []
+    for stim in stimuli:
+        sim.reset()
+        ever1 = np.zeros(unit.netlist.num_nets, dtype=bool)
+        ever0 = np.zeros(unit.netlist.num_nets, dtype=bool)
+        cycles = []
+        for inp in unit.transaction(stim):
+            outs = sim.cycle(inp)
+            nz = sim.vals[:, 0] != 0
+            ever1 |= nz
+            ever0 |= ~nz
+            cycles.append({name: _lane_ints(arr, 1)[0]
+                           for name, arr in outs.items()})
+        golden.append({
+            "cycles": cycles, "ever1": ever1, "ever0": ever0,
+            "live": {name: any(c[name] for c in cycles)
+                     for name in unit.liveness_outputs}})
+    return golden
+
+
+def _records_reference(unit, faults, stimuli) -> list[dict]:
+    """Dense replay classifying every differing lane on its own."""
+    from repro.errormodels.classify import classify_output_diff
+    from repro.faultinjection.campaign import FaultRecord
+    from repro.gatelevel.sim import FaultBatch
+
+    golden = _golden_reference(unit, stimuli)
+    n = len(faults)
+    records = [FaultRecord(f) for f in faults]
+    for r in records:
+        key = "ever1" if r.fault.stuck_at == 0 else "ever0"
+        r.activated = any(bool(g[key][r.fault.net]) for g in golden)
+    w = (n + 63) // 64
+    sim = LogicSim(unit.netlist, num_words=w)
+    for stim, g in zip(stimuli, golden):
+        sim.reset()
+        sim.set_faults(FaultBatch(list(faults), num_words=w))
+        live = [False] * n
+        models: list[set] = [set() for _ in range(n)]
+        for cyc, inp in enumerate(unit.transaction(stim)):
+            for name, arr in sim.cycle(inp).items():
+                gval = g["cycles"][cyc][name]
+                for lane, v in enumerate(_lane_ints(arr, n)):
+                    if v != gval:
+                        records[lane].propagated = True
+                        models[lane] |= classify_output_diff(
+                            unit.output_semantics[name], stim, gval, v)
+                    if name in unit.liveness_outputs and v:
+                        live[lane] = True
+        if any(g["live"].values()):
+            for lane in range(n):
+                if not live[lane]:
+                    records[lane].hang = True
+        for lane, ms in enumerate(models):
+            for m in ms:
+                records[lane].models[m] += 1
+    return [record_to_json(r) for r in records]
+
+
+def _random_stimuli(n: int, seed: int) -> list:
+    """Stimuli off the profiled path: random words (most opcodes are
+    illegal and do not decode), immediates, masks and ids."""
+    from repro.gatelevel.units.base import Stimulus
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        word = int(rng.integers(0, 2 ** 63)) * 2 + int(rng.integers(0, 2))
+        out.append(Stimulus(
+            word=word, imm=int(rng.integers(0, 2 ** 32)),
+            warp_id=int(rng.integers(0, 16)),
+            thread_mask=int(rng.integers(0, 2 ** 32)),
+            cta_id=int(rng.integers(0, 16)), pc=int(rng.integers(0, 256)),
+            opcode=word & 0xFF))
+    return out
+
+
+def _assert_golden_matches_reference(unit, stimuli):
+    from repro.gatelevel.sim import ALL_ONES
+
+    got = _golden_run(unit, stimuli)
+    want = _golden_reference(unit, stimuli)
+    assert len(got.per_stimulus) == len(want)
+    for j, (g, w) in enumerate(zip(got.per_stimulus, want)):
+        assert g["cycles"] == w["cycles"], j
+        assert np.array_equal(g["ever1"], w["ever1"]), j
+        assert np.array_equal(g["ever0"], w["ever0"]), j
+        assert g["live"] == w["live"], j
+        # the golden bit-plane replays compare against, bit by bit
+        plane = got.golden_bits(j)
+        for c, vals in enumerate(w["cycles"]):
+            bits = [ALL_ONES if (vals[name] >> i) & 1 else 0
+                    for name, nets in unit.netlist.outputs.items()
+                    for i in range(len(nets))]
+            assert plane[c].tolist() == [int(b) for b in bits], (j, c)
+    assert np.array_equal(got.ever1, np.logical_or.reduce(
+        [w["ever1"] for w in want]))
+    assert np.array_equal(got.ever0, np.logical_or.reduce(
+        [w["ever0"] for w in want]))
+
+
+@pytest.fixture(scope="module")
+def profiled_48():
+    """The 48 profiled stimuli of a default CLI gate campaign."""
+    from repro.profiling import profile_workloads
+    from repro.profiling.profiler import PROFILING_NAMES
+    from repro.workloads import get_workload
+
+    wls = [get_workload(n, scale="tiny") for n in PROFILING_NAMES[:6]]
+    stims = profile_workloads(wls, max_stimuli_per_workload=16).stimuli
+    idx = np.linspace(0, len(stims) - 1, 48).astype(int)
+    return [stims[i] for i in idx]
+
+
+class TestPackedGolden:
+    @pytest.mark.parametrize("unit_name", GATE_UNITS)
+    def test_48_profiled_stimuli(self, unit_name, profiled_48):
+        _assert_golden_matches_reference(build_unit(unit_name), profiled_48)
+
+    @pytest.mark.parametrize("unit_name", GATE_UNITS)
+    def test_130_stimuli_span_three_words(self, unit_name, profiled_48):
+        stims = profiled_48 + _random_stimuli(82, seed=130)
+        unit = build_unit(unit_name)
+        assert _golden_run(unit, stims).planes.shape[2] == 3
+        _assert_golden_matches_reference(unit, stims)
+
+    @pytest.mark.parametrize("unit_name", GATE_UNITS)
+    def test_duplicated_stimuli(self, unit_name, profiled_48):
+        stims = profiled_48[:8] * 3 + profiled_48[3:5]
+        _assert_golden_matches_reference(build_unit(unit_name), stims)
+
+    def test_mixed_transaction_lengths_refused(self):
+        from dataclasses import replace
+
+        from repro.common.exceptions import ConfigError
+
+        unit = build_unit("decoder")
+        short = replace(unit, transaction=lambda s: unit.transaction(s)[
+            : 2 if s.warp_id % 2 else 3])
+        stims = [replace(s, warp_id=i)
+                 for i, s in enumerate(_random_stimuli(2, seed=4))]
+        with pytest.raises(ConfigError, match="one length"):
+            _golden_run(short, stims)
+
+    def test_no_stimuli(self):
+        unit = build_unit("fetch")
+        got = _golden_run(unit, [])
+        assert got.per_stimulus == []
+        assert not got.ever1.any() and not got.ever0.any()
+
+
+class TestReplayReference:
+    @pytest.mark.parametrize("unit_name", GATE_UNITS)
+    def test_records_match_per_lane_reference(self, unit_name, gate_stimuli):
+        unit = build_unit(unit_name)
+        faults = sample_faults(full_fault_list(unit.netlist), 160, seed=13)
+        stims = list(gate_stimuli[:6]) + [gate_stimuli[0]]
+        want = _records_reference(unit, faults, stims)
+        golden = _golden_run(unit, stims)
+        for accel in (True, False):
+            got = _run_batch(unit, faults, stims, golden, accel=accel)
+            assert [record_to_json(r) for r in got] == want, accel
+        # the reference must see every outcome kind this sample can reach
+        assert any(r["propagated"] for r in want)
+
+    def test_random_stimuli(self):
+        from hypothesis import HealthCheck, given, settings
+        from hypothesis import strategies as st
+
+        from repro.gatelevel.units.base import Stimulus
+        from repro.isa.opcodes import is_valid_opcode
+
+        illegal = [op for op in range(256) if not is_valid_opcode(op)]
+        words = st.one_of(
+            st.integers(0, 2 ** 64 - 1),
+            st.tuples(st.integers(0, 2 ** 56 - 1), st.sampled_from(illegal))
+            .map(lambda t: (t[0] << 8) | t[1]))
+        stimulus = st.builds(
+            lambda word, imm, warp, mask, cta, pc: Stimulus(
+                word=word, imm=imm, warp_id=warp, thread_mask=mask,
+                cta_id=cta, pc=pc, opcode=word & 0xFF),
+            words, st.integers(0, 2 ** 32 - 1), st.integers(0, 15),
+            st.integers(0, 2 ** 32 - 1), st.integers(0, 15),
+            st.integers(0, 255))
+        units = {u: build_unit(u) for u in GATE_UNITS}
+        faults = {u: sample_faults(full_fault_list(unit.netlist), 64, seed=2)
+                  for u, unit in units.items()}
+
+        @settings(max_examples=6, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.lists(stimulus, min_size=1, max_size=3))
+        def check(stims):
+            stims = stims + stims[:1]          # one duplicate
+            for u, unit in units.items():
+                _assert_golden_matches_reference(unit, stims)
+                want = _records_reference(unit, faults[u], stims)
+                golden = _golden_run(unit, stims)
+                for accel in (True, False):
+                    got = _run_batch(unit, faults[u], stims, golden,
+                                     accel=accel)
+                    assert [record_to_json(r) for r in got] == want
+
+        check()
+
+
 @pytest.fixture(scope="module")
 def gate_stimuli():
     from repro.profiling import profile_workloads
@@ -939,6 +1165,28 @@ class TestVectorizedKernels:
                 if (value >> i) & 1:
                     want[i, :] = ALL_ONES
             assert np.array_equal(got, want)
+
+    def test_fault_batch_compile_matches_reference(self):
+        from repro.gatelevel.sim import FaultBatch
+
+        nl = build_unit("wsc").netlist
+        levels = nl.levelize()
+        faults = sample_faults(full_fault_list(nl), 300, seed=4)
+        # duplicate nets in one word and across words
+        faults = faults + faults[:40] + [f for f in faults[:20]]
+        for words in (5, 6):
+            batch = FaultBatch(faults[:64 * words], num_words=words)
+            want: dict = {}
+            for i, f in enumerate(batch.faults):
+                row = want.setdefault(int(levels[f.net]), {}).setdefault(
+                    (f.net, i // 64), [0, 0])
+                row[0] |= 1 << (i % 64)
+                row[1] |= f.stuck_at << (i % 64)
+            got = {lvl: {(int(n), int(w)): [int(c), int(s)]
+                         for n, w, c, s in zip(*rows)}
+                   for lvl, rows in batch.compile(levels).items()}
+            assert got == want
+        assert FaultBatch([], num_words=1).compile(levels) == {}
 
     def test_pack_patterns_matches_reference(self):
         sim = LogicSim(build_unit("decoder").netlist, num_words=3)

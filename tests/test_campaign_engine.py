@@ -474,6 +474,38 @@ class TestCli:
         assert CHECKPOINT_CACHE.misses == 0
         assert CHECKPOINT_CACHE.disk_hits == 1
 
+    def test_status_into_closed_pipe_prints_no_traceback(self, tmp_path):
+        # ``status --dir <complete campaign> | head -1``: the reader
+        # closes the pipe after one line, before the summary is written
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.campaign.__main__ import main
+
+        d = str(tmp_path / "gate")
+        assert main(["run", "--kind", "gate", "--unit", "decoder",
+                     "--max-faults", "64", "--max-stimuli", "2", "--serial",
+                     "--dir", d]) == 0
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.campaign", "status", "--dir", d],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            assert proc.stdout.readline().strip() == "{"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            rc = proc.wait(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert "Traceback" not in err, err
+        assert "BrokenPipeError" not in err, err
+        assert rc == 1
+
     def test_status_on_non_campaign_dir_errors(self, tmp_path):
         from repro.campaign.__main__ import main
 

@@ -14,9 +14,11 @@ from repro.errormodels import (
     classify_output_diff,
     instruction_field_usage,
 )
+from repro.errormodels.classify import StimulusContext
 from repro.errormodels.models import SW_INJECTABLE
 from repro.gatelevel.units.base import ARCH_REGS, Stimulus
 from repro.isa import Instruction, Op
+from repro.isa.encoding import FIELD_USE_IMM
 from repro.isa.opcodes import CmpOp, MemSpace
 
 
@@ -136,6 +138,64 @@ class TestClassification:
     def test_unknown_semantic_rejected(self):
         with pytest.raises(KeyError):
             classify_output_diff("bogus", IADD, 0, 1)
+
+
+#: opcode byte 0xEE names no instruction; GST with the immediate flag set
+#: names one but no instruction encodes it
+UNDECODABLE = Stimulus(word=0xEE | (3 << 8), imm=7, warp_id=1,
+                       thread_mask=0xF, cta_id=2, opcode=0xEE)
+NOT_ENCODABLE = Stimulus(word=IADD.word & ~0xFF | int(Op.GST)
+                         | (1 << FIELD_USE_IMM[0]),
+                         imm=0, warp_id=0, thread_mask=1, cta_id=0,
+                         opcode=int(Op.GST))
+
+
+class TestStimulusContext:
+    def _semantics(self) -> set[str]:
+        from repro.gatelevel.units import build_unit
+
+        return {sem for u in ("wsc", "fetch", "decoder")
+                for sem in build_unit(u).output_semantics.values()}
+
+    def test_decodes_once_like_the_isa_decoder(self):
+        from repro.isa.encoding import EncodedInstruction, decode
+
+        for stim in (IADD, LDS, ISETP):
+            ctx = StimulusContext.of(stim)
+            assert ctx.instr == decode(EncodedInstruction(stim.word, stim.imm))
+            assert ctx.usage == instruction_field_usage(stim)
+        for stim in (UNDECODABLE, NOT_ENCODABLE):
+            ctx = StimulusContext.of(stim)
+            assert ctx.instr is None and ctx.usage == {}
+
+    def test_same_models_as_classify_output_diff(self):
+        import random
+
+        sems = self._semantics()
+        assert "instr_word" in sems and len(sems) >= 15
+        r = random.Random(3)
+        for stim in (IADD, LDS, ISETP, UNDECODABLE, NOT_ENCODABLE):
+            ctx = StimulusContext.of(stim)   # one context, many calls
+            for sem in sorted(sems):
+                pairs = [(stim.word, stim.word ^ (1 << b)) for b in range(64)]
+                pairs += [(r.getrandbits(64), r.getrandbits(64))
+                          for _ in range(32)]
+                pairs += [(5, 5), (0, 1 << FIELD_USE_IMM[0])]
+                for g, f in pairs:
+                    assert ctx.classify(sem, g, f) == \
+                        classify_output_diff(sem, stim, g, f), (sem, g, f)
+
+    def test_undecodable_stimulus_classifies_without_usage(self):
+        ctx = StimulusContext.of(UNDECODABLE)
+        # fields an unknown instruction may consume classify to nothing...
+        assert ctx.classify("reg_dst", 3, 4) == set()
+        assert ctx.classify("imm", 0, 4) == set()
+        assert ctx.classify("aux", 0, 1) == set()
+        # ...while usage-free fields still do
+        assert ctx.classify("instr_word", UNDECODABLE.word,
+                            UNDECODABLE.word ^ 0x01) == {ErrorModel.IVOC}
+        assert ctx.classify("opcode", 0xEE, int(Op.IADD)) == {ErrorModel.IOC}
+        assert ctx.classify("warp", 1, 2) == {ErrorModel.IAW}
 
 
 class TestDescriptor:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.exceptions import NetlistError
+from repro.common.exceptions import ConfigError, NetlistError
 from repro.gatelevel import (
     CircuitBuilder,
     FaultBatch,
@@ -278,6 +278,19 @@ class TestPatternParallel:
                          "b": sim.pack_patterns(ys, 8)})
         got = sim.lane_values(out["y"], 64)
         np.testing.assert_array_equal(got, (xs + ys) & 0xFF)
+
+    def test_lane_values_keeps_bit_63_and_refuses_wider_buses(self):
+        b = CircuitBuilder("t")
+        b.output("y", b.buf(b.input("a", 64)))
+        b.output("z", b.buf(b.input("c", 65)))
+        sim = LogicSim(b.build(), num_words=1)
+        vals = np.array([1 << 63, (1 << 64) - 1, 5], dtype=np.uint64)
+        out = sim.cycle({"a": sim.pack_patterns(vals, 64), "c": 0})
+        np.testing.assert_array_equal(sim.lane_values(out["y"], 3), vals)
+        # a uint64 lane value cannot hold bit 64: refuse instead of
+        # silently dropping it
+        with pytest.raises(ConfigError, match="65-bit bus"):
+            sim.lane_values(out["z"], 3)
 
 
 class TestFaults:
