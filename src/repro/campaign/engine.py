@@ -34,7 +34,7 @@ import os
 import signal as _signal
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Sequence
 
 from repro import obs
@@ -151,9 +151,10 @@ class UnitResult:
             (_TIMEOUT_PREFIX, _POOL_FAILURE_PREFIX))
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        d.pop("obs", None)
-        return d
+        """The stored fields, without ``obs``. Shallow: ``value`` is the
+        runner's own dict, not a copy (``json.dumps`` only reads it)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "obs"}
 
     @classmethod
     def from_json(cls, data: dict) -> "UnitResult":

@@ -208,10 +208,13 @@ class GoldenRun:
     ever0: np.ndarray
     planes: np.ndarray
 
-    def golden_bits(self, j: int) -> np.ndarray:
+    def golden_bits(self, j) -> np.ndarray:
         """(cycles, output bits): all-ones where stimulus *j*'s golden
-        output bit is 1, else 0 — the plane a faulty word is XORed with."""
-        bit = (self.planes[:, :, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
+        output bit is 1, else 0 — the words a faulty plane is compared
+        with.  An index array *j* adds a last axis, one column per index."""
+        j = np.asarray(j)
+        bit = (self.planes[:, :, j // 64] >> (j % 64).astype(np.uint64)) \
+            & np.uint64(1)
         return bit * ALL_ONES
 
 
@@ -281,6 +284,51 @@ _MODELS = tuple(ErrorModel)
 _MODEL_BIT = {m: 1 << i for i, m in enumerate(_MODELS)}
 _MODEL_SHIFTS = np.arange(len(_MODELS))
 
+#: byte budget of one replay pass's state: the simulator's net values and
+#: DFF state plus the per-word classification temporaries (_pass_words)
+PASS_BYTES = 1152 << 10
+
+_BIT_SHIFTS = np.arange(64, dtype=np.uint64)
+#: ``_LANE_BIT[i]``: lane *i*'s bit in its 64-lane word
+_LANE_BIT = np.uint64(1) << _BIT_SHIFTS
+
+
+def _pass_words(netlist) -> int:
+    """Widest replay pass, in 64-lane words, whose state fits
+    :data:`PASS_BYTES`.
+
+    Per word a pass holds 8 bytes per net and per DFF (``LogicSim.vals``
+    and ``state``), four output planes (the cycle's sampled outputs, the
+    replay's copy, the per-lane golden plane and the diff), one byte per
+    lane and bit of the widest output (its unpacked diff) and one model
+    mask per lane.
+    """
+    widths = [len(nets) for nets in netlist.outputs.values()]
+    per_word = (8 * (netlist.num_nets + netlist.num_dffs)
+                + 4 * 8 * sum(widths) + 64 * max(widths) + 64 * 8)
+    return max(1, PASS_BYTES // per_word)
+
+
+def _segments(lane_group: np.ndarray):
+    """Cut a pass's lanes (whole words, grouped by stimulus) into runs of
+    one stimulus within one word: each run's stimulus, its lane mask, and
+    the index of every word's first run."""
+    start = np.ones(lane_group.size, dtype=bool)
+    start[1:] = lane_group[1:] != lane_group[:-1]
+    start[::64] = True
+    first = np.flatnonzero(start)
+    masks = np.bitwise_or.reduceat(
+        np.tile(_LANE_BIT, lane_group.size // 64), first)
+    return lane_group[first], masks, np.flatnonzero(first % 64 == 0)
+
+
+def _spread(words: np.ndarray, cols: np.ndarray, masks: np.ndarray,
+            word_first: np.ndarray) -> np.ndarray:
+    """(rows, stimuli) all-ones/zero words -> the (rows, words) plane whose
+    lane *j* holds the value of lane *j*'s stimulus; run *i* of
+    :func:`_segments` reads column ``cols[i]``."""
+    return np.bitwise_or.reduceat(words[:, cols] & masks, word_first, axis=1)
+
 
 def _run_batch(unit: UnitModel, batch_faults: list[StuckAtFault],
                stimuli: list[Stimulus], golden: GoldenRun,
@@ -313,31 +361,40 @@ def _replay_batch(unit, batch_faults, nets, sa, stimuli, golden,
     Returns per fault whether it propagated, whether it hung, and how many
     stimuli produced each model (a ``(faults, len(_MODELS))`` count matrix).
 
-    With *accel*, dynamic fault dropping + stimuli dedup: per distinct
+    The replay simulates ``(fault, stimulus)`` pairs.  With *accel*,
+    dynamic fault dropping + stimuli dedup pick them: per distinct
     stimulus, only the faults whose golden toggle info says they can
-    activate keep a lane; every other fault's lane is retired and refilled
-    from the pending queue, shrinking the word count of the whole pass.  A
-    dropped ``(fault, stimulus)`` pair is exactly a no-op: the forced value
-    equals the net's golden value on every cycle, so that lane would replay
-    the golden trajectory — no output diff, no hang, no model.  Duplicate
-    stimuli (frozen dataclass equality) replay once and their per-stimulus
-    model counts are applied with multiplicity.  Tallies go to *stats*.
-
-    Without *accel* (the ``--no-accel`` reference) every fault keeps a lane
-    for every stimulus, each stimulus replays once with multiplicity 1, and
-    *stats* is left untouched: the dense cold replay is the degenerate
-    setting of the same loop.  Both settings yield bit-identical records
+    activate make a pair.  A dropped pair is exactly a no-op: the forced
+    value equals the net's golden value on every cycle, so that lane would
+    replay the golden trajectory — no output diff, no hang, no model.
+    Duplicate stimuli (frozen dataclass equality) make pairs once and
+    their model counts are applied with multiplicity.  Tallies go to
+    *stats*.  Without *accel* (the ``--no-accel`` reference) every fault
+    pairs with every stimulus with multiplicity 1 and *stats* is left
+    untouched: the dense cold replay is the degenerate setting of the same
+    loop.  Both settings yield bit-identical records
     (tests/test_accel_equivalence.py; ``make oracle-check``).
 
+    Pair-packed passes: the pairs of all stimuli, stimulus by stimulus,
+    fill the lanes of one ``LogicSim`` as densely as they come, as many
+    words per pass as :func:`_pass_words` allows.  Lane *j* gets its fault
+    through :class:`FaultBatch` and its stimulus's inputs and golden
+    outputs spread from per-stimulus all-ones/zero words over its runs of
+    lanes (:func:`_segments`); lanes past the last pair repeat the last
+    stimulus fault-free and are never read.  Lanes never interact (gates
+    are bitwise, DFFs copy bits, fault forcing is masked per lane), so
+    each lane computes its one-lane simulation.
+
     Per lane, the loop runs only NumPy: each cycle's outputs are XORed
-    with the stimulus's golden bit-plane in one op, and lanes are unpacked
-    only in cycles where some lane differs.  Per stimulus it decodes the
-    instruction once (:class:`StimulusContext`) and classifies each
-    distinct ``(semantic, golden, faulty)`` value once, then ORs the
-    resulting model mask into every lane that observed that value.
+    with the per-lane golden plane in one op, and only cycles, outputs and
+    words where some lane differs are unpacked.  Each stimulus is decoded
+    once (:class:`StimulusContext`) and each distinct ``(stimulus,
+    semantic, golden, flip)`` is classified once; its model mask is ORed
+    into every lane that observed it.
     """
     n = len(batch_faults)
-    out_nets, spans = _output_rows(unit.netlist)
+    nl = unit.netlist
+    out_nets, spans = _output_rows(nl)
     starts = np.array([lo for _, lo, _ in spans], dtype=np.intp)
     sems = [unit.output_semantics[name] for name, _, _ in spans]
     live_rows = np.concatenate(
@@ -366,73 +423,115 @@ def _replay_batch(unit, batch_faults, nets, sa, stimuli, golden,
             reps[at] = (reps[at][0], reps[at][1] + 1)
             stats["stimuli_deduped"] += 1
 
-    sims: dict[int, LogicSim] = {}
+    # the pairs, stimulus by stimulus: pairs bounds[g]:bounds[g + 1] pair
+    # the faults pair_fault[...] with stimulus group_si[g]
+    group_si, group_mult, actives = [], [], []
     for si, mult in reps:
-        stim, gi = stimuli[si], golden.per_stimulus[si]
+        gi = golden.per_stimulus[si]
         if accel:
             active = np.flatnonzero(
                 np.where(sa == 0, gi["ever1"][nets], gi["ever0"][nets]))
-            dropped = n - int(active.size)
-            stats["pairs_dropped"] += dropped * mult
+            stats["pairs_dropped"] += (n - int(active.size)) * mult
+            if active.size:
+                # dense repack: faults after a dropped one move down
+                stats["lanes_refilled"] += int(np.count_nonzero(
+                    active != np.arange(active.size)))
+                stats["replays"] += 1
         else:
             active = np.arange(n)
-        if active.size == 0:
-            continue
-        m = int(active.size)
-        if accel:
-            # dense repack: retired lanes are refilled by pending faults,
-            # so the pass needs only ceil(m/64) words, not the full batch
-            refilled = int(np.count_nonzero(active != np.arange(m)))
-            stats["lanes_refilled"] += refilled
-            stats["replays"] += 1
-        w = (m + 63) // 64
-        sim = sims.get(w)
-        if sim is None:
-            sims[w] = sim = LogicSim(unit.netlist, num_words=w)
+        if active.size:
+            group_si.append(si)
+            group_mult.append(mult)
+            actives.append(active.astype(np.int32))
+    if not actives:
+        return propagated, hang, counts
+    bounds = np.cumsum([0] + [a.size for a in actives])
+    pair_fault = np.concatenate(actives)
+    del actives
+    n_pairs = int(bounds[-1])
+
+    # passes of equal width, each at most _pass_words wide
+    total = (n_pairs + 63) // 64
+    n_passes = -(-total // _pass_words(nl))
+    w = -(-total // n_passes)
+    sim = LogicSim(nl, num_words=w)
+    ctxs = [StimulusContext.of(stimuli[si]) for si in group_si]
+    for start in range(0, n_pairs, 64 * w):
+        end = min(start + 64 * w, n_pairs)
+        # the groups this pass holds and their lanes lo:hi; the last
+        # group's run continues over the padding lanes past *end*
+        g0 = int(np.count_nonzero(bounds <= start)) - 1
+        g1 = int(np.count_nonzero(bounds < end))
+        in_pass = range(g0, g1)
+        lo = np.maximum(bounds[g0:g1], start) - start
+        hi = np.minimum(bounds[g0 + 1:g1 + 1], end) - start
+        lane_group = np.repeat(np.arange(g0, g1), np.diff(lo, append=64 * w))
+        seg_group, seg_mask, word_first = _segments(lane_group)
+        runs = (seg_group - g0, seg_mask, word_first)
+        txs = [unit.transaction(stimuli[group_si[g]]) for g in in_pass]
+
         sim.reset()
-        sim.set_faults(FaultBatch([batch_faults[i] for i in active.tolist()],
-                                  num_words=w))
-        gold = golden.golden_bits(si)
-        ctx = StimulusContext.of(stim)
-        memo: dict[tuple[str, int, int], int] = {}
+        sim.set_faults(FaultBatch(
+            [batch_faults[i] for i in pair_fault[start:end].tolist()],
+            num_words=w))
+        gold = golden.golden_bits(group_si[g0:g1])
         diff_words = np.zeros(w, dtype=np.uint64)
         live_words = np.zeros(w, dtype=np.uint64)
-        lane_models = np.zeros(m, dtype=np.int64)
-        for cyc, inp in enumerate(unit.transaction(stim)):
-            sim.cycle(inp)
+        lane_models = np.zeros(64 * w, dtype=np.int64)
+        memo: dict[tuple[int, str, int, int], int] = {}
+        for cyc in range(len(txs[0])):
+            inputs = {}
+            for name, in_nets in nl.inputs.items():
+                vals = np.array([tx[cyc][name] for tx in txs],
+                                dtype=np.uint64)
+                bits = (vals >> _BIT_SHIFTS[:len(in_nets), None]) \
+                    & np.uint64(1)
+                inputs[name] = _spread(bits * ALL_ONES, *runs)
+            sim.cycle(inputs)
             out = sim.vals[out_nets]
             live_words |= np.bitwise_or.reduce(out[live_rows], axis=0)
-            diff = out ^ gold[cyc][:, None]
+            diff = out ^ _spread(gold[cyc], *runs)
             dwords = np.bitwise_or.reduce(diff, axis=0)
             if not dwords.any():
                 continue
             diff_words |= dwords
-            bits = lane_bits(diff, m)               # (output bits, lane)
-            gvals = gi["cycles"][cyc]
-            row_hit = np.logical_or.reduceat(bits.any(axis=1), starts)
+            row_hit = np.logical_or.reduceat(diff.any(axis=1), starts)
             for k in np.flatnonzero(row_hit):
-                name, lo, hi = spans[k]
-                sub = bits[lo:hi]
-                lanes = np.flatnonzero(sub.any(axis=0))
-                gval, sem = gvals[name], sems[k]
-                flips = bus_values(sub[:, lanes]).tolist()
-                mask_of: dict[int, int] = {}
-                for d in set(flips):
-                    key = (sem, gval, d)
+                name, lo_row, hi_row = spans[k]
+                sub = diff[lo_row:hi_row]
+                words = np.flatnonzero(np.bitwise_or.reduce(sub, axis=0))
+                bits = lane_bits(sub[:, words], 64 * words.size)
+                cols = np.flatnonzero(bits.any(axis=0))
+                lanes = words[cols // 64] * 64 + cols % 64
+                keys = list(zip(lane_group[lanes].tolist(),
+                                bus_values(bits[:, cols]).tolist()))
+                mask_of: dict[tuple[int, int], int] = {}
+                for g, d in set(keys):
+                    si = group_si[g]
+                    gval = golden.per_stimulus[si]["cycles"][cyc][name]
+                    key = (g, sems[k], gval, d)
                     mask = memo.get(key)
                     if mask is None:
                         mask = memo[key] = sum(
-                            _MODEL_BIT[mm]
-                            for mm in ctx.classify(sem, gval, gval ^ d))
-                    mask_of[d] = mask
-                lane_models[lanes] |= np.array([mask_of[d] for d in flips],
+                            _MODEL_BIT[mm] for mm in
+                            ctxs[g].classify(sems[k], gval, gval ^ d))
+                    mask_of[g, d] = mask
+                lane_models[lanes] |= np.array([mask_of[key] for key in keys],
                                                dtype=np.int64)
-        propagated[active[lane_bits(diff_words[None, :], m)[0] != 0]] = True
-        # hang: golden asserted liveness but this lane never did; dropped
-        # lanes replay the golden trajectory, so they assert iff golden did
-        if any(gi["live"].values()):
-            hang[active[lane_bits(live_words[None, :], m)[0] == 0]] = True
-        counts[active] += ((lane_models[:, None] >> _MODEL_SHIFTS) & 1) * mult
+        # fold the pass's lanes into the batch, group by group (a group's
+        # faults are distinct, so plain fancy-index updates are exact)
+        diff_bits = lane_bits(diff_words[None, :], 64 * w)[0]
+        live_bits = lane_bits(live_words[None, :], 64 * w)[0]
+        for g, la, lb in zip(in_pass, lo.tolist(), hi.tolist()):
+            act = pair_fault[start + la:start + lb]
+            propagated[act[diff_bits[la:lb] != 0]] = True
+            # hang: golden asserted liveness but this lane never did;
+            # dropped pairs replay the golden trajectory, so they assert
+            # iff golden did
+            if any(golden.per_stimulus[group_si[g]]["live"].values()):
+                hang[act[live_bits[la:lb] == 0]] = True
+            counts[act] += (((lane_models[la:lb, None] >> _MODEL_SHIFTS) & 1)
+                            * group_mult[g])
     return propagated, hang, counts
 
 

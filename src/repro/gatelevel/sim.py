@@ -4,10 +4,11 @@ Each net's value is a row of ``num_words`` uint64 words = ``64*num_words``
 independent Boolean machines ("lanes"). Two usage modes:
 
 * **pattern-parallel** (golden simulation): lane *j* carries pattern *j*;
-* **fault-parallel** (campaigns): every lane carries the *same* stimulus,
-  and lane *j* has stuck-at fault *j* forced onto its net — the classic
-  parallel single-fault propagation scheme. One simulation pass evaluates
-  up to ``64*num_words`` faults simultaneously.
+* **fault-parallel** (campaigns): lane *j* has stuck-at fault *j* forced
+  onto its net — the classic parallel single-fault propagation scheme.
+  One simulation pass evaluates up to ``64*num_words`` faults
+  simultaneously; the gate campaign also drives each lane with its own
+  stimulus, so a pass carries ``(fault, stimulus)`` pairs.
 
 Faults are applied after the level containing their net is evaluated, so
 downstream logic sees the forced value while upstream logic is untouched.
@@ -24,7 +25,6 @@ from repro.gatelevel.faults import StuckAtFault
 from repro.gatelevel.netlist import GateType, Netlist
 
 ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-_SHIFTS = np.arange(64, dtype=np.uint64)
 
 
 def lane_bits(arr: np.ndarray, n_lanes: int) -> np.ndarray:
@@ -37,15 +37,32 @@ def lane_bits(arr: np.ndarray, n_lanes: int) -> np.ndarray:
 def bus_values(bits: np.ndarray) -> np.ndarray:
     """Integer per column of a (width, lanes) bit matrix, row 0 the LSB.
     The values are uint64, so a bus wider than 64 bits is refused."""
-    width = bits.shape[0]
+    width, n = bits.shape
     if width > 64:
         raise ConfigError(f"{width}-bit bus exceeds the 64-bit lane value")
-    return np.bitwise_or.reduce(
-        bits.astype(np.uint64) << _SHIFTS[:width, None], axis=0)
+    # eight bits per byte row, padded to the eight bytes of a uint64
+    octets = np.zeros((8, n), dtype=np.uint8)
+    octets[:(width + 7) // 8] = np.packbits(bits, axis=0, bitorder="little")
+    return np.ascontiguousarray(octets.T).view("<u8")[:, 0]
 
+
+#: gate type -> (two-input ufunc, or None for BUF/NOT; whether the
+#: result is inverted)
+_GATE_OPS = {
+    GateType.BUF: (None, False),
+    GateType.NOT: (None, True),
+    GateType.AND: (np.bitwise_and, False),
+    GateType.OR: (np.bitwise_or, False),
+    GateType.XOR: (np.bitwise_xor, False),
+    GateType.NAND: (np.bitwise_and, True),
+    GateType.NOR: (np.bitwise_or, True),
+    GateType.XNOR: (np.bitwise_xor, True),
+}
 
 #: ``_EARLIER[i, j]``: lane *j* precedes lane *i* in their word
 _EARLIER = np.tri(64, k=-1, dtype=bool)
+#: words per step of :meth:`FaultBatch.compile`
+_COMPILE_WORDS = 4
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -79,31 +96,26 @@ class FaultBatch:
         sa1 = np.zeros(64 * used, dtype=bool)
         sa1[:k] = np.fromiter((f.stuck_at for f in self.faults), bool, k)
         nets, sa1 = nets.reshape(used, 64), sa1.reshape(used, 64)
-        # same[w, i, j]: lanes i and j of word w force the same net, so
-        # lane i's row of `same`, packed, is the clear mask of its row
-        same = nets[:, :, None] == nets[:, None, :]
-        clear = _pack_rows(same)
-        setm = _pack_rows(same & sa1[:, None, :])
-        # the first lane on a net in its word carries the row
-        lead = ~(same & _EARLIER).any(axis=2)
-        lead &= (np.arange(64 * used) < k).reshape(used, 64)
-        row_nets, row_words = nets[lead], np.nonzero(lead)[0]
+        parts = []
+        # a few words at a time: the comparison takes 4 KiB per word
+        for w0 in range(0, used, _COMPILE_WORDS):
+            n, s = nets[w0:w0 + _COMPILE_WORDS], sa1[w0:w0 + _COMPILE_WORDS]
+            # same[w, i, j]: lanes i and j of word w force the same net, so
+            # lane i's row of `same`, packed, is the clear mask of its row
+            same = n[:, :, None] == n[:, None, :]
+            # the first lane on a net in its word carries the row
+            lead = ~(same & _EARLIER).any(axis=2) & (n >= 0)
+            parts.append((n[lead], np.nonzero(lead)[0] + w0,
+                          _pack_rows(same)[lead],
+                          _pack_rows(same & s[:, None, :])[lead]))
+        row_nets, row_words, clear, setm = (np.concatenate(p)
+                                            for p in zip(*parts))
+        # rows grouped by level, in row order within a level
         row_levels = levels[row_nets]
-        # rows grouped by level (a stable counting sort): row i of
-        # `at_level` marks the rows on the i-th level present
-        present = np.flatnonzero(np.bincount(row_levels))
-        at_level = row_levels == present[:, None]
-        order = np.nonzero(at_level)[1]
-        row_nets, row_words = row_nets[order], row_words[order]
-        clear, setm = clear[lead][order], setm[lead][order]
         compiled = {}
-        start = 0
-        for lvl, end in zip(present.tolist(),
-                            np.cumsum(at_level.sum(axis=1)).tolist()):
-            cut = slice(start, end)
-            compiled[lvl] = (row_nets[cut], row_words[cut], clear[cut],
-                             setm[cut])
-            start = end
+        for lvl in np.flatnonzero(np.bincount(row_levels)).tolist():
+            at = row_levels == lvl
+            compiled[lvl] = (row_nets[at], row_words[at], clear[at], setm[at])
         return compiled
 
 
@@ -127,9 +139,10 @@ class LogicSim:
 
     # ------------------------------------------------------------------
     def _compile_groups(self):
-        """Per level, per gate-type evaluation index arrays."""
+        """Per level, per gate-type evaluation: ``(idx, fanin0, fanin1,
+        op, invert)`` (see :data:`_GATE_OPS`)."""
         nl = self.netlist
-        groups: list[list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = []
+        groups: list[list[tuple]] = []
         max_level = int(self.levels.max()) if nl.num_nets else 0
         comb = ~np.isin(
             nl.gate_type,
@@ -138,12 +151,12 @@ class LogicSim:
         for lvl in range(1, max_level + 1):
             sel = comb & (self.levels == lvl)
             lvl_groups = []
-            for t in (GateType.BUF, GateType.NOT, GateType.AND, GateType.OR,
-                      GateType.XOR, GateType.NAND, GateType.NOR, GateType.XNOR):
+            for t, (op, invert) in _GATE_OPS.items():
                 m = sel & (nl.gate_type == t)
                 if m.any():
                     idx = np.where(m)[0]
-                    lvl_groups.append((t, idx, nl.fanin0[idx], nl.fanin1[idx]))
+                    lvl_groups.append((idx, nl.fanin0[idx], nl.fanin1[idx],
+                                       op, invert))
             groups.append(lvl_groups)
         return groups
 
@@ -160,6 +173,7 @@ class LogicSim:
             return
         if batch.num_words != self.num_words:
             raise ConfigError("fault batch word count mismatch")
+        self._fault_rows = {}      # free the old rows before building new ones
         self._fault_rows = batch.compile(self.levels)
 
     # ------------------------------------------------------------------
@@ -219,34 +233,22 @@ class LogicSim:
             vals[self._dff_nets] = self.state
         # 3. level-0 faults (inputs, DFF Q, consts)
         self._apply_faults(0)
-        # 4. combinational levels
+        # 4. combinational levels, each gate group evaluated in place in
+        # its gathered first fanin
         for lvl, groups in enumerate(self._groups, start=1):
-            for t, idx, f0, f1 in groups:
+            for idx, f0, f1, op, invert in groups:
                 a = vals[f0]
-                if t == GateType.BUF:
-                    vals[idx] = a
-                elif t == GateType.NOT:
-                    vals[idx] = ~a
-                else:
-                    b = vals[f1]
-                    if t == GateType.AND:
-                        vals[idx] = a & b
-                    elif t == GateType.OR:
-                        vals[idx] = a | b
-                    elif t == GateType.XOR:
-                        vals[idx] = a ^ b
-                    elif t == GateType.NAND:
-                        vals[idx] = ~(a & b)
-                    elif t == GateType.NOR:
-                        vals[idx] = ~(a | b)
-                    else:  # XNOR
-                        vals[idx] = ~(a ^ b)
+                if op is not None:
+                    op(a, vals[f1], out=a)
+                if invert:
+                    np.invert(a, out=a)
+                vals[idx] = a
             self._apply_faults(lvl)
         # 5. sample outputs
-        out = {name: vals[nets].copy() for name, nets in nl.outputs.items()}
+        out = {name: vals[nets] for name, nets in nl.outputs.items()}
         # 6. clock DFFs (D values already include any fault forcing)
         if len(self._dff_nets):
-            self.state = vals[self._dff_d].copy()
+            self.state = vals[self._dff_d]
         return out
 
     def _apply_faults(self, level: int) -> None:

@@ -41,17 +41,25 @@ class ProfileResult:
         return self.opclass_dynamic.get(op_class, 0) / self.total_dynamic
 
 
-def _event_to_stimulus(ev: TraceEvent) -> Stimulus:
-    enc = encode(ev.instr)
-    mask = int(sum(1 << i for i, b in enumerate(ev.exec_mask) if b))
+def _event_to_stimulus(ev: TraceEvent, encoded: dict) -> Stimulus:
+    """*ev* as a stimulus. *encoded* maps ``id(instr)`` to the static
+    instruction's ``(instr, word, imm)``: each instruction is encoded once,
+    and holding it keeps its id from being reused while the map lives."""
+    hit = encoded.get(id(ev.instr))
+    if hit is None:
+        enc = encode(ev.instr)
+        hit = encoded[id(ev.instr)] = (ev.instr, enc.word, enc.imm)
+    _, word, imm = hit
+    mask = int.from_bytes(
+        np.packbits(ev.exec_mask, bitorder="little").tobytes(), "little")
     return Stimulus(
-        word=enc.word,
-        imm=enc.imm,
+        word=word,
+        imm=imm,
         warp_id=(ev.warp_slot + ev.subpartition * 4) & 0xF,
         thread_mask=mask & 0xFFFFFFFF,
         cta_id=ev.cta & 0xF,
         pc=ev.pc & 0xFF,
-        opcode=enc.word & 0xFF,
+        opcode=word & 0xFF,
     )
 
 
@@ -71,13 +79,14 @@ def profile_workloads(
     opclass = Counter()
     per_wl: dict[str, int] = {}
     total = 0
+    encoded: dict = {}
     for w in workloads:
         events: list[Stimulus] = []
         counts = Counter()
 
         def trace(ev: TraceEvent, _events=events, _counts=counts) -> None:
             _counts[ev.instr.info.op_class] += 1
-            _events.append(_event_to_stimulus(ev))
+            _events.append(_event_to_stimulus(ev, encoded))
 
         device = Device(DeviceConfig(global_mem_words=1 << 20))
 

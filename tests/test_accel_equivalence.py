@@ -1290,3 +1290,144 @@ class TestGateAccelStats:
         # stimulus) pairs must be provably inert
         assert stats["pairs_dropped"] > 0
         assert stats["replays"] <= len(gate_stimuli)
+
+
+class TestPairPackedReplay:
+    """One replay pass holds the ``(fault, stimulus)`` pairs of several
+    stimuli; its records must equal the one-stimulus-at-a-time reference
+    under accel and ``--no-accel``."""
+
+    @staticmethod
+    def _check(unit, faults, stims, want, stats=None):
+        golden = _golden_run(unit, stims)
+        for accel in (True, False):
+            got = _run_batch(unit, faults, stims, golden, accel=accel,
+                             stats=stats if accel else None)
+            assert [record_to_json(r) for r in got] == want, accel
+
+    @staticmethod
+    def _spy_batches(monkeypatch) -> list:
+        """Record every installed fault batch."""
+        batches = []
+        set_faults = LogicSim.set_faults
+
+        def spy(sim, batch):
+            batches.append(batch)
+            set_faults(sim, batch)
+
+        monkeypatch.setattr(LogicSim, "set_faults", spy)
+        return batches
+
+    @pytest.mark.parametrize("unit_name", GATE_UNITS)
+    def test_passes_split_at_the_budget(self, unit_name, gate_stimuli,
+                                        monkeypatch):
+        from repro.faultinjection import campaign
+
+        unit = build_unit(unit_name)
+        faults = sample_faults(full_fault_list(unit.netlist), 96, seed=17)
+        stims = list(gate_stimuli[:5])
+        want = _records_reference(unit, faults, stims)
+        wide = campaign._pass_words(unit.netlist)
+        monkeypatch.setattr(campaign, "PASS_BYTES",
+                            3 * campaign.PASS_BYTES // wide)
+        w = campaign._pass_words(unit.netlist)
+        assert 1 < w < wide
+        batches = self._spy_batches(monkeypatch)
+        self._check(unit, faults, stims, want)
+        # --no-accel: 96 x 5 pairs are 7.5 words, three passes of three
+        sizes = [(len(b.faults), b.num_words) for b in batches]
+        assert sizes[-3:] == [(192, 3), (192, 3), (96, 3)], sizes
+        accel_sizes = sizes[:-3]
+        assert len(accel_sizes) > 1
+        assert all(k == 64 * words for k, words in accel_sizes[:-1])
+        assert accel_sizes[-1][0] < 64 * accel_sizes[-1][1]
+
+    @pytest.mark.parametrize("unit_name", GATE_UNITS)
+    def test_duplicate_stimuli(self, unit_name, gate_stimuli):
+        unit = build_unit(unit_name)
+        faults = sample_faults(full_fault_list(unit.netlist), 80, seed=19)
+        stims = list(gate_stimuli[:4]) * 2 + [gate_stimuli[1]]
+        stats: dict = {}
+        self._check(unit, faults, stims,
+                    _records_reference(unit, faults, stims), stats)
+        assert stats["stimuli_deduped"] == 5
+
+    @pytest.mark.parametrize("unit_name", GATE_UNITS)
+    def test_same_net_at_both_values_in_one_word(self, unit_name,
+                                                 gate_stimuli, monkeypatch):
+        from repro.gatelevel.faults import StuckAtFault
+
+        unit = build_unit(unit_name)
+        stims = list(gate_stimuli[:4])
+        golden = _golden_run(unit, stims)
+        # nets that toggle, so both stuck-at values make pairs
+        nets = np.flatnonzero(golden.ever1 & golden.ever0)
+        nets = np.random.default_rng(23).choice(nets, 48, replace=False)
+        faults = [StuckAtFault(int(n), v) for n in nets for v in (0, 1)]
+        # the reference never puts both values of a net in one word
+        sa0 = _records_reference(unit, faults[0::2], stims)
+        sa1 = _records_reference(unit, faults[1::2], stims)
+        want = [r for pair in zip(sa0, sa1) for r in pair]
+        batches = self._spy_batches(monkeypatch)
+        self._check(unit, faults, stims, want)
+        both = [(f.net, i // 64) for b in batches
+                for i, f in enumerate(b.faults) if f.stuck_at == 1]
+        assert set(both) & {(f.net, i // 64) for b in batches
+                            for i, f in enumerate(b.faults)
+                            if f.stuck_at == 0}
+
+    @pytest.mark.parametrize("unit_name", GATE_UNITS)
+    def test_faults_that_never_activate(self, unit_name, gate_stimuli):
+        from repro.gatelevel.faults import StuckAtFault
+
+        unit = build_unit(unit_name)
+        stims = list(gate_stimuli[:4])
+        golden = _golden_run(unit, stims)
+        faults = ([StuckAtFault(int(n), 0)
+                   for n in np.flatnonzero(~golden.ever1)[:40]]
+                  + [StuckAtFault(int(n), 1)
+                     for n in np.flatnonzero(~golden.ever0)[:40]])
+        assert len(faults) >= 40
+        stats: dict = {}
+        want = _records_reference(unit, faults, stims)
+        self._check(unit, faults, stims, want, stats)
+        assert stats["pairs_dropped"] == len(faults) * len(stims)
+        assert stats["replays"] == 0
+        assert not any(r["activated"] or r["propagated"] or r["hang"]
+                       for r in want)
+
+
+class TestReplayMemory:
+    """The pass-width rule bounds what one replay pass holds, so a wider
+    pass that would raise the benchmark's peak RSS fails here first."""
+
+    @pytest.mark.parametrize("unit_name", GATE_UNITS)
+    def test_pass_state_within_budget(self, unit_name):
+        from repro.faultinjection.campaign import PASS_BYTES, _pass_words
+
+        nl = build_unit(unit_name).netlist
+        w = _pass_words(nl)
+        sim = LogicSim(nl, num_words=w)
+        assert sim.vals.nbytes + sim.state.nbytes <= PASS_BYTES
+        # no narrower than the 8-word batch cap of a default campaign
+        assert w >= 8
+
+    def test_wsc_batch_peak(self, profiled_48):
+        import tracemalloc
+
+        unit = build_unit("wsc")
+        faults = sample_faults(full_fault_list(unit.netlist), 512,
+                               seed=0x5C23)
+        golden = _golden_run(unit, profiled_48)
+        want = _run_batch(unit, faults, profiled_48, golden)
+        tracemalloc.start()
+        try:
+            got = _run_batch(unit, faults, profiled_48, golden)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [record_to_json(r) for r in got] == \
+            [record_to_json(r) for r in want]
+        # one 16-word pass holds ~1.6 MiB in all; 32-word passes with
+        # full-width classification temporaries took 3.4 MiB
+        assert peak < 2 << 20, peak

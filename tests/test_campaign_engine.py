@@ -152,6 +152,50 @@ class TestStore:
         assert status["accel"] == {"restores": 2}  # bools are not summed
         assert not status["complete"]
 
+    def test_to_json_pins_the_deep_copy(self):
+        # to_json builds the stored dict shallowly; it must equal what
+        # dataclasses.asdict (a deep copy) gave, obs left out, for the
+        # shapes results.jsonl holds: EPR, gate and failed units
+        import dataclasses
+        import json
+
+        from repro.campaign.engine import set_context
+        from repro.faultinjection.campaign import (
+            GateCampaignSpec,
+            _run_gate_unit,
+        )
+        from repro.swinjector.campaign import _run_epr_unit
+
+        epr = _run_epr_unit({
+            "app": "vectoradd", "model": "WV", "scale": "tiny", "seed": 1,
+            "mem_words": 1 << 20, "indices": [0, 1], "accel": True})
+        spec = GateCampaignSpec()
+        plan = spec.build(spec.default_config(unit="decoder", max_faults=64,
+                                              max_stimuli=4))
+        set_context(plan.context)
+        try:
+            gate = _run_gate_unit(plan.units[0].payload)
+        finally:
+            set_context(None)
+        spans = {"spans": [{"name": "engine.unit"}], "metrics": {"n": 1}}
+        results = [
+            UnitResult("epr/vectoradd/WV/00000+2", "epr", ok=True, value=epr,
+                       elapsed=0.25, cache_hits=1, obs=spans),
+            UnitResult(plan.units[0].unit_id, "gate", ok=True, value=gate,
+                       retries=1, cache_misses=2, obs=spans),
+            UnitResult("gate/decoder/00001", "gate", ok=False,
+                       error="Traceback ...\nValueError: boom", retries=2,
+                       elapsed=0.5),
+        ]
+        assert gate["records"] and epr["outcomes"]
+        for r in results:
+            want = dataclasses.asdict(r)
+            want.pop("obs")
+            got = r.to_json()
+            assert got == want
+            assert json.dumps(got) == json.dumps(want)
+            assert "obs" not in got
+
     def test_fingerprint_guard(self, tmp_path):
         store = CampaignStore(tmp_path / "c")
         store.write_manifest("epr", {"seed": 1}, total_units=1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.gatelevel.units.base import Stimulus
@@ -56,3 +57,65 @@ class TestProfiler:
         stimuli = stimuli_from_program(w.program())
         assert len(stimuli) == len(w.program())
         assert stimuli[0].pc == 0
+
+
+def _reference_stimuli(workload) -> list[Stimulus]:
+    """Every dynamic instruction's stimulus, converted the straightforward
+    way: one ``encode`` per event and a per-lane loop for the mask."""
+    from repro.gpusim.config import DeviceConfig
+    from repro.gpusim.device import Device
+    from repro.isa.encoding import encode
+
+    out: list[Stimulus] = []
+
+    def trace(ev):
+        enc = encode(ev.instr)
+        mask = sum(1 << i for i, b in enumerate(ev.exec_mask) if b)
+        out.append(Stimulus(
+            word=enc.word, imm=enc.imm,
+            warp_id=(ev.warp_slot + ev.subpartition * 4) & 0xF,
+            thread_mask=mask & 0xFFFFFFFF, cta_id=ev.cta & 0xF,
+            pc=ev.pc & 0xFF, opcode=enc.word & 0xFF))
+
+    device = Device(DeviceConfig(global_mem_words=1 << 20))
+
+    def launcher(program, grid, block, params=(), shared_words=None):
+        return device.launch(program, grid, block, params=params,
+                             shared_words=shared_words, trace_fn=trace)
+
+    workload.run(device, launcher)
+    return out
+
+
+class TestStimulusConversion:
+    """Encoding each static instruction once and packing the mask with
+    NumPy must give the stimuli of a per-event conversion."""
+
+    @pytest.fixture(scope="class")
+    def six(self):
+        names = PROFILING_NAMES[:6]
+        return ([get_workload(n, scale="tiny") for n in names],
+                [_reference_stimuli(get_workload(n, scale="tiny"))
+                 for n in names])
+
+    def test_every_event(self, six):
+        wls, want = six
+        got = profile_workloads(wls, max_stimuli_per_workload=None,
+                                dedup=False)
+        assert got.stimuli == [s for ref in want for s in ref]
+        assert list(got.per_workload_dynamic.values()) == [
+            len(ref) for ref in want]
+        # partial masks (divergence, tails) are part of what is compared
+        assert len({s.thread_mask for s in got.stimuli}) > 1
+
+    def test_gate_campaign_stimuli(self, six):
+        wls, want = six
+        got = profile_workloads(wls, max_stimuli_per_workload=16).stimuli
+        expect = []
+        for ref in want:
+            uniq = list(dict.fromkeys(ref))
+            if len(uniq) > 16:
+                idx = np.linspace(0, len(uniq) - 1, 16).astype(int)
+                uniq = [uniq[i] for i in idx]
+            expect.extend(uniq)
+        assert got == expect
