@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint campaign-smoke chaos-smoke obs-smoke oracle-check accel-check bench bench-baseline bench-compare bench-smoke report report-small claims docs examples clean
+.PHONY: install test lint campaign-smoke chaos-smoke obs-smoke oracle-check accel-check bench report report-small claims docs examples clean
 
 install:
 	pip install -e .[test]
@@ -71,39 +71,12 @@ accel-check:
 			|| exit 1; \
 	done
 
-# Full benchmark suite; exports machine-readable results for
-# bench-compare. BENCH_JSON is overridable (bench-baseline uses it to
-# refresh the committed baseline).
-BENCH_JSON ?= BENCH_run.json
-
+# Figure and table regenerations plus the costs perfbench cannot see
+# (pooled throughput, the cold-replay speedup, ablations, overhead
+# budgets). perfbench/run.py is the one harness that times and gates the
+# campaigns (docs/PERFORMANCE.md).
 bench:
-	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only -q \
-		--benchmark-json=$(BENCH_JSON)
-
-# Refresh the committed baseline (run on a quiet machine, then commit).
-# Raw per-round timing arrays are stripped: compare.py only reads the
-# summary stats and the slimmed file stays diff-reviewable.
-bench-baseline:
-	$(MAKE) bench BENCH_JSON=benchmarks/BENCH_baseline.json
-	$(PY) -c "import json; p='benchmarks/BENCH_baseline.json'; \
-	d=json.load(open(p)); \
-	[b['stats'].pop('data', None) for b in d['benchmarks']]; \
-	json.dump(d, open(p, 'w'), indent=1, sort_keys=True)"
-
-# Re-run the suite and fail if any benchmark regressed >20% vs the
-# committed baseline (docs/PERFORMANCE.md).
-bench-compare: bench
-	$(PY) benchmarks/compare.py benchmarks/BENCH_baseline.json \
-		$(BENCH_JSON) --threshold 0.20
-
-# Fast CI subset: single-injection cost + campaign-engine throughput +
-# simulator warp-instruction throughput.
-bench-smoke:
-	PYTHONPATH=src $(PY) -m pytest benchmarks/test_bench_epr.py \
-		benchmarks/test_bench_simulator.py::test_bench_warp_instruction_throughput \
-		--benchmark-only -q \
-		-k "single_injection or campaign_throughput or warp_instruction_throughput" \
-		--benchmark-json=BENCH_smoke.json
+	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only -q
 
 report:
 	$(PY) -m repro.experiments --output experiments_report.txt

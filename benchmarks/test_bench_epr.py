@@ -25,48 +25,19 @@ def test_bench_fig11_average_epr(regen):
     assert sum(avg.values()) > 0
 
 
-def test_bench_single_injection_cost(benchmark):
-    from repro.swinjector.campaign import _golden_bits, run_one_injection
-
-    cfg = SwCampaignConfig(apps=("gemm",), scale="tiny")
-    golden, dyn = _golden_bits("gemm", "tiny", cfg.seed, cfg.mem_words)
-    counter = iter(range(10_000))
-
-    def one():
-        return run_one_injection("gemm", ErrorModel.WV, next(counter), cfg,
-                                 golden, watchdog=10 * dyn + 10_000)
-
-    out = benchmark(one)
-    assert out.outcome in ("masked", "sdc", "due")
-
-
-# -- campaign-engine throughput (tracked from the engine's first PR on) --
-
-_THROUGHPUT_CFG = dict(
-    apps=("vectoradd", "gemm"),
-    models=(ErrorModel.WV, ErrorModel.IIO, ErrorModel.IAT),
-    injections_per_model=8, scale="tiny",
-)
-
-
-def _bench_throughput(regen, benchmark, processes: int, label: str):
-    cfg = SwCampaignConfig(**_THROUGHPUT_CFG, processes=processes)
+def test_bench_campaign_throughput_pooled(regen, benchmark):
+    """Engine throughput on the process pool (injections/sec); perfbench
+    times campaigns serially only."""
+    cfg = SwCampaignConfig(
+        apps=("vectoradd", "gemm"),
+        models=(ErrorModel.WV, ErrorModel.IIO, ErrorModel.IAT),
+        injections_per_model=8, scale="tiny", processes=4)
     res = regen(run_epr_campaign, cfg)
     n = len(res.outcomes)
     assert n == 2 * 3 * 8
-    mean = benchmark.stats.stats.mean
     benchmark.extra_info["injections"] = n
-    benchmark.extra_info[f"injections_per_sec_{label}"] = round(n / mean, 1)
-
-
-def test_bench_campaign_throughput_serial(regen, benchmark):
-    """Engine throughput, serial execution (injections/sec)."""
-    _bench_throughput(regen, benchmark, processes=1, label="serial")
-
-
-def test_bench_campaign_throughput_pooled(regen, benchmark):
-    """Engine throughput on the process pool (injections/sec)."""
-    _bench_throughput(regen, benchmark, processes=4, label="pooled")
+    benchmark.extra_info["injections_per_sec_pooled"] = round(
+        n / benchmark.stats.stats.mean, 1)
 
 
 def test_bench_campaign_accel_speedup(benchmark):

@@ -1,46 +1,14 @@
-"""Simulator throughput benchmarks (the methodology's cost denominators)."""
+"""Mixed-level co-simulation and assembler benchmarks.
+
+The simulator cost denominators (ns per warp instruction, ns per gate
+lane-cycle) are perfbench's per-layer metrics, not benchmarks here.
+"""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.gatelevel import LogicSim
 from repro.gatelevel.mixed import cosimulate
-from repro.gatelevel.units import build_unit
-from repro.gpusim import Device, DeviceConfig
 from repro.isa.asmtext import assemble, disassemble
 from repro.workloads import get_workload
-from repro.workloads.base import default_launcher
-
-
-def test_bench_warp_instruction_throughput(benchmark):
-    """Warp-instructions per second of the functional simulator."""
-    w = get_workload("lava", scale="tiny")
-    w.programs()
-
-    def run():
-        dev = Device(DeviceConfig(global_mem_words=1 << 18))
-        return w.run(dev, default_launcher(dev))
-
-    benchmark(run)
-
-
-def test_bench_gate_cycle_throughput(benchmark):
-    """Gate-level cycles per second on the WSC netlist (8 fault words)."""
-    unit = build_unit("wsc")
-    sim = LogicSim(unit.netlist, num_words=8)
-    from repro.gatelevel.units.base import Stimulus
-    from repro.isa import Instruction, Op
-
-    stim = Stimulus.from_instruction(Instruction(Op.IADD, dst=1, srcs=(2, 3)))
-    inputs = unit.transaction(stim)
-
-    def cycle_all():
-        sim.reset()
-        for inp in inputs:
-            sim.cycle(inp)
-
-    benchmark(cycle_all)
 
 
 def test_bench_cosimulation(regen):

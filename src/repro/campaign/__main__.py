@@ -40,7 +40,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.campaign.engine import EngineConfig, UnitResult
-from repro.campaign.goldens import CHECKPOINT_CACHE, GOLDEN_CACHE
+from repro.campaign.goldens import REFERENCE_CACHES
 from repro.campaign.plans import KINDS, get_spec, run_campaign
 from repro.campaign.store import CampaignStore, fold_results
 from repro.common.exceptions import ConfigError, ReproError
@@ -273,19 +273,18 @@ def _resume_loads_references(spec, config: dict, directory: Path,
     """Build *config*'s plan the way a resume in a fresh process does
     (in-memory caches empty, spill under *directory*): every golden run and
     checkpoint trace must load from the spill, none be recomputed."""
-    caches = (GOLDEN_CACHE, CHECKPOINT_CACHE)
-    for cache in caches:
+    for cache in REFERENCE_CACHES:
         cache.clear()
     try:
         spec.spill_to(config, directory)
         spec.build(config)
-        for cache in caches:
+        for cache in REFERENCE_CACHES:
             if cache.misses:
                 failures.append(
                     f"resume recomputed {cache.misses} {cache.kind} "
                     f"reference run(s) spilled under {directory}")
     finally:
-        for cache in caches:
+        for cache in REFERENCE_CACHES:
             cache.persist_to(None)
 
 
@@ -311,8 +310,8 @@ def cmd_smoke(args) -> int:
             injections_per_model=8, chunk=2, scale="tiny")
         # start as a fresh process does: the run must compute and spill
         # every reference run
-        GOLDEN_CACHE.clear()
-        CHECKPOINT_CACHE.clear()
+        for cache in REFERENCE_CACHES:
+            cache.clear()
         status, resumed, fresh = _interrupt_resume_fresh(
             spec, config, base / "interrupted", failures)
         for app in config["apps"]:

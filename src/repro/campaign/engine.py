@@ -232,8 +232,6 @@ class EngineConfig:
     #: slack added to ``timeout`` before the stalled-worker watchdog
     #: (pool mode) fires, and grace between its SIGTERM and SIGKILL
     watchdog_grace: float = 2.0
-    #: checkpoint-and-exit on parent SIGINT/SIGTERM (main thread only)
-    handle_signals: bool = True
 
 
 #: pid of the process that imported the engine (the campaign parent).
@@ -304,13 +302,12 @@ def _execute_unit(unit: WorkUnit, attempt: int = 0) -> UnitResult:
 
 def _run_wave_serial(units: Sequence[WorkUnit],
                      settle: Callable[[UnitResult], None],
-                     guard: SignalGuard | None = None,
-                     attempt: int = 0) -> bool:
+                     guard: SignalGuard, attempt: int = 0) -> bool:
     """One attempt over *units* in this process, each result handed to
     *settle* as it arrives. Returns whether a shutdown signal left a unit
     unrun (a signal that arrives during the last unit cuts nothing)."""
     for u in units:
-        if guard is not None and guard.requested:
+        if guard.requested:
             return True
         settle(_execute_unit(u, attempt))
     return False
@@ -319,8 +316,7 @@ def _run_wave_serial(units: Sequence[WorkUnit],
 def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
                    options: EngineConfig,
                    settle: Callable[[UnitResult], None],
-                   guard: SignalGuard | None = None,
-                   attempt: int = 0) -> bool | None:
+                   guard: SignalGuard, attempt: int = 0) -> bool | None:
     """One attempt over *units* on a fork pool, with per-unit timeouts;
     each result is handed to *settle* as it arrives, in unit order.
 
@@ -354,7 +350,7 @@ def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
             deadline = time.monotonic() + options.timeout
             result = None
             while result is None:
-                if guard is not None and guard.requested:
+                if guard.requested:
                     interrupted = True
                     break
                 try:
@@ -410,13 +406,13 @@ def execute(units: Iterable[WorkUnit],
     resuming caller merges them with ``store.load_results()``. Completed
     units are appended to *store* (if given) as they finish, so an
     interrupted campaign loses at most the in-flight units. Parent
-    SIGINT/SIGTERM raises :class:`CampaignInterrupted` *after* the
-    already-finished units were committed (``.results`` carries them).
+    SIGINT/SIGTERM (main thread only) raises :class:`CampaignInterrupted`
+    *after* the already-finished units were committed (``.results``
+    carries them). *context* is installed for the units of this call
+    only; the previous context is back when it returns.
     """
     options = options or EngineConfig()
     processes = options.processes or default_processes()
-    if context is not None:
-        set_context(context)
 
     skip = set(completed)
     if store is not None:
@@ -472,16 +468,14 @@ def execute(units: Iterable[WorkUnit],
         else:
             commit(r)
 
-    guard = SignalGuard() if options.handle_signals else None
+    guard = SignalGuard()
     interrupted = False  # a signal cut a wave short
-
-    def signalled() -> bool:
-        return guard is not None and guard.requested
-
-    if guard is not None:
-        guard.__enter__()
+    previous = get_context()
+    if context is not None:
+        set_context(context)
+    guard.__enter__()
     try:
-        while pending and not interrupted and not signalled():
+        while pending and not interrupted and not guard.requested:
             if attempt > 0:
                 time.sleep(options.backoff * (2 ** (attempt - 1)))
             by_id = {u.unit_id: u for u in pending}
@@ -499,13 +493,12 @@ def execute(units: Iterable[WorkUnit],
             attempt += 1
         # a signal interrupts only when it left a unit unrun or a retry
         # pending; one that lands after the last commit changes nothing
-        if interrupted or (pending and signalled()):
-            signum = (guard.signum if guard is not None
-                      and guard.signum else _signal.SIGINT)
-            exc = CampaignInterrupted(signum, committed=len(done))
+        if interrupted or (pending and guard.requested):
+            exc = CampaignInterrupted(guard.signum or _signal.SIGINT,
+                                      committed=len(done))
             exc.results = done
             raise exc
     finally:
-        if guard is not None:
-            guard.__exit__(None, None, None)
+        guard.__exit__(None, None, None)
+        set_context(previous)
     return done

@@ -20,11 +20,14 @@ records the SHA-256 digest of the golden output bits, so result stores can
 assert they were classified against the same reference.
 
 With :meth:`ContentCache.persist_to` the cache additionally spills entries
-to a directory (campaigns use ``<campaign dir>/goldens/``): writes are
-atomic (tmp + ``os.replace``), and every read re-hashes the stored bits
-against the recorded digest — a truncated or bit-flipped entry is
-discarded and recomputed-and-rewritten instead of poisoning every
-classification that follows (see docs/RESILIENCE.md).
+to a directory (campaigns use ``<campaign dir>/goldens/`` and
+``<campaign dir>/checkpoints/``, :meth:`ContentCache.persist_under`):
+writes are atomic (tmp + ``os.replace``), and every read re-hashes the
+stored arrays against the recorded digest — a truncated or bit-flipped
+entry is discarded and recomputed-and-rewritten instead of poisoning
+every classification that follows. :meth:`ContentCache.check_spill` runs
+the same decoder over a campaign directory's spill for ``verify`` and
+``repair`` (see docs/RESILIENCE.md).
 """
 
 from __future__ import annotations
@@ -89,17 +92,18 @@ class ContentCache:
     an optional integrity-checked disk spill.
 
     One class serves both reference caches; an instance is parameterized
-    by *kind* (its log name), *key_fn*
-    (identity tuple -> content address), *compute* (builds a missing
-    entry, inside a span named *span*), and *encode*/*decode* (entry <->
-    the named arrays of its ``<key><suffix>`` spill file). *decode*
-    receives the expected key and must raise when the arrays fail its
-    digest check.
+    by *kind* (its log name), *spill_dir* (its directory under a campaign
+    directory), *key_fn* (identity tuple -> content address), *compute*
+    (builds a missing entry, inside a span named *span*), and
+    *encode*/*decode* (entry <-> the named arrays of its
+    ``<key><suffix>`` spill file). *decode* receives the expected key and
+    must raise when the arrays fail its digest check.
     """
 
-    def __init__(self, kind: str, key_fn, compute, encode, decode,
-                 suffix: str, span: str) -> None:
+    def __init__(self, kind: str, spill_dir: str, key_fn, compute, encode,
+                 decode, suffix: str, span: str) -> None:
         self.kind = kind
+        self.spill_dir = spill_dir
         self._key_fn = key_fn
         self._compute = compute
         self._encode = encode
@@ -126,6 +130,27 @@ class ContentCache:
             return
         self.disk_dir = Path(directory)
         self.disk_dir.mkdir(parents=True, exist_ok=True)
+
+    def persist_under(self, campaign_dir: str | Path) -> None:
+        """Spill entries to this cache's directory under *campaign_dir*."""
+        self.persist_to(Path(campaign_dir) / self.spill_dir)
+
+    def check_spill(self, campaign_dir: str | Path
+                    ) -> dict[Path, str | None] | None:
+        """Decode every entry spilled under *campaign_dir* as a read
+        would: path -> problem, ``None`` for an entry that decodes.
+        Returns ``None`` when the campaign has no spill of this cache."""
+        directory = Path(campaign_dir) / self.spill_dir
+        if not directory.is_dir():
+            return None
+        entries: dict[Path, str | None] = {}
+        for path in sorted(directory.glob(f"*{self._suffix}")):
+            try:
+                self._read(path, path.name[:-len(self._suffix)])
+                entries[path] = None
+            except Exception as exc:
+                entries[path] = str(exc) or type(exc).__name__
+        return entries
 
     def get(self, app: str, scale: str, seed: int,
             mem_words: int = DEFAULT_MEM_WORDS, computed=None):
@@ -158,6 +183,13 @@ class ContentCache:
     def _disk_path(self, key: str) -> Path:
         return self.disk_dir / f"{key}{self._suffix}"
 
+    def _read(self, path: Path, key: str):
+        """Decode one spill file; raises when it fails the digest check."""
+        with np.load(path, allow_pickle=False) as z:
+            # each z[k] reads a fresh array out of the file
+            arrays = {k: z[k] for k in z.files}
+        return self._decode(key, arrays)
+
     def _disk_load(self, key: str):
         """Load + verify one spilled entry; a corrupt entry is discarded
         (the caller recomputes and rewrites it) instead of raising."""
@@ -167,10 +199,7 @@ class ContentCache:
         if not path.exists():
             return None
         try:
-            with np.load(path, allow_pickle=False) as z:
-                # each z[k] reads a fresh array out of the file
-                arrays = {k: z[k] for k in z.files}
-            return self._decode(key, arrays)
+            return self._read(path, key)
         except Exception as exc:
             self.disk_rejects += 1
             log.warning(f"{self.kind} cache entry {path.name} is corrupt "
@@ -247,7 +276,7 @@ def _golden_decode(key: str, arrays: dict) -> GoldenRun:
 
 #: a fresh golden-run cache (``<key>.npz`` spill entries)
 GoldenCache = functools.partial(
-    ContentCache, "golden", golden_key, _compute, _golden_encode,
+    ContentCache, "golden", "goldens", golden_key, _compute, _golden_encode,
     _golden_decode, ".npz", "golden.compute")
 
 #: the process singleton; forked workers inherit warmed entries
@@ -613,8 +642,11 @@ def _trace_decode(key: str, arrays: dict) -> GoldenTrace:
 
 #: a fresh golden-trace cache (``<key>.trace.npz`` spill entries)
 CheckpointCache = functools.partial(
-    ContentCache, "checkpoint", trace_key, _trace_compute, _trace_encode,
-    _trace_decode, ".trace.npz", "golden.trace")
+    ContentCache, "checkpoint", "checkpoints", trace_key, _trace_compute,
+    _trace_encode, _trace_decode, ".trace.npz", "golden.trace")
 
 #: the process singleton; forked workers inherit warmed traces
 CHECKPOINT_CACHE = CheckpointCache()
+
+#: both reference caches; a campaign directory holds a spill of each
+REFERENCE_CACHES = (GOLDEN_CACHE, CHECKPOINT_CACHE)

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 from repro import obs
 from repro.campaign import engine
 from repro.campaign.engine import EngineConfig, UnitResult, WorkUnit
-from repro.campaign.goldens import CHECKPOINT_CACHE, GOLDEN_CACHE
+from repro.campaign.goldens import REFERENCE_CACHES
 from repro.common.exceptions import ConfigError
 
 #: campaign kind -> ``module:attribute`` of its spec (lazy import keeps
@@ -98,8 +98,7 @@ def run_campaign(spec, config: dict, options: EngineConfig | None = None, *,
     stays resumable) and *on_result* sees every unit committed by this
     call.
     """
-    caches = (GOLDEN_CACHE, CHECKPOINT_CACHE)
-    spilled = [cache.disk_dir for cache in caches]
+    spilled = [cache.disk_dir for cache in REFERENCE_CACHES]
     try:
         if store is not None:
             spec.spill_to(config, store.directory)
@@ -117,7 +116,7 @@ def run_campaign(spec, config: dict, options: EngineConfig | None = None, *,
         results = engine.execute(plan.units, options, context=plan.context,
                                  store=store, on_result=on_result)
     finally:
-        for cache, disk_dir in zip(caches, spilled):
+        for cache, disk_dir in zip(REFERENCE_CACHES, spilled):
             cache.disk_dir = disk_dir
     if store is not None:
         obs.flush(store.directory)

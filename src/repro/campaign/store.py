@@ -6,7 +6,11 @@ Layout of a campaign directory::
     <dir>/manifest.json.bak  # last-known-good copy (repair source)
     <dir>/results.jsonl      # one UnitResult per line, appended as they finish
     <dir>/quarantine.jsonl   # poison units parked after exhausting retries
-    <dir>/goldens/           # optional spilled golden-run cache entries
+    <dir>/goldens/           # spilled golden runs (EPR: <key>.npz)
+    <dir>/checkpoints/       # spilled checkpoint traces (accelerated EPR:
+                             # <key>.trace.npz)
+    <dir>/events.jsonl       # span/event records (traced runs only)
+    <dir>/metrics.json       # obs counter snapshot (traced runs only)
 
 The manifest pins the campaign identity: ``fingerprint`` is the SHA-256 of
 the canonical ``(kind, config)`` JSON, and ``resume`` refuses to continue a

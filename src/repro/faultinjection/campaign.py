@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -629,6 +629,11 @@ def run_gate_campaign(config: CampaignConfig,
     return _aggregate_gate(config.unit, results)
 
 
+#: the :class:`CampaignConfig` fields a gate manifest config carries
+_CONFIG_FIELDS = frozenset(f.name for f in fields(CampaignConfig)) - {
+    "processes", "fail_fast"}
+
+
 class GateCampaignSpec:
     """Campaign-kind adapter for ``python -m repro.campaign`` (kind: gate).
 
@@ -639,17 +644,15 @@ class GateCampaignSpec:
     kind = "gate"
 
     def default_config(self, **overrides) -> dict:
-        cfg = {
-            "unit": "decoder",
-            "max_faults": 1024,
-            "max_stimuli": 48,
-            "words": 8,
-            "seed": DEFAULT_SEED,
-            "scale": "tiny",
-            "stimuli_per_workload": 16,
-            "collapse": "none",
-            "accel": True,
-        }
+        """:class:`CampaignConfig`'s defaults as a manifest config, with
+        the profiling knobs ``build`` draws the stimuli from
+        (``processes`` and ``fail_fast`` are execution knobs, not part of
+        the config; ``processes`` is pinned only so it is not read)."""
+        d = CampaignConfig(unit="decoder", processes=1)
+        cfg = {"unit": d.unit, "max_faults": d.max_faults,
+               "max_stimuli": d.max_stimuli, "words": d.words,
+               "seed": d.seed, "scale": "tiny", "stimuli_per_workload": 16,
+               "collapse": d.collapse, "accel": d.accel}
         cfg.update({k: v for k, v in overrides.items() if v is not None})
         return cfg
 
@@ -663,12 +666,10 @@ class GateCampaignSpec:
         wls = [get_workload(n, scale=config["scale"]) for n in names]
         prof = profile_workloads(
             wls, max_stimuli_per_workload=config["stimuli_per_workload"])
-        cc = CampaignConfig(unit=config["unit"],
-                            max_faults=config["max_faults"],
-                            max_stimuli=config["max_stimuli"],
-                            words=config["words"], seed=config["seed"],
-                            collapse=config.get("collapse", "none"),
-                            accel=bool(config.get("accel", True)))
+        # a manifest written before collapse/accel existed takes the
+        # dataclass defaults
+        cc = CampaignConfig(processes=1, **{
+            k: v for k, v in config.items() if k in _CONFIG_FIELDS})
         units, context = _build_gate_plan(cc, prof.stimuli)
         return CampaignPlan(kind="gate", config=dict(config), units=units,
                             context=context)

@@ -12,8 +12,8 @@ the answer *yes* whenever the data allows:
 * a corrupt or truncated ``manifest.json`` is restored from the
   ``manifest.json.bak`` shadow copy written on every manifest update;
 * a corrupt ``metrics.json`` is set aside (telemetry is derivable);
-* a corrupt spilled golden-cache entry is deleted (it would have been
-  rejected and recomputed on read anyway).
+* a corrupt spilled golden-run or checkpoint-trace entry is deleted (it
+  would have been rejected and recomputed on read anyway).
 
 Severities: ``error`` findings make the directory unsafe to resume
 as-is (``verify`` exits 4); ``warning`` findings are recoverable
@@ -22,13 +22,11 @@ degradations; ``info`` findings are observations.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from repro.campaign.goldens import REFERENCE_CACHES
 from repro.campaign.store import (
     MANIFEST_BACKUP_NAME,
     MANIFEST_NAME,
@@ -39,7 +37,6 @@ from repro.campaign.store import (
 from repro.obs.sinks import METRICS_NAME
 from repro.resilience import integrity
 
-GOLDENS_DIR = "goldens"
 REJECTED_SUFFIX = ".rejected.jsonl"
 
 _REQUIRED_MANIFEST_KEYS = ("kind", "config", "fingerprint", "total_units")
@@ -168,29 +165,22 @@ def _check_jsonl(report: Report, directory: Path, name: str,
     return scan
 
 
-def _check_goldens(report: Report, directory: Path) -> list[Path]:
-    """Digest-check spilled golden entries; returns the corrupt paths."""
-    goldens = directory / GOLDENS_DIR
+def _check_spills(report: Report, directory: Path) -> list[Path]:
+    """Decode every spilled reference entry with its cache's own
+    decoder; returns the corrupt paths."""
     corrupt: list[Path] = []
-    if not goldens.is_dir():
-        return corrupt
-    n_ok = 0
-    for path in sorted(goldens.glob("*.npz")):
-        try:
-            with np.load(path, allow_pickle=False) as z:
-                bits = np.array(z["bits"])
-                meta = json.loads(str(z["meta"][()]))
-            digest = hashlib.sha256(
-                np.ascontiguousarray(bits).tobytes()).hexdigest()
-            if meta.get("digest") != digest:
-                raise ValueError("bits digest mismatch")
-            n_ok += 1
-        except Exception as exc:
-            corrupt.append(path)
-            report.add("warning", f"{GOLDENS_DIR}/{path.name}",
-                       f"corrupt golden cache entry ({exc}); it will be "
-                       "recomputed on demand")
-    report.records[GOLDENS_DIR] = n_ok
+    for cache in REFERENCE_CACHES:
+        entries = cache.check_spill(directory)
+        if entries is None:
+            continue
+        for path, problem in entries.items():
+            if problem is not None:
+                corrupt.append(path)
+                report.add("warning", f"{cache.spill_dir}/{path.name}",
+                           f"corrupt {cache.kind} cache entry ({problem}); "
+                           "it will be recomputed on demand")
+        report.records[cache.spill_dir] = sum(
+            problem is None for problem in entries.values())
     return corrupt
 
 
@@ -210,7 +200,7 @@ def verify_campaign(directory: str | Path) -> Report:
         if problem:
             report.add("warning", METRICS_NAME,
                        f"{problem} (telemetry only; set aside on repair)")
-    _check_goldens(report, directory)
+    _check_spills(report, directory)
     return report
 
 
@@ -294,9 +284,9 @@ def repair_campaign(directory: str | Path) -> Report:
             report.repaired.append(
                 f"{METRICS_NAME}: corrupt snapshot set aside")
 
-    for path in _check_goldens(report, directory):
+    for path in _check_spills(report, directory):
         path.unlink(missing_ok=True)
         report.repaired.append(
-            f"{GOLDENS_DIR}/{path.name}: corrupt entry deleted "
+            f"{path.parent.name}/{path.name}: corrupt entry deleted "
             "(recomputed on demand)")
     return report

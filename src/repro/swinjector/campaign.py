@@ -395,9 +395,9 @@ class EprCampaignSpec:
         *directory*: golden runs always, checkpoint traces when the
         campaign is accelerated. A resume in a fresh process then reuses
         them instead of recomputing every reference."""
-        GOLDEN_CACHE.persist_to(directory / "goldens")
+        GOLDEN_CACHE.persist_under(directory)
         if config.get("accel", True):
-            CHECKPOINT_CACHE.persist_to(directory / "checkpoints")
+            CHECKPOINT_CACHE.persist_under(directory)
 
     @staticmethod
     def _iter_unit_specs(config: dict):

@@ -28,7 +28,7 @@ from repro.gatelevel.faults import full_fault_list, sample_faults
 from repro.gatelevel.sim import LogicSim
 from repro.gatelevel.units import build_unit
 from repro.isa import PT, CmpOp, KernelBuilder, RZ
-from repro.swinjector.campaign import _run_epr_unit
+from repro.swinjector.campaign import OUTCOMES, _run_epr_unit
 from repro.swinjector.instrumentation import NVBitPERfi, make_descriptor
 from repro.workloads.base import Workload, WorkloadMeta
 
@@ -51,6 +51,7 @@ class TestEprEquivalence:
             accel = _epr_unit(app, model, 8, accel=True)
             legacy = _epr_unit(app, model, 8, accel=False)
             assert accel["outcomes"] == legacy["outcomes"], (app, model)
+            assert {o["outcome"] for o in legacy["outcomes"]} <= set(OUTCOMES)
             assert accel["accel"]["enabled"] is True
             assert legacy["accel"]["enabled"] is False
 

@@ -29,7 +29,7 @@ from repro.campaign import (
     fold_results,
     run_campaign,
 )
-from repro.campaign.engine import register_runner
+from repro.campaign.engine import get_context, register_runner
 from repro.campaign.goldens import GOLDEN_CACHE, golden_key
 from repro.campaign.plans import get_spec
 from repro.common.exceptions import ConfigError
@@ -384,9 +384,37 @@ class TestGateOnEngine:
         assert n < 200
         results = execute(plan.units, EngineConfig(processes=1),
                           context=plan.context)
+        # the context is installed for the call only: no golden run
+        # outlives its campaign
+        assert "golden" not in get_context()
         agg = spec.aggregate(plan.config, results)
         assert agg.num_stimuli == n
         assert agg.total_faults == 64
+
+    def test_default_config_pins_the_manifest(self):
+        # the defaults come from CampaignConfig; stored gate configs (key
+        # order too: manifests are written unsorted) and fingerprints
+        # must not move
+        import json
+
+        from repro.campaign.store import config_fingerprint
+        from repro.faultinjection.campaign import GateCampaignSpec
+
+        base = {"unit": "decoder", "max_faults": 1024, "max_stimuli": 48,
+                "words": 8, "seed": 23587, "scale": "tiny",
+                "stimuli_per_workload": 16, "collapse": "none",
+                "accel": True}
+        for overrides, fingerprint in [
+            ({}, "5e30dc81cab23cd28748f84a50a93fdd"),
+            (dict(unit="wsc", max_faults=512, collapse="structural",
+                  accel=False), "0be06c2ffc778d2b25f477b25178c1e1"),
+            (dict(unit="fetch", words=2, seed=7, scale="small",
+                  stimuli_per_workload=4), "0429435a126068bd20c9cb3af386914d"),
+        ]:
+            config = GateCampaignSpec().default_config(max_stimuli=None,
+                                                       **overrides)
+            assert json.dumps(config) == json.dumps({**base, **overrides})
+            assert config_fingerprint("gate", config)[:32] == fingerprint
 
 
 def _same_result(kind: str, a, b) -> None:

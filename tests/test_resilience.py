@@ -26,7 +26,7 @@ import pytest
 
 from repro.campaign import CampaignStore, EngineConfig, UnitResult, WorkUnit, execute
 from repro.campaign.engine import register_runner
-from repro.campaign.goldens import GoldenCache
+from repro.campaign.goldens import CheckpointCache, GoldenCache
 from repro.common.exceptions import ConfigError
 from repro.resilience import chaos, integrity
 from repro.resilience.verify import (
@@ -406,7 +406,7 @@ class TestLiveness:
         # pool initializer must restore SIGTERM=default / SIGINT=ignore
         # or Pool.terminate() and the watchdog cannot kill a worker
         results = execute(_units("test-signal-probe", 4),
-                          EngineConfig(processes=2, handle_signals=True))
+                          EngineConfig(processes=2))
         assert len(results) == 4
         for r in results.values():
             assert r.ok
@@ -700,19 +700,23 @@ class TestGoldenDiskSpill:
 
     def test_verify_flags_and_repair_removes_corrupt_goldens(self, tmp_path):
         store = _populated_store(tmp_path)
-        gdir = store.directory / "goldens"
-        gdir.mkdir()
-        cache = GoldenCache()
-        cache.persist_to(gdir)
-        cache.get("vectoradd", "tiny", 1)
-        bad = gdir / "deadbeef.npz"
+        for cache in (GoldenCache(), CheckpointCache()):
+            cache.persist_under(store.directory)
+            cache.get("vectoradd", "tiny", 1)
+        bad = store.directory / "goldens" / "deadbeef.npz"
         bad.write_bytes(b"garbage")
+        trace = next((store.directory / "checkpoints").glob("*.trace.npz"))
+        data = bytearray(trace.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        trace.write_bytes(bytes(data))
 
         report = verify_campaign(store.directory)
-        assert report.ok  # goldens are warnings, not errors
-        assert any(f.file.endswith("deadbeef.npz") for f in report.findings)
+        assert report.ok  # spills are warnings, not errors
+        assert sorted(f.file for f in report.findings) == \
+            [f"checkpoints/{trace.name}", "goldens/deadbeef.npz"]
         assert report.records["goldens"] == 1
+        assert report.records["checkpoints"] == 0
 
         repair_campaign(store.directory)
-        assert not bad.exists()
-        assert len(list(gdir.glob("*.npz"))) == 1
+        assert not bad.exists() and not trace.exists()
+        assert len(list((store.directory / "goldens").glob("*.npz"))) == 1

@@ -304,8 +304,8 @@ class TestPoolChaosConvergence:
         chaos.configure({"kill": 0.25}, seed=seed)
         try:
             results = execute(units, EngineConfig(
-                processes=2, timeout=5.0, retries=2, backoff=0.0,
-                handle_signals=False), store=store)
+                processes=2, timeout=5.0, retries=2, backoff=0.0),
+                store=store)
         finally:
             chaos.deactivate()
 
@@ -324,8 +324,7 @@ class TestPoolChaosConvergence:
 
         chaos.configure({"torn": 0.4}, seed=9)
         try:
-            execute(units, EngineConfig(processes=1, handle_signals=False),
-                    store=store)
+            execute(units, EngineConfig(processes=1), store=store)
             fired = chaos.ACTIVE.fired["torn"]
         finally:
             chaos.deactivate()
@@ -337,9 +336,7 @@ class TestPoolChaosConvergence:
         assert len(store.last_scan.issues) == fired
 
         # clean resume re-runs exactly the torn units
-        resumed = execute(units, EngineConfig(processes=1,
-                                              handle_signals=False),
-                          store=store)
+        resumed = execute(units, EngineConfig(processes=1), store=store)
         assert len(resumed) == fired
         assert len(store.completed_ids()) == 8
         assert json.loads(
