@@ -56,10 +56,11 @@ oracle-check:
 	done
 
 # Shortcut anchor: run the accelerated benchmark workloads (epr-hang's
-# hangs take the hang short-circuit, its lenet/IMS count-up loops the
-# affine fast-forward, epr-short's inert IAL descriptors the inert
-# shortcut, gate-units the dynamic fault dropping, stimuli dedup, packed
-# golden run and per-stimulus classification; docs/PERFORMANCE.md) and
+# lenet/mxm IAL and IOC hangs take the loop-granular cycle proof, its
+# lenet/IMS count-up loops the affine fast-forward, epr-short's inert IAL
+# descriptors the inert shortcut, gate-units the dynamic fault dropping,
+# stimuli dedup, packed golden run and per-stimulus classification;
+# docs/PERFORMANCE.md) and
 # exit 1 unless each last JSON line reports "correct": true, i.e. every
 # accelerated outcome matched the frozen perfbench/oracle.json item by
 # item.

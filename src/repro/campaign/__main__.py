@@ -98,7 +98,7 @@ def _config_overrides(args) -> dict:
     if getattr(args, "unit", None):
         over["unit"] = args.unit
     if getattr(args, "max_faults", None) is not None:
-        over["max_faults"] = args.max_faults or None
+        over["max_faults"] = args.max_faults  # 0 = exhaustive
     if getattr(args, "max_stimuli", None):
         over["max_stimuli"] = args.max_stimuli
     if getattr(args, "collapse", None):

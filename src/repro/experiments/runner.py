@@ -98,7 +98,7 @@ def run_all(fast: bool = True, processes: int = 1,
     reports: list[ExperimentReport] = []
     for i, (name, thunk) in enumerate(steps, start=1):
         log.info(f"experiment {name}", step=i, of=len(steps))
-        with obs.span("experiment", name=name):
+        with obs.span("experiment", experiment=name):
             reports.append(thunk())
     return reports
 

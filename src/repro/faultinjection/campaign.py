@@ -647,13 +647,17 @@ class GateCampaignSpec:
         """:class:`CampaignConfig`'s defaults as a manifest config, with
         the profiling knobs ``build`` draws the stimuli from
         (``processes`` and ``fail_fast`` are execution knobs, not part of
-        the config; ``processes`` is pinned only so it is not read)."""
+        the config; ``processes`` is pinned only so it is not read).
+        An override of ``None`` keeps the default; ``max_faults=0`` asks
+        for the exhaustive fault list (``None`` in the config)."""
         d = CampaignConfig(unit="decoder", processes=1)
         cfg = {"unit": d.unit, "max_faults": d.max_faults,
                "max_stimuli": d.max_stimuli, "words": d.words,
                "seed": d.seed, "scale": "tiny", "stimuli_per_workload": 16,
                "collapse": d.collapse, "accel": d.accel}
         cfg.update({k: v for k, v in overrides.items() if v is not None})
+        if cfg["max_faults"] == 0:
+            cfg["max_faults"] = None
         return cfg
 
     def build(self, config: dict) -> CampaignPlan:

@@ -140,12 +140,16 @@ class Device:
         runs. A hook may also rewrite the register values of the current
         CTA's warps (in place, e.g. ``warp.regs += delta``) and words of
         global memory; the round then runs from the rewritten state. Any
-        other change is outside the contract. The accelerated injector
+        other change is outside the contract. A count that takes the
+        counter past the watchdog budget raises the timeout at once, as
+        the slice that reaches that count would. The accelerated injector
         returns whole periods of a loop it has proved to repeat, and for a
         count-up loop writes the registers and words those periods would
-        have left (docs/PERFORMANCE.md, "Hang short-circuit" and "Affine
-        fast-forward"). It keeps the counter within the watchdog budget,
-        so the watchdog fires in the same slice as without the hook.
+        have left; either keeps the counter within the budget, so the
+        watchdog fires in the same slice as without the hook. For a
+        one-warp loop proved at loop level it returns the distance to the
+        end of the slice where the watchdog fires, and the launch raises
+        at once (docs/PERFORMANCE.md, "Hang short-circuit").
 
         *resume* (a :class:`~repro.gpusim.snapshot.LaunchResume`) skips the
         already-executed prefix: device state is restored from the
@@ -271,11 +275,18 @@ class Device:
         reports the budget remaining at CTA entry (as it always has).
         """
         base = executed
+
+        def timeout() -> WatchdogTimeoutError:
+            return WatchdogTimeoutError(
+                f"{program.name}: exceeded {budget - base} instructions")
+
         while True:
             if round_hook is not None:
                 skipped = round_hook(cta, executed, warps, shared_mem)
                 if skipped:
                     executed += skipped
+                    if executed > budget:
+                        raise timeout()
             progress = 0
             unfinished = [w for w in warps if not w.finished]
             if not unfinished:
@@ -287,10 +298,7 @@ class Device:
                 progress += done
                 executed += done
                 if executed > budget:
-                    raise WatchdogTimeoutError(
-                        f"{program.name}: exceeded {budget - base} "
-                        f"instructions"
-                    )
+                    raise timeout()
             # barrier release: every unfinished warp has arrived
             unfinished = [w for w in warps if not w.finished]
             if unfinished and all(w.at_barrier for w in unfinished):

@@ -22,12 +22,16 @@ when it is handed a golden trace. It
   golden checkpoint at an aligned ``(launch, cta, executed)`` boundary
   and no activation sites remain;
 * fast-forwards a launch that has outrun its golden counterpart over the
-  loop periods it provably repeats (:class:`HangCycle`): a round-boundary
-  state that recurs exactly ("cycle") jumps straight to the slice where
-  its watchdog fires; one whose integer registers (and a few global
-  words) move by a constant delta per period ("affine", a count-up loop)
-  jumps over the periods that one recorded period proves take the same
-  path (:func:`affine_periods`), and simulation goes on from there.
+  loop periods it provably repeats (:class:`HangCycle`): the only
+  unfinished warp of a CTA whose state recurs exactly at a loop's own
+  period ("cycle", :class:`_LoopWatch`) ends the run at once with the
+  cold replay's watchdog and activation count; in other CTAs a
+  round-boundary state that recurs exactly ("cycle") jumps straight to
+  the slice where its watchdog fires; one whose integer registers (and a
+  few global words) move by a constant delta per period ("affine", a
+  count-up loop) jumps over the periods that one recorded period proves
+  take the same path (:func:`affine_periods`), and simulation goes on
+  from there.
 
 Every shortcut is equivalence-preserving — outcomes, DUE reasons and
 activation counts are bit-identical to the cold replay (the
@@ -37,15 +41,16 @@ tests/test_accel_equivalence.py).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.campaign.goldens import GoldenTrace
 from repro.common.exceptions import InvalidRegisterError
-from repro.gpusim.device import LaunchResult
+from repro.gpusim.device import _SLICE, LaunchResult
 from repro.gpusim.executor import WARP_SIZE, _compare_ufunc
 from repro.gpusim.snapshot import (
     Checkpoint,
@@ -58,11 +63,14 @@ from repro.isa.instruction import RZ
 from repro.isa.opcodes import MemSpace, Op
 from repro.swinjector.injectors import BaseInjector
 
-#: round digests :class:`HangCycle` keeps per CTA in each of its two
-#: tables before that table starts over, bounding its memory (~4 MiB a
-#: table); a period longer than half of this many rounds may be missed
-#: and is then left to the watchdog
+#: round digests :class:`HangCycle` keeps per CTA before its table
+#: starts over, bounding its memory (~4 MiB); a period longer than half
+#: of this many rounds may be missed and is then left to the watchdog
 _MAX_ROUNDS = 1 << 15
+
+#: anchor visits :class:`_LoopWatch` digests before it gives up: the
+#: bound on what the watch costs a hang that never repeats
+_MAX_VISITS = 1 << 8
 
 #: longest period, in instructions, :class:`HangCycle` records for an
 #: affine proof (operand copies of ~0.6 KiB an instruction)
@@ -204,32 +212,44 @@ def injector_state(injector: BaseInjector) -> bytes:
                          if k != "desc"}, protocol=5)
 
 
-def _round_digests(dev, warps, shared_mem, inj: bytes) -> tuple[bytes, bytes]:
-    """SHA-256 digests ``(control, full)`` of the round-boundary state.
-
-    *control* covers global memory up to the allocation break, the CTA's
-    shared memory, every warp's predicates, alive mask, reconvergence
-    stack and barrier flag, and the injector state *inj*; *full* adds
-    every warp's registers. A hit is only a candidate (memory past the
-    break is not hashed, and digests can collide); :class:`HangCycle`
-    confirms it by exact comparison."""
+def _round_digest(dev, warps, shared_mem, inj: bytes) -> bytes:
+    """SHA-256 of the round-boundary control state: global memory up to
+    the allocation break, the CTA's shared memory, every warp's
+    predicates, alive mask, reconvergence stack and barrier flag, and the
+    injector state *inj*. Registers are left out, so a loop whose
+    registers move by a constant still hits. A hit is only a candidate
+    (memory past the break is not hashed, and digests can collide);
+    :class:`HangCycle` confirms it by exact comparison."""
     h = hashlib.sha256()
     g = dev.global_mem
     h.update(g.data[:g._brk])
     h.update(shared_mem.data)
     for w in warps:
-        h.update(w.preds)
-        h.update(w.alive)
-        h.update(b"%d %d" % (w.at_barrier, len(w.stack)))
-        for e in w.stack:
-            h.update(b"%d %d" % (-1 if e.reconv_pc is None else e.reconv_pc,
-                                 e.next_pc))
-            h.update(e.mask)
+        _hash_control(h, w)
     h.update(inj)
-    control = h.digest()
-    for w in warps:
-        h.update(w.regs)
-    return control, h.digest()
+    return h.digest()
+
+
+def _hash_control(h, w) -> None:
+    """Feed warp *w*'s predicates, alive mask, barrier flag and
+    reconvergence stack to the hash *h*."""
+    h.update(w.preds)
+    h.update(w.alive)
+    h.update(b"%d %d" % (w.at_barrier, len(w.stack)))
+    for e in w.stack:
+        h.update(b"%d %d" % (-1 if e.reconv_pc is None else e.reconv_pc,
+                             e.next_pc))
+        h.update(e.mask)
+
+
+def _warp_digest(w, inj: bytes) -> bytes:
+    """SHA-256 of warp *w*'s registers and control state (the memories
+    left out) and the injector state *inj*: the anchor digest of
+    :class:`_LoopWatch`, a candidate only, like :func:`_round_digest`."""
+    h = hashlib.sha256(w.regs)
+    _hash_control(h, w)
+    h.update(inj)
+    return h.digest()
 
 
 def _remember(seen: dict, key: bytes, executed: int) -> int | None:
@@ -483,41 +503,147 @@ class _Candidate:
                         for r, r1 in zip(regs, regs1)))
 
 
+@dataclass
+class _Period:
+    """A loop period under test by :class:`_LoopWatch`, from its anchor
+    visit ``start`` (``E``) to ``start + length``."""
+
+    start: int
+    length: int
+    ck: Checkpoint                 # the state at E
+    inj: bytes                     # injector state at E
+    activations: int               # tool.activations at E
+    #: offsets from E of the period's activations, in order
+    offsets: list[int] = field(default_factory=list)
+    #: activations of the whole period, once proved
+    gained: int = 0
+
+
+class _LoopWatch:
+    """The loop-granular cycle proof of :class:`HangCycle` in a CTA with
+    one unfinished warp, set as the tool's :attr:`~NVBitPERfi.watch`.
+
+    It hooks an *anchor* pc (the warp's next pc when the watch arms) and
+    the program's ``BAR`` pcs. At each anchor visit, before the error
+    function, the warp's registers and control state and the injector
+    state are digested (:func:`_warp_digest`). A digest seen ``L``
+    instructions earlier makes ``L`` a candidate period: the exact state
+    at that visit ``E`` is captured and the activations of ``[E, E + L)``
+    are recorded by their offset from ``E``. At the visit ``E + L`` the
+    whole state, global and shared memory included, must equal the
+    captured one, and no ``BAR`` may have run in between; the period is
+    then the :attr:`proof` and the watch unhooks. A failed candidate (the
+    warp's state recurs, memory or the injector state does not), a
+    ``BAR`` in a candidate period, or :data:`_MAX_VISITS` visits end the
+    watch; the round-level detector goes on. Launch counts are the
+    warp's own count plus *offset*, fixed when the watch arms: only this
+    warp runs, and any fast-forward drops the watch."""
+
+    def __init__(self, dev, tool, watchdog: int, warp, shared_mem,
+                 offset: int, anchor: int, bars: frozenset[int]):
+        self.dev = dev
+        self.tool = tool
+        self.watchdog = watchdog
+        self.warp = warp
+        self.shared_mem = shared_mem
+        self.offset = offset
+        self.anchor = anchor
+        self.bars = bars
+        self.pcs = bars | {anchor}
+        #: anchor digest -> launch count where last seen
+        self.seen: dict[bytes, int] = {}
+        self.visits = 0
+        self.candidate: _Period | None = None
+        self.proof: _Period | None = None
+
+    def before(self, ctx, activated: bool) -> None:
+        c = self.candidate
+        x = self.offset + ctx.warp.instructions_executed
+        if ctx.pc == self.anchor:
+            if c is None:
+                self._visit(x)
+            elif x >= c.start + c.length:
+                self._confirm(x)
+            c = self.candidate
+        elif c is not None and ctx.pc in self.bars:  # a BAR in the period
+            self._stop()
+            return
+        if activated and c is not None:
+            c.offsets.append(x - c.start)
+
+    def _visit(self, x: int) -> None:
+        self.visits += 1
+        if self.visits > _MAX_VISITS:
+            self._stop()
+            return
+        inj = injector_state(self.tool.injector)
+        prev = _remember(self.seen, _warp_digest(self.warp, inj), x)
+        if prev is None or 2 * x - prev >= self.watchdog:
+            return
+        ck = capture_checkpoint(self.dev, -1, self.warp.cta, x, -1,
+                                [self.warp], self.shared_mem)
+        self.candidate = _Period(x, x - prev, ck, inj, self.tool.activations)
+
+    def _confirm(self, x: int) -> None:
+        c = self.candidate
+        tool = self.tool
+        if (x == c.start + c.length and injector_state(tool.injector) == c.inj
+                and checkpoint_matches(self.dev, c.ck, [self.warp],
+                                       self.shared_mem)):
+            c.gained = tool.activations - c.activations
+            self.proof = c
+        self._stop()
+
+    def _stop(self) -> None:
+        self.candidate = None
+        self.tool.watch = None
+
+
 class HangCycle:
     """Round hook that proves a launch periodic up to a constant per-period
     delta and fast-forwards it over the periods that provably repeat.
 
-    Once a launch has outrun its golden counterpart, each round boundary
-    of the current CTA is digested twice (:func:`_round_digests`): with
-    and without registers. A digest seen before at ``executed - P`` makes
-    ``P`` a candidate period (a full-state repeat first; a control-state
-    repeat only outside a back-off window that doubles after each failed
-    proof). The state at that boundary ``E`` is captured exactly
-    (:func:`~repro.gpusim.snapshot.capture_checkpoint` plus
-    :func:`injector_state`) and one more period is simulated. At
-    ``E + P`` everything but integer registers and a few global words
-    must be equal (:func:`~repro.gpusim.snapshot.checkpoint_delta`):
+    Once a launch has outrun its golden counterpart, it watches the
+    current CTA two ways.
 
-    * **cycle** — nothing moved (``D = 0``): the simulator's determinism
-      makes the run periodic for ever, and the hook returns ``k·P`` with
-      ``k = (watchdog - executed) // P``;
-    * **affine** — registers and words moved by ``D``: with one unfinished
-      warp in the CTA, the state at ``E + 2P`` must have moved by
-      ``2·D`` (and the activations by ``2·ΔA``); then the period
-      ``E + 2P -> E + 3P`` is recorded with its operand values (the
-      tool's recorder). At ``E + 3P`` the state must have moved by
-      ``3·D``, and :func:`affine_periods` proves for how many periods
-      ``k`` the path repeats. The hook writes ``S + k·D`` into the warp's
-      registers and the moved words and returns ``k·P``.
+    * **Loop level** — in a CTA with one unfinished warp, a
+      :class:`_LoopWatch` proves an exact repeat at the loop's own period
+      ``L`` (a cycle). At the next round boundary ``R`` the hook sets the
+      tool's activations to the cold replay's count at ``T``, the end of
+      the slice where its watchdog fires, and returns ``T - R``: the
+      launch raises the timeout at once.
+    * **Round level** — each round boundary is digested without
+      registers (:func:`_round_digest`). A digest seen before at
+      ``executed - P`` makes ``P`` a candidate period, outside a back-off
+      window that doubles after each failed proof. The state at that
+      boundary ``E`` is captured exactly
+      (:func:`~repro.gpusim.snapshot.capture_checkpoint` plus
+      :func:`injector_state`) and one more period is simulated. At
+      ``E + P`` everything but integer registers and a few global words
+      must be equal (:func:`~repro.gpusim.snapshot.checkpoint_delta`):
 
-    ``Device.launch`` adds the returned count to the launch counter, the
-    tool is credited the ``k·ΔA`` activations those periods would have
-    made, and plain simulation continues: a hang's watchdog fires in the
-    same slice, with the same activation count, as in the cold replay; a
-    loop that ends finishes with the cold replay's output bits; detection
-    re-arms after every jump (docs/PERFORMANCE.md, "Hang short-circuit"
-    and "Affine fast-forward"). Each jump appends ``"cycle"`` or
-    ``"affine"`` to *shortcuts*.
+      * **cycle** — nothing moved (``D = 0``): the simulator's
+        determinism makes the run periodic for ever, and the hook returns
+        ``k·P`` with ``k = (watchdog - executed) // P``;
+      * **affine** — registers and words moved by ``D``: with one
+        unfinished warp in the CTA, the state at ``E + 2P`` must have
+        moved by ``2·D`` (and the activations by ``2·ΔA``); then the
+        period ``E + 2P -> E + 3P`` is recorded with its operand values
+        (the tool's recorder). At ``E + 3P`` the state must have moved by
+        ``3·D``, and :func:`affine_periods` proves for how many periods
+        ``k`` the path repeats. The hook writes ``S + k·D`` into the
+        warp's registers and the moved words and returns ``k·P``.
+
+      ``Device.launch`` adds the returned count to the launch counter,
+      the tool is credited the ``k·ΔA`` activations those periods would
+      have made, and plain simulation continues: a hang's watchdog fires
+      in the same slice, with the same activation count, as in the cold
+      replay; a loop that ends finishes with the cold replay's output
+      bits; detection re-arms after every jump.
+
+    Each fast-forward appends ``"cycle"`` or ``"affine"`` to *shortcuts*
+    (docs/PERFORMANCE.md, "Hang short-circuit", "Loop-granular proof" and
+    "Affine fast-forward").
     """
 
     def __init__(self, dev, tool, watchdog: int, stats: AccelStats,
@@ -528,36 +654,46 @@ class HangCycle:
         self.stats = stats
         self.shortcuts = [] if shortcuts is None else shortcuts
         self.cta = None
-        #: full / control round digest -> launch count where last seen
+        #: round digest -> launch count where last seen
         self.seen: dict[bytes, int] = {}
-        self.seen_control: dict[bytes, int] = {}
         self.candidate: _Candidate | None = None
-        #: control-state candidates wait until this launch count
+        #: candidates wait until this launch count
         self.retry_at = 0
         self.failures = 0
+        #: the loop-granular proof of the current CTA, once armed
+        self.watch: _LoopWatch | None = None
+        #: the launch's ``BAR`` pcs, found when a watch first arms
+        self.bars: frozenset[int] | None = None
+        #: launch count of the CTA's first round boundary here; a watch
+        #: arms a slice later, so a CTA that ends within it pays nothing
+        self.since = 0
 
     def _reset(self) -> None:
         self.seen.clear()
-        self.seen_control.clear()
         self.candidate = None
         self.tool.recorder = None
+        self.watch = self.tool.watch = None
 
     def __call__(self, cta, executed, warps, shared_mem):
         if cta != self.cta:
             self.cta = cta
+            self.since = executed
             self._reset()
+        if self.watch is None:
+            if executed - self.since >= _SLICE:
+                self._arm(executed, warps, shared_mem)
+        elif self.watch.proof is not None:
+            return self._end(executed)
         if self.candidate is not None:
             if executed < self.candidate.due:
                 return None
             return self._confirm(executed, warps, shared_mem)
         tool = self.tool
         inj = injector_state(tool.injector)
-        control, full = _round_digests(self.dev, warps, shared_mem, inj)
-        prev = _remember(self.seen, full, executed)
-        prev_control = _remember(self.seen_control, control, executed)
-        if prev is None and executed >= self.retry_at:
-            prev = prev_control
-        if prev is not None:
+        prev = _remember(self.seen,
+                         _round_digest(self.dev, warps, shared_mem, inj),
+                         executed)
+        if prev is not None and executed >= self.retry_at:
             period = executed - prev
             if (self.watchdog - executed) // period >= 2:
                 ck = capture_checkpoint(self.dev, -1, cta, executed, -1,
@@ -565,6 +701,38 @@ class HangCycle:
                 self.candidate = _Candidate(ck, inj, tool.activations,
                                             period, executed + period)
         return None
+
+    def _arm(self, executed: int, warps, shared_mem) -> None:
+        """Set a :class:`_LoopWatch` on the CTA's only unfinished warp,
+        anchored at its next pc (not a ``BAR``)."""
+        live = [w for w in warps if not w.finished]
+        if len(live) != 1 or live[0].at_barrier:
+            return
+        w = live[0]
+        if self.bars is None:
+            self.bars = frozenset(pc for pc, instr in enumerate(w.program)
+                                  if instr.op is Op.BAR)
+        anchor = w.stack[-1].next_pc
+        if anchor in self.bars:
+            return
+        self.watch = self.tool.watch = _LoopWatch(
+            self.dev, self.tool, self.watchdog, w, shared_mem,
+            executed - w.instructions_executed, anchor, self.bars)
+
+    def _end(self, executed: int) -> int:
+        """Return the count that takes the launch to the slice end ``T``
+        where the cold replay's watchdog fires, with the activations it
+        has made by then (the watch's proof, at round boundary
+        *executed*)."""
+        p = self.watch.proof
+        t = executed + _SLICE * ((self.watchdog - executed) // _SLICE + 1)
+        n = t - p.start
+        self.tool.activations = (
+            p.activations + n // p.length * p.gained
+            + bisect.bisect_left(p.offsets, n % p.length))
+        self.stats.hang_cycle(t - executed)
+        self.shortcuts.append("cycle")
+        return t - executed
 
     def _confirm(self, executed, warps, shared_mem):
         c, self.candidate = self.candidate, None
@@ -624,7 +792,7 @@ class HangCycle:
         return k * period
 
     def _give_up(self, executed: int, period: int) -> None:
-        """Drop a failed candidate; back off control-state candidates."""
+        """Drop a failed candidate and back off."""
         self.failures += 1
         self.retry_at = executed + (period << self.failures)
         return None
@@ -694,7 +862,8 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
                               instrumentation=tool, round_hook=hook,
                               resume=resume)
         finally:
-            tool.recorder = None  # a period left unfinished by the launch
+            # a period or a watch left unfinished by the launch
+            tool.recorder = tool.watch = None
 
     return launcher
 

@@ -72,24 +72,37 @@ class NVBitPERfi:
         #: after the error function, ``after(ctx)`` before it (the
         #: accelerated replay records one loop period this way)
         self.recorder = None
+        #: observer of the hooked steps while set, its ``pcs`` hooked
+        #: too: ``before(ctx, activated)`` before the error function (the
+        #: accelerated replay watches a loop's anchor pc this way)
+        self.watch = None
 
     # ------------------------------------------------------------------
     def slice_gate(self, warp) -> bool | frozenset[int]:
         """Which hook sites of *warp* can possibly activate.
 
         Returns ``False`` (the warp never matches the descriptor's
-        coordinates), a frozenset of pcs where ``injector.targets`` holds,
-        or ``True``.  A hook at a non-returned site is a guaranteed no-op
-        pair (``before`` only clears ``_active_ctx``; ``after`` then does
-        nothing), so skipping it is bit-identical.  Disabled by default so
-        ``--no-accel`` (the cold replay) hooks every site; a set
-        :attr:`recorder` sees every site too.
+        coordinates, or no pc is a target), a frozenset of pcs where
+        ``injector.targets`` holds, or ``True``.  A hook at a non-returned
+        site is a guaranteed no-op pair (``before`` only clears
+        ``_active_ctx``; ``after`` then does nothing), so skipping it is
+        bit-identical.  Disabled by default so ``--no-accel`` (the cold
+        replay) hooks every site; a set :attr:`recorder` sees every site
+        too, and a set :attr:`watch` adds its ``pcs``.
         """
         if not self.site_filter or self.recorder is not None:
             return True
+        pcs = self._target_pcs(warp)
+        if self.watch is not None:
+            pcs = pcs | self.watch.pcs
+        return pcs or False
+
+    def _target_pcs(self, warp) -> frozenset[int]:
+        """The pcs of *warp* where ``injector.targets`` holds (none when
+        the warp does not match the descriptor's coordinates)."""
         d = self.descriptor
         if not d.matches_warp(warp.sm_id, warp.subpartition, warp.warp_slot):
-            return False
+            return frozenset()
         program = warp.program
         cached = self._pcs_cache.get(id(program))
         if cached is not None and cached[0] is program:
@@ -116,6 +129,8 @@ class NVBitPERfi:
 
     def before(self, ctx: HookContext) -> None:
         victims = self._victims(ctx)
+        if self.watch is not None:
+            self.watch.before(ctx, victims is not None)
         self._active_ctx = victims is not None
         if victims is not None:
             self.activations += 1

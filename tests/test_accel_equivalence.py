@@ -27,7 +27,7 @@ from repro.faultinjection.campaign import (
 from repro.gatelevel.faults import full_fault_list, sample_faults
 from repro.gatelevel.sim import LogicSim
 from repro.gatelevel.units import build_unit
-from repro.isa import PT, CmpOp, KernelBuilder, RZ
+from repro.isa import PT, CmpOp, KernelBuilder, RZ, SpecialReg
 from repro.swinjector.campaign import OUTCOMES, _run_epr_unit
 from repro.swinjector.instrumentation import NVBitPERfi, make_descriptor
 from repro.workloads.base import Workload, WorkloadMeta
@@ -230,10 +230,12 @@ class TestHangCycleEquivalence:
 
     def test_digest_table_cap_falls_back_to_watchdog(self, monkeypatch):
         # the in-place loop repeats every 3 rounds; a table that starts
-        # over every 2 rounds never sees the repeat
+        # over every 2 rounds never sees the repeat (with the loop-level
+        # watch off: it would see the loop repeat at its own period)
         from repro.swinjector import accel
 
         monkeypatch.setattr(accel, "_MAX_ROUNDS", 2)
+        monkeypatch.setattr(accel, "_MAX_VISITS", 0)
         assert _builder_hang("inplace",
                              ErrorDescriptor(ErrorModel.WV)).hang_cycles == 0
 
@@ -840,6 +842,255 @@ class TestAffineFuzz:
         # the budget must exercise the fast-forward, not only the
         # loops that end or fault before it arms
         assert taken >= 8
+
+
+# -- loop-granular cycles ------------------------------------------------
+# Loops of exactly L instructions that WV turns into an exact cycle: every
+# ISETP of the victim warp writes the inverted predicate, so the exit
+# test ``step != 0`` flips back while ``step`` becomes 0 (as in
+# :func:`_loop_kernel`).
+
+_WV = ErrorDescriptor(ErrorModel.WV)
+
+
+@dataclass(frozen=True)
+class _Spin:
+    """``do { pad; p = i < n; step = p ? 1 : 0; i += step } while
+    (step != 0)`` over ``n = 2``, then ``out[1] = i``: a loop body of
+    exactly :attr:`length` instructions. Each *pad* entry is an
+    ``"isetp"`` (a compare into a dead predicate: one more activation
+    site of WV), an ``"iadd"``, an in-place ``"gst"``, a ``"nop"`` or a
+    ``"bar"``. With *waiter* a second warp spins until ``out[1]`` is
+    set: under WV both warps spin for ever. With *leak* each iteration
+    also counts up ``out[2]`` and leaves the loop once it passes *leak*:
+    the registers repeat, memory does not, and the loop ends."""
+
+    pad: tuple[str, ...]
+    waiter: bool = False
+    leak: int = 0
+
+    @property
+    def length(self) -> int:
+        return len(self.pad) + (13 if self.leak else 5)
+
+    def kernel(self):
+        k = KernelBuilder("spin", nregs=16)
+        n = k.load_param(0)
+        out = k.mov32i_new(_OUT)
+        one = k.mov32i_new(1)
+        c = k.mov32i_new(5)
+        i = k.mov32i_new(0)
+        t, step, v = k.reg(), k.reg(), k.reg()
+        p, q, dead = k.pred(), k.pred(), k.pred()
+        if self.waiter:
+            # warp 1 waits; two compares in a row, so WV's flips cancel
+            k.s2r(t, SpecialReg.WARPID)
+            k.isetp(p, t, RZ, CmpOp.NE)
+            k.sel(t, one, RZ, p)
+            k.isetp(p, t, RZ, CmpOp.NE)
+            k.bra("wait", pred=p)
+        head = k.label()
+        for op in self.pad:
+            if op == "isetp":
+                k.isetp(dead, c, imm=3, cmp=CmpOp.GT)
+            elif op == "iadd":
+                k.iadd(t, c, imm=7)
+            elif op == "gst":
+                k.gst(out, c)
+            elif op == "nop":
+                k.nop()
+            else:
+                k.bar()
+        if self.leak:
+            k.gld(v, out, offset=8)
+            k.iadd(v, v, imm=1)
+            k.gst(out, v, offset=8)
+            k.isetp(p, v, imm=self.leak, cmp=CmpOp.GT)
+            k.sel(v, one, RZ, p)
+            k.isetp(p, v, RZ, CmpOp.NE)
+            k.mov32i(v, 0)
+            k.bra("done", pred=p)
+        k.isetp(p, i, n, CmpOp.LT)
+        k.sel(step, one, RZ, p)
+        k.iadd(i, i, step)
+        k.isetp(q, step, RZ, CmpOp.NE)
+        k.bra(head, pred=q)
+        k.label("done")
+        k.gst(out, i, offset=4)
+        k.exit()
+        if self.waiter:
+            k.label("wait")
+            k.gld(v, out, offset=4)
+            k.isetp(p, v, RZ, CmpOp.EQ)
+            k.bra("wait", pred=p)
+            k.exit()
+        return k.build()
+
+
+class _SpinApp(Workload):
+    """One CTA running a :class:`_Spin` loop (two warps with a waiter)."""
+
+    meta = WorkloadMeta("spin", "int32", "test", "isa.builder")
+    scales = {"tiny": {}}
+
+    def __init__(self, spec: _Spin):
+        self.spec = spec
+        super().__init__("tiny")
+
+    def _init_data(self) -> None:
+        pass
+
+    def _build_programs(self):
+        return {"spin": self.spec.kernel()}
+
+    def run(self, device, launcher):
+        out = device.alloc(3)
+        assert out == _OUT
+        launcher(self.programs()["spin"], grid=1,
+                 block=64 if self.spec.waiter else 32, params=(2,))
+        return device.read(out, 3)
+
+
+def _random_spin(rng, length: int) -> _Spin:
+    """A one-warp :class:`_Spin` of *length* instructions with pad ops
+    (and so activation sites) drawn at random."""
+    ops = ["isetp", "iadd", "gst", "nop"]
+    return _Spin(tuple(ops[j] for j in rng.integers(0, 4, size=length - 5)))
+
+
+def _cold_watchdog(spec: _Spin, budget: int):
+    """The cold replay of WV on one-warp *spec*, run once to *budget*:
+    ``slice end -> activations`` at every round boundary (one warp: a
+    round is one slice) through a round hook that changes nothing, and
+    the count at the watchdog. A cold replay at any smaller budget ``b``
+    past the golden length raises at the first slice end past ``b`` with
+    the count there; the budget is read nowhere else."""
+    from repro.common.exceptions import WatchdogTimeoutError
+    from repro.gpusim.config import DeviceConfig
+    from repro.gpusim.device import Device
+
+    dev = Device(DeviceConfig(global_mem_words=_MEM_WORDS))
+    tool = NVBitPERfi(_WV)
+    counts: dict[int, int] = {}
+
+    def launcher(program, grid, block, params=(), shared_words=None):
+        def hook(cta, executed, warps, shared_mem):
+            counts[executed] = tool.activations
+        return dev.launch(program, grid, block, params=params,
+                          shared_words=shared_words, watchdog=budget,
+                          instrumentation=tool, round_hook=hook)
+
+    with pytest.raises(WatchdogTimeoutError):
+        _SpinApp(spec).run(dev, launcher)
+    return counts
+
+
+def _spin_sweep(spec: _Spin, budgets, cold_budgets, proofs) -> int:
+    """Replay WV on *spec* accelerated at each of *budgets* and assert the
+    cold replay's outcome, DUE reason and activations: real cold replays
+    at *cold_budgets*, and :func:`_cold_watchdog` (itself checked against
+    them) at the rest. *proofs* counts the loop-level proofs taken; the
+    return value is the fast-forwards of either level."""
+    from repro.campaign.goldens import reference_run
+    from repro.swinjector.accel import AccelStats
+    from repro.swinjector.campaign import replay_injection
+
+    w = _SpinApp(spec)
+    golden, trace = reference_run(w, _MEM_WORDS, traced_key="")
+    counts = ends = None
+    if not spec.waiter:
+        # two slices more: the raising slice of each budget, a budget at
+        # a slice end included, ends in a round
+        counts = _cold_watchdog(spec, max(budgets) + 512)
+        ends = sorted(counts)
+        # budgets just before, at and just after a slice end
+        e = next(e for e in ends if e >= budgets[len(budgets) // 2])
+        budgets = [*budgets, e - 1, e, e + 1]
+    stats = AccelStats()
+    for b in budgets:
+        fast = replay_injection(w, _WV, golden.bits, b, _MEM_WORDS, trace,
+                                stats)
+        assert (fast.outcome, fast.due_reason) == ("due", "watchdog-timeout")
+        if b in cold_budgets:
+            cold = replay_injection(w, _WV, golden.bits, b, _MEM_WORDS)
+            assert fast == cold, (spec, b)
+        if counts:
+            t = next(e for e in ends if e > b)
+            assert fast.activations == counts[t], (spec, b)
+    return stats.hang_cycles
+
+
+class TestLoopCycleFuzz:
+    """Seeded one-warp loops whose lengths do not divide 256, replayed at
+    watchdog budgets ``b0 + 256·j`` for ``j < L``: the raising slice end
+    ``T`` then meets every residue of ``(T - E) mod L``, so the closed
+    form's partial period takes every length. Accelerated == cold on each;
+    a loop with a ``BAR`` and a two-warp CTA fall back to the round-level
+    path."""
+
+    LENGTHS = (7, 9, 25, 29, 255, 257, 5, 11, 13, 15, 21, 33)
+
+    @pytest.fixture
+    def proofs(self, monkeypatch):
+        """``[n]``: the loop-level proofs ended so far."""
+        from repro.swinjector import accel
+
+        n = [0]
+        end = accel.HangCycle._end
+
+        def spy(self, executed):
+            n[0] += 1
+            return end(self, executed)
+        monkeypatch.setattr(accel.HangCycle, "_end", spy)
+        return n
+
+    @staticmethod
+    def _budgets(spec: _Spin, rng):
+        b0 = 1_024 + 4 * spec.length + int(rng.integers(0, 256))
+        budgets = [b0 + 256 * j for j in range(spec.length)]
+        cold = {budgets[0], budgets[int(rng.integers(1, spec.length))]}
+        return budgets, cold
+
+    def test_random_loops(self, proofs):
+        runs = 0
+        for seed, length in enumerate(self.LENGTHS):
+            rng = np.random.default_rng([0x100C, seed])
+            spec = _random_spin(rng, length)
+            budgets, cold = self._budgets(spec, rng)
+            _spin_sweep(spec, budgets, cold, proofs)
+            runs += len(budgets) + 3  # and the three at a slice end
+        # every budget of every loop ends in the loop-level proof
+        assert proofs[0] == runs
+
+    def test_moving_memory_is_no_cycle(self, proofs):
+        # the warp's state repeats every iteration, but the counter in
+        # memory ends the loop after 60: an SDC, not a hang
+        from repro.campaign.goldens import reference_run
+        from repro.swinjector.accel import AccelStats
+        from repro.swinjector.campaign import replay_injection
+
+        w = _SpinApp(_Spin(("isetp", "iadd"), leak=60))
+        golden, trace = reference_run(w, _MEM_WORDS, traced_key="")
+        fast = replay_injection(w, _WV, golden.bits, 4_096, _MEM_WORDS,
+                                trace, AccelStats())
+        assert fast == replay_injection(w, _WV, golden.bits, 4_096,
+                                        _MEM_WORDS)
+        assert fast.outcome == "sdc"
+        assert proofs[0] == 0
+
+    @pytest.mark.parametrize("spec", [
+        _Spin(("iadd", "bar", "isetp", "nop")),
+        _Spin(("isetp", "gst", "nop", "iadd"), waiter=True),
+    ], ids=["bar", "two-warps"])
+    def test_falls_back_to_round_level(self, spec, proofs):
+        if spec.waiter:
+            # the round-level period is lcm(9, 3) rounds of two slices
+            budgets = [24_000]
+        else:
+            budgets, _ = self._budgets(spec, np.random.default_rng(0x100C))
+        assert _spin_sweep(spec, budgets, {budgets[0]}, proofs) >= \
+            len(budgets)
+        assert proofs[0] == 0
 
 
 class TestGateEquivalence:

@@ -416,6 +416,19 @@ class TestGateOnEngine:
             assert json.dumps(config) == json.dumps({**base, **overrides})
             assert config_fingerprint("gate", config)[:32] == fingerprint
 
+    @pytest.mark.parametrize("flag, want", [("0", None), ("96", 96),
+                                            (None, 1024)])
+    def test_cli_max_faults_zero_is_exhaustive(self, flag, want):
+        from repro.campaign.__main__ import _config_overrides, build_parser
+        from repro.faultinjection.campaign import GateCampaignSpec
+
+        argv = ["run", "--kind", "gate", "--dir", "unused"]
+        if flag is not None:
+            argv += ["--max-faults", flag]
+        args = build_parser().parse_args(argv)
+        config = GateCampaignSpec().default_config(**_config_overrides(args))
+        assert config["max_faults"] == want
+
 
 def _same_result(kind: str, a, b) -> None:
     """*a* and *b*, aggregates of one campaign kind, are equal."""

@@ -127,3 +127,31 @@ class TestPresets:
         import pytest as _pytest
         with _pytest.raises(ConfigError):
             get_preset("galactic")
+
+
+class TestRunAll:
+    """``run_all`` drives every step inside an ``experiment`` span; one
+    stub step stands in for the campaigns, with obs on and off."""
+
+    @pytest.mark.parametrize("on", [False, True])
+    def test_one_step(self, monkeypatch, on):
+        from repro import obs
+        from repro.experiments import runner
+
+        report = ExperimentReport("T0", "stub", rows=[{"x": 1}])
+        monkeypatch.setattr(runner, "experiment_steps",
+                            lambda **kw: [("stub", lambda: report)])
+        obs.reset()
+        if on:
+            obs.enable()
+        try:
+            assert runner.run_all() == [report]
+            spans = [r for r in obs.RECORDER.records()
+                     if r["name"] == "experiment"]
+        finally:
+            obs.reset()
+        if on:
+            (span,) = spans
+            assert span["attrs"] == {"experiment": "stub"}
+        else:
+            assert spans == []
