@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint campaign-smoke chaos-smoke obs-smoke oracle-check accel-check bench report report-small claims docs examples clean
+.PHONY: install test lint campaign-smoke chaos-smoke obs-smoke oracle-check accel-check bench report report-small report-check claims docs examples clean
 
 install:
 	pip install -e .[test]
@@ -55,10 +55,11 @@ oracle-check:
 			|| exit 1; \
 	done
 
-# Shortcut anchor: run the accelerated benchmark workloads (epr-hang's
-# lenet/mxm IAL and IOC hangs take the loop-granular cycle proof, its
-# lenet/IMS count-up loops the affine fast-forward, epr-short's inert IAL
-# descriptors the inert shortcut, gate-units the dynamic fault dropping,
+# Shortcut anchor: run the accelerated benchmark workloads (the one hang
+# detector's loop watch proves epr-hang's lenet/mxm IAL and IOC hangs
+# exact cycles and hands its lenet/IMS count-up loops to the affine
+# fast-forward; epr-short's inert IAL descriptors take the inert shortcut,
+# gate-units the dynamic fault dropping,
 # stimuli dedup, packed golden run and per-stimulus classification;
 # docs/PERFORMANCE.md) and
 # exit 1 unless each last JSON line reports "correct": true, i.e. every
@@ -84,6 +85,21 @@ report:
 
 report-small:
 	$(PY) -m repro.experiments --preset small --output experiments_report.txt
+
+# Report anchor: regenerate the tiny report (~40 s) and exit 1 unless it
+# equals the committed experiments_report.txt, leaving out only the lines
+# that report a time: the cost model's measured costs, the hours and
+# speedup derived from them, and the wall-time line.
+REPORT_TIMES = ^measured .* cost .*\(s\)|\(simulated hours\)|^speedup \(orders of magnitude\)|^\(total wall time
+
+report-check:
+	@tmp=$$(mktemp -d) && \
+	PYTHONPATH=src $(PY) -m repro.experiments --output $$tmp/report.txt \
+		> /dev/null && \
+	grep -Ev '$(REPORT_TIMES)' experiments_report.txt > $$tmp/committed && \
+	grep -Ev '$(REPORT_TIMES)' $$tmp/report.txt > $$tmp/fresh && \
+	diff -u $$tmp/committed $$tmp/fresh; status=$$?; rm -rf $$tmp; \
+	exit $$status
 
 claims:
 	$(PY) -c "from repro.analysis.compare import evaluate_claims; \

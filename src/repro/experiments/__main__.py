@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.experiments [--full] [--processes N]``."""
+"""CLI: ``python -m repro.experiments [--preset P] [--processes N]``."""
 
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro.experiments",
         description="Regenerate every table and figure of the paper.",
     )
-    parser.add_argument("--full", action="store_true",
-                        help="larger campaigns (slower, tighter statistics)")
     parser.add_argument("--preset", choices=["tiny", "small", "paper"],
-                        default=None,
-                        help="campaign-scale preset (overrides --full)")
+                        default="tiny",
+                        help="campaign-scale preset; larger ones are slower "
+                             "with tighter statistics (default: tiny)")
     parser.add_argument("--processes", type=int, default=1,
                         help="worker processes for the campaigns")
     parser.add_argument("--output", type=str, default=None,
@@ -30,8 +29,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
-    reports = run_all(fast=not args.full, processes=args.processes,
-                      preset=args.preset)
+    reports = run_all(processes=args.processes, preset=args.preset)
     text = render_all(reports)
     text += f"\n\n(total wall time: {time.perf_counter() - t0:.1f}s)\n"
     print(text)

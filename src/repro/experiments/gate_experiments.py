@@ -12,12 +12,11 @@ import functools
 from repro.analysis import ExperimentReport
 from repro.errormodels.models import ErrorModel
 from repro.faultinjection import CampaignConfig, GateCampaignResult, run_gate_campaign
+from repro.faultinjection.campaign import profile_stimuli
 from repro.gatelevel import netlist_area
 from repro.gatelevel.fpu import build_fp32_core
 from repro.gatelevel.units import build_unit
-from repro.profiling import profile_workloads, utilization_table
-from repro.profiling.profiler import PROFILING_NAMES
-from repro.workloads import get_workload
+from repro.profiling import utilization_table
 
 UNITS = ("wsc", "fetch", "decoder")
 
@@ -32,18 +31,11 @@ PAPER_TABLE5 = {
 }
 
 
-@functools.lru_cache(maxsize=8)
-def _profile(scale: str, per_workload: int):
-    names = PROFILING_NAMES[:6] if scale == "tiny" else PROFILING_NAMES
-    wls = [get_workload(n, scale=scale) for n in names]
-    return profile_workloads(wls, max_stimuli_per_workload=per_workload)
-
-
 @functools.lru_cache(maxsize=16)
 def _gate_campaign(unit: str, max_faults: int | None, max_stimuli: int,
                    scale: str, processes: int = 1) -> GateCampaignResult:
     """One unit's stuck-at campaign, submitted through the engine."""
-    prof = _profile(scale, max(8, max_stimuli // 6))
+    prof = profile_stimuli(scale, max(8, max_stimuli // 6))
     cfg = CampaignConfig(unit=unit, max_faults=max_faults,
                          max_stimuli=max_stimuli, processes=processes)
     return run_gate_campaign(cfg, prof.stimuli)
@@ -53,7 +45,7 @@ def run_tab_area(scale: str = "tiny", per_workload: int = 16
                  ) -> ExperimentReport:
     """Table 4: tested units' area and utilization vs one FP32 core."""
     fp_area = netlist_area(build_fp32_core())
-    prof = _profile(scale, per_workload)
+    prof = profile_stimuli(scale, per_workload)
     util = utilization_table(prof)
     rows = []
     for name, label in (("wsc", "WSC"), ("decoder", "Decoder"),

@@ -7,9 +7,10 @@ from repro.analysis import ExperimentReport
 from repro.obs import log
 
 
-def experiment_steps(fast: bool = True, processes: int = 1,
-                     preset: str | None = None) -> list[tuple[str, object]]:
-    """The named experiment steps as ``(name, thunk)`` pairs.
+def experiment_steps(processes: int = 1,
+                     preset: str = "tiny") -> list[tuple[str, object]]:
+    """The named experiment steps as ``(name, thunk)`` pairs, at the
+    campaign scale of :mod:`repro.presets` *preset*.
 
     Exposed separately from :func:`run_all` so callers (and tests) can
     inspect, filter, or time individual steps.
@@ -37,8 +38,7 @@ def experiment_steps(fast: bool = True, processes: int = 1,
 
     from repro.presets import get_preset
 
-    sc = get_preset(preset) if preset else get_preset(
-        "tiny" if fast else "small")
+    sc = get_preset(preset)
     sites = sc.rtl_max_sites
     vals = sc.rtl_values_per_range
     gate_faults = sc.gate_max_faults
@@ -79,22 +79,19 @@ def experiment_steps(fast: bool = True, processes: int = 1,
         ("fig_avg_epr", lambda: run_fig_avg_epr(
             injections=epr_inj, scale=scale, processes=processes)),
         ("cost_model", lambda: run_cost_model()),
-        ("mitigation_study", lambda: run_mitigation_study(
-            injections=4 if fast else 20)),
+        ("mitigation_study", lambda: run_mitigation_study(injections=4)),
         ("sensitivity_study", lambda: run_sensitivity_study(scale=scale)),
     ]
 
 
-def run_all(fast: bool = True, processes: int = 1,
-            preset: str | None = None) -> list[ExperimentReport]:
-    """Regenerate every table and figure.
-
-    ``fast`` keeps the scaled-down campaign sizes (minutes); ``fast=False``
-    enlarges them (tens of minutes). ``preset`` ("tiny"/"small"/"paper")
-    overrides both with a :mod:`repro.presets` scale. Each step runs inside
-    an ``experiment`` observability span and logs a progress line.
+def run_all(processes: int = 1,
+            preset: str = "tiny") -> list[ExperimentReport]:
+    """Regenerate every table and figure at the :mod:`repro.presets`
+    scale *preset* ("tiny": minutes; "small", "paper": larger campaigns).
+    Each step runs inside an ``experiment`` observability span and logs a
+    progress line.
     """
-    steps = experiment_steps(fast=fast, processes=processes, preset=preset)
+    steps = experiment_steps(processes=processes, preset=preset)
     reports: list[ExperimentReport] = []
     for i, (name, thunk) in enumerate(steps, start=1):
         log.info(f"experiment {name}", step=i, of=len(steps))

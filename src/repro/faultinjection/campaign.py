@@ -17,6 +17,7 @@ cold-replay reference.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
@@ -613,6 +614,35 @@ def _aggregate_gate(unit_name: str,
 # entry point
 # ---------------------------------------------------------------------
 
+#: per cached workload instance: stimulus cap -> the workload's profile.
+#: A process profiles each workload once; a fresh workload cache (as in
+#: a fresh process) profiles again
+_PROFILES = weakref.WeakKeyDictionary()
+
+
+def profile_stimuli(scale: str, per_workload: int):
+    """The profiling workloads at *scale* (the first six of
+    :data:`~repro.profiling.profiler.PROFILING_NAMES` at ``"tiny"``), each
+    profiled to at most *per_workload* stimuli: the stimuli every gate
+    campaign replays, as a :class:`~repro.profiling.ProfileResult`. Each
+    workload is profiled once per
+    :func:`~repro.campaign.goldens.cached_workload` instance."""
+    from repro.campaign.goldens import cached_workload
+    from repro.profiling import ProfileResult, profile_workloads
+    from repro.profiling.profiler import PROFILING_NAMES
+
+    names = PROFILING_NAMES[:6] if scale == "tiny" else PROFILING_NAMES
+    parts = []
+    for name in names:
+        w = cached_workload(name, scale, DEFAULT_SEED)
+        memo = _PROFILES.setdefault(w, {})
+        if per_workload not in memo:
+            memo[per_workload] = profile_workloads(
+                [w], max_stimuli_per_workload=per_workload)
+        parts.append(memo[per_workload])
+    return ProfileResult.merged(parts)
+
+
 def run_gate_campaign(config: CampaignConfig,
                       stimuli: list[Stimulus]) -> GateCampaignResult:
     """Run the gate-level campaign for one unit over *stimuli*, in memory.
@@ -661,15 +691,8 @@ class GateCampaignSpec:
         return cfg
 
     def build(self, config: dict) -> CampaignPlan:
-        from repro.profiling import profile_workloads
-        from repro.profiling.profiler import PROFILING_NAMES
-        from repro.workloads import get_workload
-
-        names = (PROFILING_NAMES[:6] if config["scale"] == "tiny"
-                 else PROFILING_NAMES)
-        wls = [get_workload(n, scale=config["scale"]) for n in names]
-        prof = profile_workloads(
-            wls, max_stimuli_per_workload=config["stimuli_per_workload"])
+        prof = profile_stimuli(config["scale"],
+                               config["stimuli_per_workload"])
         # a manifest written before collapse/accel existed takes the
         # dataclass defaults
         cc = CampaignConfig(processes=1, **{

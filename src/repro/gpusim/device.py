@@ -121,7 +121,6 @@ class Device:
         watchdog: int | None = None,
         instrumentation: Instrumentation | None = None,
         trace_fn: Callable[[TraceEvent], None] | None = None,
-        trace_values: bool = False,
         round_hook: Callable | None = None,
         resume=None,
     ) -> LaunchResult:
@@ -143,13 +142,14 @@ class Device:
         other change is outside the contract. A count that takes the
         counter past the watchdog budget raises the timeout at once, as
         the slice that reaches that count would. The accelerated injector
-        returns whole periods of a loop it has proved to repeat, and for a
-        count-up loop writes the registers and words those periods would
-        have left; either keeps the counter within the budget, so the
+        returns whole periods of a count-up loop it has proved to repeat
+        its path, and writes the registers and words those periods would
+        have left; that keeps the counter within the budget, so the
         watchdog fires in the same slice as without the hook. For a
-        one-warp loop proved at loop level it returns the distance to the
-        end of the slice where the watchdog fires, and the launch raises
-        at once (docs/PERFORMANCE.md, "Hang short-circuit").
+        one-warp loop proved to repeat its state exactly it returns the
+        distance to the end of the slice where the watchdog fires, and
+        the launch raises at once (docs/PERFORMANCE.md, "Hang
+        short-circuit").
 
         *resume* (a :class:`~repro.gpusim.snapshot.LaunchResume`) skips the
         already-executed prefix: device state is restored from the
@@ -180,8 +180,7 @@ class Device:
                       ctas=num_ctas, warps_per_cta=warps_per_cta):
             executed = self._launch_grid(
                 program, grid3, block3, num_ctas, warps_per_cta, shared,
-                budget, instrumentation, trace_fn, trace_values,
-                round_hook, resume)
+                budget, instrumentation, trace_fn, round_hook, resume)
 
         return LaunchResult(
             program=program.name,
@@ -203,7 +202,6 @@ class Device:
         budget: int,
         instrumentation: Instrumentation | None,
         trace_fn: Callable[[TraceEvent], None] | None,
-        trace_values: bool,
         round_hook: Callable | None = None,
         resume=None,
     ) -> int:
@@ -222,7 +220,7 @@ class Device:
             env = _CtaEnv(self.global_mem, self.constant_mem, shared_mem)
             executor = WarpExecutor(
                 program, env, instrumentation=instrumentation,
-                trace_fn=trace_fn, trace_values=trace_values,
+                trace_fn=trace_fn,
             )
 
             if resume is not None and cta == start_cta:

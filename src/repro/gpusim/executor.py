@@ -105,8 +105,6 @@ class TraceEvent:
     pc: int
     instr: Instruction
     exec_mask: np.ndarray
-    src_values: list[np.ndarray] | None = None
-    result: np.ndarray | None = None
 
 
 class Instrumentation(Protocol):
@@ -322,7 +320,7 @@ class _CtaEnv:
 # loop has set ``top.next_pc = pc + 1``. ``m`` is the exec mask, or
 # ``None`` when all 32 lanes execute; ``active`` is the stack-active mask
 # (``None`` when full). Steps treat both as read-only and return the
-# result vector (for ``trace_values``), ``None``, or ``_SYNC``.
+# result vector (a checked step writes it), ``None``, or ``_SYNC``.
 
 def _invalid(r: int, nregs: int) -> bool:
     return r != RZ and not 0 <= r < nregs
@@ -541,10 +539,6 @@ _BUILDERS = {
     **{op: lambda i, pc, name: _alu(i) for op in REPLACEABLE_OPS},
 }
 
-#: opcodes whose trace event carries no source values
-_NO_TRACE_SRCS = (Op.NOP, Op.EXIT, Op.BAR, Op.BRA, Op.S2R, Op.MOV32I)
-
-
 def _decode_one(instr: Instruction, pc: int, nregs: int, name: str):
     """The step closure of one instruction."""
     build = _BUILDERS[instr.op]
@@ -615,15 +609,11 @@ class WarpExecutor:
         env: _CtaEnv,
         instrumentation: Instrumentation | None = None,
         trace_fn: Callable[[TraceEvent], None] | None = None,
-        trace_values: bool = False,
     ):
         self.program = program
         self.env = env
         self.instrumentation = instrumentation
         self.trace_fn = trace_fn
-        self.trace_values = trace_values
-        #: copy operand values for the trace (read before each step)
-        self._capture = trace_fn is not None and trace_values
         self._decoded = decode(program)
 
     # ------------------------------------------------------------------
@@ -675,7 +665,6 @@ class WarpExecutor:
         n = len(steps)
         env = self.env
         trace_fn = self.trace_fn
-        capture = self._capture
         resync = _SYNC
         done = 0
         sync = True
@@ -698,9 +687,8 @@ class WarpExecutor:
                         raise WatchdogTimeoutError(
                             f"{self.program.name}: PC past end")
                     step, guard, neg, instr = steps[pc]
-                    srcs = None
                     if hooks is not None and (hooks is True or pc in hooks):
-                        m, srcs, res = self._hooked_step(warp, pc, top)
+                        m = self._hooked_step(warp, pc, top)
                         sync = True
                     else:
                         if guard is None:
@@ -711,15 +699,12 @@ class WarpExecutor:
                                 m = ~g if neg else g.copy()
                             else:
                                 m = active > g if neg else active & g
-                        if capture:
-                            srcs = self._trace_srcs(warp, pc)
                         top.next_pc = pc + 1
-                        res = step(warp, m, active, top, env)
-                        if res is resync:
+                        if step(warp, m, active, top, env) is resync:
                             sync = True
                     warp.instructions_executed += 1
                     if trace_fn is not None:
-                        self._trace(warp, pc, instr, m, srcs, res)
+                        self._trace(warp, pc, instr, m)
                     done += 1
         finally:
             if done:
@@ -728,7 +713,8 @@ class WarpExecutor:
 
     def _hooked_step(self, warp: WarpState, pc: int, top: _StackEntry):
         """One step at an instrumented site: fresh masks, the hook pair
-        around the instruction, the exec-mask override honoured."""
+        around the instruction, the exec-mask override honoured. Returns
+        the exec mask the step ran under."""
         step, guard, neg, instr = self._decoded.steps[pc]
         active = top.mask & warp.alive
         if guard is None:
@@ -741,28 +727,12 @@ class WarpExecutor:
         if ctx._override is not None:
             exec_mask = ctx._override & warp.alive
             ctx.exec_mask = exec_mask
-        srcs = self._trace_srcs(warp, pc) if self._capture else None
         top.next_pc = pc + 1
-        res = step(warp, exec_mask, active, top, self.env)
+        step(warp, exec_mask, active, top, self.env)
         self.instrumentation.after(ctx)
-        return exec_mask, srcs, res
+        return exec_mask
 
-    def _trace_srcs(self, warp: WarpState, pc: int):
-        """Copies of the source operands a trace event carries (the
-        values the step is about to read)."""
-        instr = self._decoded.steps[pc][3]
-        if instr.op in _NO_TRACE_SRCS:
-            return None
-        vals = [warp.read_reg(r) for r in instr.srcs]
-        imm = _immediate(instr)
-        if imm is not None:
-            vals.append(imm.copy())
-        return vals
-
-    def _trace(self, warp, pc, instr, m, srcs, res) -> None:
-        result = None
-        if self._capture and res is not None and res is not _SYNC:
-            result = np.array(res)
+    def _trace(self, warp, pc, instr, m) -> None:
         self.trace_fn(
             TraceEvent(
                 sm_id=warp.sm_id,
@@ -773,8 +743,6 @@ class WarpExecutor:
                 pc=pc,
                 instr=instr,
                 exec_mask=(_FULL if m is None else m).copy(),
-                src_values=srcs,
-                result=result,
             )
         )
 

@@ -10,6 +10,8 @@ total DUEs").
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from repro.common.exceptions import ConfigError, MemoryFaultError
@@ -48,7 +50,7 @@ class _WordMemory:
         if num_words <= 0:
             raise ConfigError(f"{self.kind}: size must be positive")
         self.num_words = num_words
-        self.data = np.zeros(num_words, dtype=np.uint32)
+        self.data = self._zeros(num_words)
         nbytes = 4 * num_words
         if nbytes & (nbytes - 1) == 0:
             # power-of-two size: misaligned or out of bounds <=> any of
@@ -59,6 +61,10 @@ class _WordMemory:
             self._bad_bits = _U32(3)
             self._limit = _U32(min(nbytes, 0xFFFFFFFF))
         self.set_extent(0)
+
+    @staticmethod
+    def _zeros(num_words: int) -> np.ndarray:
+        return np.zeros(num_words, dtype=np.uint32)
 
     # -- written extent ------------------------------------------------
     def set_extent(self, words: int) -> None:
@@ -171,6 +177,15 @@ class GlobalMemory(_WordMemory):
     def __init__(self, num_words: int):
         super().__init__(num_words)
         self._brk = 0
+
+    @staticmethod
+    def _zeros(num_words: int) -> np.ndarray:
+        """The words in an anonymous mapping of their own: a page becomes
+        resident when first touched and goes back to the OS with the
+        array, whatever state malloc is in. (A multi-MiB ``np.zeros`` can
+        be a reused heap chunk that calloc clears in full, making the
+        whole device resident for a run that touches a few KiB.)"""
+        return np.frombuffer(mmap.mmap(-1, 4 * num_words), dtype=np.uint32)
 
     def alloc(self, num_words: int, align_words: int = 32) -> int:
         """Allocate *num_words*; returns the byte address of the block."""

@@ -34,6 +34,20 @@ class ProfileResult:
     opclass_dynamic: dict[OpClass, int]
     per_workload_dynamic: dict[str, int] = field(default_factory=dict)
 
+    @staticmethod
+    def merged(parts: list["ProfileResult"]) -> "ProfileResult":
+        """One profile of the workloads of *parts*, in order."""
+        opclass = Counter()
+        for p in parts:
+            opclass.update(p.opclass_dynamic)
+        return ProfileResult(
+            stimuli=[s for p in parts for s in p.stimuli],
+            total_dynamic=sum(p.total_dynamic for p in parts),
+            opclass_dynamic=dict(opclass),
+            per_workload_dynamic={k: v for p in parts
+                                  for k, v in p.per_workload_dynamic.items()},
+        )
+
     def utilization(self, op_class: OpClass) -> float:
         """Fraction of dynamic instructions exercising *op_class* units."""
         if self.total_dynamic == 0:
@@ -75,49 +89,38 @@ def profile_workloads(
     distinct patterns, which is what drives distinct fault activations)
     and then capped at ``max_stimuli_per_workload`` by even subsampling.
     """
-    all_stimuli: list[Stimulus] = []
-    opclass = Counter()
-    per_wl: dict[str, int] = {}
-    total = 0
     encoded: dict = {}
-    for w in workloads:
-        events: list[Stimulus] = []
-        counts = Counter()
+    return ProfileResult.merged([
+        _profile_one(w, max_stimuli_per_workload, dedup, encoded)
+        for w in workloads])
 
-        def trace(ev: TraceEvent, _events=events, _counts=counts) -> None:
-            _counts[ev.instr.info.op_class] += 1
-            _events.append(_event_to_stimulus(ev, encoded))
 
-        device = Device(DeviceConfig(global_mem_words=1 << 20))
+def _profile_one(w: Workload, cap: int | None, dedup: bool,
+                 encoded: dict) -> ProfileResult:
+    """:func:`profile_workloads` of workload *w* alone."""
+    events: list[Stimulus] = []
+    counts = Counter()
 
-        def launcher(program, grid, block, params=(), shared_words=None):
-            return device.launch(program, grid, block, params=params,
-                                 shared_words=shared_words, trace_fn=trace)
+    def trace(ev: TraceEvent) -> None:
+        counts[ev.instr.info.op_class] += 1
+        events.append(_event_to_stimulus(ev, encoded))
 
-        w.run(device, launcher)
-        dyn = sum(counts.values())
-        total += dyn
-        per_wl[w.meta.name] = dyn
-        opclass.update(counts)
-        if dedup:
-            seen = set()
-            uniq = []
-            for s in events:
-                if s not in seen:
-                    seen.add(s)
-                    uniq.append(s)
-            events = uniq
-        if max_stimuli_per_workload and len(events) > max_stimuli_per_workload:
-            idx = np.linspace(0, len(events) - 1,
-                              max_stimuli_per_workload).astype(int)
-            events = [events[i] for i in idx]
-        all_stimuli.extend(events)
-    return ProfileResult(
-        stimuli=all_stimuli,
-        total_dynamic=total,
-        opclass_dynamic=dict(opclass),
-        per_workload_dynamic=per_wl,
-    )
+    device = Device(DeviceConfig(global_mem_words=1 << 20))
+
+    def launcher(program, grid, block, params=(), shared_words=None):
+        return device.launch(program, grid, block, params=params,
+                             shared_words=shared_words, trace_fn=trace)
+
+    w.run(device, launcher)
+    dyn = sum(counts.values())
+    if dedup:
+        events = list(dict.fromkeys(events))
+    if cap and len(events) > cap:
+        idx = np.linspace(0, len(events) - 1, cap).astype(int)
+        events = [events[i] for i in idx]
+    return ProfileResult(stimuli=events, total_dynamic=dyn,
+                         opclass_dynamic=dict(counts),
+                         per_workload_dynamic={w.meta.name: dyn})
 
 
 def stimuli_from_program(program: Program, warp_id: int = 0,

@@ -22,16 +22,15 @@ when it is handed a golden trace. It
   golden checkpoint at an aligned ``(launch, cta, executed)`` boundary
   and no activation sites remain;
 * fast-forwards a launch that has outrun its golden counterpart over the
-  loop periods it provably repeats (:class:`HangCycle`): the only
-  unfinished warp of a CTA whose state recurs exactly at a loop's own
-  period ("cycle", :class:`_LoopWatch`) ends the run at once with the
-  cold replay's watchdog and activation count; in other CTAs a
-  round-boundary state that recurs exactly ("cycle") jumps straight to
-  the slice where its watchdog fires; one whose integer registers (and a
-  few global words) move by a constant delta per period ("affine", a
-  count-up loop) jumps over the periods that one recorded period proves
-  take the same path (:func:`affine_periods`), and simulation goes on
-  from there.
+  loop periods it provably repeats (:class:`HangCycle`). In a CTA with
+  one unfinished warp, a watch on one anchor pc (:class:`_LoopWatch`)
+  proposes the loop's period ``L``. A state that recurs exactly after
+  ``L`` ("cycle") ends the run at once with the cold replay's watchdog
+  and activation count. One whose integer registers (and a few global
+  words) move by a constant delta ("affine", a count-up loop) is handed
+  to a proof over round periods of ``lcm(L, 256)``, which jumps over the
+  periods that one recorded period proves take the same path
+  (:func:`affine_periods`); simulation goes on from there.
 
 Every shortcut is equivalence-preserving — outcomes, DUE reasons and
 activation counts are bit-identical to the cold replay (the
@@ -43,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import math
 import pickle
 from dataclasses import dataclass, field
 
@@ -63,13 +63,8 @@ from repro.isa.instruction import RZ
 from repro.isa.opcodes import MemSpace, Op
 from repro.swinjector.injectors import BaseInjector
 
-#: round digests :class:`HangCycle` keeps per CTA before its table
-#: starts over, bounding its memory (~4 MiB); a period longer than half
-#: of this many rounds may be missed and is then left to the watchdog
-_MAX_ROUNDS = 1 << 15
-
-#: anchor visits :class:`_LoopWatch` digests before it gives up: the
-#: bound on what the watch costs a hang that never repeats
+#: anchor visits one :class:`_LoopWatch` digests before it gives up: the
+#: bound on what a watch costs (and holds for) a hang that never repeats
 _MAX_VISITS = 1 << 8
 
 #: longest period, in instructions, :class:`HangCycle` records for an
@@ -212,53 +207,21 @@ def injector_state(injector: BaseInjector) -> bytes:
                          if k != "desc"}, protocol=5)
 
 
-def _round_digest(dev, warps, shared_mem, inj: bytes) -> bytes:
-    """SHA-256 of the round-boundary control state: global memory up to
-    the allocation break, the CTA's shared memory, every warp's
-    predicates, alive mask, reconvergence stack and barrier flag, and the
-    injector state *inj*. Registers are left out, so a loop whose
-    registers move by a constant still hits. A hit is only a candidate
-    (memory past the break is not hashed, and digests can collide);
-    :class:`HangCycle` confirms it by exact comparison."""
-    h = hashlib.sha256()
-    g = dev.global_mem
-    h.update(g.data[:g._brk])
-    h.update(shared_mem.data)
-    for w in warps:
-        _hash_control(h, w)
-    h.update(inj)
-    return h.digest()
-
-
-def _hash_control(h, w) -> None:
-    """Feed warp *w*'s predicates, alive mask, barrier flag and
-    reconvergence stack to the hash *h*."""
-    h.update(w.preds)
+def _control_digest(w, inj: bytes) -> bytes:
+    """SHA-256 of warp *w*'s predicates, alive mask, barrier flag and
+    reconvergence stack, and the injector state *inj*: the anchor digest
+    of :class:`_LoopWatch`. Registers and memory are left out, so a
+    count-up loop hits too; a hit is only a candidate, confirmed by exact
+    comparison."""
+    h = hashlib.sha256(w.preds)
     h.update(w.alive)
     h.update(b"%d %d" % (w.at_barrier, len(w.stack)))
     for e in w.stack:
         h.update(b"%d %d" % (-1 if e.reconv_pc is None else e.reconv_pc,
                              e.next_pc))
         h.update(e.mask)
-
-
-def _warp_digest(w, inj: bytes) -> bytes:
-    """SHA-256 of warp *w*'s registers and control state (the memories
-    left out) and the injector state *inj*: the anchor digest of
-    :class:`_LoopWatch`, a candidate only, like :func:`_round_digest`."""
-    h = hashlib.sha256(w.regs)
-    _hash_control(h, w)
     h.update(inj)
     return h.digest()
-
-
-def _remember(seen: dict, key: bytes, executed: int) -> int | None:
-    """Record *key* at *executed*; return where it was last seen."""
-    prev = seen.get(key)
-    if len(seen) >= _MAX_ROUNDS:
-        seen.clear()
-    seen[key] = executed
-    return prev
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +441,8 @@ def affine_periods(steps, deltas: np.ndarray, mem_deltas: dict[int, int],
 
 @dataclass
 class _Candidate:
-    """A period under test: the state at its first boundary ``E``."""
+    """An affine period under test: the state at its first round boundary
+    ``E``."""
 
     ck: Checkpoint                 # the state at E
     inj: bytes                     # injector state at E
@@ -487,8 +451,8 @@ class _Candidate:
     #: launch count of the next boundary to compare
     due: int
     #: ``(register deltas, memory deltas, activations)`` of one period,
-    #: once the state at E + P moved; each later boundary must have moved
-    #: by as many of these steps as periods have passed
+    #: once the state at E + P is compared; each later boundary must have
+    #: moved by as many of these steps as periods have passed
     step: tuple | None = None
     #: records the period E + 2P -> E + 3P
     recorder: _PeriodRecorder | None = None
@@ -517,27 +481,33 @@ class _Period:
     offsets: list[int] = field(default_factory=list)
     #: activations of the whole period, once proved
     gained: int = 0
+    #: registers or global words moved over the period (an affine
+    #: candidate), once proved; else nothing did (a cycle)
+    moved: bool = False
 
 
 class _LoopWatch:
-    """The loop-granular cycle proof of :class:`HangCycle` in a CTA with
-    one unfinished warp, set as the tool's :attr:`~NVBitPERfi.watch`.
+    """The one source of candidate periods of :class:`HangCycle`: a watch
+    on the only unfinished warp of a CTA, set as the tool's
+    :attr:`~NVBitPERfi.watch`.
 
     It hooks an *anchor* pc (the warp's next pc when the watch arms) and
     the program's ``BAR`` pcs. At each anchor visit, before the error
-    function, the warp's registers and control state and the injector
-    state are digested (:func:`_warp_digest`). A digest seen ``L``
-    instructions earlier makes ``L`` a candidate period: the exact state
-    at that visit ``E`` is captured and the activations of ``[E, E + L)``
-    are recorded by their offset from ``E``. At the visit ``E + L`` the
-    whole state, global and shared memory included, must equal the
-    captured one, and no ``BAR`` may have run in between; the period is
-    then the :attr:`proof` and the watch unhooks. A failed candidate (the
-    warp's state recurs, memory or the injector state does not), a
-    ``BAR`` in a candidate period, or :data:`_MAX_VISITS` visits end the
-    watch; the round-level detector goes on. Launch counts are the
-    warp's own count plus *offset*, fixed when the watch arms: only this
-    warp runs, and any fast-forward drops the watch."""
+    function, the warp's control state and the injector state are
+    digested (:func:`_control_digest`). A digest seen ``L`` instructions
+    earlier makes ``L`` a candidate period: the exact state at that visit
+    ``E`` is captured and the activations of ``[E, E + L)`` are recorded
+    by their offset from ``E``. At the visit ``E + L`` the injector state
+    must be equal, no ``BAR`` may have run in between, and
+    :func:`~repro.gpusim.snapshot.checkpoint_delta` must find the rest of
+    the state, global and shared memory included, equal up to integer
+    registers and at most :data:`_MAX_MEM_WORDS` global words. The period
+    is then the :attr:`proof`: a cycle when nothing moved, else an affine
+    candidate (:attr:`_Period.moved`). The watch ends there, at a failed
+    comparison, at a ``BAR`` in a candidate period, or after
+    :data:`_MAX_VISITS` visits. Launch counts are the warp's own count
+    plus *offset*, fixed when the watch arms: only this warp runs, and
+    any fast-forward drops the watch."""
 
     def __init__(self, dev, tool, watchdog: int, warp, shared_mem,
                  offset: int, anchor: int, bars: frozenset[int]):
@@ -577,7 +547,9 @@ class _LoopWatch:
             self._stop()
             return
         inj = injector_state(self.tool.injector)
-        prev = _remember(self.seen, _warp_digest(self.warp, inj), x)
+        key = _control_digest(self.warp, inj)
+        prev = self.seen.get(key)
+        self.seen[key] = x
         if prev is None or 2 * x - prev >= self.watchdog:
             return
         ck = capture_checkpoint(self.dev, -1, self.warp.cta, x, -1,
@@ -586,11 +558,15 @@ class _LoopWatch:
 
     def _confirm(self, x: int) -> None:
         c = self.candidate
-        tool = self.tool
-        if (x == c.start + c.length and injector_state(tool.injector) == c.inj
-                and checkpoint_matches(self.dev, c.ck, [self.warp],
-                                       self.shared_mem)):
-            c.gained = tool.activations - c.activations
+        delta = None
+        if (x == c.start + c.length
+                and injector_state(self.tool.injector) == c.inj):
+            delta = checkpoint_delta(self.dev, c.ck, [self.warp],
+                                     self.shared_mem, _MAX_MEM_WORDS)
+        if delta is not None:
+            (regs,), mem = delta
+            c.moved = bool(mem) or bool(regs.any())
+            c.gained = self.tool.activations - c.activations
             self.proof = c
         self._stop()
 
@@ -603,47 +579,46 @@ class HangCycle:
     """Round hook that proves a launch periodic up to a constant per-period
     delta and fast-forwards it over the periods that provably repeat.
 
-    Once a launch has outrun its golden counterpart, it watches the
-    current CTA two ways.
+    Once a launch has outrun its golden counterpart, a slice into each CTA
+    it arms a :class:`_LoopWatch` on the CTA's only unfinished warp: the
+    one source of candidate periods. At the first round boundary ``R``
+    after the watch proved a loop period ``L``:
 
-    * **Loop level** — in a CTA with one unfinished warp, a
-      :class:`_LoopWatch` proves an exact repeat at the loop's own period
-      ``L`` (a cycle). At the next round boundary ``R`` the hook sets the
-      tool's activations to the cold replay's count at ``T``, the end of
-      the slice where its watchdog fires, and returns ``T - R``: the
-      launch raises the timeout at once.
-    * **Round level** — each round boundary is digested without
-      registers (:func:`_round_digest`). A digest seen before at
-      ``executed - P`` makes ``P`` a candidate period, outside a back-off
-      window that doubles after each failed proof. The state at that
-      boundary ``E`` is captured exactly
+    * **cycle** — nothing moved: the simulator's determinism makes the
+      run periodic for ever. The hook sets the tool's activations to the
+      cold replay's count at ``T``, the end of the slice where its
+      watchdog fires, and returns ``T - R``: the launch raises the
+      timeout at once.
+    * **affine** — integer registers and a few global words moved: the
+      proof goes on at round boundaries ``P = lcm(L, 256)`` apart, where
+      the warp's slices end, since a jump must land on the cold replay's
+      slice grid. The state at ``R`` is captured exactly
       (:func:`~repro.gpusim.snapshot.capture_checkpoint` plus
-      :func:`injector_state`) and one more period is simulated. At
-      ``E + P`` everything but integer registers and a few global words
-      must be equal (:func:`~repro.gpusim.snapshot.checkpoint_delta`):
-
-      * **cycle** — nothing moved (``D = 0``): the simulator's
-        determinism makes the run periodic for ever, and the hook returns
-        ``k·P`` with ``k = (watchdog - executed) // P``;
-      * **affine** — registers and words moved by ``D``: with one
-        unfinished warp in the CTA, the state at ``E + 2P`` must have
-        moved by ``2·D`` (and the activations by ``2·ΔA``); then the
-        period ``E + 2P -> E + 3P`` is recorded with its operand values
-        (the tool's recorder). At ``E + 3P`` the state must have moved by
-        ``3·D``, and :func:`affine_periods` proves for how many periods
-        ``k`` the path repeats. The hook writes ``S + k·D`` into the
-        warp's registers and the moved words and returns ``k·P``.
-
+      :func:`injector_state`). At ``R + P`` everything but integer
+      registers and a few global words must be equal
+      (:func:`~repro.gpusim.snapshot.checkpoint_delta`), which gives the
+      step ``D`` (and the activations ``ΔA``). At ``R + 2P`` the state
+      must have moved by ``2·D`` (and ``2·ΔA``); then the period
+      ``R + 2P -> R + 3P`` is recorded with its operand values (the
+      tool's recorder). At ``R + 3P`` the state must have moved by
+      ``3·D``, and :func:`affine_periods` proves for how many periods
+      ``k`` the path repeats. The hook writes ``S + k·D`` into the warp's
+      registers and the moved words and returns ``k·P``.
       ``Device.launch`` adds the returned count to the launch counter,
       the tool is credited the ``k·ΔA`` activations those periods would
       have made, and plain simulation continues: a hang's watchdog fires
       in the same slice, with the same activation count, as in the cold
       replay; a loop that ends finishes with the cold replay's output
-      bits; detection re-arms after every jump.
+      bits; a new watch arms after every jump.
+
+    A watch that ends without a proof, and an affine proof refused (``P``
+    over :data:`_MAX_RECORDED`, fewer than three periods left after
+    ``R + P``, or a comparison that fails), back off: the next watch arms
+    no earlier than a window that doubles after each failure. CTAs with
+    several unfinished warps, and loops with a ``BAR``, get no proof.
 
     Each fast-forward appends ``"cycle"`` or ``"affine"`` to *shortcuts*
-    (docs/PERFORMANCE.md, "Hang short-circuit", "Loop-granular proof" and
-    "Affine fast-forward").
+    (docs/PERFORMANCE.md, "Hang short-circuit").
     """
 
     def __init__(self, dev, tool, watchdog: int, stats: AccelStats,
@@ -654,13 +629,11 @@ class HangCycle:
         self.stats = stats
         self.shortcuts = [] if shortcuts is None else shortcuts
         self.cta = None
-        #: round digest -> launch count where last seen
-        self.seen: dict[bytes, int] = {}
         self.candidate: _Candidate | None = None
-        #: candidates wait until this launch count
+        #: the next watch arms no earlier than this launch count
         self.retry_at = 0
         self.failures = 0
-        #: the loop-granular proof of the current CTA, once armed
+        #: the current CTA's watch, until its end is handled
         self.watch: _LoopWatch | None = None
         #: the launch's ``BAR`` pcs, found when a watch first arms
         self.bars: frozenset[int] | None = None
@@ -669,7 +642,6 @@ class HangCycle:
         self.since = 0
 
     def _reset(self) -> None:
-        self.seen.clear()
         self.candidate = None
         self.tool.recorder = None
         self.watch = self.tool.watch = None
@@ -679,28 +651,24 @@ class HangCycle:
             self.cta = cta
             self.since = executed
             self._reset()
-        if self.watch is None:
-            if executed - self.since >= _SLICE:
-                self._arm(executed, warps, shared_mem)
-        elif self.watch.proof is not None:
-            return self._end(executed)
         if self.candidate is not None:
             if executed < self.candidate.due:
                 return None
             return self._confirm(executed, warps, shared_mem)
-        tool = self.tool
-        inj = injector_state(tool.injector)
-        prev = _remember(self.seen,
-                         _round_digest(self.dev, warps, shared_mem, inj),
-                         executed)
-        if prev is not None and executed >= self.retry_at:
-            period = executed - prev
-            if (self.watchdog - executed) // period >= 2:
-                ck = capture_checkpoint(self.dev, -1, cta, executed, -1,
-                                        warps, shared_mem)
-                self.candidate = _Candidate(ck, inj, tool.activations,
-                                            period, executed + period)
-        return None
+        watch = self.watch
+        if watch is None:
+            if executed - self.since >= _SLICE and executed >= self.retry_at:
+                self._arm(executed, warps, shared_mem)
+            return None
+        if self.tool.watch is watch:
+            return None  # still watching
+        self.watch = None
+        p = watch.proof
+        if p is None:
+            return self._give_up(executed, _SLICE)
+        if p.moved:
+            return self._hand_off(p, executed, warps, shared_mem)
+        return self._end(p, executed)
 
     def _arm(self, executed: int, warps, shared_mem) -> None:
         """Set a :class:`_LoopWatch` on the CTA's only unfinished warp,
@@ -719,12 +687,11 @@ class HangCycle:
             self.dev, self.tool, self.watchdog, w, shared_mem,
             executed - w.instructions_executed, anchor, self.bars)
 
-    def _end(self, executed: int) -> int:
+    def _end(self, p: _Period, executed: int) -> int:
         """Return the count that takes the launch to the slice end ``T``
         where the cold replay's watchdog fires, with the activations it
-        has made by then (the watch's proof, at round boundary
+        has made by then (a cycle of period *p*, at round boundary
         *executed*)."""
-        p = self.watch.proof
         t = executed + _SLICE * ((self.watchdog - executed) // _SLICE + 1)
         n = t - p.start
         self.tool.activations = (
@@ -733,6 +700,22 @@ class HangCycle:
         self.stats.hang_cycle(t - executed)
         self.shortcuts.append("cycle")
         return t - executed
+
+    def _hand_off(self, p: _Period, executed: int, warps, shared_mem):
+        """Start the affine proof of loop period *p* at round boundary
+        *executed*, or refuse it."""
+        period = math.lcm(p.length, _SLICE)
+        if (period > _MAX_RECORDED
+                or (self.watchdog - executed) // period < 4
+                or sum(bool(w.alive.any()) for w in warps) != 1):
+            return self._give_up(executed, period)
+        tool = self.tool
+        ck = capture_checkpoint(self.dev, -1, self.cta, executed, -1, warps,
+                                shared_mem)
+        self.candidate = _Candidate(ck, injector_state(tool.injector),
+                                    tool.activations, period,
+                                    executed + period)
+        return None
 
     def _confirm(self, executed, warps, shared_mem):
         c, self.candidate = self.candidate, None
@@ -746,13 +729,7 @@ class HangCycle:
             return self._give_up(executed, c.period)
         regs, mem = delta
         gained = tool.activations - c.activations
-        k_max = (self.watchdog - executed) // c.period
         if c.step is None:
-            if not mem and not any(r.any() for r in regs):
-                return self._jump(k_max, c.period, gained, "cycle")
-            if (sum(bool(w.alive.any()) for w in warps) != 1
-                    or c.period > _MAX_RECORDED or k_max < 3):
-                return self._give_up(executed, c.period)
             c.step = (regs, mem, gained)
         elif not c.repeats(regs, mem, gained,
                            (executed - c.ck.executed) // c.period):
@@ -761,7 +738,8 @@ class HangCycle:
             # the move repeated once: record the next period
             c.recorder = tool.recorder = _PeriodRecorder(tool.injector)
         else:
-            return self._affine_jump(c, executed, warps, shared_mem, k_max)
+            return self._affine_jump(c, executed, warps, shared_mem,
+                                     (self.watchdog - executed) // c.period)
         c.due = executed + c.period
         self.candidate = c
         return None
@@ -781,15 +759,11 @@ class HangCycle:
             g.data[w] = (int(g.data[w]) + k * d) & 0xFFFFFFFF
         if mem1:
             g.reach(max(mem1) + 1)
-        return self._jump(k, c.period, gained1, "affine")
-
-    def _jump(self, k: int, period: int, gained: int, kind: str) -> int:
-        """Credit *k* periods of *gained* activations and skip them."""
-        self.tool.activations += k * gained
-        self.stats.hang_cycle(k * period)
-        self.shortcuts.append(kind)
+        self.tool.activations += k * gained1
+        self.stats.hang_cycle(k * c.period)
+        self.shortcuts.append("affine")
         self._reset()
-        return k * period
+        return k * c.period
 
     def _give_up(self, executed: int, period: int) -> None:
         """Drop a failed candidate and back off."""

@@ -10,8 +10,10 @@ tests run both paths and diff the results exactly
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,13 +231,12 @@ class TestHangCycleEquivalence:
         assert _builder_hang(shape, desc).hang_cycles == cycles
 
     def test_digest_table_cap_falls_back_to_watchdog(self, monkeypatch):
-        # the in-place loop repeats every 3 rounds; a table that starts
-        # over every 2 rounds never sees the repeat (with the loop-level
-        # watch off: it would see the loop repeat at its own period)
+        # a watch holds one digest per anchor visit, at most _MAX_VISITS:
+        # capped at one, every watch ends before the loop's first repeat
+        # (each re-armed watch too), and the hang runs to the watchdog
         from repro.swinjector import accel
 
-        monkeypatch.setattr(accel, "_MAX_ROUNDS", 2)
-        monkeypatch.setattr(accel, "_MAX_VISITS", 0)
+        monkeypatch.setattr(accel, "_MAX_VISITS", 1)
         assert _builder_hang("inplace",
                              ErrorDescriptor(ErrorModel.WV)).hang_cycles == 0
 
@@ -339,20 +340,22 @@ class _HangApp(Workload):
 # except the loop bound, the kernel's only LDC: an IMS descriptor with
 # ``bit_err_mask = mask`` turns the golden bound n into ``n ^ mask``.
 
-#: byte addresses of the two allocations :class:`_CountApp` makes, and
-#: of a word past its allocation break
+#: byte addresses of the two allocations :class:`_CountApp` makes, of a
+#: word past its allocation break, and of the last word below it
 _OUT, _DATA = 0, 128
 _DATA_WORDS = 4096
 _WORD = _DATA + 4 * _DATA_WORDS + 256
+_BELOW = _DATA + 4 * (_DATA_WORDS - 1)
 
 
 @dataclass(frozen=True)
 class _Count:
     """``do { body; a += stride; i += step } while (i <cmp> n)``, then
     ``out[0] = acc`` (and ``out[1] = i`` with *store_i*). The body is
-    ``acc += data[a]`` ("load"); that plus ``t = word; word = i`` on a
-    fixed word past the allocation break ("word"); that plus an FADD
-    reading ``i`` whose result is dead at the loop head ("fp"); or
+    *pad* NOPs and ``acc += data[a]`` ("load"); that plus
+    ``t = word; word = i`` on the fixed word at byte *word*, by default
+    past the allocation break ("word"); that plus an FADD reading ``i``
+    whose result is dead at the loop head ("fp"); or *pad* NOPs and
     ``data[a] = 0`` ("store")."""
 
     start: int
@@ -365,6 +368,14 @@ class _Count:
     fill: tuple = ()  # (word, value) pairs; the rest of data is zero
     shape: str = "load"
     store_i: bool = True
+    pad: int = 0
+    word: int = _WORD
+
+    @property
+    def length(self) -> int:
+        """Instructions in one iteration of the loop."""
+        return self.pad + {"load": 6, "word": 9, "fp": 8, "store": 5}[
+            self.shape]
 
     def kernel(self):
         k = KernelBuilder("count", nregs=16)
@@ -375,13 +386,15 @@ class _Count:
         v, t = k.reg(), k.reg()
         p = k.pred()
         head = k.label()
+        for _ in range(self.pad):
+            k.nop()
         if self.shape == "store":
             k.gst(a, RZ)
         else:
             k.gld(v, a)
             k.iadd(acc, acc, v)
         if self.shape == "word":
-            x = k.mov32i_new(_WORD)
+            x = k.mov32i_new(self.word)
             k.gld(t, x)
             k.gst(x, i)
         if self.shape == "fp":
@@ -729,10 +742,13 @@ class TestAffinePeriods:
 
 
 class TestAffineStages:
-    """``HangCycle`` driven by hand at round boundaries ``P`` apart, with
-    R0 of a one-warp CTA set before each call."""
+    """``HangCycle`` driven by hand on a one-warp CTA: its watch sees
+    anchor visits ``L`` apart and hands the loop to the affine proof,
+    which compares round boundaries ``P = lcm(L, 256)`` apart; R0 is set
+    before each call."""
 
-    P = 256
+    L = 24
+    P = 768
 
     def _hook(self):
         from repro.gpusim.config import DeviceConfig
@@ -747,34 +763,125 @@ class TestAffineStages:
                               (0, 0, 0), 0, 0, 0)
         self.tool = NVBitPERfi(ErrorDescriptor(ErrorModel.IMS))
         dev = Device(DeviceConfig(global_mem_words=1024))
-        hook = HangCycle(dev, self.tool, 100_000, AccelStats())
-        shared = SharedMemory(1)
+        self.hook = HangCycle(dev, self.tool, 100_000, AccelStats())
+        self.shared = SharedMemory(1)
 
-        def at(n: int, r0: int):
-            self.warp.regs[:, 0] = r0
-            return hook(0, 1_000 + n * self.P, [self.warp], shared)
-        return at
+    def _at(self, x: int, r0: int) -> None:
+        """The warp at launch count *x* (it ran from 1 000) with R0 *r0*."""
+        self.warp.instructions_executed = x - 1_000
+        self.warp.regs[:, 0] = r0
+
+    def _round(self, x: int, r0: int):
+        self._at(x, r0)
+        return self.hook(0, x, [self.warp], self.shared)
+
+    def _visit(self, x: int, r0: int) -> None:
+        """An anchor visit of the watch."""
+        self._at(x, r0)
+        watch = self.tool.watch
+        watch.before(SimpleNamespace(pc=watch.anchor, warp=self.warp), False)
+
+    def _handed_off(self) -> int:
+        """Arm a watch, let R0 move 0, 10, 15 over anchor visits ``L``
+        apart (the second visit's control state repeats the first's) and
+        return the round boundary where the affine proof starts."""
+        self._hook()
+        assert self._round(1_000, 0) is None
+        assert self._round(1_256, 0) is None  # a slice in: the watch arms
+        for n, r0 in enumerate((0, 10, 15)):
+            assert self.tool.watch is not None
+            self._visit(1_300 + n * self.L, r0)
+        assert self.tool.watch is None  # the watch ended in a proof
+        assert self._round(1_512, 15) is None
+        assert self.hook.candidate.period == self.P
+        return 1_512
 
     def test_records_only_a_move_that_repeats(self):
-        # R0: 0 (first sighting), 10 (control-state hit), 15 (moved 5),
-        # then 22: moved 12, not 2 x 5 -- nothing is recorded
-        at = self._hook()
-        assert [at(n, r0) for n, r0 in enumerate((0, 10, 15, 22))] == \
-            [None] * 4
-        assert self.tool.recorder is None
+        # R0 at the boundaries: 15 (handed off), 20 (moved 5), then 27:
+        # moved 12, not 2 x 5 -- nothing is recorded, and the next watch
+        # waits out the back-off
+        r = self._handed_off()
+        assert self._round(r + self.P, 20) is None
+        assert self._round(r + 2 * self.P, 27) is None
+        assert self.tool.recorder is None and self.hook.candidate is None
+        retry = self.hook.retry_at
+        assert retry == r + 2 * self.P + 2 * self.P
+        assert self._round(retry - 1, 27) is None
+        assert self.tool.watch is None
+        assert self._round(retry, 27) is None
+        assert self.tool.watch is not None
 
     def test_jump_writes_the_moved_registers(self):
-        # 0, 10, 15, 20: the move repeats, the next period is recorded
-        # (here: no instruction), and at 25 the hook jumps k periods
-        at = self._hook()
-        assert [at(n, r0) for n, r0 in enumerate((0, 10, 15, 20))] == \
-            [None] * 4
+        # 15, 20, 25: the move repeats, the next period is recorded
+        # (here: no instruction), and at 30 the hook jumps k periods
+        r = self._handed_off()
+        for n, r0 in ((1, 20), (2, 25)):
+            assert self._round(r + n * self.P, r0) is None
         assert self.tool.recorder is not None
-        skip = at(4, 25)
-        k = (100_000 - (1_000 + 4 * self.P)) // self.P
+        skip = self._round(r + 3 * self.P, 30)
+        k = (100_000 - (r + 3 * self.P)) // self.P
         assert skip == k * self.P
-        assert (self.warp.regs[:, 0] == 25 + 5 * k).all()
+        assert (self.warp.regs[:, 0] == 30 + 5 * k).all()
         assert self.tool.recorder is None
+
+    def test_refused_when_too_few_periods_fit(self):
+        # three periods must fit after R + P: the hand-off backs off
+        self._hook()
+        self.hook.watchdog = 1_512 + 4 * self.P - 1
+        self._round(1_000, 0)
+        self._round(1_256, 0)
+        for n, r0 in enumerate((0, 10, 15)):
+            self._visit(1_300 + n * self.L, r0)
+        assert self._round(1_512, 15) is None
+        assert self.hook.candidate is None
+        assert self.hook.retry_at == 1_512 + 2 * self.P
+
+
+class TestAnchorHandoff:
+    """Count-up loops whose affine proof the watch seeds: every jump has
+    the period ``lcm(L, 256)``, for loop lengths ``L`` that do not divide
+    256, and a loop that moves a word below the allocation break (which
+    no digest hashes) is proved like one past it."""
+
+    @pytest.fixture
+    def periods(self, monkeypatch):
+        """The periods of the affine jumps taken so far."""
+        from repro.swinjector import accel
+
+        seen = []
+        jump = accel.HangCycle._affine_jump
+
+        def spy(self, c, *args):
+            skip = jump(self, c, *args)
+            if skip:
+                seen.append(c.period)
+            return skip
+        monkeypatch.setattr(accel.HangCycle, "_affine_jump", spy)
+        return seen
+
+    @pytest.mark.parametrize("spec", [
+        _Count(0, 1, CmpOp.LT, 8, 1 << 20, pad=1),                # L = 7
+        _Count(0, 1, CmpOp.LT, 8, 1 << 20, pad=4),                # L = 10
+        _Count(0, 1, CmpOp.LT, 8, 1 << 20, shape="word"),         # L = 9
+        _Count(0, 1, CmpOp.LT, 8, 1 << 20, shape="word", pad=5),  # L = 14
+        _Count(0, 1, CmpOp.LT, 8, 1 << 20, shape="word", word=_BELOW),
+        _Count(0, 3, CmpOp.LT, 8, 1 << 20, shape="word", word=_OUT + 4,
+               pad=2),                                            # L = 11
+    ])
+    def test_hang_jumps_at_lcm_period(self, spec, periods):
+        cold, stats = _count_replay(spec)
+        assert cold.due_reason == "watchdog-timeout"
+        assert stats.hang_cycles >= 1
+        assert set(periods) == {math.lcm(spec.length, 256)}
+
+    @pytest.mark.parametrize("word", [_BELOW, _OUT + 4])
+    def test_word_below_the_break_in_a_loop_that_ends(self, word, periods):
+        # the bound 8 becomes 2056; i is stored to a word inside an
+        # allocation, which the next iteration reads back
+        cold, stats = _count_replay(_Count(0, 1, CmpOp.LT, 8, 1 << 11,
+                                           shape="word", word=word))
+        assert cold.outcome == "sdc"
+        assert periods == [math.lcm(9, 256)]
 
 
 def _random_count(rng) -> _Count:
@@ -842,6 +949,22 @@ class TestAffineFuzz:
         # the budget must exercise the fast-forward, not only the
         # loops that end or fault before it arms
         assert taken >= 8
+
+    def test_moving_word_below_the_break(self):
+        # the same loops storing i to a word inside an allocation (one
+        # of out, or of data, which the strided loads may reach), with
+        # loop lengths 9..14
+        taken = 0
+        for seed in range(12):
+            rng = np.random.default_rng([0xB3A4, seed])
+            spec = _random_count(rng)
+            word = int(rng.choice([_OUT + 4, _DATA + 4 * int(
+                rng.integers(0, _DATA_WORDS))]))
+            spec = replace(spec, shape="word", word=word,
+                           pad=int(rng.choice([0, 1, 3, 5])))
+            _, stats = _count_replay(spec, watchdog=12_000)
+            taken += stats.hang_cycles > 0
+        assert taken >= 4
 
 
 # -- loop-granular cycles ------------------------------------------------
@@ -989,8 +1112,8 @@ def _spin_sweep(spec: _Spin, budgets, cold_budgets, proofs) -> int:
     """Replay WV on *spec* accelerated at each of *budgets* and assert the
     cold replay's outcome, DUE reason and activations: real cold replays
     at *cold_budgets*, and :func:`_cold_watchdog` (itself checked against
-    them) at the rest. *proofs* counts the loop-level proofs taken; the
-    return value is the fast-forwards of either level."""
+    them) at the rest. *proofs* counts the cycle proofs taken; the return
+    value is the fast-forwards of either kind."""
     from repro.campaign.goldens import reference_run
     from repro.swinjector.accel import AccelStats
     from repro.swinjector.campaign import replay_injection
@@ -1025,8 +1148,7 @@ class TestLoopCycleFuzz:
     watchdog budgets ``b0 + 256·j`` for ``j < L``: the raising slice end
     ``T`` then meets every residue of ``(T - E) mod L``, so the closed
     form's partial period takes every length. Accelerated == cold on each;
-    a loop with a ``BAR`` and a two-warp CTA fall back to the round-level
-    path."""
+    a loop with a ``BAR`` and a two-warp CTA get no proof."""
 
     LENGTHS = (7, 9, 25, 29, 255, 257, 5, 11, 13, 15, 21, 33)
 
@@ -1038,9 +1160,9 @@ class TestLoopCycleFuzz:
         n = [0]
         end = accel.HangCycle._end
 
-        def spy(self, executed):
+        def spy(self, *args):
             n[0] += 1
-            return end(self, executed)
+            return end(self, *args)
         monkeypatch.setattr(accel.HangCycle, "_end", spy)
         return n
 
@@ -1082,14 +1204,14 @@ class TestLoopCycleFuzz:
         _Spin(("iadd", "bar", "isetp", "nop")),
         _Spin(("isetp", "gst", "nop", "iadd"), waiter=True),
     ], ids=["bar", "two-warps"])
-    def test_falls_back_to_round_level(self, spec, proofs):
+    def test_bar_and_two_warps_get_no_proof(self, spec, proofs):
+        # a loop with a BAR, and a CTA with two unfinished warps, run to
+        # the watchdog as the cold replay does
         if spec.waiter:
-            # the round-level period is lcm(9, 3) rounds of two slices
-            budgets = [24_000]
+            budgets = [4_096]
         else:
             budgets, _ = self._budgets(spec, np.random.default_rng(0x100C))
-        assert _spin_sweep(spec, budgets, {budgets[0]}, proofs) >= \
-            len(budgets)
+        assert _spin_sweep(spec, budgets, {budgets[0]}, proofs) == 0
         assert proofs[0] == 0
 
 

@@ -73,6 +73,32 @@ class TestFp32Mul:
         assert np.isinf(v)
 
 
+def _add_bound(x: float, y: float) -> float:
+    """How far the truncating adder's sum of float32 *x* and *y* may be
+    from the IEEE one: ``2u``, with ``u`` the ulp of the larger operand.
+
+    The adder aligns the smaller significand with a right shift that drops
+    its low bits, and no guard, round or sticky bit is kept. In units of
+    ``u`` the significand sum or difference it forms is the exact one plus
+    ``t``, ``-1 < t <= 0`` for a sum and ``0 <= t < 1`` for a difference.
+
+    * A sum without carry is the exact sum truncated to a multiple of
+      ``u``, its result ulp; IEEE rounds it to the nearest one: at most
+      ``u`` apart.
+    * A sum with carry is normalised by a right shift that drops one more
+      bit: the exact sum truncated to a multiple of ``2u``, the result
+      ulp, against IEEE's nearest multiple of ``2u``: at most ``2u``.
+    * A difference is normalised by an exact left shift: it is the
+      multiple of ``u`` just above the exact value, or equal to it. That
+      multiple and the one below are representable, and IEEE's rounding
+      lies between them: at most ``u``, however few bits survive the
+      cancellation.
+
+    The operands of these tests are normal with magnitudes in
+    ``[2**-100, 2**100]``, so no result overflows or underflows."""
+    return 2 * float(np.spacing(np.float32(max(abs(x), abs(y)))))
+
+
 class TestFp32Add:
     @given(signed_floats, signed_floats)
     @settings(max_examples=60, deadline=None)
@@ -86,11 +112,16 @@ class TestFp32Add:
     def test_close_to_ieee(self, add_sim, x, y):
         got = bits_to_float(_eval(add_sim, x, y))
         want = float(np.float32(x) + np.float32(y))
-        if want != 0 and np.isfinite(want):
-            # truncating alignment: allow a few ulp
-            assert got == pytest.approx(want, rel=5e-7) or abs(
-                got - want
-            ) <= 4 * abs(want) * 2**-23
+        assert abs(got - want) <= _add_bound(x, y)
+
+    def test_cancelling_pair(self, add_sim):
+        # the larger operand's ulp is 16 ulps of the cancelled result: the
+        # adder is 16 result ulps, but half an operand ulp, off IEEE
+        x, y = -1.2133374166039941e+30, 1.2676506002282294e+30
+        got = bits_to_float(_eval(add_sim, x, y))
+        want = float(np.float32(x) + np.float32(y))
+        assert abs(got - want) == 16 * float(np.spacing(np.float32(want)))
+        assert abs(got - want) == _add_bound(x, y) / 4
 
     def test_exact_cancellation(self, add_sim):
         assert bits_to_float(_eval(add_sim, 5.5, -5.5)) == 0.0

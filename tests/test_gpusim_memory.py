@@ -63,6 +63,18 @@ class TestGlobalMemory:
         m.reset_allocator()
         assert m.alloc(8) == a
 
+    def test_words_live_in_their_own_mapping(self):
+        # not in malloc's heap, where a reused chunk is cleared in full
+        # (docs/PERFORMANCE.md, "Checkpoint epochs")
+        import mmap
+
+        m = GlobalMemory(1 << 20)
+        assert isinstance(m.data.base.obj, mmap.mmap)
+        assert m.data.dtype == np.uint32 and m.data.size == 1 << 20
+        assert not m.data[::4096].any()
+        m.write_words(4, np.array([7], dtype=np.uint32))
+        assert m.read_words(4, 1)[0] == 7
+
 
 class TestConstantMemory:
     def test_not_writable_from_kernels(self):

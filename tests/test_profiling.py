@@ -119,3 +119,55 @@ class TestStimulusConversion:
                 uniq = [uniq[i] for i in idx]
             expect.extend(uniq)
         assert got == expect
+
+
+class TestProfileStimuli:
+    """``profile_stimuli``, the one profile of the gate campaigns: equal
+    to one profile of all its workloads, profiled once per cached
+    workload instance."""
+
+    def test_equals_one_profile_of_all_workloads(self):
+        from repro.faultinjection.campaign import profile_stimuli
+
+        want = profile_workloads(
+            [get_workload(n, scale="tiny") for n in PROFILING_NAMES[:6]],
+            max_stimuli_per_workload=16)
+        got = profile_stimuli("tiny", 16)
+        assert got.stimuli == want.stimuli
+        assert got.total_dynamic == want.total_dynamic
+        assert list(got.opclass_dynamic.items()) == \
+            list(want.opclass_dynamic.items())
+        assert list(got.per_workload_dynamic.items()) == \
+            list(want.per_workload_dynamic.items())
+
+    def test_profiles_once_per_workload_instance(self, monkeypatch):
+        import gc
+
+        import repro.profiling
+        from repro.campaign.goldens import cached_workload
+        from repro.faultinjection.campaign import _PROFILES, profile_stimuli
+
+        calls = []
+        real = repro.profiling.profile_workloads
+
+        def spy(workloads, **kw):
+            calls.extend(w.meta.name for w in workloads)
+            return real(workloads, **kw)
+        monkeypatch.setattr(repro.profiling, "profile_workloads", spy)
+        cached_workload.cache_clear()
+        gc.collect()
+        first = profile_stimuli("tiny", 8)
+        assert len(calls) == 6
+        # the same instances: nothing is profiled again
+        assert profile_stimuli("tiny", 8).stimuli == first.stimuli
+        assert len(calls) == 6
+        # another cap is another profile
+        profile_stimuli("tiny", 9)
+        assert len(calls) == 12
+        # fresh instances, as in a fresh process: the old profiles are
+        # dropped with their instances, and the new ones profiled again
+        cached_workload.cache_clear()
+        gc.collect()
+        assert not _PROFILES
+        assert profile_stimuli("tiny", 8).stimuli == first.stimuli
+        assert len(calls) == 18
