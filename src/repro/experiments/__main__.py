@@ -7,6 +7,7 @@ import sys
 import time
 
 from repro import obs
+from repro.campaign.engine import default_processes
 from repro.experiments.runner import render_all, run_all
 from repro.obs import log
 
@@ -22,14 +23,17 @@ def main(argv: list[str] | None = None) -> int:
                         default="tiny",
                         help="campaign-scale preset; larger ones are slower "
                              "with tighter statistics (default: tiny)")
-    parser.add_argument("--processes", type=int, default=1,
-                        help="worker processes for the campaigns")
+    parser.add_argument("--processes", type=int, default=None,
+                        help="worker processes for the campaigns (default "
+                             "min(cores, 8), as for repro.campaign; env "
+                             "REPRO_PROCESSES overrides)")
     parser.add_argument("--output", type=str, default=None,
                         help="write the report to this file as well")
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
-    reports = run_all(processes=args.processes, preset=args.preset)
+    processes = args.processes or default_processes()
+    reports = run_all(processes=processes, preset=args.preset)
     text = render_all(reports)
     text += f"\n\n(total wall time: {time.perf_counter() - t0:.1f}s)\n"
     print(text)

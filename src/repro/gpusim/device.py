@@ -143,13 +143,14 @@ class Device:
         counter past the watchdog budget raises the timeout at once, as
         the slice that reaches that count would. The accelerated injector
         returns whole periods of a count-up loop it has proved to repeat
-        its path, and writes the registers and words those periods would
-        have left; that keeps the counter within the budget, so the
+        its path, a multiple of the slice length, and writes the
+        registers and words those periods would have left; that keeps
+        the counter within the budget and on the slice grid, so the
         watchdog fires in the same slice as without the hook. For a
-        one-warp loop proved to repeat its state exactly it returns the
-        distance to the end of the slice where the watchdog fires, and
-        the launch raises at once (docs/PERFORMANCE.md, "Hang
-        short-circuit").
+        one-warp loop proved to repeat its state exactly, or its path
+        through the slice where the watchdog fires, it returns the
+        distance to the end of that slice, and the launch raises at once
+        (docs/PERFORMANCE.md, "Hang short-circuit").
 
         *resume* (a :class:`~repro.gpusim.snapshot.LaunchResume`) skips the
         already-executed prefix: device state is restored from the

@@ -27,10 +27,11 @@ when it is handed a golden trace. It
   proposes the loop's period ``L``. A state that recurs exactly after
   ``L`` ("cycle") ends the run at once with the cold replay's watchdog
   and activation count. One whose integer registers (and a few global
-  words) move by a constant delta ("affine", a count-up loop) is handed
-  to a proof over round periods of ``lcm(L, 256)``, which jumps over the
-  periods that one recorded period proves take the same path
-  (:func:`affine_periods`); simulation goes on from there.
+  words) move by a constant delta ("affine", a count-up loop) has one
+  period of ``L`` instructions recorded and proved to repeat its path
+  (:func:`affine_periods`): the run ends the same way when the path
+  repeats through the watchdog slice, else it jumps over whole periods
+  to the slice grid and simulation goes on from there.
 
 Every shortcut is equivalence-preserving — outcomes, DUE reasons and
 activation counts are bit-identical to the cold replay (the
@@ -67,15 +68,17 @@ from repro.swinjector.injectors import BaseInjector
 #: bound on what a watch costs (and holds for) a hang that never repeats
 _MAX_VISITS = 1 << 8
 
-#: longest period, in instructions, :class:`HangCycle` records for an
-#: affine proof (operand copies of ~0.6 KiB an instruction)
+#: longest loop period, in instructions, :class:`HangCycle` records for
+#: an affine proof (operand copies of ~0.6 KiB an instruction)
 _MAX_RECORDED = 1 << 13
 
 #: most global words an affine period may move
 _MAX_MEM_WORDS = 64
 
-#: periods per NumPy pass of the affine proof's range checks
-_CHUNK = 4096
+#: periods per NumPy pass of the affine proof's range checks: a proof
+#: may cover every period up to the watchdog (thousands at tiny scale),
+#: and a pass holds a few uint64 arrays of periods x lanes, 64 KiB each
+_CHUNK = 256
 
 
 class EarlyMasked(Exception):
@@ -371,7 +374,7 @@ def _affine_result(op, m, vals, ds) -> np.ndarray | None:
 
 
 def affine_periods(steps, deltas: np.ndarray, mem_deltas: dict[int, int],
-                   spaces, k_max: int) -> int | None:
+                   spaces, k_max: int, at: int = 0):
     """How many periods after a recorded one provably repeat its path.
 
     *steps* is one period of one warp (:class:`_PeriodRecorder`), which
@@ -380,23 +383,32 @@ def affine_periods(steps, deltas: np.ndarray, mem_deltas: dict[int, int],
     move per period. Period ``j`` starts from ``R + j·deltas`` and
     ``M + j·mem_deltas`` with control state, predicates, shared memory
     and injector state unchanged. The walk carries each register's delta
-    through the period and returns the largest ``k <= k_max`` such that
+    through the period and finds the largest ``k <= k_max`` such that
     periods ``1..k`` take the recorded path: no compare flips, no moving
     address leaves range or alignment or reads another word, and the
-    period ends ``deltas``/``mem_deltas`` further on. ``None`` refuses:
-    an op that is not affine-preserving on a moving operand (FP, SEL,
-    min/max, logic, right shift), a store to a moving address, an
-    activation that may touch a moving register or computes a moving
-    result, or end deltas that differ."""
+    period ends ``deltas``/``mem_deltas`` further on.
+
+    Returns ``(k, register deltas, word deltas)``, the deltas being how
+    the state *at* instructions into a period moves per period (they
+    differ from the end deltas where a register or word is written twice
+    in a period), or ``None`` to refuse: an op that is not
+    affine-preserving on a moving operand (FP, SEL, min/max, logic, right
+    shift), a store to a moving address, an activation that may touch a
+    moving register or computes a moving result, or end deltas that
+    differ."""
     rd = deltas.copy()
     written = {int(MemSpace.GLOBAL): {}, int(MemSpace.SHARED): {}}
+    stored = written[int(MemSpace.GLOBAL)]
     limit = k_max
     nregs = rd.shape[1]
+    mid = None
 
     def moves(regs) -> bool:
         return any(r != RZ and (r >= nregs or rd[:, r].any()) for r in regs)
 
-    for instr, m, vals, res, touched in steps:
+    for n, (instr, m, vals, res, touched) in enumerate(steps):
+        if n == at:
+            mid = rd.copy(), {**mem_deltas, **stored}
         if vals is None or moves(touched):
             return None
         op = instr.op
@@ -428,43 +440,13 @@ def affine_periods(steps, deltas: np.ndarray, mem_deltas: dict[int, int],
             return None
         if instr.info.writes_reg and instr.dst != RZ:
             rd[m, instr.dst] = out[m]
-        if limit < 1:
-            return 0
-    stored = written[int(MemSpace.GLOBAL)]
     if (not np.array_equal(rd, deltas)
             or any(written[int(MemSpace.SHARED)].values())
             or any(stored.get(w) != d for w, d in mem_deltas.items())
             or any(d != mem_deltas.get(w, 0) for w, d in stored.items())):
         return None
-    return limit
-
-
-@dataclass
-class _Candidate:
-    """An affine period under test: the state at its first round boundary
-    ``E``."""
-
-    ck: Checkpoint                 # the state at E
-    inj: bytes                     # injector state at E
-    activations: int               # tool.activations at E
-    period: int
-    #: launch count of the next boundary to compare
-    due: int
-    #: ``(register deltas, memory deltas, activations)`` of one period,
-    #: once the state at E + P is compared; each later boundary must have
-    #: moved by as many of these steps as periods have passed
-    step: tuple | None = None
-    #: records the period E + 2P -> E + 3P
-    recorder: _PeriodRecorder | None = None
-
-    def repeats(self, regs, mem, gained: int, n: int) -> bool:
-        """Did the state move by *n* steps (:attr:`step`) since E?"""
-        regs1, mem1, gained1 = self.step
-        scaled = {w: n * d & 0xFFFFFFFF for w, d in mem1.items()}
-        return (gained == n * gained1
-                and mem == {w: d for w, d in scaled.items() if d}
-                and all(np.array_equal(r, r1 * _U32(n))
-                        for r, r1 in zip(regs, regs1)))
+    regs, mem = mid
+    return limit, regs, {w: d for w, d in mem.items() if d}
 
 
 @dataclass
@@ -481,14 +463,18 @@ class _Period:
     offsets: list[int] = field(default_factory=list)
     #: activations of the whole period, once proved
     gained: int = 0
-    #: registers or global words moved over the period (an affine
-    #: candidate), once proved; else nothing did (a cycle)
-    moved: bool = False
+    #: ``(register deltas, global word deltas)`` of the period when
+    #: something moved (an affine candidate), once proved; else ``None``
+    #: (a cycle)
+    delta: tuple | None = None
+    #: the period's steps, when the watch recorded them
+    #: (:class:`_PeriodRecorder`)
+    steps: list | None = None
 
 
 class _LoopWatch:
-    """The one source of candidate periods of :class:`HangCycle`: a watch
-    on the only unfinished warp of a CTA, set as the tool's
+    """The one source of loop periods of :class:`HangCycle`: a watch on
+    the only unfinished warp of a CTA, set as the tool's
     :attr:`~NVBitPERfi.watch`.
 
     It hooks an *anchor* pc (the warp's next pc when the watch arms) and
@@ -503,14 +489,23 @@ class _LoopWatch:
     the state, global and shared memory included, equal up to integer
     registers and at most :data:`_MAX_MEM_WORDS` global words. The period
     is then the :attr:`proof`: a cycle when nothing moved, else an affine
-    candidate (:attr:`_Period.moved`). The watch ends there, at a failed
-    comparison, at a ``BAR`` in a candidate period, or after
-    :data:`_MAX_VISITS` visits. Launch counts are the warp's own count
-    plus *offset*, fixed when the watch arms: only this warp runs, and
-    any fast-forward drops the watch."""
+    candidate (:attr:`_Period.delta`).
+
+    A watch armed with the *length* of a proved period records one period
+    instead: the tool's :attr:`~NVBitPERfi.recorder` was set with it, at
+    a round boundary, so every step is hooked; its first step must be
+    the anchor, which starts the period ``E`` without a digest, and the
+    proof at ``E + L`` keeps the recorded steps.
+
+    The watch ends at a proof, at a failed comparison, at a ``BAR`` in a
+    candidate period, or after :data:`_MAX_VISITS` visits; ending, it
+    unsets the recorder too. Launch counts are the warp's own count plus
+    *offset*, fixed when the watch arms: only this warp runs, and any
+    fast-forward drops the watch."""
 
     def __init__(self, dev, tool, watchdog: int, warp, shared_mem,
-                 offset: int, anchor: int, bars: frozenset[int]):
+                 offset: int, anchor: int, bars: frozenset[int],
+                 length: int | None = None):
         self.dev = dev
         self.tool = tool
         self.watchdog = watchdog
@@ -519,6 +514,7 @@ class _LoopWatch:
         self.offset = offset
         self.anchor = anchor
         self.bars = bars
+        self.length = length
         self.pcs = bars | {anchor}
         #: anchor digest -> launch count where last seen
         self.seen: dict[bytes, int] = {}
@@ -538,6 +534,9 @@ class _LoopWatch:
         elif c is not None and ctx.pc in self.bars:  # a BAR in the period
             self._stop()
             return
+        elif c is None and self.length is not None:
+            self._stop()  # the recorded period must start at the anchor
+            return
         if activated and c is not None:
             c.offsets.append(x - c.start)
 
@@ -547,14 +546,19 @@ class _LoopWatch:
             self._stop()
             return
         inj = injector_state(self.tool.injector)
-        key = _control_digest(self.warp, inj)
-        prev = self.seen.get(key)
-        self.seen[key] = x
-        if prev is None or 2 * x - prev >= self.watchdog:
+        length = self.length
+        if length is None:
+            key = _control_digest(self.warp, inj)
+            prev = self.seen.get(key)
+            self.seen[key] = x
+            if prev is None:
+                return
+            length = x - prev
+        if x + length >= self.watchdog:
             return
         ck = capture_checkpoint(self.dev, -1, self.warp.cta, x, -1,
                                 [self.warp], self.shared_mem)
-        self.candidate = _Period(x, x - prev, ck, inj, self.tool.activations)
+        self.candidate = _Period(x, length, ck, inj, self.tool.activations)
 
     def _confirm(self, x: int) -> None:
         c = self.candidate
@@ -565,57 +569,59 @@ class _LoopWatch:
                                      self.shared_mem, _MAX_MEM_WORDS)
         if delta is not None:
             (regs,), mem = delta
-            c.moved = bool(mem) or bool(regs.any())
+            if mem or regs.any():
+                c.delta = regs, mem
             c.gained = self.tool.activations - c.activations
+            if self.tool.recorder is not None:
+                c.steps = self.tool.recorder.steps
             self.proof = c
         self._stop()
 
     def _stop(self) -> None:
         self.candidate = None
-        self.tool.watch = None
+        self.tool.watch = self.tool.recorder = None
 
 
 class HangCycle:
-    """Round hook that proves a launch periodic up to a constant per-period
-    delta and fast-forwards it over the periods that provably repeat.
+    """Round hook that proves a launch's loop periodic up to a constant
+    per-period delta and ends the run, or fast-forwards it over the
+    periods that provably repeat.
 
     Once a launch has outrun its golden counterpart, a slice into each CTA
     it arms a :class:`_LoopWatch` on the CTA's only unfinished warp: the
-    one source of candidate periods. At the first round boundary ``R``
-    after the watch proved a loop period ``L``:
+    one source of loop periods ``L``. At the first round boundary ``R``
+    after the watch proved a period:
 
     * **cycle** — nothing moved: the simulator's determinism makes the
       run periodic for ever. The hook sets the tool's activations to the
       cold replay's count at ``T``, the end of the slice where its
       watchdog fires, and returns ``T - R``: the launch raises the
-      timeout at once.
+      timeout at once (:meth:`_end`).
     * **affine** — integer registers and a few global words moved: the
-      proof goes on at round boundaries ``P = lcm(L, 256)`` apart, where
-      the warp's slices end, since a jump must land on the cold replay's
-      slice grid. The state at ``R`` is captured exactly
-      (:func:`~repro.gpusim.snapshot.capture_checkpoint` plus
-      :func:`injector_state`). At ``R + P`` everything but integer
-      registers and a few global words must be equal
-      (:func:`~repro.gpusim.snapshot.checkpoint_delta`), which gives the
-      step ``D`` (and the activations ``ΔA``). At ``R + 2P`` the state
-      must have moved by ``2·D`` (and ``2·ΔA``); then the period
-      ``R + 2P -> R + 3P`` is recorded with its operand values (the
-      tool's recorder). At ``R + 3P`` the state must have moved by
-      ``3·D``, and :func:`affine_periods` proves for how many periods
-      ``k`` the path repeats. The hook writes ``S + k·D`` into the warp's
-      registers and the moved words and returns ``k·P``.
+      hook sets the tool's recorder and arms a watch of known length
+      ``L``, which records one period ``[E2, E2 + L)`` with its operand
+      values and proves again that it moved only by ``D`` (and gained
+      ``ΔA`` activations). At the next round boundary ``R``,
+      :func:`affine_periods` proves for how many periods ``k`` the
+      recorded path repeats, and gives the deltas at ``R``'s offset
+      ``r = (R − E2) mod L`` in the period. If the path repeats through
+      ``T``, the run ends like a cycle. Otherwise the hook jumps ``j``
+      periods, the most that stay in the proved ones with ``j·L`` a
+      multiple of 256 (so the jump lands on the cold replay's slice
+      grid): it adds ``j`` times the deltas at ``r`` to the warp's
+      registers and the moved words and returns ``j·L``.
       ``Device.launch`` adds the returned count to the launch counter,
-      the tool is credited the ``k·ΔA`` activations those periods would
-      have made, and plain simulation continues: a hang's watchdog fires
-      in the same slice, with the same activation count, as in the cold
-      replay; a loop that ends finishes with the cold replay's output
-      bits; a new watch arms after every jump.
+      the tool is credited the ``j·ΔA`` activations those periods would
+      have made, and plain simulation continues: a loop that ends
+      finishes with the cold replay's output bits or fault; a new watch
+      arms after every jump.
 
-    A watch that ends without a proof, and an affine proof refused (``P``
-    over :data:`_MAX_RECORDED`, fewer than three periods left after
-    ``R + P``, or a comparison that fails), back off: the next watch arms
-    no earlier than a window that doubles after each failure. CTAs with
-    several unfinished warps, and loops with a ``BAR``, get no proof.
+    A watch that ends without a proof, and an affine proof that is
+    refused (``L`` over :data:`_MAX_RECORDED`, a refusal of
+    :func:`affine_periods`, or too few proved periods for one jump to
+    the grid), back off: the next watch arms no earlier than a window
+    that doubles after each failure. CTAs with several unfinished warps,
+    and loops with a ``BAR``, get no proof.
 
     Each fast-forward appends ``"cycle"`` or ``"affine"`` to *shortcuts*
     (docs/PERFORMANCE.md, "Hang short-circuit").
@@ -629,7 +635,6 @@ class HangCycle:
         self.stats = stats
         self.shortcuts = [] if shortcuts is None else shortcuts
         self.cta = None
-        self.candidate: _Candidate | None = None
         #: the next watch arms no earlier than this launch count
         self.retry_at = 0
         self.failures = 0
@@ -641,20 +646,11 @@ class HangCycle:
         #: arms a slice later, so a CTA that ends within it pays nothing
         self.since = 0
 
-    def _reset(self) -> None:
-        self.candidate = None
-        self.tool.recorder = None
-        self.watch = self.tool.watch = None
-
     def __call__(self, cta, executed, warps, shared_mem):
         if cta != self.cta:
             self.cta = cta
             self.since = executed
-            self._reset()
-        if self.candidate is not None:
-            if executed < self.candidate.due:
-                return None
-            return self._confirm(executed, warps, shared_mem)
+            self.watch = self.tool.watch = self.tool.recorder = None
         watch = self.watch
         if watch is None:
             if executed - self.since >= _SLICE and executed >= self.retry_at:
@@ -665,110 +661,96 @@ class HangCycle:
         self.watch = None
         p = watch.proof
         if p is None:
-            return self._give_up(executed, _SLICE)
-        if p.moved:
-            return self._hand_off(p, executed, warps, shared_mem)
-        return self._end(p, executed)
+            return self._give_up(executed)
+        if p.delta is None:
+            return self._end(p, executed, "cycle")
+        if p.steps is None:
+            return self._record(p, executed, warps, shared_mem)
+        return self._affine(p, watch.warp, executed, shared_mem)
 
-    def _arm(self, executed: int, warps, shared_mem) -> None:
-        """Set a :class:`_LoopWatch` on the CTA's only unfinished warp,
-        anchored at its next pc (not a ``BAR``)."""
+    def _arm(self, executed: int, warps, shared_mem,
+             length: int | None = None) -> bool:
+        """Set a :class:`_LoopWatch` (of *length*, if given) on the CTA's
+        only unfinished warp, anchored at its next pc (not a ``BAR``)."""
         live = [w for w in warps if not w.finished]
         if len(live) != 1 or live[0].at_barrier:
-            return
+            return False
         w = live[0]
         if self.bars is None:
             self.bars = frozenset(pc for pc, instr in enumerate(w.program)
                                   if instr.op is Op.BAR)
         anchor = w.stack[-1].next_pc
         if anchor in self.bars:
-            return
+            return False
         self.watch = self.tool.watch = _LoopWatch(
             self.dev, self.tool, self.watchdog, w, shared_mem,
-            executed - w.instructions_executed, anchor, self.bars)
+            executed - w.instructions_executed, anchor, self.bars, length)
+        return True
 
-    def _end(self, p: _Period, executed: int) -> int:
-        """Return the count that takes the launch to the slice end ``T``
-        where the cold replay's watchdog fires, with the activations it
-        has made by then (a cycle of period *p*, at round boundary
-        *executed*)."""
-        t = executed + _SLICE * ((self.watchdog - executed) // _SLICE + 1)
+    def _record(self, p: _Period, executed: int, warps, shared_mem):
+        """Record one period of the count-up loop *p* from this round
+        boundary on: ``slice_gate`` is read once per slice, so a recorder
+        set mid-slice would miss the rest of the slice."""
+        if (p.length > _MAX_RECORDED
+                or not self._arm(executed, warps, shared_mem, p.length)):
+            return self._give_up(executed)
+        self.tool.recorder = _PeriodRecorder(self.tool.injector)
+        return None
+
+    def _affine(self, p: _Period, warp, executed: int, shared_mem):
+        """End the count-up loop recorded in *p* when its path provably
+        repeats through the watchdog slice, else jump over the whole
+        periods it allows to the slice grid, or back off."""
+        t = self._timeout_at(executed)
+        q, r = divmod(executed - p.start, p.length)
+        # periods after the recorded one that hold the steps up to T
+        need = -(-(t - p.start) // p.length) - 1
+        regs, mem = p.delta
+        spaces = (self.dev.global_mem, shared_mem, self.dev.constant_mem)
+        proved = affine_periods(p.steps, regs, mem, spaces, need, r)
+        if proved is None:
+            return self._give_up(executed)
+        k, regs, mem = proved
+        if k == need:
+            return self._end(p, executed, "affine")
+        grid = _SLICE // math.gcd(p.length, _SLICE)
+        j = (k - q) // grid * grid
+        if j < 1:
+            return self._give_up(executed)
+        warp.regs += regs * _U32(j & 0xFFFFFFFF)
+        g = self.dev.global_mem
+        for w, d in mem.items():
+            g.data[w] = (int(g.data[w]) + j * d) & 0xFFFFFFFF
+        if mem:
+            g.reach(max(mem) + 1)
+        self.tool.activations += j * p.gained
+        self.stats.hang_cycle(j * p.length)
+        self.shortcuts.append("affine")
+        return j * p.length
+
+    def _timeout_at(self, executed: int) -> int:
+        """``T``: the end of the slice where the watchdog fires, for a
+        warp whose slices run 256 instructions from round boundary
+        *executed* on."""
+        return executed + _SLICE * ((self.watchdog - executed) // _SLICE + 1)
+
+    def _end(self, p: _Period, executed: int, kind: str) -> int:
+        """Return the count that takes the launch to ``T``, with the
+        activations the cold replay has made by then: the path of period
+        *p* repeats from its start through ``T``."""
+        t = self._timeout_at(executed)
         n = t - p.start
         self.tool.activations = (
             p.activations + n // p.length * p.gained
             + bisect.bisect_left(p.offsets, n % p.length))
         self.stats.hang_cycle(t - executed)
-        self.shortcuts.append("cycle")
+        self.shortcuts.append(kind)
         return t - executed
 
-    def _hand_off(self, p: _Period, executed: int, warps, shared_mem):
-        """Start the affine proof of loop period *p* at round boundary
-        *executed*, or refuse it."""
-        period = math.lcm(p.length, _SLICE)
-        if (period > _MAX_RECORDED
-                or (self.watchdog - executed) // period < 4
-                or sum(bool(w.alive.any()) for w in warps) != 1):
-            return self._give_up(executed, period)
-        tool = self.tool
-        ck = capture_checkpoint(self.dev, -1, self.cta, executed, -1, warps,
-                                shared_mem)
-        self.candidate = _Candidate(ck, injector_state(tool.injector),
-                                    tool.activations, period,
-                                    executed + period)
-        return None
-
-    def _confirm(self, executed, warps, shared_mem):
-        c, self.candidate = self.candidate, None
-        tool = self.tool
-        tool.recorder = None
-        delta = None
-        if executed == c.due and injector_state(tool.injector) == c.inj:
-            delta = checkpoint_delta(self.dev, c.ck, warps, shared_mem,
-                                     _MAX_MEM_WORDS)
-        if delta is None:
-            return self._give_up(executed, c.period)
-        regs, mem = delta
-        gained = tool.activations - c.activations
-        if c.step is None:
-            c.step = (regs, mem, gained)
-        elif not c.repeats(regs, mem, gained,
-                           (executed - c.ck.executed) // c.period):
-            return self._give_up(executed, c.period)
-        elif c.recorder is None:
-            # the move repeated once: record the next period
-            c.recorder = tool.recorder = _PeriodRecorder(tool.injector)
-        else:
-            return self._affine_jump(c, executed, warps, shared_mem,
-                                     (self.watchdog - executed) // c.period)
-        c.due = executed + c.period
-        self.candidate = c
-        return None
-
-    def _affine_jump(self, c: _Candidate, executed: int, warps, shared_mem,
-                     k_max: int):
-        """Prove the recorded period and jump over the periods it allows."""
-        regs1, mem1, gained1 = c.step
-        i = next(i for i, w in enumerate(warps) if w.alive.any())
-        spaces = (self.dev.global_mem, shared_mem, self.dev.constant_mem)
-        k = affine_periods(c.recorder.steps, regs1[i], mem1, spaces, k_max)
-        if not k:
-            return self._give_up(executed, c.period)
-        warps[i].regs += regs1[i] * _U32(k & 0xFFFFFFFF)
-        g = self.dev.global_mem
-        for w, d in mem1.items():
-            g.data[w] = (int(g.data[w]) + k * d) & 0xFFFFFFFF
-        if mem1:
-            g.reach(max(mem1) + 1)
-        self.tool.activations += k * gained1
-        self.stats.hang_cycle(k * c.period)
-        self.shortcuts.append("affine")
-        self._reset()
-        return k * c.period
-
-    def _give_up(self, executed: int, period: int) -> None:
-        """Drop a failed candidate and back off."""
+    def _give_up(self, executed: int) -> None:
+        """Drop a failed proof and back off."""
         self.failures += 1
-        self.retry_at = executed + (period << self.failures)
+        self.retry_at = executed + (_SLICE << self.failures)
         return None
 
 

@@ -230,6 +230,31 @@ class TestHangCycleEquivalence:
     def test_builder_kernel_hangs(self, shape, desc, cycles):
         assert _builder_hang(shape, desc).hang_cycles == cycles
 
+    def test_epr_hang_shortcut_kinds(self):
+        # the perfbench epr-hang item set (lenet + mxm x 11 models x 2):
+        # oracle-check compares outcomes only, so a lost shortcut would
+        # pass it; pin the kind of fast-forward that decides each run
+        from repro import obs
+        from repro.swinjector.campaign import (SwCampaignConfig,
+                                               run_epr_campaign)
+
+        obs.reset()
+        obs.enable()
+        try:
+            run_epr_campaign(SwCampaignConfig(
+                apps=("lenet", "mxm"), injections_per_model=2,
+                seed=HANG_SEED, processes=1))
+            spans = [r["attrs"] for r in obs.RECORDER.drain()
+                     if r.get("name") == "epr.inject"]
+        finally:
+            obs.reset()
+        kinds = {f"{a['app']}/{a['model']}/{a['index']}": a["accel"]
+                 for a in spans if a.get("accel") in ("cycle", "affine")}
+        assert kinds == {
+            "lenet/IAL/0": "cycle", "lenet/IOC/0": "cycle",
+            "mxm/IAL/0": "cycle", "mxm/IOC/0": "cycle",
+            "lenet/IMS/0": "affine", "lenet/IMS/1": "affine"}
+
     def test_digest_table_cap_falls_back_to_watchdog(self, monkeypatch):
         # a watch holds one digest per anchor visit, at most _MAX_VISITS:
         # capped at one, every watch ends before the loop's first repeat
@@ -539,14 +564,14 @@ class TestAffineFastForward:
         assert stats.hang_cycles == 0
 
     def test_jump_lands_on_the_cold_state(self):
-        # i and the word it is stored to both move; the state a jump
-        # writes must be the cold replay's state at that launch count
-        from repro.common.exceptions import WatchdogTimeoutError
+        # i and the word it is stored to both move, and the loop ends
+        # (2056 iterations) before the watchdog: the state a jump writes
+        # must be the cold replay's state at that launch count
         from repro.gpusim.config import DeviceConfig
         from repro.gpusim.device import Device
         from repro.swinjector.accel import AccelStats, HangCycle
 
-        spec = _Count(0, 1, CmpOp.LT, 8, 1 << 20, shape="word")
+        spec = _Count(0, 1, CmpOp.LT, 8, 1 << 11, shape="word")
         desc = ErrorDescriptor(ErrorModel.IMS, bit_err_mask=spec.mask)
 
         def run(make_hook):
@@ -559,8 +584,7 @@ class TestAffineFastForward:
                 return dev.launch(program, grid, block, params=params,
                                   watchdog=20_000, instrumentation=tool,
                                   round_hook=hook)
-            with pytest.raises(WatchdogTimeoutError):
-                _CountApp(spec).run(dev, launcher)
+            return _CountApp(spec).run(dev, launcher)
 
         landed = []
 
@@ -586,13 +610,31 @@ class TestAffineFastForward:
                                  tool.activations))
             return hook
 
-        run(fast)
-        run(cold)
+        assert np.array_equal(run(fast), run(cold))
         assert landed and landed[0][0] > 10_000
         (at, regs, mem, acts), = seen
         assert np.array_equal(regs, landed[0][1])
         assert np.array_equal(mem, landed[0][2])
         assert mem[_WORD // 4] != 0 and acts == landed[0][3]
+
+    def test_lava_ims_shape_ends_at_its_period(self):
+        # a 29-instruction count-up hang under lava's 19 640-instruction
+        # watchdog: a proof at lcm(29, 256) = 7 424 instructions never
+        # fits; the proof at L = 29 ends the run in closed form
+        from repro import obs
+
+        obs.reset()
+        obs.enable()
+        try:
+            cold, stats = _count_replay(
+                _Count(0, 1, CmpOp.LT, 8, 1 << 20, pad=23), watchdog=19_640)
+            kinds = [r["attrs"].get("accel") for r in obs.RECORDER.drain()
+                     if r.get("name") == "epr.inject"]
+        finally:
+            obs.reset()
+        assert cold.due_reason == "watchdog-timeout"
+        assert stats.hang_cycles == 1
+        assert kinds == ["affine", None]  # accelerated, then cold
 
     def test_span_names_the_fast_forward(self):
         from repro import obs
@@ -644,7 +686,8 @@ class TestAffinePeriods:
         for r, v in deltas.items():
             d[:, r] = v & 0xFFFFFFFF
         spaces = (g, SharedMemory(16), ConstantMemory(16))
-        return affine_periods(steps, d, mem_deltas or {}, spaces, k_max)
+        proved = affine_periods(steps, d, mem_deltas or {}, spaces, k_max)
+        return None if proved is None else proved[0]
 
     def _setp(self, cmp, x, y):
         from repro.isa.instruction import Instruction
@@ -743,14 +786,19 @@ class TestAffinePeriods:
 
 class TestAffineStages:
     """``HangCycle`` driven by hand on a one-warp CTA: its watch sees
-    anchor visits ``L`` apart and hands the loop to the affine proof,
-    which compares round boundaries ``P = lcm(L, 256)`` apart; R0 is set
-    before each call."""
+    anchor visits ``L`` apart and proves that R0 moved; from the next
+    round boundary the hook records one period with a watch of known
+    length, and at the round boundary after that period it ends the loop,
+    jumps or backs off. R0 is set before each call; the recorded period
+    is filled in by hand: ``ISETP R0 < bound`` at offset 0 (R0 is 15
+    there and moves by 5), ``R2 = R0`` at offset 4 and ``R2 = RZ`` at
+    offset 20, so R2 moves by 5 inside the period and by 0 over it."""
 
     L = 24
-    P = 768
+    E2 = 1_512          # the recording starts at this round boundary
+    R = 1_768           # the proof runs here: q = 10 periods, r = 16 in
 
-    def _hook(self):
+    def _hook(self, watchdog: int = 100_000):
         from repro.gpusim.config import DeviceConfig
         from repro.gpusim.device import Device
         from repro.gpusim.executor import WarpState
@@ -763,7 +811,7 @@ class TestAffineStages:
                               (0, 0, 0), 0, 0, 0)
         self.tool = NVBitPERfi(ErrorDescriptor(ErrorModel.IMS))
         dev = Device(DeviceConfig(global_mem_words=1024))
-        self.hook = HangCycle(dev, self.tool, 100_000, AccelStats())
+        self.hook = HangCycle(dev, self.tool, watchdog, AccelStats())
         self.shared = SharedMemory(1)
 
     def _at(self, x: int, r0: int) -> None:
@@ -781,83 +829,127 @@ class TestAffineStages:
         watch = self.tool.watch
         watch.before(SimpleNamespace(pc=watch.anchor, warp=self.warp), False)
 
-    def _handed_off(self) -> int:
+    def _period(self, bound: int) -> list:
+        from repro.isa.instruction import Instruction
+        from repro.isa.opcodes import Op
+
+        lane0 = np.zeros(32, dtype=bool)
+        lane0[0] = True
+
+        def col(v):
+            return np.full(32, v, dtype=np.uint32)
+        steps = [(Instruction(Op.NOP), lane0, [], None, ())] * self.L
+        steps[0] = (Instruction(Op.ISETP, srcs=(0, 1), aux=int(CmpOp.LT),
+                                pdst=0), lane0, [col(15), col(bound)],
+                    None, ())
+        steps[4] = (Instruction(Op.MOV, dst=2, srcs=(0,)), lane0,
+                    [col(15)], col(15), ())
+        steps[20] = (Instruction(Op.MOV, dst=2, srcs=(RZ,)), lane0,
+                     [col(0)], col(0), ())
+        return steps
+
+    def _recorded(self, bound: int, watchdog: int = 100_000,
+                  moved: bool = True) -> None:
         """Arm a watch, let R0 move 0, 10, 15 over anchor visits ``L``
-        apart (the second visit's control state repeats the first's) and
-        return the round boundary where the affine proof starts."""
-        self._hook()
+        apart (the second visit's control state repeats the first's), and
+        record the period ``[E2, E2 + L)`` in which R0 moves 15 -> 20
+        (with *moved*; else a predicate differs at its end)."""
+        self._hook(watchdog)
         assert self._round(1_000, 0) is None
         assert self._round(1_256, 0) is None  # a slice in: the watch arms
         for n, r0 in enumerate((0, 10, 15)):
-            assert self.tool.watch is not None
+            assert self.tool.recorder is None
             self._visit(1_300 + n * self.L, r0)
         assert self.tool.watch is None  # the watch ended in a proof
-        assert self._round(1_512, 15) is None
-        assert self.hook.candidate.period == self.P
-        return 1_512
+        assert self._round(self.E2, 15) is None
+        recorder = self.tool.recorder
+        assert recorder is not None and self.tool.watch.length == self.L
+        self._visit(self.E2, 15)  # the recorded period starts
+        recorder.steps.extend(self._period(bound))
+        self.warp.preds[0] ^= not moved
+        self._visit(self.E2 + self.L, 20)
+        assert self.tool.watch is None and self.tool.recorder is None
+
+    def _prove(self):
+        """The round boundary ``R`` after the recorded period, with R0 and
+        R2 (lane 0) where ``q = 10`` more periods left them."""
+        self.warp.regs[0, 2] = 1_000
+        return self._round(self.R, 15 + 10 * 5)
 
     def test_records_only_a_move_that_repeats(self):
-        # R0 at the boundaries: 15 (handed off), 20 (moved 5), then 27:
-        # moved 12, not 2 x 5 -- nothing is recorded, and the next watch
-        # waits out the back-off
-        r = self._handed_off()
-        assert self._round(r + self.P, 20) is None
-        assert self._round(r + 2 * self.P, 27) is None
-        assert self.tool.recorder is None and self.hook.candidate is None
-        retry = self.hook.retry_at
-        assert retry == r + 2 * self.P + 2 * self.P
-        assert self._round(retry - 1, 27) is None
+        # the recorded period ends with a predicate changed: the recording
+        # is dropped, and the next watch waits out the back-off
+        self._recorded(bound=1 << 20, moved=False)
+        assert self._prove() is None
+        assert self.hook.retry_at == self.R + 2 * 256
+        assert self._round(self.R + 256, 65) is None
         assert self.tool.watch is None
-        assert self._round(retry, 27) is None
+        assert self._round(self.R + 512, 65) is None
         assert self.tool.watch is not None
 
     def test_jump_writes_the_moved_registers(self):
-        # 15, 20, 25: the move repeats, the next period is recorded
-        # (here: no instruction), and at 30 the hook jumps k periods
-        r = self._handed_off()
-        for n, r0 in ((1, 20), (2, 25)):
-            assert self._round(r + n * self.P, r0) is None
-        assert self.tool.recorder is not None
-        skip = self._round(r + 3 * self.P, 30)
-        k = (100_000 - (r + 3 * self.P)) // self.P
-        assert skip == k * self.P
-        assert (self.warp.regs[:, 0] == 30 + 5 * k).all()
-        assert self.tool.recorder is None
+        # R0 < 270 holds for periods j < 51: k = 50, and 40 periods are
+        # left after q = 10; the jump takes 32 of them (32·24 is a
+        # multiple of 256) and writes the deltas at r = 16, where R2
+        # moves by 5 although it ends each period where it started
+        self._recorded(bound=270)
+        before = self.warp.regs.copy()
+        assert self._prove() == 32 * self.L
+        assert (self.warp.regs[:, 0] == 65 + 32 * 5).all()
+        assert self.warp.regs[0, 2] == 1_000 + 32 * 5
+        assert np.array_equal(self.warp.regs[1:, 2], before[1:, 2])
+        assert self.hook.shortcuts == ["affine"]
+        assert self.hook.watch is None and self.tool.recorder is None
 
     def test_refused_when_too_few_periods_fit(self):
-        # three periods must fit after R + P: the hand-off backs off
-        self._hook()
-        self.hook.watchdog = 1_512 + 4 * self.P - 1
-        self._round(1_000, 0)
-        self._round(1_256, 0)
-        for n, r0 in enumerate((0, 10, 15)):
-            self._visit(1_300 + n * self.L, r0)
-        assert self._round(1_512, 15) is None
-        assert self.hook.candidate is None
-        assert self.hook.retry_at == 1_512 + 2 * self.P
+        # R0 < 220 holds for j < 41: 30 periods are left after q = 10,
+        # fewer than the 32 a jump to the slice grid needs: back off
+        self._recorded(bound=220)
+        assert self._prove() is None
+        assert self.hook.shortcuts == []
+        assert self.hook.retry_at == self.R + 2 * 256
+
+    @pytest.mark.parametrize("watchdog", [9_000, 9_300, 9_500])
+    def test_ends_only_when_the_path_repeats_through_T(self, watchdog):
+        # T is the slice end where the watchdog fires; the steps from E2
+        # up to it fill need + 1 periods, the last one whole (9 000) or
+        # partly (16 or 8 steps of it). A flip in period need is before
+        # T: no end. A flip in period need + 1 is past it: the loop ends
+        # at T in closed form
+        t = self.R + 256 * ((watchdog - self.R) // 256 + 1)
+        need = -(-(t - self.E2) // self.L) - 1
+        self._recorded(bound=15 + 5 * need, watchdog=watchdog)
+        assert self._prove() != t - self.R
+        self._recorded(bound=15 + 5 * (need + 1), watchdog=watchdog)
+        assert self._prove() == t - self.R
+        assert self.hook.shortcuts == ["affine"]
+
+
+@pytest.fixture
+def periods(monkeypatch):
+    """``(L, instructions)`` of the affine jumps taken so far (not of the
+    closed-form ends, which go past the watchdog)."""
+    from repro.swinjector import accel
+
+    seen = []
+    affine = accel.HangCycle._affine
+
+    def spy(self, p, warp, executed, shared_mem):
+        skip = affine(self, p, warp, executed, shared_mem)
+        if skip and executed + skip <= self.watchdog:
+            seen.append((p.length, skip))
+        return skip
+    monkeypatch.setattr(accel.HangCycle, "_affine", spy)
+    return seen
 
 
 class TestAnchorHandoff:
-    """Count-up loops whose affine proof the watch seeds: every jump has
-    the period ``lcm(L, 256)``, for loop lengths ``L`` that do not divide
-    256, and a loop that moves a word below the allocation break (which
-    no digest hashes) is proved like one past it."""
-
-    @pytest.fixture
-    def periods(self, monkeypatch):
-        """The periods of the affine jumps taken so far."""
-        from repro.swinjector import accel
-
-        seen = []
-        jump = accel.HangCycle._affine_jump
-
-        def spy(self, c, *args):
-            skip = jump(self, c, *args)
-            if skip:
-                seen.append(c.period)
-            return skip
-        monkeypatch.setattr(accel.HangCycle, "_affine_jump", spy)
-        return seen
+    """Count-up loops the watch proves at their own period ``L``, for
+    loop lengths that do not divide 256: every jump spans a whole number
+    of periods that is also a whole number of slices, a multiple of
+    ``lcm(L, 256)`` instructions; a loop that moves a word below the
+    allocation break (which no digest hashes) is proved like one past
+    it."""
 
     @pytest.mark.parametrize("spec", [
         _Count(0, 1, CmpOp.LT, 8, 1 << 20, pad=1),                # L = 7
@@ -869,10 +961,15 @@ class TestAnchorHandoff:
                pad=2),                                            # L = 11
     ])
     def test_hang_jumps_at_lcm_period(self, spec, periods):
-        cold, stats = _count_replay(spec)
+        # iteration 700 loads a non-zero word: the path changes there, so
+        # the first proof jumps short of it; past it, the hang ends in
+        # closed form
+        cold, stats = _count_replay(replace(spec, fill=((700, 7),)))
         assert cold.due_reason == "watchdog-timeout"
-        assert stats.hang_cycles >= 1
-        assert set(periods) == {math.lcm(spec.length, 256)}
+        assert periods and stats.hang_cycles == len(periods) + 1
+        assert all(length == spec.length
+                   and skip % math.lcm(length, 256) == 0
+                   for length, skip in periods)
 
     @pytest.mark.parametrize("word", [_BELOW, _OUT + 4])
     def test_word_below_the_break_in_a_loop_that_ends(self, word, periods):
@@ -881,7 +978,111 @@ class TestAnchorHandoff:
         cold, stats = _count_replay(_Count(0, 1, CmpOp.LT, 8, 1 << 11,
                                            shape="word", word=word))
         assert cold.outcome == "sdc"
-        assert periods == [math.lcm(9, 256)]
+        assert periods and all(length == 9 and skip % math.lcm(9, 256) == 0
+                               for length, skip in periods)
+
+
+# -- count-up loops proved at their own period ----------------------------
+# The loop reloads its bound (LDC) every iteration, so IMS activates once
+# a period, and ``t`` is written twice a period: it holds ``i + 1``
+# between its writes and 0 at the loop head, so at most offsets of the
+# period the state moves by another delta than over the whole period.
+
+
+@dataclass(frozen=True)
+class _Climb:
+    """*lead* NOPs, then ``do { n = bound; t = i + 1; pad; i = t; t = 0 }
+    while (i < n)`` and ``out[1] = i``: a loop of exactly *length*
+    instructions, whose golden bound 8 IMS turns into *bound*. Runs on
+    :class:`_CountApp`."""
+
+    length: int
+    lead: int
+    bound: int
+    n = 8
+    fill = ()
+
+    @property
+    def mask(self) -> int:
+        return self.n ^ self.bound
+
+    def kernel(self):
+        k = KernelBuilder("climb", nregs=16)
+        for _ in range(self.lead):
+            k.nop()
+        i = k.mov32i_new(0)
+        n, t = k.reg(), k.reg()
+        p = k.pred()
+        head = k.label()
+        k.ldc(n, RZ)
+        k.iadd(t, i, imm=1)
+        for _ in range(self.length - 6):
+            k.nop()
+        k.mov(i, t)
+        k.mov32i(t, 0)
+        k.isetp(p, i, n, CmpOp.LT)
+        k.bra(head, pred=p)
+        out = k.mov32i_new(_OUT)
+        k.gst(out, i, offset=4)
+        k.exit()
+        return k.build()
+
+
+def _climb_sweep(spec: _Climb, budgets, cold_budgets) -> list[int]:
+    """Replay IMS on *spec* accelerated at each of *budgets* and assert
+    the cold replay's outcome, DUE reason, activations and output bits:
+    real cold replays at *cold_budgets*, and at the rest what one cold
+    run to the largest budget gives (:func:`_cold_watchdog`): the output
+    and count at its end when it finishes within the budget, else the
+    count at the first slice end past it. Returns the budgets, with 16
+    more over the 256 instructions before the end of a run that
+    finishes."""
+    from repro.campaign.goldens import reference_run
+    from repro.swinjector.accel import AccelStats
+    from repro.swinjector.campaign import replay_injection
+
+    w = _CountApp(spec)
+    golden, trace = reference_run(w, _MEM_WORDS, traced_key="")
+    desc = ErrorDescriptor(ErrorModel.IMS, bit_err_mask=spec.mask)
+    counts, bits = _cold_watchdog(w, desc, max(budgets) + 512)
+    ends = sorted(counts)
+    if bits is not None:
+        # the loop exits a few steps before the run ends at ends[-1]:
+        # budgets over the 256 before it meet the jump that ends short
+        # of the exit, the watchdog past it and the run that finishes
+        budgets = [*budgets, *range(ends[-1] - 256, ends[-1] + 1, 17)]
+    for b in budgets:
+        fast = replay_injection(w, desc, golden.bits, b, _MEM_WORDS, trace,
+                                AccelStats())
+        if bits is not None and ends[-1] <= b:
+            assert np.array_equal(w.bits, bits), (spec, b)
+            outcome = "masked" if np.array_equal(bits, golden.bits) else "sdc"
+            want = (outcome, None, counts[ends[-1]])
+        else:
+            t = next(e for e in ends if e > b)
+            want = ("due", "watchdog-timeout", counts[t])
+        assert (fast.outcome, fast.due_reason, fast.activations) == want, (
+            spec, b)
+        if b in cold_budgets:
+            fast_bits = w.bits
+            cold = replay_injection(w, desc, golden.bits, b, _MEM_WORDS)
+            assert fast == cold, (spec, b)
+            assert (fast_bits is None) == (w.bits is None)
+    return budgets
+
+
+def _climbs(rng, hang: bool):
+    """``(spec, budgets b0 + 256·j for j < L, two of them to replay
+    cold)`` for loops of 7, 9, 25 and 29 instructions at a random phase
+    on the slice grid: hangs, or loops that exit mid-sweep, after more
+    than the 256 periods one jump to the slice grid spans."""
+    for length in (7, 9, 25, 29):
+        b0 = 256 * length + 2_048 + int(rng.integers(0, 256))
+        lead = int(rng.integers(0, length))
+        bound = 1 << 30 if hang else (b0 + 128 * length) // length
+        budgets = [b0 + 256 * j for j in range(length)]
+        cold = {budgets[0], budgets[int(rng.integers(1, length))]}
+        yield _Climb(length, lead, bound), budgets, cold
 
 
 def _random_count(rng) -> _Count:
@@ -949,6 +1150,19 @@ class TestAffineFuzz:
         # the budget must exercise the fast-forward, not only the
         # loops that end or fault before it arms
         assert taken >= 8
+
+    def test_count_up_loops_that_end_near_the_watchdog(self, periods):
+        # the same loops, exiting mid-sweep: budgets before the exit end
+        # in closed form, budgets past it jump (to the slice grid, with
+        # the deltas at the jump's offset in the period) and finish; a
+        # budget just before the exit jumps and then times out
+        for spec, budgets, cold in _climbs(np.random.default_rng(0xC11C),
+                                           hang=False):
+            del periods[:]
+            _climb_sweep(spec, budgets, cold)
+            assert periods, spec
+            assert all(skip % math.lcm(spec.length, 256) == 0
+                       for _, skip in periods)
 
     def test_moving_word_below_the_break(self):
         # the same loops storing i to a word inside an allocation (one
@@ -1081,19 +1295,21 @@ def _random_spin(rng, length: int) -> _Spin:
     return _Spin(tuple(ops[j] for j in rng.integers(0, 4, size=length - 5)))
 
 
-def _cold_watchdog(spec: _Spin, budget: int):
-    """The cold replay of WV on one-warp *spec*, run once to *budget*:
-    ``slice end -> activations`` at every round boundary (one warp: a
-    round is one slice) through a round hook that changes nothing, and
-    the count at the watchdog. A cold replay at any smaller budget ``b``
-    past the golden length raises at the first slice end past ``b`` with
-    the count there; the budget is read nowhere else."""
+def _cold_watchdog(w: Workload, desc, budget: int):
+    """The cold replay of *desc* on one-warp workload *w*, run once to
+    *budget*: ``slice end -> activations`` at every round boundary (one
+    warp: a round is one slice) through a round hook that changes
+    nothing, the run's last one included, and the output bits when the
+    run finishes within *budget* (else ``None``). A cold replay at any
+    smaller budget ``b`` past the golden length raises at the first
+    slice end past ``b`` with the count there, unless the run finishes
+    by ``b``; the budget is read nowhere else."""
     from repro.common.exceptions import WatchdogTimeoutError
     from repro.gpusim.config import DeviceConfig
     from repro.gpusim.device import Device
 
     dev = Device(DeviceConfig(global_mem_words=_MEM_WORDS))
-    tool = NVBitPERfi(_WV)
+    tool = NVBitPERfi(desc)
     counts: dict[int, int] = {}
 
     def launcher(program, grid, block, params=(), shared_words=None):
@@ -1103,9 +1319,11 @@ def _cold_watchdog(spec: _Spin, budget: int):
                           shared_words=shared_words, watchdog=budget,
                           instrumentation=tool, round_hook=hook)
 
-    with pytest.raises(WatchdogTimeoutError):
-        _SpinApp(spec).run(dev, launcher)
-    return counts
+    try:
+        bits = w.run(dev, launcher)
+    except WatchdogTimeoutError:
+        bits = None
+    return counts, bits
 
 
 def _spin_sweep(spec: _Spin, budgets, cold_budgets, proofs) -> int:
@@ -1124,7 +1342,8 @@ def _spin_sweep(spec: _Spin, budgets, cold_budgets, proofs) -> int:
     if not spec.waiter:
         # two slices more: the raising slice of each budget, a budget at
         # a slice end included, ends in a round
-        counts = _cold_watchdog(spec, max(budgets) + 512)
+        counts, bits = _cold_watchdog(w, _WV, max(budgets) + 512)
+        assert bits is None
         ends = sorted(counts)
         # budgets just before, at and just after a slice end
         e = next(e for e in ends if e >= budgets[len(budgets) // 2])
@@ -1182,6 +1401,16 @@ class TestLoopCycleFuzz:
             _spin_sweep(spec, budgets, cold, proofs)
             runs += len(budgets) + 3  # and the three at a slice end
         # every budget of every loop ends in the loop-level proof
+        assert proofs[0] == runs
+
+    def test_count_up_hangs_end_at_their_period(self, proofs):
+        # count-up loops of 7, 9, 25 and 29 instructions with a register
+        # written twice: at every budget, so at every residue of
+        # (T - E2) mod L, the affine proof ends the run in closed form
+        runs = 0
+        for spec, budgets, cold in _climbs(np.random.default_rng(0xC11B),
+                                           hang=True):
+            runs += len(_climb_sweep(spec, budgets, cold))
         assert proofs[0] == runs
 
     def test_moving_memory_is_no_cycle(self, proofs):
