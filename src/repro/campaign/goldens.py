@@ -519,13 +519,45 @@ def _snap_from(meta: dict, global_data, constant_data):
                             for t in meta["slot_counters"]))
 
 
+#: the checkpoint-trace spill layout; an entry in another one is read as
+#: a miss and recomputed
+_TRACE_LAYOUT = 2
+
+#: per-warp snapshot fields stacked across a trace's checkpoints: name ->
+#: (row of one warp's array, trailing shape, dtype). Registers are stored
+#: one row per register, so programs of different widths stack.
+_WARP_FIELDS = {
+    "alive": (lambda w: w.alive[None], (32,), bool),
+    "regs": (lambda w: w.regs.T, (32,), np.uint32),
+    "preds": (lambda w: w.preds[None], (32, 8), bool),
+    "reconv": (lambda w: w.stack_reconv, (), np.int64),
+    "next": (lambda w: w.stack_next, (), np.int64),
+    "masks": (lambda w: w.stack_masks, (32,), bool),
+}
+
+
+def _stack(parts: list, tail=(), dtype=np.uint32) -> tuple:
+    """*parts* concatenated along their first axis, and their lengths."""
+    lengths = np.array([len(p) for p in parts], dtype=np.int64)
+    if not parts:
+        return np.zeros((0, *tail), dtype=dtype), lengths
+    return np.concatenate(parts).astype(dtype, copy=False), lengths
+
+
+def _unstack(flat: np.ndarray, lengths: np.ndarray) -> list:
+    return np.split(flat, np.cumsum(lengths)[:-1]) if lengths.size else []
+
+
 def _trace_to_arrays(trace: GoldenTrace) -> tuple[dict, dict]:
-    """Flatten a trace into (named arrays, JSON-able meta)."""
+    """Flatten a trace into (named arrays, JSON-able meta). Each snapshot
+    field is one array across all post-launch snapshots, checkpoints or
+    checkpoint warps, with its lengths in ``<name>_n``."""
     arrays = {"ev_pc": trace.ev_pc, "ev_coord": trace.ev_coord,
               "ev_mask": trace.ev_mask,
               "coords": np.asarray(trace.coords or
                                    np.zeros((0, 3)), dtype=np.int32)}
     meta = {
+        "layout": _TRACE_LAYOUT,
         "key": trace.key, "digest": trace.digest,
         "total_instructions": trace.total_instructions,
         "epoch": trace.epoch,
@@ -536,13 +568,7 @@ def _trace_to_arrays(trace: GoldenTrace) -> tuple[dict, dict]:
             "instructions_executed": r.instructions_executed,
             "start_index": r.start_index} for r in trace.launches],
         "post_launch": [_snap_meta(s) for s in trace.post_launch],
-        "checkpoints": [],
-    }
-    for i, snap in enumerate(trace.post_launch):
-        arrays[f"pl{i}_g"] = snap.global_data
-        arrays[f"pl{i}_c"] = snap.constant_data
-    for j, ck in enumerate(trace.checkpoints):
-        meta["checkpoints"].append({
+        "checkpoints": [{
             "index": ck.index, "launch": ck.launch, "cta": ck.cta,
             "executed": ck.executed, "device": _snap_meta(ck.device),
             "warps": [{
@@ -551,57 +577,60 @@ def _trace_to_arrays(trace: GoldenTrace) -> tuple[dict, dict]:
                 "warp_slot": w.warp_slot, "at_barrier": bool(w.at_barrier),
                 "instructions_executed": w.instructions_executed}
                 for w in ck.warps],
-        })
-        arrays[f"ck{j}_g"] = ck.device.global_data
-        arrays[f"ck{j}_c"] = ck.device.constant_data
-        arrays[f"ck{j}_sh"] = ck.shared
-        for k, w in enumerate(ck.warps):
-            arrays[f"ck{j}_w{k}_alive"] = w.alive
-            arrays[f"ck{j}_w{k}_regs"] = w.regs
-            arrays[f"ck{j}_w{k}_preds"] = w.preds
-            arrays[f"ck{j}_w{k}_reconv"] = w.stack_reconv
-            arrays[f"ck{j}_w{k}_next"] = w.stack_next
-            arrays[f"ck{j}_w{k}_masks"] = w.stack_masks
+        } for ck in trace.checkpoints],
+    }
+    cks = trace.checkpoints
+    for name, parts in (
+            ("pl_g", [s.global_data for s in trace.post_launch]),
+            ("pl_c", [s.constant_data for s in trace.post_launch]),
+            ("ck_g", [ck.device.global_data for ck in cks]),
+            ("ck_c", [ck.device.constant_data for ck in cks]),
+            ("ck_sh", [ck.shared for ck in cks])):
+        arrays[name], arrays[f"{name}_n"] = _stack(parts)
+    warps = [w for ck in cks for w in ck.warps]
+    for name, (row, tail, dtype) in _WARP_FIELDS.items():
+        arrays[f"w_{name}"], arrays[f"w_{name}_n"] = _stack(
+            [row(w) for w in warps], tail, dtype)
     return arrays, meta
 
 
 def _trace_from_arrays(arrays: dict, meta: dict) -> GoldenTrace:
     from repro.gpusim.snapshot import Checkpoint, WarpSnapshot
 
+    part = {name: _unstack(arrays[name], arrays[f"{name}_n"])
+            for name in ("pl_g", "pl_c", "ck_g", "ck_c", "ck_sh")}
+    fields = {name: _unstack(arrays[f"w_{name}"], arrays[f"w_{name}_n"])
+              for name in _WARP_FIELDS}
     launches = tuple(LaunchRecord(
         program=r["program"], grid=tuple(r["grid"]), block=tuple(r["block"]),
         num_ctas=int(r["num_ctas"]), warps_per_cta=int(r["warps_per_cta"]),
         instructions_executed=int(r["instructions_executed"]),
         start_index=int(r["start_index"])) for r in meta["launches"])
     post_launch = tuple(
-        _snap_from(m, arrays[f"pl{i}_g"], arrays[f"pl{i}_c"])
+        _snap_from(m, part["pl_g"][i], part["pl_c"][i])
         for i, m in enumerate(meta["post_launch"]))
     checkpoints = []
+    k = 0
     for j, cm in enumerate(meta["checkpoints"]):
-        warps = tuple(WarpSnapshot(
-            cta=int(wm["cta"]), warp_in_cta=int(wm["warp_in_cta"]),
-            sm_id=int(wm["sm_id"]), subpartition=int(wm["subpartition"]),
-            warp_slot=int(wm["warp_slot"]),
-            alive=np.asarray(arrays[f"ck{j}_w{k}_alive"], dtype=bool),
-            regs=np.asarray(arrays[f"ck{j}_w{k}_regs"], dtype=np.uint32),
-            preds=np.asarray(arrays[f"ck{j}_w{k}_preds"], dtype=bool),
-            at_barrier=bool(wm["at_barrier"]),
-            instructions_executed=int(wm["instructions_executed"]),
-            stack_reconv=np.asarray(arrays[f"ck{j}_w{k}_reconv"],
-                                    dtype=np.int64),
-            stack_next=np.asarray(arrays[f"ck{j}_w{k}_next"],
-                                  dtype=np.int64),
-            stack_masks=np.asarray(arrays[f"ck{j}_w{k}_masks"], dtype=bool),
-        ) for k, wm in enumerate(cm["warps"]))
+        warps = []
+        for wm in cm["warps"]:
+            f = {name: rows[k] for name, rows in fields.items()}
+            k += 1
+            warps.append(WarpSnapshot(
+                cta=int(wm["cta"]), warp_in_cta=int(wm["warp_in_cta"]),
+                sm_id=int(wm["sm_id"]), subpartition=int(wm["subpartition"]),
+                warp_slot=int(wm["warp_slot"]),
+                alive=f["alive"][0], regs=np.ascontiguousarray(f["regs"].T),
+                preds=f["preds"][0], at_barrier=bool(wm["at_barrier"]),
+                instructions_executed=int(wm["instructions_executed"]),
+                stack_reconv=f["reconv"], stack_next=f["next"],
+                stack_masks=f["masks"]))
         checkpoints.append(Checkpoint(
             index=int(cm["index"]), launch=int(cm["launch"]),
             cta=int(cm["cta"]), executed=int(cm["executed"]),
-            device=_snap_from(cm["device"], arrays[f"ck{j}_g"],
-                              arrays[f"ck{j}_c"]),
-            warps=warps,
-            shared=np.asarray(arrays[f"ck{j}_sh"], dtype=np.uint64
-                              if arrays[f"ck{j}_sh"].dtype == np.uint64
-                              else np.uint32)))
+            device=_snap_from(cm["device"], part["ck_g"][j],
+                              part["ck_c"][j]),
+            warps=tuple(warps), shared=part["ck_sh"][j]))
     return GoldenTrace(
         key=meta["key"],
         ev_pc=np.asarray(arrays["ev_pc"], dtype=np.int32),
@@ -634,6 +663,8 @@ def _trace_encode(entry: GoldenTrace) -> dict:
 
 def _trace_decode(key: str, arrays: dict) -> GoldenTrace:
     meta = json.loads(str(arrays.pop("meta")[()]))
+    if meta.get("layout") != _TRACE_LAYOUT:
+        raise ValueError("trace entry in another spill layout")
     expect = meta.get("trace_digest")
     if meta.get("key") != key or expect != _trace_digest(arrays, meta):
         raise ValueError("trace entry digest mismatch")

@@ -49,6 +49,16 @@ def _dim3(d: int | tuple) -> tuple[int, int, int]:
     return d  # type: ignore[return-value]
 
 
+def param_words(params: Sequence[int | float]) -> np.ndarray:
+    """The constant-memory words a launch's *params* occupy: a float as
+    its IEEE bits, anything else as an integer modulo 2**32."""
+    return np.array(
+        [float_to_bits(p) if isinstance(p, float) else int(p) & 0xFFFFFFFF
+         for p in params],
+        dtype=np.uint32,
+    )
+
+
 @dataclass
 class LaunchResult:
     """Statistics of one kernel launch."""
@@ -100,11 +110,7 @@ class Device:
 
     def set_params(self, params: Sequence[int | float]) -> None:
         """Write kernel parameters into constant memory (slot i at byte 4i)."""
-        words = np.array(
-            [float_to_bits(p) if isinstance(p, float) else int(p) & 0xFFFFFFFF
-             for p in params],
-            dtype=np.uint32,
-        )
+        words = param_words(params)
         if words.size:
             self.constant_mem.write_words(0, words)
 

@@ -78,6 +78,11 @@ def _const(value: int) -> np.ndarray:
 
 _FULL = _frozen(np.ones(WARP_SIZE, dtype=bool))
 _ZEROS = _const(0)
+_LANES = _frozen(np.arange(WARP_SIZE, dtype=_U32))
+#: a fresh warp's predicate file: only ``PT`` holds
+_PREDS = np.zeros((WARP_SIZE, 8), dtype=bool)
+_PREDS[:, PT] = True
+_frozen(_PREDS)
 
 #: returned by a step that changed the stack, the alive mask or the
 #: barrier flag: the slice loop re-derives its cached state
@@ -131,6 +136,46 @@ class _Columns(dict):
         return col
 
 
+@functools.lru_cache(maxsize=64)
+def _threads(warp_in_cta: int, block_dim: tuple[int, int, int]):
+    """Read-only ``(alive, tid.x, tid.y, tid.z)`` of warp *warp_in_cta*
+    of a block of *block_dim* threads (a lane past the block reads the
+    last thread's index)."""
+    bx, by, bz = block_dim
+    nthreads = bx * by * bz
+    lin = warp_in_cta * WARP_SIZE + np.arange(WARP_SIZE, dtype=np.int64)
+    lin_c = np.minimum(lin, max(nthreads - 1, 0))
+    return (_frozen(lin < nthreads), _frozen((lin_c % bx).astype(_U32)),
+            _frozen(((lin_c // bx) % by).astype(_U32)),
+            _frozen((lin_c // (bx * by)).astype(_U32)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _identity(warp_in_cta: int, block_dim: tuple[int, int, int],
+              grid_dim: tuple[int, int, int], cta_coord: tuple[int, int, int],
+              sm_id: int):
+    """A warp's identity template: its read-only initial alive mask and
+    S2R source vectors indexed by ``SpecialReg`` value. Both depend on
+    the launch geometry alone, so every warp at the same place shares
+    them; a step that reads one copies it into a register column."""
+    alive, tx, ty, tz = _threads(warp_in_cta, block_dim)
+    ctaid, ntid, nctaid = (tuple(map(_const, d))
+                           for d in (cta_coord, block_dim, grid_dim))
+    sources = {
+        SpecialReg.TID_X: tx, SpecialReg.TID_Y: ty, SpecialReg.TID_Z: tz,
+        SpecialReg.CTAID_X: ctaid[0], SpecialReg.CTAID_Y: ctaid[1],
+        SpecialReg.CTAID_Z: ctaid[2],
+        SpecialReg.NTID_X: ntid[0], SpecialReg.NTID_Y: ntid[1],
+        SpecialReg.NTID_Z: ntid[2],
+        SpecialReg.NCTAID_X: nctaid[0], SpecialReg.NCTAID_Y: nctaid[1],
+        SpecialReg.NCTAID_Z: nctaid[2],
+        SpecialReg.LANEID: _LANES,
+        SpecialReg.WARPID: _const(warp_in_cta),
+        SpecialReg.SMID: _const(sm_id),
+    }
+    return alive, tuple(sources[s] for s in sorted(sources))
+
+
 class WarpState:
     """Architectural state of one resident warp."""
 
@@ -153,42 +198,12 @@ class WarpState:
         self.subpartition = subpartition
         self.warp_slot = warp_slot
 
-        bx, by, bz = block_dim
-        nthreads = bx * by * bz
-        base = warp_in_cta * WARP_SIZE
-        lin = base + np.arange(WARP_SIZE, dtype=np.int64)
-        self.alive = (lin < nthreads).copy()
-
-        lin_c = np.minimum(lin, max(nthreads - 1, 0))
-        self.tid = (
-            (lin_c % bx).astype(_U32),
-            ((lin_c // bx) % by).astype(_U32),
-            (lin_c // (bx * by)).astype(_U32),
-        )
-        self.ctaid = tuple(np.full(WARP_SIZE, c, dtype=_U32) for c in cta_coord)
-        self.ntid = tuple(np.full(WARP_SIZE, d, dtype=_U32) for d in block_dim)
-        self.nctaid = tuple(np.full(WARP_SIZE, d, dtype=_U32) for d in grid_dim)
-        self.laneid = np.arange(WARP_SIZE, dtype=_U32)
-        #: S2R sources indexed by SpecialReg value
-        sources = {
-            SpecialReg.TID_X: self.tid[0], SpecialReg.TID_Y: self.tid[1],
-            SpecialReg.TID_Z: self.tid[2],
-            SpecialReg.CTAID_X: self.ctaid[0], SpecialReg.CTAID_Y: self.ctaid[1],
-            SpecialReg.CTAID_Z: self.ctaid[2],
-            SpecialReg.NTID_X: self.ntid[0], SpecialReg.NTID_Y: self.ntid[1],
-            SpecialReg.NTID_Z: self.ntid[2],
-            SpecialReg.NCTAID_X: self.nctaid[0],
-            SpecialReg.NCTAID_Y: self.nctaid[1],
-            SpecialReg.NCTAID_Z: self.nctaid[2],
-            SpecialReg.LANEID: self.laneid,
-            SpecialReg.WARPID: np.full(WARP_SIZE, warp_in_cta, dtype=_U32),
-            SpecialReg.SMID: np.full(WARP_SIZE, sm_id, dtype=_U32),
-        }
-        self.sregs = tuple(sources[s] for s in sorted(sources))
+        alive, self.sregs = _identity(warp_in_cta, block_dim, grid_dim,
+                                      cta_coord, sm_id)
+        self.alive = alive.copy()
 
         self.regs = np.zeros((WARP_SIZE, program.nregs), dtype=_U32)
-        self.preds = np.zeros((WARP_SIZE, 8), dtype=bool)
-        self.preds[:, PT] = True
+        self.preds = _PREDS.copy()
         self.stack: list[_StackEntry] = [
             _StackEntry(reconv_pc=None, next_pc=0, mask=self.alive.copy())
         ]

@@ -31,7 +31,11 @@ when it is handed a golden trace. It
   period of ``L`` instructions recorded and proved to repeat its path
   (:func:`affine_periods`): the run ends the same way when the path
   repeats through the watchdog slice, else it jumps over whole periods
-  to the slice grid and simulation goes on from there.
+  to the slice grid and simulation goes on from there;
+* serves a launch past the end of the golden launch list from the run's
+  launch memo (:class:`_LaunchMemo`) when an earlier launch of the run
+  started from the same state: a runaway host loop (a faulty
+  ``quicksort``) repeats a handful of launches hundreds of times.
 
 Every shortcut is equivalence-preserving — outcomes, DUE reasons and
 activation counts are bit-identical to the cold replay (the
@@ -45,13 +49,13 @@ import bisect
 import hashlib
 import math
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.campaign.goldens import GoldenTrace
 from repro.common.exceptions import InvalidRegisterError
-from repro.gpusim.device import _SLICE, LaunchResult
+from repro.gpusim.device import _SLICE, LaunchResult, _dim3, param_words
 from repro.gpusim.executor import WARP_SIZE, _compare_ufunc
 from repro.gpusim.snapshot import (
     Checkpoint,
@@ -74,6 +78,15 @@ _MAX_RECORDED = 1 << 13
 
 #: most global words an affine period may move
 _MAX_MEM_WORDS = 64
+
+#: bytes of launch records one run's :class:`_LaunchMemo` holds; once
+#: they are spent, lookups go on and nothing more is recorded
+_MEMO_BYTES = 1 << 20
+
+#: largest written extent of global memory, in words, a launch memo reads
+#: (1 MiB): reading an untouched word makes its page resident, and a
+#: stray store can stretch the extent far past the words a run wrote
+_MEMO_WORDS = 1 << 18
 
 #: periods per NumPy pass of the affine proof's range checks: a proof
 #: may cover every period up to the watchdog (thousands at tiny scale),
@@ -645,16 +658,20 @@ class HangCycle:
         #: launch count of the CTA's first round boundary here; a watch
         #: arms a slice later, so a CTA that ends within it pays nothing
         self.since = 0
+        #: the CTA's warps not yet seen finished (:meth:`_lone`)
+        self.live: list = []
 
     def __call__(self, cta, executed, warps, shared_mem):
         if cta != self.cta:
             self.cta = cta
             self.since = executed
+            self.live = list(warps)
             self.watch = self.tool.watch = self.tool.recorder = None
         watch = self.watch
         if watch is None:
-            if executed - self.since >= _SLICE and executed >= self.retry_at:
-                self._arm(executed, warps, shared_mem)
+            if (executed - self.since >= _SLICE and executed >= self.retry_at
+                    and (w := self._lone()) is not None):
+                self._arm(executed, w, shared_mem)
             return None
         if self.tool.watch is watch:
             return None  # still watching
@@ -665,17 +682,31 @@ class HangCycle:
         if p.delta is None:
             return self._end(p, executed, "cycle")
         if p.steps is None:
-            return self._record(p, executed, warps, shared_mem)
+            return self._record(p, executed, shared_mem)
         return self._affine(p, watch.warp, executed, shared_mem)
 
-    def _arm(self, executed: int, warps, shared_mem,
+    def _lone(self):
+        """The CTA's only unfinished warp, else ``None``. A warp never
+        comes back once finished, so :attr:`live` drops the finished ones
+        for good, and two unfinished warps at its head settle the answer:
+        while several warps run, a round boundary tests two."""
+        live = self.live
+        while len(live) > 1:
+            if live[0].finished:
+                del live[0]
+            elif live[1].finished:
+                del live[1]
+            else:
+                return None
+        return live[0] if live and not live[0].finished else None
+
+    def _arm(self, executed: int, w, shared_mem,
              length: int | None = None) -> bool:
-        """Set a :class:`_LoopWatch` (of *length*, if given) on the CTA's
-        only unfinished warp, anchored at its next pc (not a ``BAR``)."""
-        live = [w for w in warps if not w.finished]
-        if len(live) != 1 or live[0].at_barrier:
+        """Set a :class:`_LoopWatch` (of *length*, if given) on *w*, the
+        CTA's only unfinished warp, anchored at its next pc (not a
+        ``BAR``)."""
+        if w.at_barrier:
             return False
-        w = live[0]
         if self.bars is None:
             self.bars = frozenset(pc for pc, instr in enumerate(w.program)
                                   if instr.op is Op.BAR)
@@ -687,12 +718,13 @@ class HangCycle:
             executed - w.instructions_executed, anchor, self.bars, length)
         return True
 
-    def _record(self, p: _Period, executed: int, warps, shared_mem):
+    def _record(self, p: _Period, executed: int, shared_mem):
         """Record one period of the count-up loop *p* from this round
         boundary on: ``slice_gate`` is read once per slice, so a recorder
         set mid-slice would miss the rest of the slice."""
-        if (p.length > _MAX_RECORDED
-                or not self._arm(executed, warps, shared_mem, p.length)):
+        w = self._lone()
+        if (p.length > _MAX_RECORDED or w is None
+                or not self._arm(executed, w, shared_mem, p.length)):
             return self._give_up(executed)
         self.tool.recorder = _PeriodRecorder(self.tool.injector)
         return None
@@ -754,6 +786,148 @@ class HangCycle:
         return None
 
 
+@dataclass(frozen=True)
+class _Words:
+    """A memory's contents as its nonzero words: indices and values."""
+
+    idx: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, mem) -> "_Words":
+        data = mem.data[:mem.extent]
+        idx = np.flatnonzero(data)
+        return cls(idx, data[idx])
+
+    def matches(self, mem, nonzero: int) -> bool:
+        """Does *mem*, holding *nonzero* nonzero words, hold exactly
+        these? Every recorded value is nonzero, so equal counts and equal
+        values at the recorded indices leave no other nonzero word."""
+        return (nonzero == self.idx.size
+                and np.array_equal(mem.data[self.idx], self.vals))
+
+    @property
+    def nbytes(self) -> int:
+        return self.idx.nbytes + self.vals.nbytes
+
+
+def _changes(mem, before: _Words) -> tuple[np.ndarray, np.ndarray]:
+    """The words of *mem* that differ from *before*, and their values: a
+    changed word is nonzero now (and held another value before) or was
+    nonzero before (and is zero now)."""
+    now = np.flatnonzero(mem.data[:mem.extent])
+    at = np.minimum(np.searchsorted(before.idx, now), before.idx.size - 1)
+    old = np.zeros(now.size, dtype=np.uint32)
+    if before.idx.size:
+        held = before.idx[at] == now
+        old[held] = before.vals[at[held]]
+    words = np.concatenate((now[mem.data[now] != old],
+                            before.idx[mem.data[before.idx] == 0]))
+    return words, mem.data[words]
+
+
+@dataclass(frozen=True)
+class _Launch:
+    """One completed launch of a run: the memory it started from, what
+    it left and what it returned (:class:`_LaunchMemo`)."""
+
+    program: object                # pins the key's id(program)
+    global_before: _Words
+    constant_before: _Words
+    #: global words the launch changed, and their values after it
+    changed: np.ndarray
+    after: np.ndarray
+    brk: int
+    slots: dict
+    injector: bytes                # injector state after the launch
+    activations: int               # activations the launch made
+    result: LaunchResult
+
+    @property
+    def nbytes(self) -> int:
+        return (self.global_before.nbytes + self.constant_before.nbytes
+                + self.changed.nbytes + self.after.nbytes)
+
+
+class _LaunchMemo:
+    """Completed launches of one faulty run past the end of its golden
+    launch list, replayed without simulating when the run repeats one.
+
+    A completed launch is a deterministic function of the key (the
+    program object, grid, block, parameter words and shared size; the
+    allocation break and warp-slot counters; the injector state) and of
+    global and constant memory, under the run's one watchdog budget. So a
+    launch whose key and memories equal a recorded one's ends as it did:
+    its global words, break, slot counters, injector state and activation
+    count move as recorded, the parameters land in constant memory as
+    ``Device.set_params`` writes them, and it returns the recorded
+    :class:`LaunchResult`. Memories are held sparse (:class:`_Words`) and
+    matched exactly. Records stop at :data:`_MEMO_BYTES`, and a global
+    memory written past :data:`_MEMO_WORDS` is neither read nor recorded;
+    a launch that raises ends the run and is never recorded."""
+
+    def __init__(self, dev, tool, stats: AccelStats, shortcuts: list):
+        self.dev = dev
+        self.tool = tool
+        self.stats = stats
+        self.shortcuts = shortcuts
+        self.records: dict[tuple, list[_Launch]] = {}
+        self.nbytes = 0
+
+    def launch(self, run, program, grid, block, params, shared_words):
+        """The launch's result, from a matching record or from *run()*."""
+        dev, tool = self.dev, self.tool
+        g, c = dev.global_mem, dev.constant_mem
+        if g.extent > _MEMO_WORDS:
+            return run()
+        inj = injector_state(tool.injector)
+        key = (id(program), _dim3(grid), _dim3(block),
+               param_words(params).tobytes(), shared_words, g._brk,
+               tuple(sorted(dev._slot_counters.items())), inj)
+        held = self.records.get(key, ())
+        if held:
+            gn = np.count_nonzero(g.data[:g.extent])
+            cn = np.count_nonzero(c.data[:c.extent])
+            for r in held:
+                if (r.global_before.matches(g, gn)
+                        and r.constant_before.matches(c, cn)):
+                    return self._replay(r, params, inj)
+        if self.nbytes >= _MEMO_BYTES:
+            return run()
+        before = _Words.of(g), _Words.of(c)
+        activations = tool.activations
+        result = run()
+        if g.extent > _MEMO_WORDS:
+            return result
+        r = _Launch(program, *before, *_changes(g, before[0]), g._brk,
+                    dict(dev._slot_counters), injector_state(tool.injector),
+                    tool.activations - activations, result)
+        self.records.setdefault(key, []).append(r)
+        self.nbytes += r.nbytes
+        return result
+
+    def _replay(self, r: _Launch, params, inj: bytes) -> LaunchResult:
+        dev, tool = self.dev, self.tool
+        g = dev.global_mem
+        g.data[r.changed] = r.after
+        if r.changed.size:
+            g.reach(int(r.changed.max()) + 1)
+        g._brk = r.brk
+        dev.set_params(params)
+        dev._slot_counters.clear()
+        dev._slot_counters.update(r.slots)
+        if r.injector != inj:
+            # every attribute but the descriptor, in the recorded order
+            state = vars(tool.injector)
+            desc = state["desc"]
+            state.clear()
+            state.update({"desc": desc, **pickle.loads(r.injector)})
+        tool.activations += r.activations
+        self.stats.saved_instructions += r.result.instructions_executed
+        self.shortcuts.append("launch-memo")
+        return replace(r.result)
+
+
 def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
                     watchdog: int, stats: AccelStats,
                     shortcuts: list | None = None):
@@ -763,19 +937,39 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
     round boundary past the last site that matches a golden checkpoint
     raises :class:`EarlyMasked`, and a launch that outruns its golden
     counterpart (or has none) is watched by :class:`HangCycle`, which
-    appends the kind of each fast-forward to *shortcuts*."""
+    appends the kind of each fast-forward to *shortcuts*. A launch past
+    the end of the golden launch list that repeats an earlier one of the
+    run is served by the run's :class:`_LaunchMemo` (``"launch-memo"``)."""
     first = int(sites[0])
     last = int(sites[-1])
     ck_at = {(c.launch, c.cta, c.executed): c for c in trace.checkpoints}
     state = {"launch": 0}
+    shortcuts = [] if shortcuts is None else shortcuts
+    memo = _LaunchMemo(dev, tool, stats, shortcuts)
+
+    def run(program, grid, block, params, shared_words, hook, resume=None):
+        try:
+            return dev.launch(program, grid, block, params=params,
+                              shared_words=shared_words, watchdog=watchdog,
+                              instrumentation=tool, round_hook=hook,
+                              resume=resume)
+        finally:
+            # a period or a watch left unfinished by the launch
+            tool.recorder = tool.watch = None
 
     def launcher(program, grid, block, params=(), shared_words=None):
         m = state["launch"]
         state["launch"] += 1
-        rec = trace.launches[m] if m < len(trace.launches) else None
+        if m >= len(trace.launches):
+            # past the golden launch list: no golden to meet, so the
+            # round hook is the hang detector alone
+            return memo.launch(lambda: run(
+                program, grid, block, params, shared_words,
+                HangCycle(dev, tool, watchdog, stats, shortcuts)),
+                program, grid, block, params, shared_words)
+        rec = trace.launches[m]
 
-        if (rec is not None
-                and rec.start_index + rec.instructions_executed <= first):
+        if rec.start_index + rec.instructions_executed <= first:
             # the whole launch precedes the first activation: restore the
             # golden post-launch snapshot (host reads between launches see
             # identical memory) and report the golden statistics
@@ -787,7 +981,7 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
                 instructions_executed=rec.instructions_executed)
 
         resume = None
-        if rec is not None and rec.start_index <= first:
+        if rec.start_index <= first:
             ck = trace.best_checkpoint(first)
             if ck is not None and ck.launch == m:
                 resume = ck.resume()
@@ -795,31 +989,21 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
                 stats.saved_instructions += ck.executed
 
         hang = HangCycle(dev, tool, watchdog, stats, shortcuts)
-        if rec is None:
-            hook = hang  # past the golden launch list: no golden to meet
-        else:
-            def hook(cta, executed, warps, shared_mem,
-                     _base=rec.start_index, _m=m,
-                     _golden=rec.instructions_executed):
-                if executed > _golden:
-                    # past every golden checkpoint of this launch
-                    return hang(cta, executed, warps, shared_mem)
-                idx = _base + executed
-                if last >= idx:
-                    return  # activation sites remain: cannot exit yet
-                ck = ck_at.get((_m, cta, executed))
-                if ck is not None and checkpoint_matches(dev, ck, warps,
-                                                         shared_mem):
-                    raise EarlyMasked
 
-        try:
-            return dev.launch(program, grid, block, params=params,
-                              shared_words=shared_words, watchdog=watchdog,
-                              instrumentation=tool, round_hook=hook,
-                              resume=resume)
-        finally:
-            # a period or a watch left unfinished by the launch
-            tool.recorder = tool.watch = None
+        def hook(cta, executed, warps, shared_mem,
+                 _base=rec.start_index, _golden=rec.instructions_executed):
+            if executed > _golden:
+                # past every golden checkpoint of this launch
+                return hang(cta, executed, warps, shared_mem)
+            idx = _base + executed
+            if last >= idx:
+                return  # activation sites remain: cannot exit yet
+            ck = ck_at.get((m, cta, executed))
+            if ck is not None and checkpoint_matches(dev, ck, warps,
+                                                     shared_mem):
+                raise EarlyMasked
+
+        return run(program, grid, block, params, shared_words, hook, resume)
 
     return launcher
 

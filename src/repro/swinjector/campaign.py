@@ -191,10 +191,11 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
     without simulating, pre-activation launches are skipped, the
     first-activation launch resumes from a golden checkpoint, a run that
     reconverges with golden past its last activation site exits Masked
-    early, and a loop that provably repeats its state, or moves it by a
+    early, a loop that provably repeats its state, or moves it by a
     constant delta per period, is fast-forwarded over the periods proved
-    to repeat. *sites* (the descriptor's activation sites in
-    *trace*) may be precomputed.
+    to repeat, and a launch past the golden launch list that repeats an
+    earlier launch's state is served from the run's launch memo. *sites*
+    (the descriptor's activation sites in *trace*) may be precomputed.
     """
     app, model = w.meta.name, desc.model
     tool = NVBitPERfi(desc, site_filter=trace is not None)
@@ -223,8 +224,9 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
 
     dev = Device(DeviceConfig(global_mem_words=mem_words))
     #: shortcuts the accelerated replay took, in order: "cycle"/"affine"
-    #: per loop fast-forward, then "early-exit"; the last one is the
-    #: span's ``accel`` attribute
+    #: per loop fast-forward, "launch-memo" per launch served from the
+    #: run's launch memo, then "early-exit"; the last one is the span's
+    #: ``accel`` attribute
     shortcuts: list[str] = []
     if trace is None:
         def launcher(program, grid, block, params=(), shared_words=None):

@@ -30,6 +30,7 @@ from repro.gatelevel.faults import full_fault_list, sample_faults
 from repro.gatelevel.sim import LogicSim
 from repro.gatelevel.units import build_unit
 from repro.isa import PT, CmpOp, KernelBuilder, RZ, SpecialReg
+from repro.isa.opcodes import Op
 from repro.swinjector.campaign import OUTCOMES, _run_epr_unit
 from repro.swinjector.instrumentation import NVBitPERfi, make_descriptor
 from repro.workloads.base import Workload, WorkloadMeta
@@ -1442,6 +1443,284 @@ class TestLoopCycleFuzz:
             budgets, _ = self._budgets(spec, np.random.default_rng(0x100C))
         assert _spin_sweep(spec, budgets, {budgets[0]}, proofs) == 0
         assert proofs[0] == 0
+
+    def test_two_warp_hang_arms_no_watch(self, monkeypatch, proofs):
+        # both warps spin for ever: every round boundary past the first
+        # slice asks whether the CTA has one unfinished warp, and the two
+        # warps it found live last time answer it without a watch
+        from repro.swinjector import accel
+
+        calls = {"hook": 0, "arm": 0}
+        hook, arm = accel.HangCycle.__call__, accel.HangCycle._arm
+
+        def spy_hook(self, *args):
+            calls["hook"] += 1
+            return hook(self, *args)
+
+        def spy_arm(self, *args):
+            calls["arm"] += 1
+            return arm(self, *args)
+        monkeypatch.setattr(accel.HangCycle, "__call__", spy_hook)
+        monkeypatch.setattr(accel.HangCycle, "_arm", spy_arm)
+        spec = _Spin(("isetp", "gst", "nop", "iadd"), waiter=True)
+        assert _spin_sweep(spec, [4_096], {4_096}, proofs) == 0
+        assert calls["hook"] > 4 and calls["arm"] == 0
+
+
+# -- launch memo ---------------------------------------------------------
+# A host loop relaunches one kernel while the flag it reads back is wrong:
+# once in the golden run, _RELAUNCHES times under the fault, so every
+# launch but the first lies past the golden launch list.
+
+_RELAUNCHES = 16
+#: the global word the host writes, and the constant slot the kernel
+#: reads past the two parameters the host passes
+_HOST_WORD, _CONST_SLOT = 60, 2
+
+
+def _step_kernel():
+    """Per CTA ``c``: ``out[4c] = flag`` and ``out[4c + 1] = out[60] + k``,
+    where ``flag = n == 8 ? n - 7 : 0`` (1 in the golden run) and ``k`` is
+    the constant word at :data:`_CONST_SLOT`."""
+    k = KernelBuilder("step", nregs=16)
+    n = k.load_param(0)
+    out = k.load_param(1)
+    word = k.load_param(_CONST_SLOT)
+    base = k.s2r_ctaid_x()
+    k.shl(base, base, imm=4)
+    k.iadd(base, base, out)
+    flag = k.reg()
+    k.isub(flag, n, imm=7)
+    p = k.pred()
+    k.isetp(p, n, imm=8, cmp=CmpOp.EQ)
+    k.sel(flag, flag, RZ, p)
+    k.gst(base, flag)
+    v = k.reg()
+    k.gld(v, out, offset=4 * _HOST_WORD)
+    k.iadd(v, v, word)
+    k.gst(base, v, offset=4)
+    k.exit()
+    return k.build()
+
+
+class _RelaunchApp(Workload):
+    """The host loop over :func:`_step_kernel`. Before launch ``i`` it
+    writes ``i % 5`` to the host word (``"host-word"``) or to the constant
+    word (``"constant"``), or ``i % 3`` to the host word (``"injector"``);
+    ``"grid"`` launches three CTAs. Every launch moves the warp-slot
+    counters on. Keeps its output and launch count."""
+
+    meta = WorkloadMeta("relaunch", "int32", "test", "isa.builder")
+    scales = {"tiny": {}}
+
+    def __init__(self, case: str):
+        self.case = case
+        self.bits = None
+        self.launches = 0
+        super().__init__("tiny")
+
+    def _init_data(self) -> None:
+        pass
+
+    def _build_programs(self):
+        return {"step": _step_kernel()}
+
+    def run(self, device, launcher):
+        out = device.alloc(64)
+        grid = 3 if self.case == "grid" else 1
+        rows, reps = [], 1
+        self.launches = 0
+        while self.launches < reps:
+            i = np.array([self.launches % (3 if self.case == "injector"
+                                           else 5)], dtype=np.uint32)
+            if self.case in ("host-word", "injector"):
+                device.write(out + 4 * _HOST_WORD, i)
+            elif self.case == "constant":
+                device.constant_mem.write_words(4 * _CONST_SLOT, i)
+            launcher(self.programs()["step"], grid=grid, block=32,
+                     params=(8, out))
+            self.launches += 1
+            rows.append(device.read(out, 4 * grid))
+            if device.read(out, 1)[0] != 1:
+                reps = _RELAUNCHES
+        self.bits = np.concatenate(rows)
+        return self.bits
+
+
+#: IOC turning every integer op into MOV: the flag reads 8, and the
+#: injector keeps the last operands it saw (the host word) across launches
+_IOC_MOV = ErrorDescriptor(ErrorModel.IOC, replacement_op=Op.MOV)
+
+#: per case: the descriptor, and how many of the 15 launches past the
+#: golden one repeat an earlier launch's state. A one-CTA launch moves
+#: SM 0's slot counter (12 slots) by one, so the slots repeat every 12
+#: launches: launches 13-15 meet the slots of 1-3, but a host or constant
+#: word of period 5 differs there, and one of period 3 does not.
+_RELAUNCH_CASES = {
+    "host-word": (_WV, 0),
+    "constant": (_WV, 0),
+    "injector": (_IOC_MOV, 3),
+    # SM 0's counter moves by 2 a launch and SM 1's by 1: the state
+    # repeats every 12 launches; the fault hits slots 0 and 1 only
+    "grid": (ErrorDescriptor(ErrorModel.WV, warp_slots=frozenset({0, 1})),
+             3),
+}
+
+
+@pytest.fixture
+def memo_calls(monkeypatch):
+    """``{"launch": n, "hit": n}``: launches handed to the launch memo,
+    and the ones it served."""
+    from repro.swinjector import accel
+
+    calls = {"launch": 0, "hit": 0}
+    launch, replay = accel._LaunchMemo.launch, accel._LaunchMemo._replay
+
+    def spy_launch(self, *args):
+        calls["launch"] += 1
+        return launch(self, *args)
+
+    def spy_replay(self, *args):
+        calls["hit"] += 1
+        return replay(self, *args)
+    monkeypatch.setattr(accel._LaunchMemo, "launch", spy_launch)
+    monkeypatch.setattr(accel._LaunchMemo, "_replay", spy_replay)
+    return calls
+
+
+class TestLaunchMemo:
+    """A launch past the golden launch list that repeats an earlier
+    launch's state is served from the run's launch memo; the run ends
+    exactly as the cold replay's (docs/PERFORMANCE.md, "Launch memo")."""
+
+    @pytest.mark.parametrize("model, index", [
+        ("IMD", 0), ("IMD", 1), ("IMD", 4), ("IMS", 7)])
+    def test_quicksort_runaways(self, model, index, memo_calls):
+        # the host partition loop runs to its step budget: a watchdog DUE
+        # after ~256 launches, of which only a few states are distinct
+        from repro.campaign.goldens import cached_workload, reference_run
+        from repro.swinjector.accel import AccelStats
+        from repro.swinjector.campaign import replay_injection
+
+        mem = 1 << 20
+        w = cached_workload("quicksort", "tiny", HANG_SEED)
+        golden, trace = reference_run(w, mem, traced_key="")
+        watchdog = 10 * golden.dynamic_instructions + 10_000
+        desc = make_descriptor(ErrorModel(model), HANG_SEED, index)
+        fast = replay_injection(w, desc, golden.bits, watchdog, mem, trace,
+                                AccelStats())
+        cold = replay_injection(w, desc, golden.bits, watchdog, mem)
+        assert fast == cold
+        assert cold.due_reason == "watchdog-timeout"
+        assert memo_calls["hit"] > memo_calls["launch"] // 2 > 0
+
+    @pytest.mark.parametrize("case", sorted(_RELAUNCH_CASES))
+    def test_builder_host_loops(self, case, memo_calls):
+        from repro.campaign.goldens import reference_run
+        from repro.swinjector.accel import AccelStats
+        from repro.swinjector.campaign import replay_injection
+
+        desc, hits = _RELAUNCH_CASES[case]
+        w = _RelaunchApp(case)
+        golden, trace = reference_run(w, _MEM_WORDS, traced_key="")
+        assert len(trace.launches) == 1
+        fast = replay_injection(w, desc, golden.bits, 4_096, _MEM_WORDS,
+                                trace, AccelStats())
+        fast_bits = w.bits
+        assert w.launches == _RELAUNCHES
+        # the golden launch is never looked up
+        assert memo_calls == {"launch": _RELAUNCHES - 1, "hit": hits}
+        cold = replay_injection(w, desc, golden.bits, 4_096, _MEM_WORDS)
+        assert fast == cold and fast.outcome == "sdc"
+        assert cold.activations > 0
+        assert np.array_equal(fast_bits, w.bits)
+
+    def test_changes_rebuild_the_memory(self):
+        # random sparse memories before and after: the recorded changes
+        # turn the one into the other, and only changed words are listed
+        from repro.swinjector.accel import _changes, _Words
+
+        rng = np.random.default_rng(0x3E30)
+        for _ in range(200):
+            n = int(rng.integers(1, 64))
+            before = np.where(rng.random(n) < 0.3,
+                              rng.integers(1, 4, n), 0).astype(np.uint32)
+            after = np.where(rng.random(n) < 0.3, before,
+                             np.where(rng.random(n) < 0.5,
+                                      rng.integers(0, 4, n), 0)
+                             ).astype(np.uint32)
+            mem = SimpleNamespace(data=before.copy(), extent=n)
+            was = _Words.of(mem)
+            mem.data = after.copy()
+            words, values = _changes(mem, was)
+            rebuilt = before.copy()
+            rebuilt[words] = values
+            assert np.array_equal(rebuilt, after)
+            assert sorted(words) == list(np.flatnonzero(before != after))
+
+    @pytest.mark.parametrize("change", [
+        None, "host-word", "constant", "slots", "injector", "params"])
+    def test_hit_needs_the_same_state(self, change):
+        # one launch recorded, the state before it restored, one thing
+        # changed: only an unchanged state is served, and the served
+        # launch leaves what the simulated one left
+        import pickle
+
+        from repro.gpusim.config import DeviceConfig
+        from repro.gpusim.device import Device
+        from repro.gpusim.snapshot import restore_device, snapshot_device
+        from repro.swinjector.accel import (AccelStats, _LaunchMemo,
+                                            injector_state)
+
+        dev = Device(DeviceConfig(global_mem_words=_MEM_WORDS))
+        tool = NVBitPERfi(_IOC_MOV, site_filter=True)
+        program = _step_kernel()
+        out = dev.alloc(64)
+        dev.write(out + 4 * _HOST_WORD, np.array([5], dtype=np.uint32))
+        memo = _LaunchMemo(dev, tool, AccelStats(), [])
+        runs = []
+
+        def launch(n=8):
+            def run():
+                runs.append(n)
+                return dev.launch(program, 1, 32, params=(n, out),
+                                  watchdog=4_096, instrumentation=tool)
+            return memo.launch(run, program, 1, 32, (n, out), None)
+
+        def state():
+            snap = snapshot_device(dev)
+            return (snap.global_data.tobytes(), snap.global_brk,
+                    snap.constant_data.tobytes(), snap.slot_counters,
+                    injector_state(tool.injector), tool.activations)
+
+        before = snapshot_device(dev)
+        inj = dict(vars(tool.injector))
+        first = launch()
+        after = state()
+        restore_device(dev, before)
+        vars(tool.injector).clear()
+        vars(tool.injector).update(inj)
+        tool.activations = 0
+        n = 8
+        if change == "host-word":
+            dev.write(out + 4 * _HOST_WORD, np.array([6], dtype=np.uint32))
+        elif change == "constant":
+            dev.constant_mem.write_words(4 * _CONST_SLOT,
+                                         np.array([1], dtype=np.uint32))
+        elif change == "slots":
+            dev._slot_counters[(0, 0)] = 1
+        elif change == "injector":
+            tool.injector._srcs = pickle.loads(pickle.dumps(
+                [np.zeros(32, dtype=np.uint32)]))
+        elif change == "params":
+            n = 8.0  # the same number, other constant-memory bits
+        second = launch(n)
+        if change is None:
+            assert runs == [8]
+            assert second == first and second is not first
+            assert state() == after
+        else:
+            assert len(runs) == 2
 
 
 class TestGateEquivalence:

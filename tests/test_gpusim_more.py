@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errormodels import ErrorDescriptor, ErrorModel
 from repro.gpusim import Device, DeviceConfig
-from repro.gpusim.executor import WARP_SIZE
-from repro.isa import CmpOp, KernelBuilder, Op, RZ
+from repro.gpusim.executor import WARP_SIZE, WarpState
+from repro.isa import CmpOp, KernelBuilder, Op, RZ, SpecialReg
 from repro.workloads.kutil import elem_addr, global_tid_x
 
 
@@ -364,3 +365,121 @@ class TestSimInstructionCounter:
         before = counter.total()
         res = device.launch(k.build(), 2, 2 * WARP_SIZE)
         assert counter.total() - before == res.instructions_executed == 8
+
+
+def _identity_reference(warp_in_cta, block, grid, cta_coord, sm_id):
+    """A warp's alive mask and S2R sources, from first principles."""
+    bx, by, bz = block
+    n = bx * by * bz
+    lin = warp_in_cta * WARP_SIZE + np.arange(WARP_SIZE)
+    alive = lin < n
+    lin = np.minimum(lin, n - 1)
+    values = {
+        SpecialReg.TID_X: lin % bx, SpecialReg.TID_Y: lin // bx % by,
+        SpecialReg.TID_Z: lin // (bx * by),
+        SpecialReg.LANEID: np.arange(WARP_SIZE),
+        SpecialReg.WARPID: warp_in_cta, SpecialReg.SMID: sm_id,
+    }
+    for names, dims in (("CTAID", cta_coord), ("NTID", block),
+                        ("NCTAID", grid)):
+        for axis, d in zip("XYZ", dims):
+            values[SpecialReg[f"{names}_{axis}"]] = d
+    return alive, {s: np.broadcast_to(np.asarray(v, dtype=np.uint32),
+                                      (WARP_SIZE,))
+                   for s, v in values.items()}
+
+
+def _s2r_kernel(sreg: SpecialReg):
+    """``out[32·warp + lane] = <sreg>``; the address reads no register an
+    S2R injector corrupts."""
+    k = KernelBuilder("s2r", nregs=8)
+    out = k.load_param(0)
+    v = k.s2r_new(sreg)
+    a = k.s2r_new(SpecialReg.WARPID)
+    lane = k.s2r_new(SpecialReg.LANEID)
+    k.shl(a, a, imm=5)
+    k.iadd(a, a, lane)
+    k.shl(a, a, imm=2)
+    k.iadd(a, a, out)
+    k.gst(a, v)
+    k.exit()
+    return k.build()
+
+
+class TestWarpIdentity:
+    """``WarpState`` takes its alive mask and S2R sources from a cached,
+    read-only template of the launch geometry."""
+
+    GEOMETRIES = [
+        (0, (32, 1, 1), (1, 1, 1), (0, 0, 0), 0),
+        (1, (17, 1, 1), (3, 1, 1), (2, 0, 0), 0),
+        (2, (40, 3, 2), (5, 2, 3), (4, 1, 2), 1),
+        (0, (5, 5, 1), (2, 2, 1), (1, 1, 0), 1),
+    ]
+
+    @staticmethod
+    def _warp(warp_in_cta, block, grid, cta_coord, sm_id):
+        k = KernelBuilder("id", nregs=4)
+        k.exit()
+        return WarpState(k.build(), 0, warp_in_cta, block, grid, cta_coord,
+                         sm_id, 0, 0)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_sources_match_the_geometry(self, geometry):
+        w = self._warp(*geometry)
+        alive, ref = _identity_reference(*geometry)
+        assert np.array_equal(w.alive, alive)
+        assert np.array_equal(w.stack[0].mask, alive)
+        assert len(w.sregs) == len(SpecialReg)
+        for s in SpecialReg:
+            assert np.array_equal(w.sregs[s], ref[s]), s
+
+    def test_template_vectors_are_read_only(self):
+        a = self._warp(*self.GEOMETRIES[2])
+        b = self._warp(*self.GEOMETRIES[2])
+        assert a.sregs is b.sregs
+        for v in a.sregs:
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 7
+        # the alive mask is the warp's own
+        a.alive[0] = False
+        assert b.alive[0] and b.stack[0].mask[0]
+
+    def test_materialize_warp_keeps_the_identity(self):
+        from repro.gpusim.snapshot import materialize_warp, snapshot_warp
+
+        geometry = self.GEOMETRIES[1]
+        w = self._warp(*geometry)
+        w.alive[3] = False
+        w.regs[:, 1] = 9
+        clone = materialize_warp(snapshot_warp(w), w.program, *geometry[1:4])
+        assert clone.sregs is w.sregs
+        assert np.array_equal(clone.alive, w.alive)
+        assert clone.alive is not w.alive
+        assert np.array_equal(clone.regs, w.regs)
+
+    @pytest.mark.parametrize("model, sreg", [
+        (ErrorModel.IAT, SpecialReg.TID_X), (ErrorModel.IAW, SpecialReg.TID_X),
+        (ErrorModel.IAC, SpecialReg.CTAID_X)])
+    def test_s2r_injectors(self, device, model, sreg):
+        # three CTAs write one output: CTA 2 (on SM 0) writes last, and
+        # its warp 0 (sub-partition 0) is the victim; a plain launch after
+        # the faulty one reads the templates unchanged
+        from repro.swinjector import NVBitPERfi
+
+        desc = ErrorDescriptor(model, thread_mask=0x0000FF0F, bit_err_mask=2)
+        program = _s2r_kernel(sreg)
+        out = device.alloc(4 * WARP_SIZE)
+        _, ref = _identity_reference(0, (128, 1, 1), (3, 1, 1), (2, 0, 0), 0)
+        want = np.concatenate([
+            np.full(WARP_SIZE, 2) if sreg is SpecialReg.CTAID_X
+            else np.arange(WARP_SIZE) + WARP_SIZE * w for w in range(4)])
+        device.launch(program, 3, 128, params=(out,),
+                      instrumentation=NVBitPERfi(desc))
+        victims = np.zeros(4 * WARP_SIZE, dtype=bool)
+        victims[:WARP_SIZE] = [(0x0000FF0F >> i) & 1 for i in range(32)]
+        assert np.array_equal(device.read(out, 4 * WARP_SIZE),
+                              np.where(victims, want ^ 2, want))
+        device.launch(program, 3, 128, params=(out,))
+        assert np.array_equal(device.read(out, 4 * WARP_SIZE), want)
+        assert np.array_equal(ref[sreg], want[:WARP_SIZE])

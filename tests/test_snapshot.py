@@ -391,6 +391,70 @@ class TestCheckpointCache:
         assert len(b.launches) == len(a.launches)
         assert b.total_instructions == a.total_instructions
 
+    def test_spill_stacks_fields_and_round_trips_every_warp(self, tmp_path):
+        # one .npz member per snapshot field, whatever the number of
+        # checkpoints and warps, and every field reads back exactly
+        import zipfile
+
+        cache = CheckpointCache()
+        cache.persist_to(tmp_path)
+        a = cache.get("bfs", "tiny", 1)
+        (path,) = tmp_path.glob("*.trace.npz")
+        assert len(a.checkpoints) > 4
+        assert sum(len(ck.warps) for ck in a.checkpoints) > 8
+        assert len(zipfile.ZipFile(path).namelist()) == 27
+
+        fresh = CheckpointCache()
+        fresh.persist_to(tmp_path)
+        b = fresh.get("bfs", "tiny", 1)
+        assert fresh.disk_hits == 1
+
+        def same(x, y):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+        for x, y in zip(b.post_launch, a.post_launch, strict=True):
+            same(x.global_data, y.global_data)
+            same(x.constant_data, y.constant_data)
+            assert (x.global_brk, x.slot_counters) == \
+                   (y.global_brk, y.slot_counters)
+        for x, y in zip(b.checkpoints, a.checkpoints, strict=True):
+            same(x.shared, y.shared)
+            same(x.device.global_data, y.device.global_data)
+            same(x.device.constant_data, y.device.constant_data)
+            for u, v in zip(x.warps, y.warps, strict=True):
+                for f in ("alive", "regs", "preds", "stack_reconv",
+                          "stack_next", "stack_masks"):
+                    same(getattr(u, f), getattr(v, f))
+                assert u.regs.flags.c_contiguous
+                assert (u.cta, u.warp_in_cta, u.sm_id, u.subpartition,
+                        u.warp_slot, u.at_barrier,
+                        u.instructions_executed) == \
+                       (v.cta, v.warp_in_cta, v.sm_id, v.subpartition,
+                        v.warp_slot, v.at_barrier, v.instructions_executed)
+
+    def test_spill_in_another_layout_is_a_miss(self, tmp_path):
+        # a spill without this layout's tag (as the per-warp layout
+        # wrote it), digest intact, is recomputed, not decoded
+        import json
+
+        from repro.campaign import goldens
+
+        cache = CheckpointCache()
+        cache.persist_to(tmp_path)
+        a = cache.get("vectoradd", "tiny", 1)
+        (path,) = tmp_path.glob("*.trace.npz")
+        arrays, meta = goldens._trace_to_arrays(a)
+        del meta["layout"]
+        meta["trace_digest"] = goldens._trace_digest(arrays, meta)
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+
+        fresh = CheckpointCache()
+        fresh.persist_to(tmp_path)
+        b = fresh.get("vectoradd", "tiny", 1)
+        assert (fresh.disk_hits, fresh.disk_rejects, fresh.misses) == (0, 1, 1)
+        assert b.digest == a.digest
+
     def test_corrupt_disk_entry_is_discarded(self, tmp_path):
         cache = CheckpointCache()
         cache.persist_to(tmp_path)
