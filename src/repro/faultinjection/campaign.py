@@ -250,7 +250,8 @@ def _golden_run_inner(unit: UnitModel, stimuli: list[Stimulus]) -> GoldenRun:
     for c in range(n_cycles):
         sim.cycle({name: sim.pack_patterns([tx[c][name] for tx in txs],
                                            len(nets))
-                   for name, nets in nl.inputs.items() if name in txs[0][c]})
+                   for name, nets in nl.inputs.items() if name in txs[0][c]},
+                  sample=False)
         any1 |= sim.vals
         any0 |= ~sim.vals
         planes[c] = sim.vals[out_nets]
@@ -488,7 +489,7 @@ def _replay_batch(unit, batch_faults, nets, sa, stimuli, golden,
                 bits = (vals >> _BIT_SHIFTS[:len(in_nets), None]) \
                     & np.uint64(1)
                 inputs[name] = _spread(bits * ALL_ONES, *runs)
-            sim.cycle(inputs)
+            sim.cycle(inputs, sample=False)
             out = sim.vals[out_nets]
             live_words |= np.bitwise_or.reduce(out[live_rows], axis=0)
             diff = out ^ _spread(gold[cyc], *runs)

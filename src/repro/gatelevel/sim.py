@@ -214,8 +214,11 @@ class LogicSim:
         return bus_values(lane_bits(arr, n_lanes))
 
     # ------------------------------------------------------------------
-    def cycle(self, inputs: dict[str, int | np.ndarray]) -> dict[str, np.ndarray]:
-        """Advance one clock cycle; returns {output_name: (width, W)}."""
+    def cycle(self, inputs: dict[str, int | np.ndarray],
+              sample: bool = True) -> dict[str, np.ndarray] | None:
+        """Advance one clock cycle; returns {output_name: (width, W)}, or
+        ``None`` without *sample* (the values stay readable in
+        :attr:`vals` until the next cycle)."""
         nl = self.netlist
         vals = self.vals
         # 1. drive inputs
@@ -244,12 +247,13 @@ class LogicSim:
                     np.invert(a, out=a)
                 vals[idx] = a
             self._apply_faults(lvl)
-        # 5. sample outputs
-        out = {name: vals[nets] for name, nets in nl.outputs.items()}
-        # 6. clock DFFs (D values already include any fault forcing)
+        # 5. clock DFFs (D values already include any fault forcing)
         if len(self._dff_nets):
             self.state = vals[self._dff_d]
-        return out
+        # 6. sample outputs
+        if sample:
+            return {name: vals[nets] for name, nets in nl.outputs.items()}
+        return None
 
     def _apply_faults(self, level: int) -> None:
         rows = self._fault_rows.get(level)

@@ -18,18 +18,19 @@ names an out-of-range register decodes to a checked step, so
 :class:`~repro.common.exceptions.InvalidRegisterError` is raised when —
 and only when — it executes.
 
-Whole-warp fast path. :meth:`WarpExecutor.run_slice` caches the
-top-of-stack entry and its active mask between *events* that can change
-them: slice entry, a divergent ``BRA`` push, a reconvergence pop,
-``EXIT``, ``BAR`` and any step where a hook ran. While every lane is
-alive and the top-of-stack mask is full, unguarded instructions write
-whole register columns and skip the mask reductions (docs/PERFORMANCE.md,
-"Decode-once executor").
+One loop. :meth:`WarpExecutor.run_slice` steps a warp through a table
+read once per slice: the decode table, or the one the instrumentation
+hands out for the warp (NVBitPERfi compiles its error functions into
+the steps of its target pcs). An instrumentation with only
+``before``/``after`` hooks (the RTL tool) gets a table whose every step
+runs them around the instruction through a :class:`HookContext`.
 
-Instrumentation (NVBitPERfi) attaches *before*/*after* hooks to program
-counters; hooks receive a :class:`HookContext` exposing masked register,
-predicate and memory access — the same powers NVBit instrumentation
-functions have on real hardware.
+Whole-warp fast path. The loop caches the top-of-stack entry and its
+active mask between *events* that can change them: slice entry, a
+divergent ``BRA`` push, a reconvergence pop, ``EXIT``, ``BAR`` and any
+hooked step. While every lane is alive and the top-of-stack mask is
+full, unguarded instructions write whole register columns and skip the
+mask reductions (docs/PERFORMANCE.md, "Decode-once executor").
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class TraceEvent:
 
 
 class Instrumentation(Protocol):
-    """Interface NVBitPERfi implements to hook the executor."""
+    """Hooks around every step (the RTL tool); NVBitPERfi instead hands
+    out each slice's step table, ``table(warp, decoded) -> steps``."""
 
     def before(self, ctx: "HookContext") -> None: ...
 
@@ -614,6 +616,32 @@ def decode(program: Program) -> _Decoded:
     return table
 
 
+def _hook_table(decoded: _Decoded, hooks: Instrumentation) -> list:
+    """*decoded*'s steps, each inside the generic hook pair: fresh masks,
+    ``before`` (seeing the step's pc as the warp's next pc), the exec-mask
+    override honoured, the step, ``after``, and a forced re-sync."""
+    def hooked(pc, step, guard, neg, instr):
+        def run(w, m, active, top, env):
+            active = top.mask & w.alive
+            if guard is None:
+                exec_mask = active.copy()
+            else:
+                g = w.pcols[guard]
+                exec_mask = active > g if neg else active & g
+            ctx = HookContext(w, pc, instr, active, exec_mask, env)
+            top.next_pc = pc
+            hooks.before(ctx)
+            if ctx._override is not None:
+                exec_mask = ctx.exec_mask = ctx._override & w.alive
+            top.next_pc = pc + 1
+            step(w, exec_mask, active, top, env)
+            hooks.after(ctx)
+            return _SYNC
+        return run
+    return [(hooked(pc, *entry), *entry[1:])
+            for pc, entry in enumerate(decoded.steps)]
+
+
 # ----------------------------------------------------------------------
 class WarpExecutor:
     """Steps warps through a program inside one CTA."""
@@ -630,6 +658,13 @@ class WarpExecutor:
         self.instrumentation = instrumentation
         self.trace_fn = trace_fn
         self._decoded = decode(program)
+        table = getattr(instrumentation, "table", None)
+        if table is None:
+            steps = (self._decoded.steps if instrumentation is None
+                     else _hook_table(self._decoded, instrumentation))
+            table = lambda warp, decoded: steps
+        #: ``table(warp, decoded) -> steps`` for the warp's next slice
+        self._table = table
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -661,22 +696,11 @@ class WarpExecutor:
         Stops early at a barrier or warp completion. Returns the number of
         instructions executed. The slice runs under
         ``np.errstate(all="ignore")`` (simulated IEEE arithmetic never
-        warns), hooks and the trace function included.
-
-        Instrumentation may expose ``slice_gate(warp)`` to skip hook sites
-        it can prove are no-ops (``False`` = never hook this warp, a pc
-        collection = hook only those pcs, ``True`` = hook everything).
-        Skipping a site is observationally identical to running a hook
-        whose victim set is empty, so gated and ungated runs produce
-        bit-identical results (docs/PERFORMANCE.md).
+        warns), instrumentation and the trace function included, through
+        the step table the instrumentation hands out for *warp*, read once
+        per slice.
         """
-        hooks = None
-        if self.instrumentation is not None:
-            gate_fn = getattr(self.instrumentation, "slice_gate", None)
-            hooks = True if gate_fn is None else gate_fn(warp)
-            if hooks is False:
-                hooks = None
-        steps = self._decoded.steps
+        steps = self._table(warp, self._decoded)
         n = len(steps)
         env = self.env
         trace_fn = self.trace_fn
@@ -702,21 +726,17 @@ class WarpExecutor:
                         raise WatchdogTimeoutError(
                             f"{self.program.name}: PC past end")
                     step, guard, neg, instr = steps[pc]
-                    if hooks is not None and (hooks is True or pc in hooks):
-                        m = self._hooked_step(warp, pc, top)
-                        sync = True
+                    if guard is None:
+                        m = active
                     else:
-                        if guard is None:
-                            m = active
+                        g = warp.pcols[guard]
+                        if active is None:
+                            m = ~g if neg else g.copy()
                         else:
-                            g = warp.pcols[guard]
-                            if active is None:
-                                m = ~g if neg else g.copy()
-                            else:
-                                m = active > g if neg else active & g
-                        top.next_pc = pc + 1
-                        if step(warp, m, active, top, env) is resync:
-                            sync = True
+                            m = active > g if neg else active & g
+                    top.next_pc = pc + 1
+                    if step(warp, m, active, top, env) is resync:
+                        sync = True
                     warp.instructions_executed += 1
                     if trace_fn is not None:
                         self._trace(warp, pc, instr, m)
@@ -725,27 +745,6 @@ class WarpExecutor:
             if done:
                 _SIM_INSTRUCTIONS.inc(done)
         return done
-
-    def _hooked_step(self, warp: WarpState, pc: int, top: _StackEntry):
-        """One step at an instrumented site: fresh masks, the hook pair
-        around the instruction, the exec-mask override honoured. Returns
-        the exec mask the step ran under."""
-        step, guard, neg, instr = self._decoded.steps[pc]
-        active = top.mask & warp.alive
-        if guard is None:
-            exec_mask = active.copy()
-        else:
-            g = warp.pcols[guard]
-            exec_mask = active > g if neg else active & g
-        ctx = HookContext(warp, pc, instr, active, exec_mask, self.env)
-        self.instrumentation.before(ctx)
-        if ctx._override is not None:
-            exec_mask = ctx._override & warp.alive
-            ctx.exec_mask = exec_mask
-        top.next_pc = pc + 1
-        step(warp, exec_mask, active, top, self.env)
-        self.instrumentation.after(ctx)
-        return exec_mask
 
     def _trace(self, warp, pc, instr, m) -> None:
         self.trace_fn(

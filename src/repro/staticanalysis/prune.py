@@ -59,6 +59,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.errormodels.descriptor import ErrorDescriptor
 from repro.gpusim.alu import REPLACEABLE_OPS
 from repro.isa.instruction import PT, RZ, Instruction
@@ -77,7 +79,7 @@ from repro.swinjector.injectors import (
     WVInjector,
     _S2RInjector,
 )
-from repro.swinjector.instrumentation import INJECTOR_CLASSES
+from repro.swinjector.instrumentation import INJECTOR_CLASSES, target_mask
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,8 @@ class StaticPruner:
         if isinstance(injector, IPPInjector):
             effective = injector.delegate
         sites = [(a, pc) for a in self.analyses
-                 for pc in range(len(a.program.instructions))
-                 if effective.targets(a.program.instructions[pc])]
+                 for pc in np.flatnonzero(
+                     target_mask(effective, a.program)).tolist()]
         if not sites:
             return PruneDecision(True, "R1", "no static target instruction")
         for a, pc in sites:

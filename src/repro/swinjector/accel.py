@@ -67,6 +67,7 @@ from repro.gpusim.snapshot import (
 from repro.isa.instruction import RZ
 from repro.isa.opcodes import MemSpace, Op
 from repro.swinjector.injectors import BaseInjector
+from repro.swinjector.instrumentation import target_mask
 
 #: anchor visits one :class:`_LoopWatch` digests before it gives up: the
 #: bound on what a watch costs (and holds for) a hang that never repeats
@@ -175,24 +176,16 @@ def behavior_key(desc) -> tuple | None:
             *(getattr(desc, f) for f in fields))
 
 
-def _target_pc_mask(injector, program) -> np.ndarray:
-    """Static pcs of *program* the injector's error functions attach to."""
-    mask = np.zeros(len(program), dtype=bool)
-    for pc in range(len(program)):
-        mask[pc] = injector.targets(program[pc])
-    return mask
-
-
 def activation_sites(trace: GoldenTrace, desc, injector,
                      programs: dict) -> np.ndarray:
     """Global dynamic-instruction indices where *desc* activates.
 
-    Evaluates the exact condition of ``NVBitPERfi._victims`` over the
-    golden trajectory: warp coordinates match the descriptor, the static
-    instruction is targeted by the model's injector, and the thread mask
-    intersects the execution mask.  Valid for the whole faulty run up to
-    (and including) the first returned site, because the faulty run is
-    the golden run until then.
+    Evaluates the exact activation condition of the compiled sites over
+    the golden trajectory: warp coordinates match the descriptor, the
+    static instruction is targeted by the model's injector, and the
+    thread mask intersects the execution mask.  Valid for the whole
+    faulty run up to (and including) the first returned site, because
+    the faulty run is the golden run until then.
     """
     n = trace.ev_pc.size
     if n == 0 or not trace.coords:
@@ -207,7 +200,7 @@ def activation_sites(trace: GoldenTrace, desc, injector,
         e = s + rec.instructions_executed
         pc_ok = pc_masks.get(rec.program)
         if pc_ok is None:
-            pc_ok = pc_masks[rec.program] = _target_pc_mask(
+            pc_ok = pc_masks[rec.program] = target_mask(
                 injector, programs[rec.program])
         ok[s:e] = pc_ok[trace.ev_pc[s:e]]
     ok &= coord_ok[trace.ev_coord]
@@ -240,6 +233,32 @@ def _control_digest(w, inj: bytes) -> bytes:
     return h.digest()
 
 
+def fires(sel: np.ndarray | None, m: np.ndarray | None) -> bool:
+    """Does a step with victim lanes *sel* (``None``: not a target pc)
+    activate under exec mask *m* (``None``: all 32 lanes)?"""
+    if sel is None:
+        return False
+    return bool(np.count_nonzero(sel if m is None else sel & m))
+
+
+def observe(tool, watch, recorder=None) -> None:
+    """Set *watch* (``None`` unsets it) and *recorder* on *tool* for the
+    slices of ``watch.warp`` from its next one on: an overlay table in
+    which the recorder wraps every plain step, a target's inside its
+    error functions, and the watch every step it sees: its anchor and
+    ``BAR`` pcs and the target pcs, every pc while recording."""
+    tool.watch, tool.recorder, tool.overlay = watch, recorder, None
+    if watch is None:
+        return
+
+    def outer(pc, instr, step, sel):
+        if recorder is None and sel is None and pc not in watch.pcs:
+            return step
+        return watch.wrap(pc, instr, step, sel)
+    tool.overlay = watch.warp, tool.compile(
+        watch.warp, None if recorder is None else recorder.wrap, outer)
+
+
 # ----------------------------------------------------------------------
 # affine proof
 # ----------------------------------------------------------------------
@@ -248,6 +267,8 @@ _U32 = np.uint32
 _M32 = np.uint64(0xFFFFFFFF)
 _ZERO = np.zeros(WARP_SIZE, dtype=_U32)
 _ZERO.setflags(write=False)
+_FULL = np.ones(WARP_SIZE, dtype=bool)
+_FULL.setflags(write=False)
 
 #: integer ops that map affine operands to an affine result (IMUL and
 #: IMAD need an invariant factor on every lane, SHL an invariant shift)
@@ -258,35 +279,43 @@ _STORES = frozenset({Op.GST, Op.STS})
 
 class _PeriodRecorder:
     """One period of dynamic instructions with their operand values,
-    recorded as the tool's :attr:`~NVBitPERfi.recorder` (every step is a
-    hook site while it is set)."""
+    recorded as the tool's :attr:`~NVBitPERfi.recorder`: it wraps every
+    plain step of the watched warp, inside the error function of a
+    target pc, so it sees the operands the instruction reads and the
+    result it writes."""
 
-    def __init__(self, injector: BaseInjector):
-        self.injector = injector
+    def __init__(self, tool):
+        self.tool = tool
         #: per step: (instr, exec mask, operand values or ``None`` when a
         #: register is out of range, result or ``None``, the registers
         #: the error functions may touch when the step activated, else ())
         self.steps: list[tuple] = []
-        self._open = None
 
-    def before(self, ctx, activated: bool) -> None:
-        instr = ctx.instr
-        try:
-            vals = [ctx.read_reg(r) for r in instr.srcs]
-        except InvalidRegisterError:
-            vals = None  # the step itself raises
-        else:
-            if instr.use_imm:
-                vals.append(np.full(WARP_SIZE, instr.imm, dtype=_U32))
-        touched = self.injector.registers(instr) if activated else ()
-        self._open = (instr, vals, touched)
+    def wrap(self, pc: int, instr, step, sel):
+        """*step* of *instr*, recorded while this recorder is set (*sel*:
+        the victim lanes when *pc* is a target, else ``None``)."""
+        tool = self.tool
+        srcs, dst = instr.srcs, instr.dst
+        writes = instr.info.writes_reg and dst != RZ
 
-    def after(self, ctx) -> None:
-        instr, vals, touched = self._open
-        res = None
-        if vals is not None and instr.info.writes_reg and instr.dst != RZ:
-            res = ctx.read_reg(instr.dst)
-        self.steps.append((instr, ctx.exec_mask.copy(), vals, res, touched))
+        def recorded(w, m, active, top, env):
+            if tool.recorder is not self:
+                return step(w, m, active, top, env)
+            try:
+                vals = [w.read_reg(r) for r in srcs]
+            except InvalidRegisterError:
+                vals = None  # the step itself raises
+            else:
+                if instr.use_imm:
+                    vals.append(np.full(WARP_SIZE, instr.imm, dtype=_U32))
+            touched = (tool.injector.registers(instr) if fires(sel, m)
+                       else ())
+            res = step(w, m, active, top, env)
+            out = w.read_reg(dst) if vals is not None and writes else None
+            self.steps.append((instr, _FULL.copy() if m is None else m.copy(),
+                               vals, out, touched))
+            return res
+        return recorded
 
 
 def _first_failure(fails, limit: int) -> int:
@@ -488,11 +517,12 @@ class _Period:
 class _LoopWatch:
     """The one source of loop periods of :class:`HangCycle`: a watch on
     the only unfinished warp of a CTA, set as the tool's
-    :attr:`~NVBitPERfi.watch`.
+    :attr:`~NVBitPERfi.watch` (:func:`observe`).
 
-    It hooks an *anchor* pc (the warp's next pc when the watch arms) and
-    the program's ``BAR`` pcs. At each anchor visit, before the error
-    function, the warp's control state and the injector state are
+    It wraps the warp's steps at an *anchor* pc (the warp's next pc when
+    the watch arms), the program's ``BAR`` pcs and the target pcs, where
+    it sees whether the step activates. At each anchor visit, before the
+    error function, the warp's control state and the injector state are
     digested (:func:`_control_digest`). A digest seen ``L`` instructions
     earlier makes ``L`` a candidate period: the exact state at that visit
     ``E`` is captured and the activations of ``[E, E + L)`` are recorded
@@ -506,13 +536,14 @@ class _LoopWatch:
 
     A watch armed with the *length* of a proved period records one period
     instead: the tool's :attr:`~NVBitPERfi.recorder` was set with it, at
-    a round boundary, so every step is hooked; its first step must be
+    a round boundary, and both wrap every step; its first step must be
     the anchor, which starts the period ``E`` without a digest, and the
     proof at ``E + L`` keeps the recorded steps.
 
     The watch ends at a proof, at a failed comparison, at a ``BAR`` in a
     candidate period, or after :data:`_MAX_VISITS` visits; ending, it
-    unsets the recorder too. Launch counts are the warp's own count plus
+    unsets the recorder too, and its wrappers pass the steps through for
+    the rest of the slice. Launch counts are the warp's own count plus
     *offset*, fixed when the watch arms: only this warp runs, and any
     fast-forward drops the watch."""
 
@@ -535,16 +566,32 @@ class _LoopWatch:
         self.candidate: _Period | None = None
         self.proof: _Period | None = None
 
-    def before(self, ctx, activated: bool) -> None:
+    def wrap(self, pc: int, instr, step, sel):
+        """*step* with this watch's visit in front, while the watch is set
+        (*sel*: the victim lanes when *pc* is a target, else ``None``).
+        The visit sees the warp before the step, its next pc still *pc*."""
+        tool = self.tool
+
+        def watched(w, m, active, top, env):
+            if tool.watch is self:
+                top.next_pc = pc
+                self.before(pc, fires(sel, m))
+                top.next_pc = pc + 1
+            return step(w, m, active, top, env)
+        return watched
+
+    def before(self, pc: int, activated: bool) -> None:
+        """A step of the warp at *pc*, before its error function, which
+        activates at it when *activated*."""
         c = self.candidate
-        x = self.offset + ctx.warp.instructions_executed
-        if ctx.pc == self.anchor:
+        x = self.offset + self.warp.instructions_executed
+        if pc == self.anchor:
             if c is None:
                 self._visit(x)
             elif x >= c.start + c.length:
                 self._confirm(x)
             c = self.candidate
-        elif c is not None and ctx.pc in self.bars:  # a BAR in the period
+        elif c is not None and pc in self.bars:  # a BAR in the period
             self._stop()
             return
         elif c is None and self.length is not None:
@@ -592,7 +639,7 @@ class _LoopWatch:
 
     def _stop(self) -> None:
         self.candidate = None
-        self.tool.watch = self.tool.recorder = None
+        observe(self.tool, None)
 
 
 class HangCycle:
@@ -666,7 +713,8 @@ class HangCycle:
             self.cta = cta
             self.since = executed
             self.live = list(warps)
-            self.watch = self.tool.watch = self.tool.recorder = None
+            self.watch = None
+            observe(self.tool, None)
         watch = self.watch
         if watch is None:
             if (executed - self.since >= _SLICE and executed >= self.retry_at
@@ -700,11 +748,11 @@ class HangCycle:
                 return None
         return live[0] if live and not live[0].finished else None
 
-    def _arm(self, executed: int, w, shared_mem,
-             length: int | None = None) -> bool:
-        """Set a :class:`_LoopWatch` (of *length*, if given) on *w*, the
-        CTA's only unfinished warp, anchored at its next pc (not a
-        ``BAR``)."""
+    def _arm(self, executed: int, w, shared_mem, length: int | None = None,
+             recorder: bool = False) -> bool:
+        """Set a :class:`_LoopWatch` (of *length*, if given, and with a
+        :class:`_PeriodRecorder` when *recorder*) on *w*, the CTA's only
+        unfinished warp, anchored at its next pc (not a ``BAR``)."""
         if w.at_barrier:
             return False
         if self.bars is None:
@@ -713,20 +761,21 @@ class HangCycle:
         anchor = w.stack[-1].next_pc
         if anchor in self.bars:
             return False
-        self.watch = self.tool.watch = _LoopWatch(
+        self.watch = _LoopWatch(
             self.dev, self.tool, self.watchdog, w, shared_mem,
             executed - w.instructions_executed, anchor, self.bars, length)
+        observe(self.tool, self.watch,
+                _PeriodRecorder(self.tool) if recorder else None)
         return True
 
     def _record(self, p: _Period, executed: int, shared_mem):
         """Record one period of the count-up loop *p* from this round
-        boundary on: ``slice_gate`` is read once per slice, so a recorder
+        boundary on: a step table is read once per slice, so a recorder
         set mid-slice would miss the rest of the slice."""
         w = self._lone()
         if (p.length > _MAX_RECORDED or w is None
-                or not self._arm(executed, w, shared_mem, p.length)):
+                or not self._arm(executed, w, shared_mem, p.length, True)):
             return self._give_up(executed)
-        self.tool.recorder = _PeriodRecorder(self.tool.injector)
         return None
 
     def _affine(self, p: _Period, warp, executed: int, shared_mem):
@@ -955,7 +1004,7 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
                               resume=resume)
         finally:
             # a period or a watch left unfinished by the launch
-            tool.recorder = tool.watch = None
+            observe(tool, None)
 
     def launcher(program, grid, block, params=(), shared_words=None):
         m = state["launch"]

@@ -164,26 +164,32 @@ def run_one_injection(app: str, model: ErrorModel, index: int,
                       config: SwCampaignConfig, golden: np.ndarray,
                       watchdog: int, trace: GoldenTrace | None = None,
                       stats: accel.AccelStats | None = None,
-                      sites: np.ndarray | None = None) -> InjectionOutcome:
+                      sites: np.ndarray | None = None,
+                      tool: NVBitPERfi | None = None) -> InjectionOutcome:
     """One NVBitPERfi run of injection *index* of *model* on *app*: the
-    campaign's seeded descriptor, replayed by :func:`replay_injection`."""
+    campaign's seeded descriptor, replayed by :func:`replay_injection`
+    (*tool*, when given, is a fresh tool for that descriptor, planned by
+    the caller)."""
+    desc = (make_descriptor(model, config.seed, index) if tool is None
+            else tool.descriptor)
     return replay_injection(
-        cached_workload(app, config.scale, config.seed),
-        make_descriptor(model, config.seed, index), golden, watchdog,
-        config.mem_words, trace, stats, sites, index=index)
+        cached_workload(app, config.scale, config.seed), desc, golden,
+        watchdog, config.mem_words, trace, stats, sites, index=index,
+        tool=tool)
 
 
 def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
                      mem_words: int, trace: GoldenTrace | None = None,
                      stats: accel.AccelStats | None = None,
                      sites: np.ndarray | None = None,
-                     index: int = -1) -> InjectionOutcome:
+                     index: int = -1,
+                     tool: NVBitPERfi | None = None) -> InjectionOutcome:
     """One NVBitPERfi run of descriptor *desc* on workload *w*: fresh
     device, instrumented launches, classify against the golden output
     bits *golden*.
 
     Without *trace* this is the cold replay: every launch runs from
-    dynamic instruction 0 and every hook site is instrumented. With a
+    dynamic instruction 0 under the tool's compiled step tables. With a
     golden trace (:class:`~repro.campaign.goldens.GoldenTrace`) the same
     run takes the shortcuts of :mod:`repro.swinjector.accel`, tallied in
     *stats* (required with *trace*): a descriptor that never activates,
@@ -195,10 +201,12 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
     constant delta per period, is fast-forwarded over the periods proved
     to repeat, and a launch past the golden launch list that repeats an
     earlier launch's state is served from the run's launch memo. *sites*
-    (the descriptor's activation sites in *trace*) may be precomputed.
+    (the descriptor's activation sites in *trace*) and *tool* (a fresh
+    :class:`NVBitPERfi` of *desc*) may be precomputed.
     """
     app, model = w.meta.name, desc.model
-    tool = NVBitPERfi(desc, site_filter=trace is not None)
+    if tool is None:
+        tool = NVBitPERfi(desc)
     # one span covers faulty run + classification; the outcome becomes a
     # span attribute, so the trace shows what each injection resolved to
     inject = obs.span("epr.inject", app=app, model=model.value, index=index)
@@ -283,7 +291,7 @@ def _run_unit(app: str, model: ErrorModel, indices, cfg, golden: np.ndarray,
     groups: dict[tuple, list[int]] = {}
     for i in indices:
         if trace is None:
-            planned.append(((-1, -1), i, None, [i]))
+            planned.append(((-1, -1), i, None, None, [i]))
             continue
         desc = make_descriptor(model, cfg.seed, i)
         key = accel.behavior_key(desc)
@@ -306,11 +314,14 @@ def _run_unit(app: str, model: ErrorModel, indices, cfg, golden: np.ndarray,
                      ck.index if ck is not None else -1)
         else:
             epoch = (-1, -1)
-        planned.append((epoch, i, sites, members))
-    planned.sort(key=lambda t: (t[0], t[1]))
-    for _, i, sites, members in planned:
+        planned.append((epoch, i, sites, tool, members))
+    # run in (epoch, index) order, dropping each tool (and the step
+    # tables it compiled) once its run is over
+    planned.sort(key=lambda t: (t[0], t[1]), reverse=True)
+    while planned:
+        _, i, sites, tool, members = planned.pop()
         out = run_one_injection(app, model, i, cfg, golden, watchdog,
-                                trace, stats, sites)
+                                trace, stats, sites, tool)
         for j in members:
             by_index[j] = out if j == i else replace(out)
     accel_stats = stats.as_dict() if stats is not None else {"enabled": False}

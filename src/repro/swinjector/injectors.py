@@ -2,9 +2,9 @@
 WVerr).
 
 Each injector implements ``targets(instr)`` — does this static instruction
-map onto the corrupted hardware — and ``before``/``after`` error functions
-operating on the executor hook context, restricted to the victim lanes
-computed by the dispatcher.
+map onto the corrupted hardware — and ``error_functions(instr)``, which
+:meth:`BaseInjector.specialize` compiles around the instruction's step,
+restricted to the victim lanes the dispatcher's thread mask selects.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import numpy as np
 
 from repro.common.exceptions import IllegalInstructionError
 from repro.errormodels.descriptor import ErrorDescriptor
-from repro.gpusim.alu import eval_alu
-from repro.gpusim.executor import HookContext, WARP_SIZE
-from repro.isa.instruction import Instruction, RZ
-from repro.isa.opcodes import Op, OpClass, SpecialReg
+from repro.gpusim.alu import alu_kernel
+from repro.gpusim.executor import WARP_SIZE
+from repro.isa.instruction import Instruction, PT, RZ
+from repro.isa.opcodes import OPCODE_INFO, Op, OpClass, SpecialReg
 
 _U32 = np.uint32
 
@@ -26,17 +26,15 @@ class BaseInjector:
 
     def __init__(self, desc: ErrorDescriptor):
         self.desc = desc
-        self._saved: list[tuple[int, np.ndarray]] = []
 
     # -- interface -------------------------------------------------------
     def targets(self, instr: Instruction) -> bool:
         raise NotImplementedError
 
-    def before(self, ctx: HookContext, victims: np.ndarray) -> None:
-        pass
-
-    def after(self, ctx: HookContext, victims: np.ndarray) -> None:
-        pass
+    def target_key(self) -> tuple:
+        """Hashable identity of :meth:`targets`: injectors with equal keys
+        target the same instructions."""
+        return (type(self),)
 
     def registers(self, instr: Instruction) -> tuple[int, ...]:
         """Every register the error functions may read or write at an
@@ -44,16 +42,46 @@ class BaseInjector:
         model reaches further)."""
         return (*instr.srcs, instr.dst)
 
-    # -- helpers ---------------------------------------------------------
-    def _xor_reg(self, ctx: HookContext, reg: int, victims: np.ndarray) -> None:
-        if reg == RZ:
-            return
-        val = ctx.read_reg(reg)
-        val[victims] ^= _U32(self.desc.bit_err_mask)
-        ctx.write_reg(reg, val, victims)
+    def error_functions(self, instr: Instruction):
+        """``(before, after)`` of a target *instr*, either ``None``:
+        ``before(w, victims)`` runs before the instruction and returns
+        what ``after(w, victims, saved)`` gets after it."""
+        raise NotImplementedError
 
+    def specialize(self, pc: int, instr: Instruction, step, sel, tally):
+        """The step of target *pc* (*instr*, plain step *step*) with the
+        error functions around it on the victims, the lanes of *sel* in
+        the exec mask; with none it is the plain step."""
+        before, after = self.error_functions(instr)
+        every = bool(sel.all())
+
+        def site(w, m, active, top, env):
+            victims = sel if m is None else m if every else sel & m
+            if not np.count_nonzero(victims):
+                return step(w, m, active, top, env)
+            tally.activations += 1
+            saved = None if before is None else before(w, victims)
+            res = step(w, m, active, top, env)
+            if after is not None:
+                after(w, victims, saved)
+            return res
+        return site
+
+    # -- helpers ---------------------------------------------------------
     def _corrupted_reg(self, reg: int) -> int:
         return (reg ^ self.desc.bit_err_mask) & 0xFF
+
+    def _flip(self, reg: int):
+        """An error function flipping the bit mask of *reg* on the
+        victims (before or after the instruction)."""
+        bits = _U32(self.desc.bit_err_mask)
+
+        def flip(w, victims, saved=None):
+            if reg != RZ:
+                val = w.read_reg(reg)
+                val[victims] ^= bits
+                w.write_reg(reg, val, victims)
+        return flip
 
 
 class IRAInjector(BaseInjector):
@@ -66,40 +94,31 @@ class IRAInjector(BaseInjector):
             return instr.info.writes_reg and instr.dst != RZ
         return len(instr.srcs) >= loc
 
-    def before(self, ctx: HookContext, victims: np.ndarray) -> None:
-        instr = ctx.instr
-        loc = self.desc.err_oper_loc
-        if loc == 0:
-            # Part I: M <= Rd (save the victim destination's old value)
-            self._saved = [(instr.dst, ctx.read_reg(instr.dst))]
-        else:
-            src = instr.srcs[loc - 1]
-            wrong = self._corrupted_reg(src)
-            self._saved = [(src, ctx.read_reg(src))]
-            wrong_val = ctx.read_reg(wrong)  # may raise for IVRA masks
-            val = ctx.read_reg(src)
-            val[victims] = wrong_val[victims]
-            ctx.write_reg(src, val, victims)
+    def target_key(self) -> tuple:
+        return (IRAInjector, self.desc.err_oper_loc)
 
     def registers(self, instr: Instruction) -> tuple[int, ...]:
         loc = self.desc.err_oper_loc
         right = instr.dst if loc == 0 else instr.srcs[loc - 1]
         return (*super().registers(instr), self._corrupted_reg(right))
 
-    def after(self, ctx: HookContext, victims: np.ndarray) -> None:
-        instr = ctx.instr
+    def error_functions(self, instr: Instruction):
         loc = self.desc.err_oper_loc
+        reg = instr.dst if loc == 0 else instr.srcs[loc - 1]
+        wrong = self._corrupted_reg(reg)
         if loc == 0:
-            # R_IR <= Rd (result to the wrong register); Rd <= M
-            wrong = self._corrupted_reg(instr.dst)
-            result = ctx.read_reg(instr.dst)
-            ctx.write_reg(wrong, result, victims)
-            reg, old = self._saved[0]
-            ctx.write_reg(reg, old, victims)
-        else:
-            reg, old = self._saved[0]
-            ctx.write_reg(reg, old, victims)
-        self._saved = []
+            # M <= Rd; the instruction; R_IR <= Rd (the result goes to the
+            # wrong register); Rd <= M
+            def after(w, victims, old):
+                w.write_reg(wrong, w.read_reg(reg), victims)
+                w.write_reg(reg, old, victims)
+            return (lambda w, victims: w.read_reg(reg)), after
+
+        def before(w, victims):  # the wrong register feeds the operand
+            old = w.read_reg(reg)
+            w.write_reg(reg, w.read_reg(wrong), victims)  # may raise (IVRA)
+            return old
+        return before, lambda w, victims, old: w.write_reg(reg, old, victims)
 
 
 class IVRAInjector(IRAInjector):
@@ -116,22 +135,27 @@ class IOCInjector(BaseInjector):
         return (instr.info.op_class in (OpClass.INT, OpClass.FP32)
                 and instr.info.writes_reg and instr.dst != RZ)
 
-    def before(self, ctx: HookContext, victims: np.ndarray) -> None:
-        srcs = [ctx.read_reg(r) for r in ctx.instr.srcs]
-        if ctx.instr.use_imm:
-            srcs.append(np.full(WARP_SIZE, ctx.instr.imm, dtype=_U32))
-        self._srcs = srcs
+    def error_functions(self, instr: Instruction):
+        srcs, dst, repl = instr.srcs, instr.dst, self.desc.replacement_op
+        imm = ([np.full(WARP_SIZE, instr.imm, dtype=_U32)] if instr.use_imm
+               else [])
+        kernel = alu_kernel(repl, instr.aux)
+        arity = OPCODE_INFO[repl].num_srcs
+        pad = [np.zeros(WARP_SIZE, dtype=_U32)] * (
+            arity - len(srcs) - len(imm))
 
-    def after(self, ctx: HookContext, victims: np.ndarray) -> None:
-        repl = self.desc.replacement_op
-        if repl is ctx.instr.op:
-            return
-        alt = eval_alu(repl, self._srcs, aux=ctx.instr.aux)
-        if alt is None:
-            raise IllegalInstructionError(
-                f"IOC replacement {repl.name} has no register result"
-            )
-        ctx.write_reg(ctx.instr.dst, alt, victims)
+        def before(w, victims):
+            # the last activation's operands are injector state
+            # (repro.swinjector.accel.injector_state)
+            self._srcs = [*(w.read_reg(r) for r in srcs), *imm]
+            return self._srcs
+
+        def after(w, victims, vals):
+            if kernel is None:
+                raise IllegalInstructionError(
+                    f"IOC replacement {repl.name} has no register result")
+            w.write_reg(dst, kernel(*vals[:arity], *pad), victims)
+        return before, None if repl is instr.op else after
 
 
 class IVOCInjector(BaseInjector):
@@ -141,8 +165,10 @@ class IVOCInjector(BaseInjector):
     def targets(self, instr: Instruction) -> bool:
         return True
 
-    def before(self, ctx: HookContext, victims: np.ndarray) -> None:
-        raise IllegalInstructionError("IVOC: invalid opcode fetched")
+    def error_functions(self, instr: Instruction):
+        def before(w, victims):
+            raise IllegalInstructionError("IVOC: invalid opcode fetched")
+        return before, None
 
 
 class IIOInjector(BaseInjector):
@@ -153,8 +179,8 @@ class IIOInjector(BaseInjector):
         return (instr.reads_immediate and instr.info.writes_reg
                 and instr.dst != RZ)
 
-    def after(self, ctx: HookContext, victims: np.ndarray) -> None:
-        self._xor_reg(ctx, ctx.instr.dst, victims)
+    def error_functions(self, instr: Instruction):
+        return None, self._flip(instr.dst)
 
 
 class WVInjector(BaseInjector):
@@ -163,12 +189,14 @@ class WVInjector(BaseInjector):
     def targets(self, instr: Instruction) -> bool:
         return instr.info.writes_pred
 
-    def after(self, ctx: HookContext, victims: np.ndarray) -> None:
-        p = ctx.instr.pdst
-        val = ctx.read_pred(p)
-        if self.desc.bit_err_mask & 1:
-            val[victims] = ~val[victims]
-        ctx.write_pred(p, val, victims)
+    def error_functions(self, instr: Instruction):
+        p = instr.pdst
+        if not self.desc.bit_err_mask & 1 or p == PT:
+            return None, None  # nothing flips, or the write is dropped
+
+        def after(w, victims, saved):
+            w.preds[victims, p] = ~w.preds[victims, p]
+        return None, after
 
 
 class _S2RInjector(BaseInjector):
@@ -181,8 +209,8 @@ class _S2RInjector(BaseInjector):
         return (instr.op is Op.S2R and instr.aux in
                 tuple(int(s) for s in self.sregs))
 
-    def after(self, ctx: HookContext, victims: np.ndarray) -> None:
-        self._xor_reg(ctx, ctx.instr.dst, victims)
+    def error_functions(self, instr: Instruction):
+        return None, self._flip(instr.dst)
 
 
 class IATInjector(_S2RInjector):
@@ -221,26 +249,20 @@ class IALInjector(BaseInjector):
     def targets(self, instr: Instruction) -> bool:
         return instr.info.op_class in (OpClass.INT, OpClass.FP32)
 
-    def before(self, ctx: HookContext, victims: np.ndarray) -> None:
-        instr = ctx.instr
-        if self.desc.lane_enable_mode == "disable":
-            if instr.info.writes_reg and instr.dst != RZ:
-                self._saved = [(instr.dst, ctx.read_reg(instr.dst))]
-        else:
-            # force execution where the guard predicate disabled it
-            exec_mask = ctx.exec_mask.copy()
-            forced = self._lanes & victims & ctx.active_mask & ctx.warp.alive
-            exec_mask |= forced
-            ctx.override_exec_mask(exec_mask)
+    def error_functions(self, instr: Instruction):
+        # enable mode forces the faulty lanes among the victims, which are
+        # threads of the exec mask already: the forced mask is the exec
+        # mask, and an activation changes nothing but the count
+        if (self.desc.lane_enable_mode != "disable"
+                or not instr.info.writes_reg or instr.dst == RZ):
+            return None, None
+        dst, lanes = instr.dst, self._lanes
 
-    def after(self, ctx: HookContext, victims: np.ndarray) -> None:
-        if self.desc.lane_enable_mode != "disable" or not self._saved:
-            return
-        reg, old = self._saved[0]
-        restore = self._lanes & victims & ctx.exec_mask
-        if restore.any():
-            ctx.write_reg(reg, old, restore)
-        self._saved = []
+        def after(w, victims, old):
+            restore = lanes & victims
+            if np.count_nonzero(restore):
+                w.write_reg(dst, old, restore)
+        return (lambda w, victims: w.read_reg(dst)), after
 
 
 class IPPInjector(BaseInjector):
@@ -271,11 +293,11 @@ class IPPInjector(BaseInjector):
     def targets(self, instr: Instruction) -> bool:
         return self.delegate.targets(instr)
 
-    def before(self, ctx: HookContext, victims: np.ndarray) -> None:
-        self.delegate.before(ctx, victims)
+    def target_key(self) -> tuple:
+        return self.delegate.target_key()
 
-    def after(self, ctx: HookContext, victims: np.ndarray) -> None:
-        self.delegate.after(ctx, victims)
+    def error_functions(self, instr: Instruction):
+        return self.delegate.error_functions(instr)
 
     def registers(self, instr: Instruction) -> tuple[int, ...]:
         return self.delegate.registers(instr)
@@ -288,8 +310,8 @@ class IMSInjector(BaseInjector):
     def targets(self, instr: Instruction) -> bool:
         return instr.op in (Op.LDS, Op.LDC)
 
-    def after(self, ctx: HookContext, victims: np.ndarray) -> None:
-        self._xor_reg(ctx, ctx.instr.dst, victims)
+    def error_functions(self, instr: Instruction):
+        return None, self._flip(instr.dst)
 
 
 class IMDInjector(BaseInjector):
@@ -299,7 +321,7 @@ class IMDInjector(BaseInjector):
     def targets(self, instr: Instruction) -> bool:
         return instr.op is Op.STS
 
-    def before(self, ctx: HookContext, victims: np.ndarray) -> None:
-        addr_reg, data_reg = ctx.instr.srcs
-        victim_reg = data_reg if self.desc.err_oper_loc % 2 == 0 else addr_reg
-        self._xor_reg(ctx, victim_reg, victims)
+    def error_functions(self, instr: Instruction):
+        addr_reg, data_reg = instr.srcs
+        reg = data_reg if self.desc.err_oper_loc % 2 == 0 else addr_reg
+        return self._flip(reg), None

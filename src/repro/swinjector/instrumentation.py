@@ -1,13 +1,15 @@
-"""NVBitPERfi instrumentation dispatcher and descriptor generation."""
+"""NVBitPERfi: compiled error functions, and descriptor generation."""
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
 from repro.common.rng import make_rng
 from repro.errormodels.descriptor import ErrorDescriptor
 from repro.errormodels.models import ErrorModel
-from repro.gpusim.executor import HookContext, WARP_SIZE
+from repro.gpusim.executor import WARP_SIZE, decode
 from repro.isa.opcodes import Op
 from repro.swinjector.injectors import (
     BaseInjector,
@@ -43,108 +45,85 @@ INJECTOR_CLASSES: dict[ErrorModel, type[BaseInjector]] = {
 }
 
 
+#: decoded program -> {injector target key: read-only pc mask}
+_TARGETS = weakref.WeakKeyDictionary()
+
+
+def target_mask(injector: BaseInjector, program) -> np.ndarray:
+    """Read-only mask of the pcs of *program* where ``injector.targets``
+    holds: one per (decoded program, ``injector.target_key()``), shared by
+    the activation-site planner, the static pruner and the compiled step
+    tables."""
+    masks = _TARGETS.setdefault(decode(program), {})
+    key = injector.target_key()
+    if key not in masks:
+        masks[key] = np.fromiter(map(injector.targets, program.instructions),
+                                 dtype=bool, count=len(program))
+        masks[key].setflags(write=False)
+    return masks[key]
+
+
 class NVBitPERfi:
     """The instrumentation object attached to every kernel launch.
 
     Mirrors the paper's tool: the descriptor pins the faulty hardware's
     coordinates; every dynamic instruction whose static form maps onto the
     faulty unit and whose warp runs on the faulty sub-partition gets the
-    model's error functions.
+    model's error functions, compiled (as NVBit does at JIT time) into
+    the step table a warp at the descriptor's coordinates runs.
     """
 
-    def __init__(self, descriptor: ErrorDescriptor,
-                 site_filter: bool = False):
+    def __init__(self, descriptor: ErrorDescriptor):
         self.descriptor = descriptor
         if descriptor.model not in INJECTOR_CLASSES:
             raise KeyError(f"{descriptor.model} is not software-injectable")
         self.injector = INJECTOR_CLASSES[descriptor.model](descriptor)
-        self._thread_sel = np.zeros(WARP_SIZE, dtype=bool)
-        for i in range(WARP_SIZE):
-            if descriptor.thread_mask & (1 << i):
-                self._thread_sel[i] = True
         #: dynamic instructions actually corrupted (activation telemetry)
         self.activations = 0
-        self._active_ctx = False
-        #: skip hook sites that cannot activate (accelerated path only)
-        self.site_filter = site_filter
-        self._pcs_cache: dict[int, tuple[object, frozenset[int]]] = {}
-        #: observer of every step while set: ``before(ctx, activated)``
-        #: after the error function, ``after(ctx)`` before it (the
-        #: accelerated replay records one loop period this way)
-        self.recorder = None
-        #: observer of the hooked steps while set, its ``pcs`` hooked
-        #: too: ``before(ctx, activated)`` before the error function (the
-        #: accelerated replay watches a loop's anchor pc this way)
-        self.watch = None
+        #: the accelerated replay's loop watch and period recorder, and the
+        #: ``(warp, steps)`` table they lay over one warp
+        #: (:func:`repro.swinjector.accel.observe`)
+        self.watch = self.recorder = self.overlay = None
+        self._tables: dict[int, tuple] = {}
 
-    # ------------------------------------------------------------------
-    def slice_gate(self, warp) -> bool | frozenset[int]:
-        """Which hook sites of *warp* can possibly activate.
+    def matches(self, warp) -> bool:
+        """Does *warp* run on the faulty hardware?"""
+        return self.descriptor.matches_warp(warp.sm_id, warp.subpartition,
+                                            warp.warp_slot)
 
-        Returns ``False`` (the warp never matches the descriptor's
-        coordinates, or no pc is a target), a frozenset of pcs where
-        ``injector.targets`` holds, or ``True``.  A hook at a non-returned
-        site is a guaranteed no-op pair (``before`` only clears
-        ``_active_ctx``; ``after`` then does nothing), so skipping it is
-        bit-identical.  Disabled by default so ``--no-accel`` (the cold
-        replay) hooks every site; a set :attr:`recorder` sees every site
-        too, and a set :attr:`watch` adds its ``pcs``.
-        """
-        if not self.site_filter or self.recorder is not None:
-            return True
-        pcs = self._target_pcs(warp)
-        if self.watch is not None:
-            pcs = pcs | self.watch.pcs
-        return pcs or False
+    def table(self, warp, decoded) -> list:
+        """The step table *warp* runs its next slice under (*decoded* is
+        its program's decode table)."""
+        if self.overlay is not None and self.overlay[0] is warp:
+            return self.overlay[1]
+        if not self.matches(warp):
+            return decoded.steps
+        held = self._tables.get(id(decoded))
+        if held is None or held[0] is not decoded:
+            # the held decode table pins its id
+            held = self._tables[id(decoded)] = (decoded, self.compile(warp))
+        return held[1]
 
-    def _target_pcs(self, warp) -> frozenset[int]:
-        """The pcs of *warp* where ``injector.targets`` holds (none when
-        the warp does not match the descriptor's coordinates)."""
-        d = self.descriptor
-        if not d.matches_warp(warp.sm_id, warp.subpartition, warp.warp_slot):
-            return frozenset()
-        program = warp.program
-        cached = self._pcs_cache.get(id(program))
-        if cached is not None and cached[0] is program:
-            return cached[1]
-        pcs = frozenset(
-            pc for pc, instr in enumerate(program)
-            if self.injector.targets(instr))
-        # hold the program reference so id() stays pinned to it
-        self._pcs_cache[id(program)] = (program, pcs)
-        return pcs
-
-    # ------------------------------------------------------------------
-    def _victims(self, ctx: HookContext) -> np.ndarray | None:
-        d = self.descriptor
-        w = ctx.warp
-        if not d.matches_warp(w.sm_id, w.subpartition, w.warp_slot):
-            return None
-        if not self.injector.targets(ctx.instr):
-            return None
-        victims = self._thread_sel & ctx.exec_mask
-        if not victims.any():
-            return None
-        return victims
-
-    def before(self, ctx: HookContext) -> None:
-        victims = self._victims(ctx)
-        if self.watch is not None:
-            self.watch.before(ctx, victims is not None)
-        self._active_ctx = victims is not None
-        if victims is not None:
-            self.activations += 1
-            self.injector.before(ctx, victims)
-        if self.recorder is not None:
-            self.recorder.before(ctx, victims is not None)
-
-    def after(self, ctx: HookContext) -> None:
-        if self.recorder is not None:
-            self.recorder.after(ctx)
-        if self._active_ctx:
-            victims = self._thread_sel & ctx.exec_mask
-            self.injector.after(ctx, victims)
-        self._active_ctx = False
+    def compile(self, warp, inner=None, outer=None) -> list:
+        """The decode table of *warp*'s program with its target pcs (none
+        off the descriptor's coordinates) specialized. ``inner`` and
+        ``outer(pc, instr, step, sel)`` wrap each step before and after
+        that (``sel``: the victim lanes at a target pc, else ``None``)."""
+        sites = target_mask(self.injector, warp.program) \
+            if self.matches(warp) else ()
+        sel = (self.descriptor.thread_mask >> np.arange(WARP_SIZE)) & 1 == 1
+        tally = weakref.proxy(self)  # no cycle through the table
+        steps = list(decode(warp.program).steps)
+        for pc, (step, guard, neg, instr) in enumerate(steps):
+            site = sel if len(sites) and sites[pc] else None
+            if inner is not None:
+                step = inner(pc, instr, step, site)
+            if site is not None:
+                step = self.injector.specialize(pc, instr, step, sel, tally)
+            if outer is not None:
+                step = outer(pc, instr, step, site)
+            steps[pc] = (step, guard, neg, instr)
+        return steps
 
 
 def make_descriptor(model: ErrorModel, seed: int, index: int,

@@ -828,7 +828,7 @@ class TestAffineStages:
         """An anchor visit of the watch."""
         self._at(x, r0)
         watch = self.tool.watch
-        watch.before(SimpleNamespace(pc=watch.anchor, warp=self.warp), False)
+        watch.before(watch.anchor, False)
 
     def _period(self, bound: int) -> list:
         from repro.isa.instruction import Instruction
@@ -1673,7 +1673,7 @@ class TestLaunchMemo:
                                             injector_state)
 
         dev = Device(DeviceConfig(global_mem_words=_MEM_WORDS))
-        tool = NVBitPERfi(_IOC_MOV, site_filter=True)
+        tool = NVBitPERfi(_IOC_MOV)
         program = _step_kernel()
         out = dev.alloc(64)
         dev.write(out + 4 * _HOST_WORD, np.array([5], dtype=np.uint32))

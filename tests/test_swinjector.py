@@ -227,3 +227,48 @@ class TestEprCampaign:
         b = run_epr_campaign(SwCampaignConfig(**base, processes=2))
         assert a.counts("vectoradd", ErrorModel.IIO) == \
             b.counts("vectoradd", ErrorModel.IIO)
+
+
+def _target_descriptors():
+    """Descriptors of all 13 models: IRA and IVRA at every
+    ``err_oper_loc``, IPP onto each of its delegates."""
+    from repro.swinjector.instrumentation import INJECTOR_CLASSES
+
+    for model in INJECTOR_CLASSES:
+        if model in (ErrorModel.IRA, ErrorModel.IVRA):
+            for loc in range(4):
+                yield ErrorDescriptor(model, err_oper_loc=loc)
+        elif model is ErrorModel.IPP:
+            for lane in range(5):
+                yield ErrorDescriptor(model, lane=lane)
+        elif model is ErrorModel.IOC:
+            yield ErrorDescriptor(model, replacement_op=Op.IADD)
+        else:
+            yield ErrorDescriptor(model)
+
+
+class TestTargetMask:
+    def test_cached_mask_is_targets_pc_by_pc(self):
+        # one mask per (program, target key), shared by every injector
+        # with that key, equal to targets() evaluated at each pc
+        from repro.swinjector.instrumentation import (INJECTOR_CLASSES,
+                                                      target_mask)
+        from repro.workloads.registry import EVALUATION_APPS
+
+        descs = list(_target_descriptors())
+        delegates = {INJECTOR_CLASSES[d.model](d).delegate_name
+                     for d in descs if d.model is ErrorModel.IPP}
+        assert delegates == {"IRA", "IAT", "IAW", "IMS", "IMD"}
+        checked = 0
+        for app in EVALUATION_APPS:
+            for program in get_workload(app, scale="tiny").programs().values():
+                for d in descs:
+                    injector = INJECTOR_CLASSES[d.model](d)
+                    mask = target_mask(injector, program)
+                    assert mask.tolist() == [injector.targets(i)
+                                             for i in program.instructions]
+                    assert not mask.flags.writeable
+                    again = INJECTOR_CLASSES[d.model](d)
+                    assert target_mask(again, program) is mask
+                    checked += 1
+        assert checked >= len(EVALUATION_APPS) * len(descs)
