@@ -1,4 +1,4 @@
-"""Step cost: a plain step, a compiled fault site, a generic hook.
+"""Step cost: a plain step and the compiled fault sites of both levels.
 
 One warp runs a loop of integer ALU instructions three ways:
 
@@ -7,13 +7,13 @@ One warp runs a loop of integer ALU instructions three ways:
   compiled site, whose victim threads are never in the exec mask (half
   a warp runs; the victims are the other half): each step pays the
   activation test and the plain step;
-* generic: under an instrumentation with no-op ``before``/``after``, which
-  the executor serves with its generic hook table (a ``HookContext`` per
-  step and a re-sync after it).
+* rtl: under an RTL ``fu_int`` operand fault on a thread position past
+  the block, so every INT pc is a compiled RTL site that never acts.
 
 Each cost is the best of a few launches, in seconds per warp-instruction;
 the ratios to the plain step go to ``extra_info`` (docs/PERFORMANCE.md,
-"Compiled fault sites"). The one assertion is an order, not a time.
+"Compiled fault sites", "Compiled RTL sites"). The assertions are
+structural, not times: each tool wraps exactly the pcs it can corrupt.
 """
 
 from __future__ import annotations
@@ -23,8 +23,12 @@ import time
 from repro.errormodels import ErrorDescriptor, ErrorModel
 from repro.gpusim import Device, DeviceConfig
 from repro.isa import CmpOp, KernelBuilder
-from repro.isa.opcodes import Op
+from repro.gpusim.executor import WarpState, decode
+from repro.isa.opcodes import Op, OpClass
+from repro.rtl import RtlInjection, RtlSite
+from repro.rtl.injector import RtlInstrumentation
 from repro.swinjector import NVBitPERfi
+from repro.swinjector.instrumentation import target_mask
 
 #: loop trips and ALU instructions per trip
 _TRIPS, _BODY = 200, 24
@@ -44,14 +48,6 @@ def _kernel():
         k.iadd(i, i, imm=1)
     k.exit()
     return k.build()
-
-
-class _NoOpHooks:
-    def before(self, ctx):
-        pass
-
-    def after(self, ctx):
-        pass
 
 
 def _costs(program, tools: dict) -> dict:
@@ -76,9 +72,11 @@ def test_bench_step_cost(benchmark):
     # lanes 16..31: never alive in a 16-thread block
     ioc = ErrorDescriptor(ErrorModel.IOC, thread_mask=0xFFFF0000,
                           replacement_op=Op.ISUB)
+    # thread position 20: never alive in a 16-thread block
+    rtl = RtlInjection(RtlSite("fu_int", "op_a", 20, 0), 1)
     costs = _costs(program, {"plain": lambda: None,
                              "compiled": lambda: NVBitPERfi(ioc),
-                             "generic": _NoOpHooks})
+                             "rtl": lambda: RtlInstrumentation(rtl)})
     for name, c in costs.items():
         benchmark.extra_info[f"{name}_us"] = round(c * 1e6, 3)
         benchmark.extra_info[f"{name}_ratio"] = round(c / costs["plain"], 3)
@@ -86,4 +84,12 @@ def test_bench_step_cost(benchmark):
     benchmark.pedantic(_costs, args=(program, {"compiled": lambda: tool}),
                        rounds=1, iterations=1)
     assert tool.activations == 0
-    assert costs["compiled"] < costs["generic"]
+    warp = WarpState(program, 0, 0, (16, 1, 1), (1, 1, 1), (0, 0, 0), 0, 0, 0)
+    decoded = decode(program)
+
+    def wrapped(t):
+        return [s[0] is not d[0]
+                for s, d in zip(t.table(warp, decoded), decoded.steps)]
+    assert wrapped(tool) == list(target_mask(tool.injector, program))
+    assert wrapped(RtlInstrumentation(rtl)) == [
+        i.info.op_class is OpClass.INT for i in program.instructions]

@@ -17,7 +17,7 @@ classified by the campaign layer.
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.memory import GlobalMemory, ConstantMemory, SharedMemory
 from repro.gpusim.device import Device, LaunchResult
-from repro.gpusim.executor import WarpState, HookContext, Instrumentation, TraceEvent
+from repro.gpusim.executor import WarpState, Instrumentation, TraceEvent
 
 __all__ = [
     "DeviceConfig",
@@ -27,7 +27,6 @@ __all__ = [
     "Device",
     "LaunchResult",
     "WarpState",
-    "HookContext",
     "Instrumentation",
     "TraceEvent",
 ]

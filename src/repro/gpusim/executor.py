@@ -20,17 +20,17 @@ and only when — it executes.
 
 One loop. :meth:`WarpExecutor.run_slice` steps a warp through a table
 read once per slice: the decode table, or the one the instrumentation
-hands out for the warp (NVBitPERfi compiles its error functions into
-the steps of its target pcs). An instrumentation with only
-``before``/``after`` hooks (the RTL tool) gets a table whose every step
-runs them around the instruction through a :class:`HookContext`.
+hands out for the warp. A fault tool compiles its behaviour into the
+steps of the pcs it can corrupt (NVBitPERfi its error functions, the RTL
+tool its stuck-at sites); every other pc keeps its plain step.
 
 Whole-warp fast path. The loop caches the top-of-stack entry and its
 active mask between *events* that can change them: slice entry, a
-divergent ``BRA`` push, a reconvergence pop, ``EXIT``, ``BAR`` and any
-hooked step. While every lane is alive and the top-of-stack mask is
-full, unguarded instructions write whole register columns and skip the
-mask reductions (docs/PERFORMANCE.md, "Decode-once executor").
+divergent ``BRA`` push, a reconvergence pop, ``EXIT``, ``BAR`` and a
+fault site that returns ``_SYNC``. While every lane is alive and the
+top-of-stack mask is full, unguarded instructions write whole register
+columns and skip the mask reductions (docs/PERFORMANCE.md, "Decode-once
+executor").
 """
 
 from __future__ import annotations
@@ -114,12 +114,11 @@ class TraceEvent:
 
 
 class Instrumentation(Protocol):
-    """Hooks around every step (the RTL tool); NVBitPERfi instead hands
-    out each slice's step table, ``table(warp, decoded) -> steps``."""
+    """A fault tool: it hands out the step table each slice of a warp
+    runs, ``decoded.steps`` (see :func:`decode`) with the steps of the pcs
+    it corrupts wrapped."""
 
-    def before(self, ctx: "HookContext") -> None: ...
-
-    def after(self, ctx: "HookContext") -> None: ...
+    def table(self, warp: "WarpState", decoded: "_Decoded") -> list: ...
 
 
 class _Columns(dict):
@@ -249,7 +248,7 @@ class WarpState:
                 continue
             break
 
-    # -- masked register access (used by hooks) -------------------------
+    # -- masked register access (used by fault sites) -------------------
     def read_reg(self, r: int) -> np.ndarray:
         """Read register *r* for all lanes (copy)."""
         if r == RZ:
@@ -269,51 +268,6 @@ class WarpState:
                 f"write of R{r} (nregs={self.program.nregs})"
             )
         np.copyto(self.cols[r], values, where=mask, casting="unsafe")
-
-    def read_pred(self, p: int) -> np.ndarray:
-        return self.preds[:, p].copy()
-
-    def write_pred(self, p: int, values: np.ndarray, mask: np.ndarray) -> None:
-        if p == PT:
-            return
-        self.preds[mask, p] = values[mask]
-
-
-class HookContext:
-    """What an instrumentation function sees at an instrumented site."""
-
-    def __init__(self, warp: WarpState, pc: int, instr: Instruction,
-                 active_mask: np.ndarray, exec_mask: np.ndarray, env: "_CtaEnv"):
-        self.warp = warp
-        self.pc = pc
-        self.instr = instr
-        #: lanes active on the SIMT stack (before predication)
-        self.active_mask = active_mask
-        #: lanes the instruction will actually execute on
-        self.exec_mask = exec_mask
-        self._env = env
-        self._override: np.ndarray | None = None
-
-    # register / predicate access delegate to the warp (masked)
-    def read_reg(self, r: int) -> np.ndarray:
-        return self.warp.read_reg(r)
-
-    def write_reg(self, r: int, values: np.ndarray, mask: np.ndarray | None = None) -> None:
-        self.warp.write_reg(r, values, self.exec_mask if mask is None else mask)
-
-    def read_pred(self, p: int) -> np.ndarray:
-        return self.warp.read_pred(p)
-
-    def write_pred(self, p: int, values: np.ndarray, mask: np.ndarray | None = None) -> None:
-        self.warp.write_pred(p, values, self.exec_mask if mask is None else mask)
-
-    def override_exec_mask(self, mask: np.ndarray) -> None:
-        """Force the instruction to execute on *mask* lanes (IAL-enable)."""
-        self._override = mask.astype(bool)
-
-    @property
-    def nregs(self) -> int:
-        return self.warp.program.nregs
 
 
 @dataclass
@@ -616,32 +570,6 @@ def decode(program: Program) -> _Decoded:
     return table
 
 
-def _hook_table(decoded: _Decoded, hooks: Instrumentation) -> list:
-    """*decoded*'s steps, each inside the generic hook pair: fresh masks,
-    ``before`` (seeing the step's pc as the warp's next pc), the exec-mask
-    override honoured, the step, ``after``, and a forced re-sync."""
-    def hooked(pc, step, guard, neg, instr):
-        def run(w, m, active, top, env):
-            active = top.mask & w.alive
-            if guard is None:
-                exec_mask = active.copy()
-            else:
-                g = w.pcols[guard]
-                exec_mask = active > g if neg else active & g
-            ctx = HookContext(w, pc, instr, active, exec_mask, env)
-            top.next_pc = pc
-            hooks.before(ctx)
-            if ctx._override is not None:
-                exec_mask = ctx.exec_mask = ctx._override & w.alive
-            top.next_pc = pc + 1
-            step(w, exec_mask, active, top, env)
-            hooks.after(ctx)
-            return _SYNC
-        return run
-    return [(hooked(pc, *entry), *entry[1:])
-            for pc, entry in enumerate(decoded.steps)]
-
-
 # ----------------------------------------------------------------------
 class WarpExecutor:
     """Steps warps through a program inside one CTA."""
@@ -658,13 +586,6 @@ class WarpExecutor:
         self.instrumentation = instrumentation
         self.trace_fn = trace_fn
         self._decoded = decode(program)
-        table = getattr(instrumentation, "table", None)
-        if table is None:
-            steps = (self._decoded.steps if instrumentation is None
-                     else _hook_table(self._decoded, instrumentation))
-            table = lambda warp, decoded: steps
-        #: ``table(warp, decoded) -> steps`` for the warp's next slice
-        self._table = table
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -700,7 +621,9 @@ class WarpExecutor:
         the step table the instrumentation hands out for *warp*, read once
         per slice.
         """
-        steps = self._table(warp, self._decoded)
+        tool = self.instrumentation
+        steps = (self._decoded.steps if tool is None
+                 else tool.table(warp, self._decoded))
         n = len(steps)
         env = self.env
         trace_fn = self.trace_fn
@@ -764,7 +687,6 @@ class WarpExecutor:
 __all__ = [
     "WarpState",
     "WarpExecutor",
-    "HookContext",
     "Instrumentation",
     "TraceEvent",
     "WARP_SIZE",

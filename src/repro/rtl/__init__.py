@@ -9,8 +9,8 @@ The model is structural-functional: every injection site is a named bit
 of a real microarchitectural structure (per-lane operand/result registers,
 per-subgroup control registers, shared-SFU input/output/control registers,
 per-warp scheduler state), and the corruption is applied at the exact
-pipeline moment the structure is used — via the executor's instrumentation
-hooks, the same mechanism NVBit uses on real silicon. Structural sharing
+pipeline moment the structure is used — compiled into the executor's step
+table, as NVBit instruments a kernel when it compiles it. Structural sharing
 is preserved: 8 execution lanes serve a 32-thread warp in 4 sub-groups,
 two SFUs are shared by 16 threads each, scheduler state is warp-wide —
 which is what makes multi-thread corruptions emerge where the paper sees

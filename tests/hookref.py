@@ -1,14 +1,19 @@
-"""NVBitPERfi through the executor's generic hook protocol: a test reference.
+"""The generic ``before``/``after`` hook protocol, kept as a test reference.
 
-The tool compiles its error functions into the steps of its target pcs
-(:meth:`repro.swinjector.injectors.BaseInjector.specialize`).
-:class:`HookedPERfi` is the path that compilation replaced: it has only
-``before``/``after``, so the executor runs every step of every warp inside
-the hook pair (a :class:`~repro.gpusim.executor.HookContext` per step, a
-forced re-sync after it); ``before`` works out the victims afresh at every
+The executor runs a tool's step table (``table(warp, decoded) -> steps``),
+and the fault tools compile their error functions into the steps of the
+pcs they can corrupt. :class:`Hooked` gives a tool with only ``before``
+and ``after`` that table protocol the way the executor once served it:
+every step of every warp runs inside the hook pair, with masks built
+afresh (``active = top.mask & alive``, the exec mask from the guard), a
+:class:`HookContext`, the exec-mask override and a forced re-sync.
+
+:class:`HookedPERfi` is NVBitPERfi on that protocol, the path that
+compilation replaced: ``before`` works out the victims afresh at every
 step and calls the model's error functions below, which read and write
 through the context. Tests run it against the compiled tool: outcome, DUE
-reason and message, activation count and memory must be identical.
+reason and message, activation count and memory must be identical
+(:mod:`tests.rtlref` does the same for the RTL tool).
 """
 
 from __future__ import annotations
@@ -19,12 +24,86 @@ import numpy as np
 
 from repro.common.exceptions import IllegalInstructionError
 from repro.gpusim.alu import eval_alu
-from repro.gpusim.executor import WARP_SIZE
-from repro.isa.instruction import RZ
+from repro.gpusim.executor import WARP_SIZE, _SYNC
+from repro.isa.instruction import PT, RZ
 from repro.swinjector import injectors as inj
 from repro.swinjector.instrumentation import INJECTOR_CLASSES
 
 _U32 = np.uint32
+
+
+class HookContext:
+    """What a hook sees at an instrumented step."""
+
+    def __init__(self, warp, pc, instr, active_mask, exec_mask):
+        self.warp = warp
+        self.pc = pc
+        self.instr = instr
+        #: lanes active on the SIMT stack (before predication)
+        self.active_mask = active_mask
+        #: lanes the instruction will actually execute on
+        self.exec_mask = exec_mask
+        self._override = None
+
+    def read_reg(self, r):
+        return self.warp.read_reg(r)
+
+    def write_reg(self, r, values, mask=None):
+        self.warp.write_reg(r, values, self.exec_mask if mask is None else mask)
+
+    def read_pred(self, p):
+        return self.warp.preds[:, p].copy()
+
+    def write_pred(self, p, values, mask=None):
+        mask = self.exec_mask if mask is None else mask
+        if p != PT:
+            self.warp.preds[mask, p] = values[mask]
+
+    def override_exec_mask(self, mask):
+        """Force the instruction to execute on *mask* lanes."""
+        self._override = mask.astype(bool)
+
+    @property
+    def nregs(self):
+        return self.warp.program.nregs
+
+
+def hook_table(decoded, hooks) -> list:
+    """*decoded*'s steps, each inside *hooks*' pair: fresh masks,
+    ``before`` (seeing the step's pc as the warp's next pc), the exec-mask
+    override honoured, the step, ``after``, and a forced re-sync."""
+    def hooked(pc, step, guard, neg, instr):
+        def run(w, m, active, top, env):
+            active = top.mask & w.alive
+            if guard is None:
+                exec_mask = active.copy()
+            else:
+                g = w.pcols[guard]
+                exec_mask = active > g if neg else active & g
+            ctx = HookContext(w, pc, instr, active, exec_mask)
+            top.next_pc = pc
+            hooks.before(ctx)
+            if ctx._override is not None:
+                exec_mask = ctx.exec_mask = ctx._override & w.alive
+            top.next_pc = pc + 1
+            step(w, exec_mask, active, top, env)
+            hooks.after(ctx)
+            return _SYNC
+        return run
+    return [(hooked(pc, *entry), *entry[1:])
+            for pc, entry in enumerate(decoded.steps)]
+
+
+class Hooked:
+    """The table protocol for a tool with ``before``/``after``: every warp
+    runs :func:`hook_table` of its program (built once per program)."""
+
+    def table(self, warp, decoded) -> list:
+        tables = self.__dict__.setdefault("_hook_tables", {})
+        held = tables.get(id(decoded))
+        if held is None or held[0] is not decoded:
+            held = tables[id(decoded)] = (decoded, hook_table(decoded, self))
+        return held[1]
 
 
 def _xor_reg(model, ctx, reg, victims):
@@ -150,7 +229,7 @@ ERROR_FUNCTIONS = {
 }
 
 
-class HookedPERfi:
+class HookedPERfi(Hooked):
     """NVBitPERfi on the generic ``before``/``after`` protocol. *events*
     counts the rarer activations a test may want to see covered."""
 

@@ -374,7 +374,7 @@ class TestFaults:
     def test_round_hook_fast_forward_keeps_watchdog_slice(self, device):
         # two warps spin on `BAR; BRA`: after the first round (one BAR
         # each) every round runs BRA+BAR per warp, a period of 4
-        # instructions and 4 hook sites
+        # instructions and 4 visits of its sites
         k = KernelBuilder("hang_bar", nregs=8)
         lbl = k.label()
         k.bar()
@@ -384,14 +384,19 @@ class TestFaults:
         budget = 10_000
 
         class Counting:
+            """Counts every step it runs (a site at every pc)."""
+
             def __init__(self):
-                self.before_calls = 0
+                self.calls = 0
 
-            def before(self, ctx):
-                self.before_calls += 1
-
-            def after(self, ctx):
-                pass
+            def table(self, warp, decoded):
+                def counted(step):
+                    def site(w, m, active, top, env):
+                        self.calls += 1
+                        return step(w, m, active, top, env)
+                    return site
+                return [(counted(step), *rest)
+                        for step, *rest in decoded.steps]
 
         cold = Counting()
         with pytest.raises(WatchdogTimeoutError):
@@ -405,7 +410,7 @@ class TestFaults:
             if executed < 64 or skipped:
                 return None
             periods = (budget - executed) // 4
-            fast.before_calls += 4 * periods
+            fast.calls += 4 * periods
             skipped.append(4 * periods)
             return 4 * periods
 
@@ -413,7 +418,7 @@ class TestFaults:
             device.launch(program, grid=1, block=64, watchdog=budget,
                           instrumentation=fast, round_hook=hook)
         assert skipped and skipped[0] > budget // 2
-        assert fast.before_calls == cold.before_calls
+        assert fast.calls == cold.calls
 
     def test_block_too_large(self, device):
         k = KernelBuilder("big", nregs=8)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errormodels import ErrorDescriptor, ErrorModel
 from repro.gpusim import Device, DeviceConfig
-from repro.gpusim.executor import WARP_SIZE, WarpState
+from repro.gpusim.executor import WARP_SIZE, WarpState, _SYNC
 from repro.isa import CmpOp, KernelBuilder, Op, RZ, SpecialReg
 from repro.workloads.kutil import elem_addr, global_tid_x
 
@@ -72,9 +72,24 @@ class TestProgramEncoding:
         assert sum(h.values()) == len(prog)
 
 
+class _Wrapping:
+    """A table-protocol tool: the step of each pc where *pick(pc, instr)*
+    holds becomes ``wrap(pc, step)``."""
+
+    def __init__(self, pick, wrap):
+        self.pick, self.wrap = pick, wrap
+
+    def table(self, warp, decoded):
+        return [(self.wrap(pc, step) if self.pick(pc, instr) else step,
+                 guard, neg, instr)
+                for pc, (step, guard, neg, instr) in enumerate(decoded.steps)]
+
+
 class TestHookContext:
+    """A site that runs its step under an overridden exec mask."""
+
     def test_override_exec_mask_enables_lanes(self, device):
-        # a hook forces a predicated-off store to execute on lane 0
+        # a site forces a predicated-off store to execute on lane 0
         n = 32
         pout = device.alloc(n)
         device.write(pout, np.full(n, 7, np.uint32))
@@ -86,18 +101,17 @@ class TestHookContext:
         k.gst(elem_addr(k, k.load_param(0), g), one, pred=p)
         k.exit()
 
-        class ForceLane0:
-            def before(self, ctx):
-                if ctx.instr.op is Op.GST:
-                    m = ctx.exec_mask.copy()
-                    m[0] = True
-                    ctx.override_exec_mask(m)
-
-            def after(self, ctx):
-                pass
+        def force_lane0(pc, step):
+            def site(w, m, active, top, env):
+                forced = np.ones(WARP_SIZE, bool) if m is None else m.copy()
+                forced[0] = True
+                step(w, forced, active, top, env)
+                return _SYNC
+            return site
 
         device.launch(k.build(), 1, n, params=[pout],
-                      instrumentation=ForceLane0())
+                      instrumentation=_Wrapping(
+                          lambda pc, instr: instr.op is Op.GST, force_lane0))
         got = device.read(pout, n)
         assert got[0] == 1
         np.testing.assert_array_equal(got[1:], 7)
@@ -115,7 +129,7 @@ class TestWholeWarpFlag:
     """Events that must drop the executor out of its whole-warp path."""
 
     def test_after_hook_rewrites_next_pc_in_whole_warp_loop(self, device):
-        # an RTL-pc_bit-style hook redirects the loop back-edge to the
+        # an RTL-pc_bit-style site redirects the loop back-edge to the
         # loop exit on its 5th execution
         n = 32
         pout = device.alloc(n)
@@ -135,20 +149,21 @@ class TestWholeWarpFlag:
         (_, brk), = [b for b in branches if b[1].reconv_pc is not None]
         exit_pc = brk.imm
 
-        class Redirect:
-            seen = 0
+        seen = []
 
-            def before(self, ctx):
-                pass
-
-            def after(self, ctx):
-                if ctx.pc == back_edge:
-                    self.seen += 1
-                    if self.seen == 5:
-                        ctx.warp.stack[-1].next_pc = exit_pc
+        def redirect(pc, step):
+            def site(w, m, active, top, env):
+                res = step(w, m, active, top, env)
+                seen.append(pc)
+                if len(seen) == 5:
+                    w.stack[-1].next_pc = exit_pc
+                    return _SYNC
+                return res
+            return site
 
         device.launch(prog, 1, n, params=[pout], watchdog=5000,
-                      instrumentation=Redirect())
+                      instrumentation=_Wrapping(
+                          lambda pc, instr: pc == back_edge, redirect))
         np.testing.assert_array_equal(device.read(pout, n), 5)
 
     def test_override_exec_mask_on_unguarded_whole_warp_instruction(
@@ -163,17 +178,16 @@ class TestWholeWarpFlag:
         k.exit()
         lanes = np.arange(WARP_SIZE) % 4 == 0
 
-        class FourLanes:
-            def before(self, ctx):
-                if ctx.instr.op is Op.IADD and ctx.instr.use_imm \
-                        and ctx.instr.imm == 5:
-                    ctx.override_exec_mask(lanes)
-
-            def after(self, ctx):
-                pass
+        def four_lanes(pc, step):
+            def site(w, m, active, top, env):
+                step(w, lanes & w.alive, active, top, env)
+                return _SYNC
+            return site
 
         device.launch(k.build(), 1, n, params=[pout],
-                      instrumentation=FourLanes())
+                      instrumentation=_Wrapping(
+                          lambda pc, instr: instr.op is Op.IADD
+                          and instr.use_imm and instr.imm == 5, four_lanes))
         np.testing.assert_array_equal(device.read(pout, n),
                                       np.where(lanes, 15, 10))
 
