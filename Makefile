@@ -111,7 +111,8 @@ docs:
 	$(PY) -c "from repro.errormodels.manual import write_manual; write_manual()"
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PY) $$f > /dev/null || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; \
+		PYTHONPATH=src $(PY) $$f > /dev/null || exit 1; done
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

@@ -13,19 +13,14 @@ from repro.common.exceptions import DeviceError
 from repro.errormodels.models import ErrorModel
 from repro.gpusim import Device, DeviceConfig
 from repro.swinjector import NVBitPERfi, make_descriptor
-from repro.workloads import get_workload
+from repro.workloads import default_launcher, get_workload
 
 
 def run_lenet(tool=None, scale="tiny"):
     w = get_workload("lenet", scale=scale)
     dev = Device(DeviceConfig(global_mem_words=1 << 20))
-
-    def launcher(program, grid, block, params=(), shared_words=None):
-        return dev.launch(program, grid, block, params=params,
-                          shared_words=shared_words, watchdog=3_000_000,
-                          instrumentation=tool)
-
-    return w.run(dev, launcher)
+    return w.run(dev, default_launcher(dev, watchdog=3_000_000,
+                                       instrumentation=tool))
 
 
 def main() -> None:

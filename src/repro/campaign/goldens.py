@@ -44,8 +44,9 @@ import numpy as np
 from repro import obs
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.device import Device
+from repro.gpusim.executor import WARP_SIZE, Tracer
 from repro.obs import log
-from repro.workloads import get_workload
+from repro.workloads import default_launcher, get_workload
 
 #: default global-memory size campaigns run workloads with
 DEFAULT_MEM_WORDS = 1 << 20
@@ -389,6 +390,10 @@ class GoldenTrace:
         return best
 
 
+#: the exec mask of a step all 32 lanes execute
+_ALL_LANES = np.ones(WARP_SIZE, dtype=bool)
+
+
 def reference_run(w, mem_words: int, key: str = "",
                   traced_key: str | None = None):
     """The fault-free reference run of workload *w* on a fresh
@@ -414,12 +419,13 @@ def reference_run(w, mem_words: int, key: str = "",
     post_launch: list = []
     state = {"launch": 0, "base": 0, "last_ck": 0, "every": EPOCH_MIN}
 
-    def trace_fn(ev):
-        ci = coord_index.setdefault(
-            (ev.sm_id, ev.subpartition, ev.warp_slot), len(coord_index))
-        ev_pc.append(ev.pc)
-        ev_coord.append(ci)
-        masks.append(ev.exec_mask)
+    def record(warp, pc, instr, m):
+        ev_pc.append(pc)
+        ev_coord.append(coord_index.setdefault(
+            (warp.sm_id, warp.subpartition, warp.warp_slot),
+            len(coord_index)))
+        # the loop never writes an exec mask: no copy is needed
+        masks.append(_ALL_LANES if m is None else m)
 
     def round_hook(cta, executed, warps, shared_mem):
         if executed == 0:
@@ -432,11 +438,12 @@ def reference_run(w, mem_words: int, key: str = "",
             dev, state["launch"], cta, executed, idx, warps, shared_mem))
         state["every"] = thin_checkpoints(checkpoints, state["every"])
 
-    hooks = {"trace_fn": trace_fn, "round_hook": round_hook} if traced else {}
+    hooks = ({"instrumentation": Tracer(record), "round_hook": round_hook}
+             if traced else {})
+    launch = default_launcher(dev, **hooks)
 
     def launcher(program, grid, block, params=(), shared_words=None):
-        res = dev.launch(program, grid, block, params=params,
-                         shared_words=shared_words, **hooks)
+        res = launch(program, grid, block, params, shared_words)
         if traced:
             launches.append(LaunchRecord(
                 program=res.program, grid=res.grid, block=res.block,

@@ -19,8 +19,9 @@ from repro.gatelevel.units import build_unit
 from repro.gatelevel.units.base import Stimulus, UnitModel
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.device import Device
-from repro.gpusim.executor import TraceEvent
-from repro.isa.encoding import encode
+from repro.gpusim.executor import Tracer
+from repro.profiling.profiler import _event_to_stimulus
+from repro.workloads.base import default_launcher
 
 
 @dataclass
@@ -111,18 +112,12 @@ def cosimulate(workload, unit: str = "decoder",
     sim = LogicSim(model.netlist)
     expect_fn, check_cycle = _EXPECTATIONS[unit]
     result = CosimResult(unit=unit)
-    stride = {"n": 0}
+    encoded: dict = {}
 
-    def on_event(ev: TraceEvent) -> None:
-        stride["n"] += 1
+    def on_event(w, pc, instr, m) -> None:
         if result.events_checked >= max_events:
             return
-        enc = encode(ev.instr)
-        mask = int(sum(1 << i for i, b in enumerate(ev.exec_mask) if b))
-        stim = Stimulus(word=enc.word, imm=enc.imm,
-                        warp_id=(ev.warp_slot + ev.subpartition * 4) & 0xF,
-                        thread_mask=mask, cta_id=ev.cta & 0xF,
-                        pc=ev.pc & 0xFF, opcode=enc.word & 0xFF)
+        stim = _event_to_stimulus(w, pc, instr, m, encoded)
         sim.reset()
         outs = [sim.cycle(inp) for inp in model.transaction(stim)]
         final = {name: int(sim.lane_values(arr, 1)[0])
@@ -132,15 +127,11 @@ def cosimulate(workload, unit: str = "decoder",
             got = final[name]
             if got != want:
                 result.mismatches.append(
-                    CosimMismatch(pc=ev.pc, output=name,
+                    CosimMismatch(pc=pc, output=name,
                                   expected=want, got=got))
         result.events_checked += 1
 
     device = Device(DeviceConfig(global_mem_words=mem_words))
-
-    def launcher(program, grid, block, params=(), shared_words=None):
-        return device.launch(program, grid, block, params=params,
-                             shared_words=shared_words, trace_fn=on_event)
-
-    workload.run(device, launcher)
+    workload.run(device, default_launcher(device,
+                                          instrumentation=Tracer(on_event)))
     return result

@@ -17,7 +17,7 @@ classified by the campaign layer.
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.memory import GlobalMemory, ConstantMemory, SharedMemory
 from repro.gpusim.device import Device, LaunchResult
-from repro.gpusim.executor import WarpState, Instrumentation, TraceEvent
+from repro.gpusim.executor import WarpState, Instrumentation
 
 __all__ = [
     "DeviceConfig",
@@ -28,5 +28,4 @@ __all__ = [
     "LaunchResult",
     "WarpState",
     "Instrumentation",
-    "TraceEvent",
 ]

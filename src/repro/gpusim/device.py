@@ -27,7 +27,6 @@ from repro.common.exceptions import (
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.executor import (
     Instrumentation,
-    TraceEvent,
     WarpExecutor,
     WarpState,
     WARP_SIZE,
@@ -126,7 +125,6 @@ class Device:
         shared_words: int | None = None,
         watchdog: int | None = None,
         instrumentation: Instrumentation | None = None,
-        trace_fn: Callable[[TraceEvent], None] | None = None,
         round_hook: Callable | None = None,
         resume=None,
     ) -> LaunchResult:
@@ -134,6 +132,10 @@ class Device:
 
         Raises a :class:`~repro.common.exceptions.DeviceError` subclass when
         the kernel faults — campaigns map that to a DUE.
+
+        *instrumentation* (a fault tool, or a
+        :class:`~repro.gpusim.executor.Tracer`) hands out the step table
+        every warp slice runs: the one per-instruction extension point.
 
         *round_hook* is called as ``hook(cta, executed, warps, shared_mem)``
         at the top of every CTA scheduling round (``executed`` is the
@@ -187,7 +189,7 @@ class Device:
                       ctas=num_ctas, warps_per_cta=warps_per_cta):
             executed = self._launch_grid(
                 program, grid3, block3, num_ctas, warps_per_cta, shared,
-                budget, instrumentation, trace_fn, round_hook, resume)
+                budget, instrumentation, round_hook, resume)
 
         return LaunchResult(
             program=program.name,
@@ -208,7 +210,6 @@ class Device:
         shared: int,
         budget: int,
         instrumentation: Instrumentation | None,
-        trace_fn: Callable[[TraceEvent], None] | None,
         round_hook: Callable | None = None,
         resume=None,
     ) -> int:
@@ -225,10 +226,8 @@ class Device:
 
             shared_mem = SharedMemory(max(shared, 1))
             env = _CtaEnv(self.global_mem, self.constant_mem, shared_mem)
-            executor = WarpExecutor(
-                program, env, instrumentation=instrumentation,
-                trace_fn=trace_fn,
-            )
+            executor = WarpExecutor(program, env,
+                                    instrumentation=instrumentation)
 
             if resume is not None and cta == start_cta:
                 # mid-CTA resume: warps come from the snapshot (the slot

@@ -22,7 +22,10 @@ One loop. :meth:`WarpExecutor.run_slice` steps a warp through a table
 read once per slice: the decode table, or the one the instrumentation
 hands out for the warp. A fault tool compiles its behaviour into the
 steps of the pcs it can corrupt (NVBitPERfi its error functions, the RTL
-tool its stuck-at sites); every other pc keeps its plain step.
+tool its stuck-at sites); every other pc keeps its plain step. Tracing
+is such a tool too: :class:`Tracer` wraps every step of the table under
+it. The instrumentation is the loop's one per-instruction extension
+point, and each tool files its tables in a :class:`TableCache`.
 
 Whole-warp fast path. The loop caches the top-of-stack entry and its
 active mask between *events* that can change them: slice entry, a
@@ -99,26 +102,61 @@ class _StackEntry:
     mask: np.ndarray  # bool (32,)
 
 
-@dataclass
-class TraceEvent:
-    """Record of one dynamically executed instruction (profiling hook)."""
-
-    sm_id: int
-    subpartition: int
-    warp_slot: int
-    cta: int
-    warp_in_cta: int
-    pc: int
-    instr: Instruction
-    exec_mask: np.ndarray
-
-
 class Instrumentation(Protocol):
-    """A fault tool: it hands out the step table each slice of a warp
-    runs, ``decoded.steps`` (see :func:`decode`) with the steps of the pcs
-    it corrupts wrapped."""
+    """A fault or tracing tool: it hands out the step table each slice of
+    a warp runs, ``decoded.steps`` (see :func:`decode`) with the steps of
+    the pcs it acts on wrapped."""
 
     def table(self, warp: "WarpState", decoded: "_Decoded") -> list: ...
+
+
+class TableCache:
+    """A tool's compiled step tables, filed by ``(id(decode table), key)``.
+    An entry holds its decode table and *pin* (the object *key* names by
+    id, if any), so neither id is reused while the entry lives."""
+
+    __slots__ = ("_held",)
+
+    def __init__(self):
+        self._held: dict[tuple, tuple] = {}
+
+    def table(self, decoded: "_Decoded", key, build: Callable[[], list],
+              pin=None) -> list:
+        """The table filed under (*decoded*, *key*); ``build()`` makes it
+        on a miss."""
+        held = self._held.get((id(decoded), key))
+        if held is None or held[0] is not decoded or held[1] is not pin:
+            held = self._held[id(decoded), key] = (decoded, pin, build())
+        return held[2]
+
+
+def _traced(step, fn, pc: int, instr: Instruction):
+    def traced(w, m, active, top, env):
+        res = step(w, m, active, top, env)
+        fn(w, pc, instr, m)
+        return res
+    return traced
+
+
+class Tracer:
+    """A tracing tool: ``fn(warp, pc, instr, m)`` runs after every step a
+    warp completes, with the exec mask the step got (``None``: all 32
+    lanes; read-only). The steps traced are those of *tool*'s table, or
+    of the decode table without one; a step that raises is not traced."""
+
+    def __init__(self, fn: Callable, tool: Instrumentation | None = None):
+        self.fn = fn
+        self.tool = tool
+        self._tables = TableCache()
+
+    def table(self, warp: "WarpState", decoded: "_Decoded") -> list:
+        inner = (decoded.steps if self.tool is None
+                 else self.tool.table(warp, decoded))
+        fn = self.fn
+        return self._tables.table(decoded, id(inner), lambda: [
+            (_traced(step, fn, pc, instr), guard, neg, instr)
+            for pc, (step, guard, neg, instr) in enumerate(inner)],
+            pin=inner)
 
 
 class _Columns(dict):
@@ -579,12 +617,10 @@ class WarpExecutor:
         program: Program,
         env: _CtaEnv,
         instrumentation: Instrumentation | None = None,
-        trace_fn: Callable[[TraceEvent], None] | None = None,
     ):
         self.program = program
         self.env = env
         self.instrumentation = instrumentation
-        self.trace_fn = trace_fn
         self._decoded = decode(program)
 
     # ------------------------------------------------------------------
@@ -617,7 +653,7 @@ class WarpExecutor:
         Stops early at a barrier or warp completion. Returns the number of
         instructions executed. The slice runs under
         ``np.errstate(all="ignore")`` (simulated IEEE arithmetic never
-        warns), instrumentation and the trace function included, through
+        warns), the instrumentation's steps included, through
         the step table the instrumentation hands out for *warp*, read once
         per slice.
         """
@@ -626,7 +662,6 @@ class WarpExecutor:
                  else tool.table(warp, self._decoded))
         n = len(steps)
         env = self.env
-        trace_fn = self.trace_fn
         resync = _SYNC
         done = 0
         sync = True
@@ -648,7 +683,7 @@ class WarpExecutor:
                         # hang source
                         raise WatchdogTimeoutError(
                             f"{self.program.name}: PC past end")
-                    step, guard, neg, instr = steps[pc]
+                    step, guard, neg, _ = steps[pc]
                     if guard is None:
                         m = active
                     else:
@@ -661,34 +696,19 @@ class WarpExecutor:
                     if step(warp, m, active, top, env) is resync:
                         sync = True
                     warp.instructions_executed += 1
-                    if trace_fn is not None:
-                        self._trace(warp, pc, instr, m)
                     done += 1
         finally:
             if done:
                 _SIM_INSTRUCTIONS.inc(done)
         return done
 
-    def _trace(self, warp, pc, instr, m) -> None:
-        self.trace_fn(
-            TraceEvent(
-                sm_id=warp.sm_id,
-                subpartition=warp.subpartition,
-                warp_slot=warp.warp_slot,
-                cta=warp.cta,
-                warp_in_cta=warp.warp_in_cta,
-                pc=pc,
-                instr=instr,
-                exec_mask=(_FULL if m is None else m).copy(),
-            )
-        )
-
 
 __all__ = [
     "WarpState",
     "WarpExecutor",
     "Instrumentation",
-    "TraceEvent",
+    "TableCache",
+    "Tracer",
     "WARP_SIZE",
     "decode",
 ]

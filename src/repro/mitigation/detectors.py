@@ -13,10 +13,10 @@ from repro.common.rng import DEFAULT_SEED
 from repro.errormodels.models import ErrorModel, SW_INJECTABLE
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.device import Device
-from repro.gpusim.executor import TraceEvent
+from repro.gpusim.executor import Tracer
 from repro.isa.opcodes import Op
 from repro.swinjector.instrumentation import NVBitPERfi, make_descriptor
-from repro.workloads import get_workload
+from repro.workloads import default_launcher, get_workload
 
 
 class DmrDetector:
@@ -40,12 +40,8 @@ class DmrDetector:
     def run(self, tool) -> tuple[np.ndarray, bool]:
         """Returns (primary output, detected?)."""
         dev = Device(DeviceConfig(global_mem_words=self.mem_words))
-
-        def launcher(program, grid, block, params=(), shared_words=None):
-            return dev.launch(program, grid, block, params=params,
-                              shared_words=shared_words,
-                              watchdog=self.watchdog, instrumentation=tool)
-
+        launcher = default_launcher(dev, watchdog=self.watchdog,
+                                    instrumentation=tool)
         first = self.workload.run(dev, launcher)
         second = self.workload.run(dev, launcher)
         return first, not np.array_equal(first, second)
@@ -70,22 +66,17 @@ class ControlFlowChecker:
         dev = Device(DeviceConfig(global_mem_words=self.mem_words))
         h = hashlib.sha256()
 
-        def trace(ev: TraceEvent) -> None:
-            if ev.instr.op in (Op.BRA, Op.EXIT, Op.BAR):
-                mask = int(sum(1 << i for i, b in enumerate(ev.exec_mask)
-                               if b))
-                h.update(ev.cta.to_bytes(4, "little"))
-                h.update(ev.warp_in_cta.to_bytes(2, "little"))
-                h.update(ev.pc.to_bytes(4, "little"))
+        def trace(w, pc, instr, m) -> None:
+            if instr.op in (Op.BRA, Op.EXIT, Op.BAR):
+                mask = 0xFFFFFFFF if m is None else int(
+                    sum(1 << i for i, b in enumerate(m) if b))
+                h.update(w.cta.to_bytes(4, "little"))
+                h.update(w.warp_in_cta.to_bytes(2, "little"))
+                h.update(pc.to_bytes(4, "little"))
                 h.update(mask.to_bytes(4, "little"))
 
-        def launcher(program, grid, block, params=(), shared_words=None):
-            return dev.launch(program, grid, block, params=params,
-                              shared_words=shared_words,
-                              watchdog=self.watchdog, instrumentation=tool,
-                              trace_fn=trace)
-
-        bits = self.workload.run(dev, launcher)
+        bits = self.workload.run(dev, default_launcher(
+            dev, watchdog=self.watchdog, instrumentation=Tracer(trace, tool)))
         return bits, h.digest()
 
     def golden_signature(self) -> bytes:

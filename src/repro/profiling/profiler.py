@@ -9,12 +9,12 @@ import numpy as np
 
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.device import Device
-from repro.gpusim.executor import TraceEvent
+from repro.gpusim.executor import Tracer
 from repro.gatelevel.units.base import Stimulus
 from repro.isa.encoding import encode
 from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, default_launcher
 
 
 #: the 14 profiling workloads of the paper, by registry name
@@ -55,24 +55,26 @@ class ProfileResult:
         return self.opclass_dynamic.get(op_class, 0) / self.total_dynamic
 
 
-def _event_to_stimulus(ev: TraceEvent, encoded: dict) -> Stimulus:
-    """*ev* as a stimulus. *encoded* maps ``id(instr)`` to the static
-    instruction's ``(instr, word, imm)``: each instruction is encoded once,
-    and holding it keeps its id from being reused while the map lives."""
-    hit = encoded.get(id(ev.instr))
+def _event_to_stimulus(w, pc: int, instr, m, encoded: dict) -> Stimulus:
+    """The stimulus of warp *w* executing *instr* at *pc* under exec mask
+    *m* (``None``: all 32 lanes). *encoded* maps ``id(instr)`` to the
+    static instruction's ``(instr, word, imm)``: each instruction is
+    encoded once, and holding it keeps its id from being reused while the
+    map lives."""
+    hit = encoded.get(id(instr))
     if hit is None:
-        enc = encode(ev.instr)
-        hit = encoded[id(ev.instr)] = (ev.instr, enc.word, enc.imm)
+        enc = encode(instr)
+        hit = encoded[id(instr)] = (instr, enc.word, enc.imm)
     _, word, imm = hit
-    mask = int.from_bytes(
-        np.packbits(ev.exec_mask, bitorder="little").tobytes(), "little")
+    mask = 0xFFFFFFFF if m is None else int.from_bytes(
+        np.packbits(m, bitorder="little").tobytes(), "little")
     return Stimulus(
         word=word,
         imm=imm,
-        warp_id=(ev.warp_slot + ev.subpartition * 4) & 0xF,
-        thread_mask=mask & 0xFFFFFFFF,
-        cta_id=ev.cta & 0xF,
-        pc=ev.pc & 0xFF,
+        warp_id=(w.warp_slot + w.subpartition * 4) & 0xF,
+        thread_mask=mask,
+        cta_id=w.cta & 0xF,
+        pc=pc & 0xFF,
         opcode=word & 0xFF,
     )
 
@@ -101,17 +103,12 @@ def _profile_one(w: Workload, cap: int | None, dedup: bool,
     events: list[Stimulus] = []
     counts = Counter()
 
-    def trace(ev: TraceEvent) -> None:
-        counts[ev.instr.info.op_class] += 1
-        events.append(_event_to_stimulus(ev, encoded))
+    def trace(warp, pc, instr, m) -> None:
+        counts[instr.info.op_class] += 1
+        events.append(_event_to_stimulus(warp, pc, instr, m, encoded))
 
     device = Device(DeviceConfig(global_mem_words=1 << 20))
-
-    def launcher(program, grid, block, params=(), shared_words=None):
-        return device.launch(program, grid, block, params=params,
-                             shared_words=shared_words, trace_fn=trace)
-
-    w.run(device, launcher)
+    w.run(device, default_launcher(device, instrumentation=Tracer(trace)))
     dyn = sum(counts.values())
     if dedup:
         events = list(dict.fromkeys(events))

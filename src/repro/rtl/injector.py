@@ -25,7 +25,7 @@ from repro.common.rng import make_rng
 from repro.gpusim.alu import alu_kernel, eval_alu
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.device import Device
-from repro.gpusim.executor import WARP_SIZE, Instrumentation, _SYNC
+from repro.gpusim.executor import WARP_SIZE, Instrumentation, TableCache, _SYNC
 from repro.isa.instruction import RZ
 from repro.isa.opcodes import Op, OpClass, is_valid_opcode
 from repro.rtl.sites import RtlSite
@@ -413,19 +413,14 @@ class RtlInstrumentation:
         self._build = _SITES.get(s.kind)
         self._on = _exercises(injection)
         self._warp = s.index if s.kind in ("pc_bit", "warp_enable") else None
-        self._tables: dict[tuple[int, bool], tuple] = {}
+        self._tables = TableCache()
 
     def table(self, warp, decoded) -> list:
         """The step table *warp* runs its next slice under (*decoded* is
         its program's decode table)."""
         reached = self._warp is None or warp.warp_in_cta == self._warp
-        key = (id(decoded), reached)
-        held = self._tables.get(key)
-        if held is None or held[0] is not decoded:
-            # the held decode table pins its id
-            held = self._tables[key] = (decoded,
-                                        self._compile(decoded, reached))
-        return held[1]
+        return self._tables.table(decoded, reached,
+                                  lambda: self._compile(decoded, reached))
 
     def _compile(self, decoded, reached: bool) -> list:
         if self._build is None:

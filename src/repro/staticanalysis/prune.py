@@ -22,20 +22,21 @@ R1 — *no targets*: ``injector.targets(instr)`` is False for every
      the injector implementations.
 
 R2 — *inert targets*: every target's corruption lands in state that is
-     provably never observed, using the conservative backward liveness
-     of :mod:`repro.staticanalysis.liveness` (predicated defs do not
-     kill; registers are dead at exit because workload outputs travel
-     through global-memory stores):
+     provably never observed. A target whose error functions
+     (``injector.error_functions(instr)``) are ``(None, None)`` only
+     counts the activation: WV with ``bit_err_mask`` bit 0 clear or a
+     ``PT`` destination, IAL *enable* (the forced lanes are exec-mask
+     lanes already), IAL *disable* on a target writing no register.
+     Otherwise the rules use the conservative backward liveness of
+     :mod:`repro.staticanalysis.liveness` (predicated defs do not kill;
+     registers are dead at exit because workload outputs travel through
+     global-memory stores):
 
      * xor-destination models (IIO, IMS, IAT, IAW, IAC): the corrupted
        destination register is dead-out at the site (or RZ).
-     * WV: the flipped predicate destination is ``PT`` (hardware
-       discards the write) or dead-out; a descriptor whose
-       ``bit_err_mask`` has bit 0 clear never flips at all.
-     * IAL *disable*: only register-writing targets are affected (the
-       injector restores ``dst``); the destination must be dead-out.
-       IAL *enable*: an ``@PT`` guard means the forced lanes were
-       already executing — the override is the identity.
+     * WV: the flipped predicate destination is dead-out.
+     * IAL *disable* on a register write (the injector restores
+       ``dst``): the destination must be dead-out.
      * IRA ``errOperLoc == 0``: the result is duplicated into the wrong
        register and the true destination reverts; both the destination
        and the wrong register must be dead-out, and the wrong register
@@ -151,18 +152,16 @@ class StaticPruner:
             if repl not in REPLACEABLE_OPS:
                 return False  # raises IllegalInstructionError -> DUE
             return self._reg_dead(a, pc, instr.dst)
+        if inj.error_functions(instr) == (None, None):
+            return True  # an activation is only counted
         if isinstance(inj, (IIOInjector, IMSInjector, _S2RInjector)):
             return self._reg_dead(a, pc, instr.dst)
         if isinstance(inj, WVInjector):
-            if not inj.desc.bit_err_mask & 1:
-                return True
             return self._pred_dead(a, pc, instr.pdst)
         if isinstance(inj, IALInjector):
-            if inj.desc.lane_enable_mode == "disable":
-                if instr.info.writes_reg and instr.dst != RZ:
-                    return self._reg_dead(a, pc, instr.dst)
-                return True  # nothing is saved, nothing is restored
-            return instr.is_unconditional  # forcing @PT lanes is identity
+            # disable mode on a register write: the victims' results
+            # are discarded
+            return self._reg_dead(a, pc, instr.dst)
         # IVOC, IMD and anything unrecognised: never prunable
         return False
 

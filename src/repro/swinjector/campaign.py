@@ -51,6 +51,7 @@ from repro.gpusim.config import DeviceConfig
 from repro.gpusim.device import Device
 from repro.swinjector import accel
 from repro.swinjector.instrumentation import NVBitPERfi, make_descriptor
+from repro.workloads.base import default_launcher
 from repro.workloads.registry import EVALUATION_APPS
 
 OUTCOMES = ("masked", "sdc", "due")
@@ -237,10 +238,8 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
     #: ``accel`` attribute
     shortcuts: list[str] = []
     if trace is None:
-        def launcher(program, grid, block, params=(), shared_words=None):
-            return dev.launch(program, grid, block, params=params,
-                              shared_words=shared_words, watchdog=watchdog,
-                              instrumentation=tool)
+        launcher = default_launcher(dev, watchdog=watchdog,
+                                    instrumentation=tool)
     else:
         launcher = accel.replay_launcher(dev, trace, sites, tool, watchdog,
                                          stats, shortcuts)

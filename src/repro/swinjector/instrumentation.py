@@ -9,7 +9,7 @@ import numpy as np
 from repro.common.rng import make_rng
 from repro.errormodels.descriptor import ErrorDescriptor
 from repro.errormodels.models import ErrorModel
-from repro.gpusim.executor import WARP_SIZE, decode
+from repro.gpusim.executor import WARP_SIZE, TableCache, decode
 from repro.isa.opcodes import Op
 from repro.swinjector.injectors import (
     BaseInjector,
@@ -84,7 +84,7 @@ class NVBitPERfi:
         #: ``(warp, steps)`` table they lay over one warp
         #: (:func:`repro.swinjector.accel.observe`)
         self.watch = self.recorder = self.overlay = None
-        self._tables: dict[int, tuple] = {}
+        self._tables = TableCache()
 
     def matches(self, warp) -> bool:
         """Does *warp* run on the faulty hardware?"""
@@ -98,11 +98,7 @@ class NVBitPERfi:
             return self.overlay[1]
         if not self.matches(warp):
             return decoded.steps
-        held = self._tables.get(id(decoded))
-        if held is None or held[0] is not decoded:
-            # the held decode table pins its id
-            held = self._tables[id(decoded)] = (decoded, self.compile(warp))
-        return held[1]
+        return self._tables.table(decoded, None, lambda: self.compile(warp))
 
     def compile(self, warp, inner=None, outer=None) -> list:
         """The decode table of *warp*'s program with its target pcs (none

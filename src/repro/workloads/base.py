@@ -48,12 +48,14 @@ class Launcher(Protocol):
     ) -> LaunchResult: ...
 
 
-def default_launcher(device: Device) -> Launcher:
-    """A plain (uninstrumented) launcher bound to *device*."""
+def default_launcher(device: Device, **launch_options) -> Launcher:
+    """A launcher bound to *device* that passes *launch_options* (e.g.
+    ``watchdog``, ``instrumentation``) to every :meth:`Device.launch`;
+    without any it is plain."""
 
     def launch(program, grid, block, params=(), shared_words=None):
         return device.launch(program, grid, block, params=params,
-                             shared_words=shared_words)
+                             shared_words=shared_words, **launch_options)
 
     return launch
 

@@ -12,6 +12,7 @@ from repro.common.exceptions import (
     WatchdogTimeoutError,
 )
 from repro.gpusim import Device, DeviceConfig
+from repro.gpusim.executor import Tracer
 from repro.isa import CmpOp, KernelBuilder, Op, RZ, SpecialReg
 
 
@@ -449,12 +450,13 @@ class TestWarpCoordinates:
     def test_subpartition_assignment(self, device):
         seen = []
 
-        def trace(ev):
-            seen.append((ev.sm_id, ev.subpartition, ev.warp_slot, ev.warp_in_cta))
+        def trace(w, pc, instr, m):
+            seen.append((w.sm_id, w.subpartition, w.warp_slot, w.warp_in_cta))
 
         k = KernelBuilder("coord", nregs=4)
         k.exit()
-        device.launch(k.build(), grid=2, block=256, trace_fn=trace)
+        device.launch(k.build(), grid=2, block=256,
+                      instrumentation=Tracer(trace))
         # 8 warps/CTA over 4 subpartitions: warp w -> subpartition w%4
         per_cta = {(w % 4) for _, _, _, w in seen}
         assert per_cta == {0, 1, 2, 3}

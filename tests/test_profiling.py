@@ -64,26 +64,25 @@ def _reference_stimuli(workload) -> list[Stimulus]:
     way: one ``encode`` per event and a per-lane loop for the mask."""
     from repro.gpusim.config import DeviceConfig
     from repro.gpusim.device import Device
+    from repro.gpusim.executor import Tracer
     from repro.isa.encoding import encode
+    from repro.workloads.base import default_launcher
 
     out: list[Stimulus] = []
 
-    def trace(ev):
-        enc = encode(ev.instr)
-        mask = sum(1 << i for i, b in enumerate(ev.exec_mask) if b)
+    def trace(w, pc, instr, m):
+        enc = encode(instr)
+        lanes = [True] * 32 if m is None else m
+        mask = sum(1 << i for i, b in enumerate(lanes) if b)
         out.append(Stimulus(
             word=enc.word, imm=enc.imm,
-            warp_id=(ev.warp_slot + ev.subpartition * 4) & 0xF,
-            thread_mask=mask & 0xFFFFFFFF, cta_id=ev.cta & 0xF,
-            pc=ev.pc & 0xFF, opcode=enc.word & 0xFF))
+            warp_id=(w.warp_slot + w.subpartition * 4) & 0xF,
+            thread_mask=mask & 0xFFFFFFFF, cta_id=w.cta & 0xF,
+            pc=pc & 0xFF, opcode=enc.word & 0xFF))
 
     device = Device(DeviceConfig(global_mem_words=1 << 20))
-
-    def launcher(program, grid, block, params=(), shared_words=None):
-        return device.launch(program, grid, block, params=params,
-                             shared_words=shared_words, trace_fn=trace)
-
-    workload.run(device, launcher)
+    workload.run(device, default_launcher(device,
+                                          instrumentation=Tracer(trace)))
     return out
 
 

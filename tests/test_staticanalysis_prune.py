@@ -99,6 +99,15 @@ class TestPruneRules:
             model=ErrorModel.IAL, lane_enable_mode="enable"))
         assert enable.masked and enable.rule == "R2"
 
+    def test_ial_enable_on_predicated_code_is_inert(self):
+        # the forced lanes are victims, which lie in the exec mask: the
+        # injector has no error function, whatever the guard
+        prog = _prog([Instruction(Op.IADD, dst=1, srcs=(1,), imm=1,
+                                  use_imm=True, pred=0), *_store_and_exit(1)])
+        enable = StaticPruner([prog]).classify(ErrorDescriptor(
+            model=ErrorModel.IAL, lane_enable_mode="enable"))
+        assert enable.masked and enable.rule == "R2"
+
     def test_ial_disable_needs_dead_destination(self):
         live = _prog([Instruction(Op.IADD, dst=1, srcs=(1,), imm=1,
                                   use_imm=True), *_store_and_exit(1)])

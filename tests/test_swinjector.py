@@ -27,14 +27,9 @@ def _run_with(app: str, desc: ErrorDescriptor, scale="tiny"):
     golden = w.run_golden()
     tool = NVBitPERfi(desc)
     dev = Device(DeviceConfig(global_mem_words=1 << 20))
-
-    def launcher(program, grid, block, params=(), shared_words=None):
-        return dev.launch(program, grid, block, params=params,
-                          shared_words=shared_words, watchdog=2_000_000,
-                          instrumentation=tool)
-
     try:
-        bits = w.run(dev, launcher)
+        bits = w.run(dev, default_launcher(dev, watchdog=2_000_000,
+                                           instrumentation=tool))
     except DeviceError as exc:
         return "due", None, tool
     return ("masked" if np.array_equal(bits, golden) else "sdc"), bits, tool

@@ -1,0 +1,175 @@
+"""Tracing is a step-table tool: :class:`repro.gpusim.executor.Tracer`.
+
+The golden traces behind differential replay and the stimuli behind every
+gate campaign are pinned to digests of the per-event hook the tracer
+replaced, so any drift in what is recorded shows here.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.campaign.goldens import (
+    DEFAULT_MEM_WORDS,
+    _trace_digest,
+    _trace_to_arrays,
+    cached_workload,
+    reference_run,
+)
+from repro.common.exceptions import DeviceError, IllegalInstructionError
+from repro.common.rng import DEFAULT_SEED
+from repro.errormodels import ErrorDescriptor, ErrorModel
+from repro.gpusim import Device, DeviceConfig
+from repro.gpusim.executor import WARP_SIZE, Tracer, decode
+from repro.isa import KernelBuilder, Op, SpecialReg
+from repro.swinjector import NVBitPERfi
+from repro.workloads.base import default_launcher
+from repro.workloads.registry import EVALUATION_APPS
+
+#: SHA-256 of each tiny EPR app's golden trace (``ev_pc``, ``ev_coord``,
+#: ``ev_mask``, ``coords``, launches, checkpoints and post-launch
+#: snapshots, as the spill flattens them), traced with its app name as key
+TRACE_DIGESTS = {
+    "vectoradd": "b68c08370c50606380b8d21ececa71f8dd3b78e46a3336a9bdc211d71e0b4c16",
+    "lava": "59c15132339d2cfbb2e5a7fc08bded669543745e9115ca1909cee8952bdfcfe0",
+    "mxm": "8d4abad4c030e9338e39a8d6994b0c65d80e013db28852fae0f0559123463777",
+    "gemm": "124c6c7a2754267b99dc5698059b7640c3d97578c2b67faeb8f56788800ca5b3",
+    "hotspot": "3a65d8c67a918e7428c662908800a6046a95d4fe3d487d6f56c705d9da191a99",
+    "gaussian": "87540675f6c78b9e7e33533567da0c361bdec4e197c6b83e71f861e1a6c6891a",
+    "bfs": "5bea7ed5f118d5ecfc6b6c9e02eddf008cbb878a9dc740ede43ea48762d4b574",
+    "lud": "5eb174f43b86c3b65967608be9163a99e948db9c622b0aafdb77e7bac69b5c14",
+    "accl": "b7e49bbe823491b99f879391f739128c85d9c36b1ac53bb1be37ef738613cdc9",
+    "nw": "e29dffe9a6f7c45bd2d4caf44f1c2dcae9469f639edd107e9bbe794cef9b0ecf",
+    "cfd": "d6fc6a41a5fdc254357fb95bf35abaff01dd715498ab1faf905f5e67d53a7131",
+    "quicksort": "152e52d09ee2c0319b1cba5fedbb34c2684c1da00bdeb970754914856cad6d28",
+    "mergesort": "31961c3ec8acbba7daf15de2d0965c1726799f049a2c475d008c4f411c0df6cd",
+    "lenet": "118201c205b73a401f967afad4260ccc5bb00253e4c79b3d1422fd2c827e604a",
+    "yolov3": "3a3254793c69d2d9a39f25b8c3efedd279357bb5a3825a48339af4f81ce6de20",
+}
+
+#: SHA-256 of the field tuples of ``profile_stimuli("tiny", 48).stimuli``
+STIMULI_DIGEST = \
+    "02db78a14c78e7046352bb65792b966f992a78a23fa6f2283f29cde74806181c"
+
+
+class TestPinnedOutputs:
+    def test_every_epr_app_is_pinned(self):
+        assert set(TRACE_DIGESTS) == set(EVALUATION_APPS)
+
+    @pytest.mark.parametrize("app", sorted(TRACE_DIGESTS))
+    def test_golden_trace(self, app):
+        w = cached_workload(app, "tiny", DEFAULT_SEED)
+        _, trace = reference_run(w, DEFAULT_MEM_WORDS, traced_key=app)
+        assert _trace_digest(*_trace_to_arrays(trace)) == TRACE_DIGESTS[app]
+
+    def test_profiled_stimuli(self):
+        from repro.faultinjection.campaign import profile_stimuli
+
+        stimuli = profile_stimuli("tiny", 48).stimuli
+        wire = repr([dataclasses.astuple(s) for s in stimuli]).encode()
+        assert hashlib.sha256(wire).hexdigest() == STIMULI_DIGEST
+
+
+def _run(w, **launch_options):
+    """``(output bits, instructions per launch)`` of *w* on a fresh
+    device."""
+    dev = Device(DeviceConfig(global_mem_words=DEFAULT_MEM_WORDS))
+    launch = default_launcher(dev, **launch_options)
+    counts = []
+
+    def launcher(*args, **kwargs):
+        res = launch(*args, **kwargs)
+        counts.append(res.instructions_executed)
+        return res
+
+    return w.run(dev, launcher), counts
+
+
+def _kernel(nregs=8):
+    """``out[tid] = tid + 1``."""
+    k = KernelBuilder("traced", nregs=nregs)
+    ptr = k.load_param(0)
+    t = k.s2r_new(SpecialReg.TID_X)
+    v = k.reg()
+    k.iadd(v, t, imm=1)
+    addr = k.reg()
+    k.shl(addr, t, imm=2)
+    k.iadd(addr, addr, ptr)
+    k.gst(addr, v)
+    k.exit()
+    return k.build()
+
+
+class TestTracer:
+    @pytest.mark.parametrize("app", sorted(EVALUATION_APPS))
+    def test_tracing_changes_no_result(self, app):
+        w = cached_workload(app, "tiny", DEFAULT_SEED)
+        events = []
+        plain_bits, plain_counts = _run(w)
+        bits, counts = _run(w, instrumentation=Tracer(
+            lambda warp, pc, instr, m: events.append(pc)))
+        np.testing.assert_array_equal(bits, plain_bits)
+        assert counts == plain_counts
+        assert len(events) == sum(counts)
+
+    def test_raising_step_leaves_no_event(self):
+        program = _kernel()
+        fail_pc = 2
+
+        class Failing:
+            def table(self, warp, decoded):
+                steps = list(decoded.steps)
+                _, guard, neg, instr = steps[fail_pc]
+
+                def fail(w, m, active, top, env):
+                    raise IllegalInstructionError("failing site")
+                steps[fail_pc] = (fail, guard, neg, instr)
+                return steps
+
+        seen = []
+        dev = Device(DeviceConfig())
+        with pytest.raises(DeviceError):
+            dev.launch(program, 1, WARP_SIZE, params=[dev.alloc(WARP_SIZE)],
+                       instrumentation=Tracer(
+                           lambda w, pc, instr, m: seen.append(pc),
+                           Failing()))
+        assert seen == list(range(fail_pc))
+
+    def test_sees_the_fault_tools_sites(self):
+        # IAT flips bit 1 of the TID the S2R reads on lanes 0-3; the
+        # tracer runs after the site, so it sees the corrupted register
+        program = _kernel()
+        s2r = next(pc for pc, i in enumerate(program.instructions)
+                   if i.op is Op.S2R)
+        tool = NVBitPERfi(ErrorDescriptor(ErrorModel.IAT, thread_mask=0xF,
+                                          bit_err_mask=2))
+        dst = program.instructions[s2r].dst
+        seen = {}
+
+        def fn(w, pc, instr, m):
+            if pc == s2r:
+                seen[pc] = w.regs[:, dst].copy()
+
+        dev = Device(DeviceConfig())
+        dev.launch(program, 1, WARP_SIZE, params=[dev.alloc(WARP_SIZE)],
+                   instrumentation=Tracer(fn, tool))
+        want = np.arange(WARP_SIZE, dtype=np.uint32)
+        want[:4] ^= 2
+        np.testing.assert_array_equal(seen[s2r], want)
+        assert tool.activations == 1
+
+    def test_one_table_per_inner_table(self):
+        decoded = decode(_kernel())
+
+        class Warp:  # the decode table is all a tool-less tracer reads
+            pass
+
+        tracer = Tracer(lambda w, pc, instr, m: None)
+        table = tracer.table(Warp(), decoded)
+        assert tracer.table(Warp(), decoded) is table
+        assert [s[1:] for s in table] == [s[1:] for s in decoded.steps]
+        assert all(a[0] is not b[0] for a, b in zip(table, decoded.steps))
