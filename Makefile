@@ -81,10 +81,10 @@ bench:
 	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only -q
 
 report:
-	$(PY) -m repro.experiments --output experiments_report.txt
+	PYTHONPATH=src $(PY) -m repro.experiments --output experiments_report.txt
 
 report-small:
-	$(PY) -m repro.experiments --preset small --output experiments_report.txt
+	PYTHONPATH=src $(PY) -m repro.experiments --preset small --output experiments_report.txt
 
 # Report anchor: regenerate the tiny report (~40 s) and exit 1 unless it
 # equals the committed experiments_report.txt, leaving out only the lines
@@ -102,13 +102,13 @@ report-check:
 	exit $$status
 
 claims:
-	$(PY) -c "from repro.analysis.compare import evaluate_claims; \
+	PYTHONPATH=src $(PY) -c "from repro.analysis.compare import evaluate_claims; \
 	s = evaluate_claims(); open('claims_report.md','w').write(s.render_markdown()); \
 	print(f'{s.passed}/{s.total} claims hold')"
 
 docs:
-	$(PY) -c "from repro.isa.manual import write_manual; write_manual()"
-	$(PY) -c "from repro.errormodels.manual import write_manual; write_manual()"
+	PYTHONPATH=src $(PY) -c "from repro.isa.manual import write_manual; write_manual()"
+	PYTHONPATH=src $(PY) -c "from repro.errormodels.manual import write_manual; write_manual()"
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; \

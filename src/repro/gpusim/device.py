@@ -58,6 +58,12 @@ def param_words(params: Sequence[int | float]) -> np.ndarray:
     )
 
 
+def cta_shared_words(program: Program, shared_words: int | None) -> int:
+    """The shared-memory words each CTA of a launch of *program* gets:
+    *shared_words*, or the program's own size when it is ``None``."""
+    return program.shared_words if shared_words is None else shared_words
+
+
 @dataclass
 class LaunchResult:
     """Statistics of one kernel launch."""
@@ -146,7 +152,13 @@ class Device:
         instruction counter: ``executed`` grows by it before the round
         runs. A hook may also rewrite the register values of the current
         CTA's warps (in place, e.g. ``warp.regs += delta``) and words of
-        global memory; the round then runs from the rewritten state. Any
+        global memory; the round then runs from the rewritten state. It
+        may also finish the CTA: clear every warp's ``alive`` mask (in
+        place) and return the instructions the CTA would have executed;
+        the round then finds no unfinished warp and the next CTA starts.
+        The accelerated injector does so at the first round of a CTA it
+        has proved to repeat its golden execution, after writing that
+        execution's stores (docs/PERFORMANCE.md, "Clean-CTA skip"). Any
         other change is outside the contract. A count that takes the
         counter past the watchdog budget raises the timeout at once, as
         the slice that reaches that count would. The accelerated injector
@@ -174,7 +186,7 @@ class Device:
             raise ConfigError(f"block of {nthreads} threads exceeds 1024")
         warps_per_cta = -(-nthreads // WARP_SIZE)
         num_ctas = grid3[0] * grid3[1] * grid3[2]
-        shared = shared_words if shared_words is not None else program.shared_words
+        shared = cta_shared_words(program, shared_words)
         if shared > self.config.max_shared_words_per_cta:
             raise ConfigError(
                 f"{program.name}: shared_words={shared} exceeds CTA limit"

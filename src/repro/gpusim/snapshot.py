@@ -96,15 +96,19 @@ class DeviceSnapshot:
     slot_counters: tuple[tuple[int, int, int], ...]
 
 
+def slot_counters(dev) -> tuple[tuple[int, int, int], ...]:
+    """*dev*'s warp-slot counters as a snapshot holds them."""
+    return tuple(sorted((sm, sub, slot)
+                        for (sm, sub), slot in dev._slot_counters.items()))
+
+
 def snapshot_device(dev) -> DeviceSnapshot:
     return DeviceSnapshot(
         mem_words=dev.config.global_mem_words,
         global_data=_trim(dev.global_mem),
         global_brk=dev.global_mem._brk,
         constant_data=_trim(dev.constant_mem),
-        slot_counters=tuple(sorted(
-            (sm, sub, slot)
-            for (sm, sub), slot in dev._slot_counters.items())),
+        slot_counters=slot_counters(dev),
     )
 
 
@@ -131,11 +135,8 @@ def device_matches(dev, snap: DeviceSnapshot) -> bool:
 
 def _device_control_matches(dev, snap: DeviceSnapshot) -> bool:
     """Equal allocation break and warp-slot counters."""
-    if dev.global_mem._brk != snap.global_brk:
-        return False
-    counters = tuple(sorted(
-        (sm, sub, slot) for (sm, sub), slot in dev._slot_counters.items()))
-    return counters == snap.slot_counters
+    return (dev.global_mem._brk == snap.global_brk
+            and slot_counters(dev) == snap.slot_counters)
 
 
 # ---------------------------------------------------------------------
@@ -351,6 +352,7 @@ __all__ = [
     "device_matches",
     "materialize_warp",
     "restore_device",
+    "slot_counters",
     "snapshot_device",
     "snapshot_warp",
     "warp_matches",

@@ -313,10 +313,18 @@ def _fuzz(seed: int, events: Counter, reasons: Counter, stats) -> None:
             reasons[model.value, cold.outcome, cold.due_reason] += 1
 
 
-def test_compiled_sites_match_the_hook_reference():
-    from repro.swinjector.accel import AccelStats
+def test_compiled_sites_match_the_hook_reference(monkeypatch):
+    from repro.swinjector import accel
 
-    events, reasons, stats = Counter(), Counter(), AccelStats()
+    refused = Counter()
+    holds = accel._holds
+
+    def counted(*args) -> bool:
+        ok = holds(*args)
+        refused["live-in"] += not ok
+        return ok
+    monkeypatch.setattr(accel, "_holds", counted)
+    events, reasons, stats = Counter(), Counter(), accel.AccelStats()
     for seed in SEEDS:
         _fuzz(seed, events, reasons, stats)
     # the rarer paths of the error functions were taken
@@ -329,6 +337,9 @@ def test_compiled_sites_match_the_hook_reference():
     # CTA lands on SM 0 again), the loop watch and recorder overlays
     assert stats.restores and stats.hang_cycles
     assert stats.early_exits and stats.skipped
+    # the clean-CTA skip, and its live-in check refusing a CTA whose
+    # loads an earlier CTA's corrupted stores reached
+    assert stats.cta_skips and refused["live-in"]
 
 
 @pytest.mark.parametrize("seed", [0, 5])

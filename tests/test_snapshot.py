@@ -393,7 +393,9 @@ class TestCheckpointCache:
 
     def test_spill_stacks_fields_and_round_trips_every_warp(self, tmp_path):
         # one .npz member per snapshot field, whatever the number of
-        # checkpoints and warps, and every field reads back exactly
+        # checkpoints and warps, and every field and CTA record reads back
+        # exactly
+        import dataclasses
         import zipfile
 
         cache = CheckpointCache()
@@ -402,7 +404,8 @@ class TestCheckpointCache:
         (path,) = tmp_path.glob("*.trace.npz")
         assert len(a.checkpoints) > 4
         assert sum(len(ck.warps) for ck in a.checkpoints) > 8
-        assert len(zipfile.ZipFile(path).namelist()) == 27
+        # 27 snapshot members, and one of the CTA records end to end
+        assert len(zipfile.ZipFile(path).namelist()) == 28
 
         fresh = CheckpointCache()
         fresh.persist_to(tmp_path)
@@ -412,6 +415,11 @@ class TestCheckpointCache:
         def same(x, y):
             assert x.dtype == y.dtype and np.array_equal(x, y)
 
+        assert b.launches == a.launches
+        assert a.ctas.start.size == sum(r.num_ctas for r in a.launches) > 4
+        assert a.ctas.gld_word.size and a.ctas.gst_word.size
+        for f in dataclasses.fields(a.ctas):
+            same(getattr(b.ctas, f.name), getattr(a.ctas, f.name))
         for x, y in zip(b.post_launch, a.post_launch, strict=True):
             same(x.global_data, y.global_data)
             same(x.constant_data, y.constant_data)

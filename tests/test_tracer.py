@@ -32,7 +32,8 @@ from repro.workloads.registry import EVALUATION_APPS
 
 #: SHA-256 of each tiny EPR app's golden trace (``ev_pc``, ``ev_coord``,
 #: ``ev_mask``, ``coords``, launches, checkpoints and post-launch
-#: snapshots, as the spill flattens them), traced with its app name as key
+#: snapshots, as the spill flattens them), traced with its app name as key,
+#: without the CTA records (:func:`_pinned_digest`)
 TRACE_DIGESTS = {
     "vectoradd": "b68c08370c50606380b8d21ececa71f8dd3b78e46a3336a9bdc211d71e0b4c16",
     "lava": "59c15132339d2cfbb2e5a7fc08bded669543745e9115ca1909cee8952bdfcfe0",
@@ -51,20 +52,63 @@ TRACE_DIGESTS = {
     "yolov3": "3a3254793c69d2d9a39f25b8c3efedd279357bb5a3825a48339af4f81ce6de20",
 }
 
+#: SHA-256 of each tiny EPR app's CTA records: every
+#: :class:`~repro.campaign.goldens.CtaRecords` array, in field order, and
+#: each launch's ``shared_words``
+CTA_DIGESTS = {
+    "vectoradd": "f6df0f951a1d04b3a1a18f363e3d52a52719aa5d2d411aeba2b398b2254a6082",
+    "lava": "6c78ba0dd35bbe934b08d52cee9e4520ada2c74857f08132609af1983355185a",
+    "mxm": "1fb66f9b9de5343647c50e0ebf593a8224302d7a19396dacc52873a42861e92b",
+    "gemm": "4a36b8409b8630ca09be39ecd1d06ede82183c39cde3540a7bb31017f41a50bd",
+    "hotspot": "3a479754eb0d88bf1fe0bafeb785bdcb1c0064826926a8b032d2ba28c54ca29a",
+    "gaussian": "2e4d1c8f52e9db46b886ce91fbfcb9ba91bf0121974b93c5dd2700b327d5dca9",
+    "bfs": "09b84009d2ba9448448b353ca218dc154be13b10b13dc077082afababc0c074f",
+    "lud": "5d342f05b0673071bbc8a7c9e3d9a6c35c58c1e19bd0e54ff548cdaa6f99a91c",
+    "accl": "90ff9a473846ea59ff66618315445e570f87cd10be08cefadd4c46f572d73010",
+    "nw": "c681f447ead8529870f99d96ec03f162121a103290c383466c041b1ec52bfe59",
+    "cfd": "6c6ef1c60456b3203eff93468bb4d1f29f1f2fc9d5e0f236902bd62cc71436d3",
+    "quicksort": "bb09fa8f8a133a87f73aa25ebe3582a0127d391d7dbb49bbf46f3efa1f5ee7e0",
+    "mergesort": "89ce8d543198927fba5c969e02992cf7261bd086c9c82a99947f46b0ef5aa11e",
+    "lenet": "0a0fb7d755d031347999bc71a335be831a1b5b5444c3c4a6c10cebb631dabe16",
+    "yolov3": "9d39cdc1dcb3e5b0c482ae91d7a7010f9d92f0da8608b09dbfe2646a71c40963",
+}
+
 #: SHA-256 of the field tuples of ``profile_stimuli("tiny", 48).stimuli``
 STIMULI_DIGEST = \
     "02db78a14c78e7046352bb65792b966f992a78a23fa6f2283f29cde74806181c"
 
 
+def _pinned_digest(trace) -> str:
+    """The spill digest of *trace* as the spill was before it held CTA
+    records (layout 2): their arrays and each launch's ``shared_words``
+    left out, ``layout`` hashed as 2."""
+    arrays, meta = _trace_to_arrays(trace)
+    del arrays["cta"], meta["cta"]
+    meta["layout"] = 2
+    for rec in meta["launches"]:
+        del rec["shared_words"]
+    return _trace_digest(arrays, meta)
+
+
+def _cta_digest(trace) -> str:
+    h = hashlib.sha256()
+    for f in dataclasses.fields(trace.ctas):
+        h.update(f.name.encode())
+        h.update(np.ascontiguousarray(getattr(trace.ctas, f.name)).tobytes())
+    h.update(repr([r.shared_words for r in trace.launches]).encode())
+    return h.hexdigest()
+
+
 class TestPinnedOutputs:
     def test_every_epr_app_is_pinned(self):
-        assert set(TRACE_DIGESTS) == set(EVALUATION_APPS)
+        assert set(TRACE_DIGESTS) == set(CTA_DIGESTS) == set(EVALUATION_APPS)
 
     @pytest.mark.parametrize("app", sorted(TRACE_DIGESTS))
     def test_golden_trace(self, app):
         w = cached_workload(app, "tiny", DEFAULT_SEED)
         _, trace = reference_run(w, DEFAULT_MEM_WORDS, traced_key=app)
-        assert _trace_digest(*_trace_to_arrays(trace)) == TRACE_DIGESTS[app]
+        assert _pinned_digest(trace) == TRACE_DIGESTS[app]
+        assert _cta_digest(trace) == CTA_DIGESTS[app]
 
     def test_profiled_stimuli(self):
         from repro.faultinjection.campaign import profile_stimuli
