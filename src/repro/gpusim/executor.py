@@ -477,7 +477,7 @@ def _mem(instr: Instruction):
     space = int(MemSpace(instr.aux))
     offset = _const(instr.imm)
     base = instr.srcs[0]
-    if instr.op in (Op.GLD, Op.LDS, Op.LDC):
+    if instr.op in LOAD_OPS:
         def load(w, m, env):
             return env.spaces[space].load(w.cols[base] + offset, m)
         return _to_reg(instr.dst, load)
@@ -531,6 +531,9 @@ def _failing(reads: tuple[int, ...], fail: Callable[[], object]):
     return step
 
 
+#: the memory ops, by what they do; ``aux`` names the space they access
+LOAD_OPS = frozenset({Op.GLD, Op.LDS, Op.LDC})
+STORE_OPS = frozenset({Op.GST, Op.STS})
 _MEM_OPS = (Op.GLD, Op.GST, Op.LDS, Op.STS, Op.LDC)
 
 #: op -> ``build(instr, pc, program_name) -> step``: the one dispatch
