@@ -44,7 +44,8 @@ def test_bench_campaign_accel_speedup(benchmark):
     """Checkpointed differential replay vs cold replay (same campaign).
 
     Runs the identical campaign twice — acceleration on (checkpoint
-    resume, activation-site planning, early exit, descriptor collapsing)
+    resume, activation-site planning, clean-CTA skip, descriptor
+    collapsing)
     and off (every injection replays from dynamic instruction 0) — and
     asserts the accelerated run is at least 2x faster while producing
     bit-identical outcomes (see docs/PERFORMANCE.md).

@@ -22,16 +22,14 @@ than from the end of the array, and restoring zero-fills only below the
 extent: a snapshot of a 4 MiB global memory holding a few KiB of live
 data costs a few KiB to take, store and restore.
 
-Equality helpers (:func:`device_matches`, :func:`checkpoint_matches`)
-implement the early-exit comparator: if the faulty run's state equals
-the golden checkpoint at an *aligned* ``(launch, cta, executed)``
-boundary, and the descriptor has no activation sites past that boundary,
-the remainder of the run is bit-for-bit the golden run — the injection
-is Masked without simulating the suffix.  Per-warp
-``instructions_executed`` counters are deliberately excluded from the
-comparison: they influence no architectural state and no campaign
-outcome (the launch-level watchdog counter is aligned by construction at
-a matching boundary).
+The one comparator, :func:`checkpoint_delta`, serves the hang
+short-circuit (``accel.HangCycle``): it compares a live round boundary
+with the checkpoint taken one loop period earlier. The control state
+(allocation break, slot counters, shared memory, and each warp's
+identity, stack, barrier flag, alive mask and predicates) must be equal,
+and it reports how the registers and global words moved. Per-warp
+``instructions_executed`` counters are not compared: they influence no
+architectural state and no campaign outcome.
 """
 
 from __future__ import annotations
@@ -64,14 +62,6 @@ def _trim(mem) -> np.ndarray:
             return data[:start + int(nz[-1]) + 1].copy()
         end = start
     return data[:0].copy()
-
-
-def _prefix_equal(mem, trimmed: np.ndarray) -> bool:
-    """Do *mem*'s words equal *trimmed* padded with zeros?"""
-    t = trimmed.size
-    if not np.array_equal(mem.data[:t], trimmed):
-        return False
-    return not mem.data[t:mem.extent].any()
 
 
 def _restore_words(mem, trimmed: np.ndarray) -> None:
@@ -123,14 +113,6 @@ def restore_device(dev, snap: DeviceSnapshot) -> None:
     dev._slot_counters.clear()
     for sm, sub, slot in snap.slot_counters:
         dev._slot_counters[(sm, sub)] = slot
-
-
-def device_matches(dev, snap: DeviceSnapshot) -> bool:
-    """Exact equality of the device's state with a snapshot (constant
-    memory excluded: it is host-written per launch and identical by
-    construction for the same launch sequence)."""
-    return (_device_control_matches(dev, snap)
-            and _prefix_equal(dev.global_mem, snap.global_data))
 
 
 def _device_control_matches(dev, snap: DeviceSnapshot) -> bool:
@@ -210,16 +192,9 @@ def materialize_warp(snap: WarpSnapshot, program, block3, grid3,
     return warp
 
 
-def warp_matches(warp: WarpState, snap: WarpSnapshot) -> bool:
-    """Exact architectural equality (``instructions_executed`` excluded —
-    see the module docstring)."""
-    return (_warp_control_matches(warp, snap)
-            and np.array_equal(warp.regs, snap.regs))
-
-
 def _warp_control_matches(warp: WarpState, snap: WarpSnapshot) -> bool:
-    """Equality of everything :func:`warp_matches` compares but the
-    register file."""
+    """Equality of a warp's state with a snapshot's, but the register
+    file (and ``instructions_executed``, see the module docstring)."""
     if (warp.cta != snap.cta or warp.warp_in_cta != snap.warp_in_cta
             or warp.sm_id != snap.sm_id
             or warp.subpartition != snap.subpartition
@@ -294,18 +269,6 @@ def capture_checkpoint(dev, launch: int, cta: int, executed: int,
     )
 
 
-def checkpoint_matches(dev, ck: Checkpoint, warps, shared_mem) -> bool:
-    """Early-exit comparator: does the live state at an aligned round
-    boundary equal the golden checkpoint exactly?"""
-    if len(warps) != len(ck.warps):
-        return False
-    if not np.array_equal(shared_mem.data, ck.shared):
-        return False
-    if not device_matches(dev, ck.device):
-        return False
-    return all(warp_matches(w, s) for w, s in zip(warps, ck.warps))
-
-
 def checkpoint_delta(dev, ck: Checkpoint, warps, shared_mem,
                      max_words: int):
     """How the live state at a round boundary differs from *ck* when only
@@ -314,10 +277,10 @@ def checkpoint_delta(dev, ck: Checkpoint, warps, shared_mem,
     The register deltas are one uint32 ``(32, nregs)`` array per warp,
     ``live - ck`` modulo 2**32. The memory deltas map global word index to
     its uint32 delta, for the (at most *max_words*) words that differ.
-    Everything else :func:`checkpoint_matches` compares (shared memory,
-    allocation break, slot counters, predicates, alive masks, stacks,
-    barrier flags) must be equal, else the result is ``None``. Equal
-    states give all-zero arrays and an empty dict.
+    Everything else (shared memory, allocation break, slot counters, warp
+    identities, predicates, alive masks, stacks, barrier flags) must be
+    equal, else the result is ``None``. Equal states give all-zero arrays
+    and an empty dict.
     """
     if len(warps) != len(ck.warps):
         return None
@@ -348,12 +311,9 @@ __all__ = [
     "WarpSnapshot",
     "capture_checkpoint",
     "checkpoint_delta",
-    "checkpoint_matches",
-    "device_matches",
     "materialize_warp",
     "restore_device",
     "slot_counters",
     "snapshot_device",
     "snapshot_warp",
-    "warp_matches",
 ]

@@ -18,13 +18,12 @@ when it is handed a golden trace. It
   device snapshot so host-side reads between launches are identical) and
   resumes the first-activation launch from the latest golden checkpoint
   at or before the first site;
-* declares Masked early when the post-activation state reconverges with a
-  golden checkpoint at an aligned ``(launch, cta, executed)`` boundary
-  and no activation sites remain;
 * skips a CTA of a golden-shaped launch whose golden execution provably
   repeats (:class:`_CleanCtas`): no activation site lies in it and every
   word it loads before storing holds its golden value, so its golden
-  stores are written instead of simulating it;
+  stores are written instead of simulating it. This also ends a run that
+  has reconverged with golden past its last activation site: each later
+  CTA is skipped, and the host reads the output as the cold replay does;
 * fast-forwards a launch that has outrun its golden counterpart over the
   loop periods it provably repeats (:class:`HangCycle`). In a CTA with
   one unfinished warp, a watch on one anchor pc (:class:`_LoopWatch`)
@@ -77,7 +76,6 @@ from repro.gpusim.snapshot import (
     Checkpoint,
     capture_checkpoint,
     checkpoint_delta,
-    checkpoint_matches,
     restore_device,
     slot_counters,
 )
@@ -112,12 +110,6 @@ _MEMO_WORDS = 1 << 18
 _CHUNK = 256
 
 
-class EarlyMasked(Exception):
-    """Raised by the round-boundary comparator when the faulty trajectory
-    has provably reconverged with the golden run.  Deliberately *not* a
-    DeviceError: it must never be classified as a DUE."""
-
-
 @dataclass
 class AccelStats:
     """Per-work-unit acceleration accounting: the unit result's ``accel``
@@ -125,7 +117,6 @@ class AccelStats:
 
     restores: int = 0
     saved_instructions: int = 0
-    early_exits: int = 0
     #: injections classified without simulating a single instruction
     skipped: int = 0
     #: injections sharing a behaviorally identical descriptor's run
@@ -140,7 +131,7 @@ class AccelStats:
     def as_dict(self) -> dict:
         return {"enabled": True, "restores": self.restores,
                 "saved_instructions": self.saved_instructions,
-                "early_exits": self.early_exits, "skipped": self.skipped,
+                "skipped": self.skipped,
                 "collapsed": self.collapsed,
                 "hang_cycles": self.hang_cycles,
                 "cta_skips": self.cta_skips}
@@ -150,10 +141,6 @@ class AccelStats:
         never activates, or every activation is inert)."""
         self.skipped += 1
         self.saved_instructions += trace.total_instructions
-
-    def early_exit(self) -> None:
-        """Tally a run that reconverged with golden (:class:`EarlyMasked`)."""
-        self.early_exits += 1
 
     def hang_cycle(self, instructions: int) -> None:
         """Tally a loop fast-forwarded over *instructions* (either kind)."""
@@ -1026,9 +1013,6 @@ class _CleanCtas:
     * ``e + n`` is within the watchdog budget, so the cold replay's
       timeout slice is kept, and within the golden launch's count, so
       the hang detector, which acts only past it, never runs in the CTA;
-    * no golden checkpoint past the last site lies at one of its launch
-      counts in ``(e, e + n]``: the early exit could compare there, so
-      the CTA is simulated and the exit keeps its chance;
     * every live-in word (:class:`~repro.campaign.goldens.CtaRecords`)
       holds its golden value.
 
@@ -1054,13 +1038,6 @@ class _CleanCtas:
         #: per CTA row: no activation site lies in its golden range
         self.siteless = (np.searchsorted(sites, c.start)
                          == np.searchsorted(sites, c.start + c.count))
-        #: per (launch, cta): launch counts of the early exit's
-        #: checkpoints in it
-        self.exits: dict[tuple[int, int], list[int]] = {}
-        for ck in trace.checkpoints:
-            if ck.index > sites[-1]:
-                self.exits.setdefault((ck.launch, ck.cta), []).append(
-                    ck.executed)
 
     def launch(self, m: int, program, grid, block, shared_words):
         """The skip ``skip(cta, executed, warps) -> n`` of a launch of
@@ -1076,15 +1053,13 @@ class _CleanCtas:
                     trace.post_launch[m - 1].slot_counters if m else ())):
             return None
         limit = min(self.watchdog, rec.instructions_executed)
-        return functools.partial(self._skip, m, row0, limit)
+        return functools.partial(self._skip, row0, limit)
 
-    def _skip(self, m: int, row0: int, limit: int, cta: int, executed: int,
+    def _skip(self, row0: int, limit: int, cta: int, executed: int,
               warps) -> int:
         c, row = self.trace.ctas, row0 + cta
         n = int(c.count[row])
-        if (not self.siteless[row] or executed + n > limit
-                or any(executed < e <= executed + n
-                       for e in self.exits.get((m, cta), ()))):
+        if not self.siteless[row] or executed + n > limit:
             return 0
         dev = self.dev
         g = dev.global_mem
@@ -1108,17 +1083,13 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
     """Workload launcher for a faulty run on *dev* that activates at
     *sites* (non-empty): pre-activation launches are skipped, the
     first-activation launch resumes from the latest golden checkpoint, a
-    round boundary past the last site that matches a golden checkpoint
-    raises :class:`EarlyMasked`, a clean CTA of a launch shaped like its
-    golden counterpart is skipped (:class:`_CleanCtas`, after the early
-    exit's comparison), and a launch that outruns its golden
+    clean CTA of a launch shaped like its golden counterpart is skipped
+    (:class:`_CleanCtas`), and a launch that outruns its golden
     counterpart (or has none) is watched by :class:`HangCycle`, which
     appends the kind of each fast-forward to *shortcuts*. A launch past
     the end of the golden launch list that repeats an earlier one of the
     run is served by the run's :class:`_LaunchMemo` (``"launch-memo"``)."""
     first = int(sites[0])
-    last = int(sites[-1])
-    ck_at = {(c.launch, c.cta, c.executed): c for c in trace.checkpoints}
     state = {"launch": 0}
     shortcuts = [] if shortcuts is None else shortcuts
     memo = _LaunchMemo(dev, tool, stats, shortcuts)
@@ -1138,7 +1109,7 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
         m = state["launch"]
         state["launch"] += 1
         if m >= len(trace.launches):
-            # past the golden launch list: no golden to meet, so the
+            # past the golden launch list: no golden CTA to skip, so the
             # round hook is the hang detector alone
             return memo.launch(lambda: run(
                 program, grid, block, params, shared_words,
@@ -1171,13 +1142,7 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
         entered = [-1 if resume is None else resume.cta]
 
         def hook(cta, executed, warps, shared_mem,
-                 _base=rec.start_index, _golden=rec.instructions_executed):
-            if executed <= _golden and last < _base + executed:
-                # no activation sites remain: exit at a golden match
-                ck = ck_at.get((m, cta, executed))
-                if ck is not None and checkpoint_matches(dev, ck, warps,
-                                                         shared_mem):
-                    raise EarlyMasked
+                 _golden=rec.instructions_executed):
             if cta != entered[0]:
                 entered[0] = cta
                 if skip is not None and (n := skip(cta, executed, warps)):
@@ -1193,7 +1158,6 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
 
 __all__ = [
     "AccelStats",
-    "EarlyMasked",
     "HangCycle",
     "activation_sites",
     "affine_periods",

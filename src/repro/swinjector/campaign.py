@@ -84,8 +84,9 @@ class SwCampaignConfig:
     #: checkpointed differential replay (:mod:`repro.swinjector.accel`):
     #: skip the fault-free prefix of every injection, classify
     #: never-activating and inert descriptors without simulating, and
-    #: early-exit reconverged runs — bit-identical outcomes, less work
-    #: (docs/PERFORMANCE.md); ``--no-accel`` replays every injection cold
+    #: skip the CTAs that provably repeat golden — bit-identical
+    #: outcomes, less work (docs/PERFORMANCE.md); ``--no-accel`` replays
+    #: every injection cold
     accel: bool = True
 
 
@@ -196,14 +197,16 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
     *stats* (required with *trace*): a descriptor that never activates,
     or whose every activation the static analyzer proves inert, is Masked
     without simulating, pre-activation launches are skipped, the
-    first-activation launch resumes from a golden checkpoint, a run that
-    reconverges with golden past its last activation site exits Masked
-    early, a loop that provably repeats its state, or moves it by a
-    constant delta per period, is fast-forwarded over the periods proved
-    to repeat, and a launch past the golden launch list that repeats an
-    earlier launch's state is served from the run's launch memo. *sites*
-    (the descriptor's activation sites in *trace*) and *tool* (a fresh
-    :class:`NVBitPERfi` of *desc*) may be precomputed.
+    first-activation launch resumes from a golden checkpoint, a CTA with
+    no activation site whose live-in words hold their golden values is
+    written from its golden stores instead of simulated (which also ends
+    a run that reconverges with golden past its last site), a loop that
+    provably repeats its state, or moves it by a constant delta per
+    period, is fast-forwarded over the periods proved to repeat, and a
+    launch past the golden launch list that repeats an earlier launch's
+    state is served from the run's launch memo. *sites* (the descriptor's
+    activation sites in *trace*) and *tool* (a fresh :class:`NVBitPERfi`
+    of *desc*) may be precomputed.
     """
     app, model = w.meta.name, desc.model
     if tool is None:
@@ -234,8 +237,7 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
     dev = Device(DeviceConfig(global_mem_words=mem_words))
     #: shortcuts the accelerated replay took, in order: "cycle"/"affine"
     #: per loop fast-forward, "launch-memo" per launch served from the
-    #: run's launch memo, then "early-exit"; the last one is the span's
-    #: ``accel`` attribute
+    #: run's launch memo; the last one is the span's ``accel`` attribute
     shortcuts: list[str] = []
     if trace is None:
         launcher = default_launcher(dev, watchdog=watchdog,
@@ -249,12 +251,6 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
             inject.set(outcome="due")  # stands unless the run completes
             try:
                 bits = w.run(dev, launcher)
-            except accel.EarlyMasked:
-                stats.early_exit()
-                shortcuts.append("early-exit")
-                inject.set(outcome="masked")
-                return InjectionOutcome(app, model, "masked",
-                                        activations=tool.activations)
             finally:
                 if shortcuts:
                     inject.set(accel=shortcuts[-1])

@@ -1,10 +1,10 @@
 """Acceleration must be invisible in the results.
 
 Every shortcut of the campaign acceleration layer — activation-site
-planning, checkpoint resume, early exit, descriptor collapsing, dynamic
-fault dropping, stimuli dedup, and the vectorized gate-level kernels —
-must produce outcomes bit-identical to the unaccelerated path.  These
-tests run both paths and diff the results exactly
+planning, checkpoint resume, clean-CTA skip, descriptor collapsing,
+dynamic fault dropping, stimuli dedup, and the vectorized gate-level
+kernels — must produce outcomes bit-identical to the unaccelerated path.
+These tests run both paths and diff the results exactly
 (docs/PERFORMANCE.md holds the soundness arguments).
 """
 

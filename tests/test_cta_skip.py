@@ -25,7 +25,7 @@ from repro.common.rng import DEFAULT_SEED
 from repro.errormodels import ErrorDescriptor, ErrorModel
 from repro.gpusim import Device, DeviceConfig
 from repro.isa import RZ, CmpOp, KernelBuilder, MemSpace, Op, SpecialReg
-from repro.swinjector import NVBitPERfi
+from repro.swinjector import NVBitPERfi, accel
 from repro.swinjector.accel import AccelStats
 from repro.swinjector.campaign import replay_injection
 from repro.workloads.base import Workload, WorkloadMeta, default_launcher
@@ -148,6 +148,33 @@ def _spin_kernel():
     return k.build()
 
 
+def _param_kernel():
+    """``out[g] = sum(range(n))`` in CTA 0 and ``x`` in the other CTAs,
+    for parameters ``(n, out, x)``; ``x`` is loaded after the loop."""
+    k = KernelBuilder("param", nregs=12)
+    n, out = k.load_param(0), k.load_param(1)
+    t, c = k.s2r_tid_x(), k.s2r_ctaid_x()
+    first, p = k.pred(), k.pred()
+    k.isetp(first, c, imm=0, cmp=CmpOp.EQ)
+    k.sel(n, n, RZ, first)
+    i, acc = k.mov32i_new(0), k.mov32i_new(0)
+    with k.loop() as lp:
+        k.isetp(p, i, n, cmp=CmpOp.GE)
+        lp.break_if(p)
+        k.iadd(acc, acc, i)
+        k.iadd(i, i, imm=1)
+    x = k.load_param(2)
+    k.sel(acc, acc, x, first)
+    g = k.reg()
+    k.shl(g, c, imm=5)
+    k.iadd(g, g, t)
+    k.shl(g, g, imm=2)
+    k.iadd(g, g, out)
+    k.gst(g, acc)
+    k.exit()
+    return k.build()
+
+
 def _resume_kernel():
     """``out[g] = sum(range(n)) + shared[tid]``: odd CTAs spin ``n``
     iterations, the others none, and only CTA 2 stores ``tid + 1000`` to
@@ -235,23 +262,10 @@ def _replay(w: _App, desc, watchdog: int | None = None):
     fast = replay_injection(w, desc, golden.bits, watchdog, _MEM, trace,
                             stats)
     assert fast == cold
-    if stats.early_exits:  # stopped at a golden match: no output read
-        assert w.bits is None and cold.outcome == "masked"
-    else:
-        assert (w.bits is None) == (bits is None)
-        if bits is not None:
-            np.testing.assert_array_equal(w.bits, bits)
+    assert (w.bits is None) == (bits is None)
+    if bits is not None:
+        np.testing.assert_array_equal(w.bits, bits)
     return cold, stats, (memory, w.memory)
-
-
-def _tail(device, launch, progs, src: int) -> np.ndarray:
-    """A last launch of :func:`_map_kernel` on one CTA, on SM 0: the run's
-    last activation site is in it, so no golden checkpoint lies past the
-    last site in an earlier CTA, where the early exit would keep a CTA
-    from being skipped."""
-    out = device.alloc(_WORDS)
-    launch(progs["map"], grid=1, block=32, params=(src, out))
-    return device.read(out, 32)
 
 
 def _swapped(prog):
@@ -319,11 +333,21 @@ class TestRefusals:
         assert cold.outcome == "sdc"
         assert stats.cta_skips == 0
 
-    def test_cta_a_resume_entered(self):
+    def test_cta_a_resume_entered(self, monkeypatch):
         # the first site is CTA 2's first shared store; the latest golden
         # checkpoint before it is CTA 1's last round, which the replay
-        # resumes: CTA 1 is entered finished, not from its start. (CTA 3
-        # holds the early exit's checkpoints.)
+        # resumes: CTA 1 is entered finished, not from its start, and only
+        # CTA 3 is skipped
+        skipped = []
+        skip = accel._CleanCtas._skip
+
+        def logged(self, row0, limit, cta, executed, warps):
+            n = skip(self, row0, limit, cta, executed, warps)
+            if n:
+                skipped.append(cta)
+            return n
+        monkeypatch.setattr(accel._CleanCtas, "_skip", logged)
+
         def host(device, launch, progs):
             (out,) = _buffers(device, 1)
             launch(progs["resume"], grid=4, block=32, params=(200, out))
@@ -336,20 +360,8 @@ class TestRefusals:
         assert (ck.cta, ck.index) == (1, start)
         cold, stats, _ = _replay(w, _IMD)
         assert cold.outcome == "sdc"
-        assert (stats.restores, stats.cta_skips) == (1, 0)
-
-    def test_checkpoint_of_the_early_exit(self):
-        # the corrupted bit is cleared again: the run is Masked, and the
-        # golden run's one checkpoint lies in CTA 3, past the last site in
-        # CTA 2, so CTA 3 is simulated and the early exit meets it there
-        w = _map_app(4, clear=_IMD.bit_err_mask)
-        _, trace = reference_run(w, _MEM, traced_key="")
-        (ck,) = trace.checkpoints
-        c = trace.ctas
-        assert ck.cta == 3 and c.start[3] < ck.index <= c.start[3] + c.count[3]
-        cold, stats, _ = _replay(w, _IMD)
-        assert cold.outcome == "masked" and cold.activations == 2
-        assert (stats.early_exits, stats.cta_skips) == (1, 1)
+        assert (stats.restores, stats.cta_skips) == (1, 1)
+        assert skipped == [3]
 
     def test_constant_word_left_by_an_earlier_launch(self):
         # the host passes a corrupted readback as a fourth parameter of
@@ -361,8 +373,7 @@ class TestRefusals:
             x = int(device.read(out, 1)[0])
             launch(progs["map"], grid=2, block=32, params=(src, out2, 0, x))
             launch(progs["reader"], grid=2, block=32, params=(out3,))
-            return np.concatenate((device.read(out3, 64),
-                                   _tail(device, launch, progs, src)))
+            return device.read(out3, 64)
 
         w = _App({"map": _map_kernel(), "reader": _reader_kernel()}, host)
         cold, stats, _ = _replay(w, _IMD)
@@ -382,8 +393,7 @@ class TestRefusals:
                 shape[change] = {"grid": 3, "block": 16,
                                  "shared_words": 32}[change]
             launch(progs["spread"], params=(src, out2), **shape)
-            return np.concatenate((device.read(out2, 128),
-                                   _tail(device, launch, progs, src)))
+            return device.read(out2, 128)
 
         w = _App({"map": _map_kernel(),
                   "spread": _map_kernel("spread", 128, spread=True)}, host)
@@ -465,14 +475,68 @@ class TestRefusals:
             src, buf, out = _buffers(device, 3)
             launch(progs["map"], grid=2, block=32, params=(src, buf))
             launch(progs["rewrite"], grid=2, block=32, params=(buf, out))
-            return np.concatenate((device.read(buf, 64), device.read(out, 64),
-                                   _tail(device, launch, progs, src)))
+            return np.concatenate((device.read(buf, 64),
+                                   device.read(out, 64)))
 
         w = _App({"map": _map_kernel(), "rewrite": _rewrite_kernel()}, host)
         cold, stats, _ = _replay(w, _IMD)
         assert cold.outcome == "sdc"
         # CTA 1 of the map launch, and both rewrite CTAs
         assert stats.cta_skips == 3
+
+
+class TestReconvergedRun:
+    """Runs whose device state reconverges with golden once the last
+    activation site has passed. The clean-CTA skip ends such a run; what
+    differs from golden outside global memory (a word the host holds, a
+    kernel parameter) keeps the run an SDC."""
+
+    def test_reconverged_run_ends_in_skips(self):
+        # the corrupted bit is cleared again: the run is Masked, and CTA
+        # 3, which holds the golden run's one checkpoint, past the last
+        # site in CTA 2, is skipped like CTA 1
+        w = _map_app(4, clear=_IMD.bit_err_mask)
+        _, trace = reference_run(w, _MEM, traced_key="")
+        (ck,) = trace.checkpoints
+        c = trace.ctas
+        assert ck.cta == 3 and c.start[3] < ck.index <= c.start[3] + c.count[3]
+        cold, stats, _ = _replay(w, _IMD)
+        assert cold.outcome == "masked" and cold.activations == 2
+        assert stats.cta_skips == 2
+
+    def test_readback_the_host_holds(self):
+        # the host keeps a corrupted readback in its output and clears
+        # the buffer: global memory is golden again, the output is not
+        def host(device, launch, progs):
+            src, out, out2 = _buffers(device, 3)
+            launch(progs["map"], grid=2, block=32, params=(src, out))
+            held = device.read(out, 64)
+            device.write(out, np.zeros(64, dtype=np.uint32))
+            launch(progs["spin"], grid=2, block=32, params=(200, out2))
+            return np.concatenate((held, device.read(out2, 64)))
+
+        w = _App({"map": _map_kernel(), "spin": _spin_kernel()}, host)
+        cold, stats, _ = _replay(w, _IMD)
+        assert cold.outcome == "sdc" and cold.activations == 1
+        # CTA 1 of the map launch, both spin CTAs
+        assert stats.cta_skips == 3
+
+    def test_readback_passed_as_a_kernel_parameter(self):
+        # a corrupted readback becomes a parameter, in constant memory:
+        # CTA 0 spins, CTA 1 stores the parameter
+        def host(device, launch, progs):
+            src, out, out2 = _buffers(device, 3)
+            launch(progs["map"], grid=1, block=32, params=(src, out))
+            x = int(device.read(out, 1)[0])
+            device.write(out, np.zeros(32, dtype=np.uint32))
+            launch(progs["param"], grid=2, block=32, params=(200, out2, x))
+            return device.read(out2, 64)
+
+        w = _App({"map": _map_kernel(), "param": _param_kernel()}, host)
+        cold, stats, _ = _replay(w, _IMD)
+        assert cold.outcome == "sdc" and cold.activations == 1
+        # both param CTAs load the corrupted parameter
+        assert stats.cta_skips == 0
 
 
 _LOAD_OPS, _STORE_OPS = (Op.GLD, Op.LDS, Op.LDC), (Op.GST, Op.STS)

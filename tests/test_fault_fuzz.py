@@ -226,8 +226,10 @@ class _FuzzApp(Workload):
     """The kernel set of one :class:`_Spec`: ``launches`` launches of its
     kernels in turn, each passed the first output word of the last one,
     then (with ``host_loop``) up to four relaunches of the last kernel
-    while that word is even. Keeps its last output bits, error message
-    and the digest of global memory where the run ended."""
+    while that word is even. Its output is the output buffer and, held by
+    the host, the word read back after the first launch. Keeps its last
+    output bits, error message and the digest of global memory where the
+    run ended."""
 
     meta = WorkloadMeta("fuzz", "mixed", "test", "isa.builder")
     scales = {"tiny": {}}
@@ -256,9 +258,12 @@ class _FuzzApp(Workload):
             nonlocal bias
             launcher(progs[f"k{j % 2}"], grid=knobs.grid, block=knobs.block,
                      params=(data, out, bias))
-            bias = int(device.read(out, 1)[0]) & 0xFF
+            word = device.read(out, 1)
+            bias = int(word[0]) & 0xFF
+            return word
         try:
-            for j in range(knobs.launches):
+            held = launch(0)
+            for j in range(1, knobs.launches):
                 launch(j)
             for _ in range(4 if knobs.host_loop else 0):
                 if bias & 1:
@@ -270,7 +275,7 @@ class _FuzzApp(Workload):
         finally:
             g = device.global_mem
             self.memory = hashlib.sha256(g.data[:g.extent]).hexdigest()
-        self.bits = device.read(out, 2 * _OUT)
+        self.bits = np.concatenate((device.read(out, 2 * _OUT), held))
         return self.bits
 
 
@@ -307,7 +312,8 @@ def _fuzz(seed: int, events: Counter, reasons: Counter, stats) -> None:
             fast = replay_injection(w, desc, golden.bits, watchdog,
                                     _MEM_WORDS, trace, stats)
             assert fast == cold, where
-            if w.bits is not None and want[0] is not None:
+            assert (w.bits is None) == (want[0] is None), where
+            if w.bits is not None:
                 assert np.array_equal(w.bits, want[0]), where
             events.update(ref.events)
             reasons[model.value, cold.outcome, cold.due_reason] += 1
@@ -334,9 +340,9 @@ def test_compiled_sites_match_the_hook_reference(monkeypatch):
     assert any(r == "watchdog-timeout" for _, _, r in reasons)
     assert {o for _, o, _ in reasons} == {"masked", "sdc", "due"}
     # and the accelerated replay's shortcuts: checkpoint resumes (a third
-    # CTA lands on SM 0 again), the loop watch and recorder overlays
-    assert stats.restores and stats.hang_cycles
-    assert stats.early_exits and stats.skipped
+    # CTA lands on SM 0 again), the loop watch and recorder overlays, and
+    # descriptors classified without simulating
+    assert stats.restores and stats.hang_cycles and stats.skipped
     # the clean-CTA skip, and its live-in check refusing a CTA whose
     # loads an earlier CTA's corrupted stores reached
     assert stats.cta_skips and refused["live-in"]

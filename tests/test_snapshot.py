@@ -27,14 +27,15 @@ from repro.campaign.goldens import (
 from repro.gpusim import Device, DeviceConfig
 from repro.gpusim.executor import WarpState
 from repro.gpusim.snapshot import (
+    DeviceSnapshot,
+    WarpSnapshot,
+    _device_control_matches,
+    _warp_control_matches,
     capture_checkpoint,
-    checkpoint_matches,
-    device_matches,
     materialize_warp,
     restore_device,
     snapshot_device,
     snapshot_warp,
-    warp_matches,
 )
 from repro.isa import CmpOp, KernelBuilder
 from repro.workloads import EVALUATION_APPS, get_workload
@@ -44,6 +45,28 @@ MEM = 1 << 16
 
 def _device() -> Device:
     return Device(DeviceConfig(global_mem_words=MEM))
+
+
+def _prefix_equal(mem, trimmed: np.ndarray) -> bool:
+    """Do *mem*'s words equal *trimmed* padded with zeros?"""
+    t = trimmed.size
+    if not np.array_equal(mem.data[:t], trimmed):
+        return False
+    return not mem.data[t:mem.extent].any()
+
+
+def device_matches(dev, snap: DeviceSnapshot) -> bool:
+    """Exact equality of the device's state with a snapshot (constant
+    memory excluded)."""
+    return (_device_control_matches(dev, snap)
+            and _prefix_equal(dev.global_mem, snap.global_data))
+
+
+def warp_matches(warp: WarpState, snap: WarpSnapshot) -> bool:
+    """Exact architectural equality (``instructions_executed``
+    excluded)."""
+    return (_warp_control_matches(warp, snap)
+            and np.array_equal(warp.regs, snap.regs))
 
 
 def _counting_kernel():
@@ -250,8 +273,8 @@ class TestWarpSnapshot:
         assert not warp_matches(warp, snap)
 
     def test_instructions_executed_excluded_from_match(self):
-        # the counter influences no architectural state; the early-exit
-        # comparator must ignore it (docs/PERFORMANCE.md)
+        # the counter influences no architectural state; the snapshot
+        # comparators ignore it (docs/PERFORMANCE.md)
         warp = self._warp()
         snap = snapshot_warp(warp)
         warp.instructions_executed += 17
@@ -300,48 +323,6 @@ class TestCheckpointResume:
                            resume=cks[0].resume())
         assert np.array_equal(dev2.read(p2, data.size), want)
         assert res2.instructions_executed == res_ref.instructions_executed
-
-    def test_checkpoint_matches_at_aligned_boundary(self):
-        program = _counting_kernel()
-        data = np.arange(64, dtype=np.uint32)
-        grid, block = (2, 1, 1), (32, 1, 1)
-
-        first: dict = {}
-
-        def capture(cta, executed, warps, shared_mem):
-            if executed and not first:
-                first["ck"] = capture_checkpoint(
-                    dev, 0, cta, executed, executed, warps, shared_mem)
-
-        dev = _device()
-        dev.launch(program, grid=grid, block=block,
-                   params=(dev.alloc_array(data),), round_hook=capture)
-        ck = first["ck"]
-
-        hits = []
-
-        def compare(cta, executed, warps, shared_mem):
-            if (cta, executed) == (ck.cta, ck.executed):
-                hits.append(checkpoint_matches(dev2, ck, warps, shared_mem))
-
-        dev2 = _device()
-        dev2.launch(program, grid=grid, block=block,
-                    params=(dev2.alloc_array(data),), round_hook=compare)
-        assert hits == [True]
-
-        # a diverged replay must NOT match
-        diverged = []
-
-        def compare_diverged(cta, executed, warps, shared_mem):
-            if (cta, executed) == (ck.cta, ck.executed):
-                diverged.append(
-                    checkpoint_matches(dev3, ck, warps, shared_mem))
-
-        dev3 = _device()
-        dev3.launch(program, grid=grid, block=block,
-                    params=(dev3.alloc_array(data + 1),),
-                    round_hook=compare_diverged)
-        assert diverged == [False]
 
 
 class TestCheckpointCache:
