@@ -41,11 +41,11 @@ def test_bench_campaign_throughput_pooled(regen, benchmark):
 
 
 def test_bench_campaign_accel_speedup(benchmark):
-    """Checkpointed differential replay vs cold replay (same campaign).
+    """Differential replay vs cold replay (same campaign).
 
-    Runs the identical campaign twice — acceleration on (checkpoint
-    resume, activation-site planning, clean-CTA skip, descriptor
-    collapsing)
+    Runs the identical campaign twice — acceleration on (activation-site
+    planning, the clean-CTA skip, which skips every CTA before the first
+    site, descriptor collapsing)
     and off (every injection replays from dynamic instruction 0) — and
     asserts the accelerated run is at least 2x faster while producing
     bit-identical outcomes (see docs/PERFORMANCE.md).
@@ -58,7 +58,7 @@ def test_bench_campaign_accel_speedup(benchmark):
     n = 48
     kw = dict(apps=("vectoradd", "gemm"), models=tuple(SW_INJECTABLE),
               injections_per_model=n, scale="small", processes=1)
-    # warm the golden + checkpoint caches so both runs time replay work,
+    # warm the golden + trace caches so both runs time replay work,
     # not reference-trace construction; chunk=n gives the collapser the
     # whole (app, model) population per work unit (see docs/PERFORMANCE.md)
     # (the trace first: its pass also fills the golden cache)

@@ -272,7 +272,7 @@ def _resume_loads_references(spec, config: dict, directory: Path,
                              failures: list[str]) -> None:
     """Build *config*'s plan the way a resume in a fresh process does
     (in-memory caches empty, spill under *directory*): every golden run and
-    checkpoint trace must load from the spill, none be recomputed."""
+    golden trace must load from the spill, none be recomputed."""
     for cache in REFERENCE_CACHES:
         cache.clear()
     try:
@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N", help="stop after N units (simulated "
                      "interruption; finish later with `resume`)")
     run.add_argument("--no-accel", action="store_true",
-                     help="disable checkpointed differential replay (epr) "
+                     help="disable differential replay (epr) "
                           "and dynamic fault dropping (gate); outcomes are "
                           "bit-identical either way (see docs/PERFORMANCE.md)")
     _add_exec_args(run)

@@ -135,8 +135,8 @@ class UnitResult:
 
     @property
     def accel(self) -> dict | None:
-        """Per-unit acceleration accounting (restores, saved instructions,
-        dropped pairs, ...) reported by the runner, or None."""
+        """Per-unit acceleration accounting (saved instructions, skipped
+        CTAs, dropped pairs, ...) reported by the runner, or None."""
         if self.ok and isinstance(self.value, dict):
             a = self.value.get("accel")
             if isinstance(a, dict):

@@ -9,7 +9,7 @@ before the worker pool forks, so every worker inherits the entries
 copy-on-write and every work unit is a cache hit.
 
 There is one reference run, :func:`reference_run`. An accelerated
-campaign warms the checkpoint-trace cache first: its one instrumented
+campaign warms the golden-trace cache first: its one instrumented
 pass yields the golden run too, which lands in :data:`GOLDEN_CACHE` (or
 is checked against the entry already there). ``--no-accel`` campaigns
 run the same function untraced (:func:`golden_run`).
@@ -54,6 +54,7 @@ from repro.gpusim.executor import (
     TableCache,
     Tracer,
 )
+from repro.gpusim.snapshot import slot_counters
 from repro.isa.instruction import RZ
 from repro.isa.opcodes import MemSpace
 from repro.obs import log
@@ -296,17 +297,18 @@ GOLDEN_CACHE = GoldenCache()
 
 
 # =====================================================================
-# golden execution traces + checkpoints (campaign acceleration layer)
+# golden execution traces (campaign acceleration layer)
 # =====================================================================
 #
 # The accelerated EPR path (docs/PERFORMANCE.md) needs more than the
 # golden output bits: it needs the golden *trajectory* — one record per
 # dynamic instruction (pc, warp coordinates, execution mask) so a
 # descriptor's activation sites can be computed without simulating, plus
-# restorable checkpoints so the fault-free prefix is never re-executed.
-# Traces are content-addressed by the same identity tuple as golden runs
-# and digest-bound to the golden bits they were captured against: the
-# traced pass that builds a trace also builds its golden run.
+# what each CTA read and wrote, so a CTA that provably repeats golden is
+# never re-executed. Traces are content-addressed by the same identity
+# tuple as golden runs and digest-bound to the golden bits they were
+# captured against: the traced pass that builds a trace also builds its
+# golden run.
 
 def trace_key(app: str, scale: str, seed: int,
               mem_words: int = DEFAULT_MEM_WORDS) -> str:
@@ -315,32 +317,9 @@ def trace_key(app: str, scale: str, seed: int,
     return hashlib.sha256(ident.encode()).hexdigest()
 
 
-#: checkpoint spacing (dynamic instructions) a reference pass starts with
-EPOCH_MIN = 64
-#: the spacing doubles up to this
-EPOCH_MAX = 8192
-#: more checkpoints held than this thins them and doubles the spacing
-MAX_CHECKPOINTS = 32
-
-
-def thin_checkpoints(checkpoints: list, every: int) -> int:
-    """The checkpoint epoch rule, applied after each capture.
-
-    A reference pass does not know its length until it ends, so its
-    checkpoint spacing starts at :data:`EPOCH_MIN`. Once more than
-    :data:`MAX_CHECKPOINTS` are held, every other one is dropped in place
-    (the first and the newest stay) and the spacing doubles, up to
-    :data:`EPOCH_MAX`. Returns the spacing for the next capture.
-    """
-    if len(checkpoints) <= MAX_CHECKPOINTS or every >= EPOCH_MAX:
-        return every
-    del checkpoints[1::2]
-    return min(2 * every, EPOCH_MAX)
-
-
 @dataclass(frozen=True)
 class LaunchRecord:
-    """Shape + cost of one golden kernel launch (for launch skipping)."""
+    """Shape, cost and starting slots of one golden kernel launch."""
 
     program: str
     grid: tuple[int, int, int]
@@ -352,6 +331,9 @@ class LaunchRecord:
     start_index: int
     #: shared-memory words each CTA ran with
     shared_words: int
+    #: the device's warp-slot counters at launch start
+    #: (:func:`repro.gpusim.snapshot.slot_counters`)
+    slot_counters: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -400,18 +382,10 @@ class GoldenTrace:
     ev_mask: np.ndarray            # uint32 (N,)
     coords: tuple[tuple[int, int, int], ...]
     launches: tuple[LaunchRecord, ...]
-    checkpoints: tuple              # of repro.gpusim.snapshot.Checkpoint
-    post_launch: tuple              # of DeviceSnapshot, one per launch
     ctas: CtaRecords
     total_instructions: int
-    epoch: int
     #: SHA-256 of the golden output bits this trace reproduces
     digest: str
-
-    @functools.cached_property
-    def _starts(self) -> np.ndarray:
-        return np.array([rec.start_index for rec in self.launches],
-                        dtype=np.int64)
 
     @functools.cached_property
     def _cta_rows(self) -> list[int]:
@@ -423,22 +397,6 @@ class GoldenTrace:
     def cta_row(self, launch: int, cta: int) -> int:
         """Row of CTA *cta* of launch *launch* in :attr:`ctas`."""
         return self._cta_rows[launch] + cta
-
-    def launch_of(self, index: int) -> int:
-        """Launch ordinal containing global dynamic instruction *index*."""
-        return int(np.searchsorted(self._starts, index, side="right")) - 1
-
-    def best_checkpoint(self, index: int):
-        """Latest checkpoint inside *index*'s launch with
-        ``ck.index <= index`` (resume point), or ``None`` — then the
-        launch replays from its start."""
-        launch = self.launch_of(index)
-        best = None
-        for ck in self.checkpoints:
-            if ck.launch == launch and ck.index <= index:
-                if best is None or ck.index > best.index:
-                    best = ck
-        return best
 
 
 #: the exec mask of a step all 32 lanes execute
@@ -620,14 +578,11 @@ def reference_run(w, mem_words: int, key: str = "",
     *mem_words* device: ``(GoldenRun, GoldenTrace | None)``.
 
     With *traced_key* (the trace's key) the one pass is instrumented: it
-    records every dynamic instruction, takes checkpoints at round
-    boundaries spaced by :func:`thin_checkpoints`'s rule, snapshots the
-    device after each launch, and records what each CTA read and wrote
-    (:class:`CtaRecords`). Without it (``--no-accel`` campaigns)
-    the pass runs plain and the trace is ``None``.
+    records every dynamic instruction, each launch's shape and starting
+    warp slots, and what each CTA read and wrote (:class:`CtaRecords`).
+    Without it (``--no-accel`` campaigns) the pass runs plain and the
+    trace is ``None``.
     """
-    from repro.gpusim.snapshot import capture_checkpoint, snapshot_device
-
     traced = traced_key is not None
     dev = Device(DeviceConfig(global_mem_words=mem_words))
 
@@ -636,11 +591,8 @@ def reference_run(w, mem_words: int, key: str = "",
     masks: list[np.ndarray] = []
     coord_index: dict[tuple[int, int, int], int] = {}
     launches: list[LaunchRecord] = []
-    checkpoints: list = []
-    post_launch: list = []
     memlog = _MemoryLog()
-    state = {"launch": 0, "base": 0, "last_ck": 0, "every": EPOCH_MIN,
-             "cta": -1}
+    state = {"base": 0, "cta": -1}
 
     def record(warp, pc, instr, m):
         ev_pc.append(pc)
@@ -654,15 +606,6 @@ def reference_run(w, mem_words: int, key: str = "",
         if cta != state["cta"]:
             state["cta"] = cta
             memlog.cta(state["base"] + executed)
-        if executed == 0:
-            return
-        idx = state["base"] + executed
-        if idx - state["last_ck"] < state["every"]:
-            return
-        state["last_ck"] = idx
-        checkpoints.append(capture_checkpoint(
-            dev, state["launch"], cta, executed, idx, warps, shared_mem))
-        state["every"] = thin_checkpoints(checkpoints, state["every"])
 
     hooks = ({"instrumentation": Tracer(record, memlog),
               "round_hook": round_hook} if traced else {})
@@ -670,6 +613,7 @@ def reference_run(w, mem_words: int, key: str = "",
 
     def launcher(program, grid, block, params=(), shared_words=None):
         state["cta"] = -1
+        slots = slot_counters(dev)
         res = launch(program, grid, block, params, shared_words)
         if traced:
             launches.append(LaunchRecord(
@@ -677,10 +621,9 @@ def reference_run(w, mem_words: int, key: str = "",
                 num_ctas=res.num_ctas, warps_per_cta=res.warps_per_cta,
                 instructions_executed=res.instructions_executed,
                 start_index=state["base"],
-                shared_words=cta_shared_words(program, shared_words)))
-            post_launch.append(snapshot_device(dev))
+                shared_words=cta_shared_words(program, shared_words),
+                slot_counters=slots))
         state["base"] += res.instructions_executed
-        state["launch"] += 1
         return res
 
     bits = w.run(dev, launcher)
@@ -704,11 +647,8 @@ def reference_run(w, mem_words: int, key: str = "",
         ev_mask=ev_mask,
         coords=coords,
         launches=tuple(launches),
-        checkpoints=tuple(checkpoints),
-        post_launch=tuple(post_launch),
         ctas=memlog.records(state["base"]),
         total_instructions=state["base"],
-        epoch=state["every"],
         digest=golden.digest,
     )
 
@@ -738,61 +678,17 @@ def _trace_compute(app: str, scale: str, seed: int,
 
 # -- trace (de)serialization for the .npz spill -----------------------
 
-def _snap_meta(snap) -> dict:
-    return {"mem_words": snap.mem_words, "global_brk": snap.global_brk,
-            "slot_counters": [list(t) for t in snap.slot_counters]}
-
-
-def _snap_from(meta: dict, global_data, constant_data):
-    from repro.gpusim.snapshot import DeviceSnapshot
-
-    return DeviceSnapshot(
-        mem_words=int(meta["mem_words"]),
-        global_data=np.asarray(global_data, dtype=np.uint32),
-        global_brk=int(meta["global_brk"]),
-        constant_data=np.asarray(constant_data, dtype=np.uint32),
-        slot_counters=tuple(tuple(int(x) for x in t)
-                            for t in meta["slot_counters"]))
-
-
-#: the checkpoint-trace spill layout; an entry in another one is read as
-#: a miss and recomputed
-_TRACE_LAYOUT = 3
-
-#: per-warp snapshot fields stacked across a trace's checkpoints: name ->
-#: (row of one warp's array, trailing shape, dtype). Registers are stored
-#: one row per register, so programs of different widths stack.
-_WARP_FIELDS = {
-    "alive": (lambda w: w.alive[None], (32,), bool),
-    "regs": (lambda w: w.regs.T, (32,), np.uint32),
-    "preds": (lambda w: w.preds[None], (32, 8), bool),
-    "reconv": (lambda w: w.stack_reconv, (), np.int64),
-    "next": (lambda w: w.stack_next, (), np.int64),
-    "masks": (lambda w: w.stack_masks, (32,), bool),
-}
-
+#: the golden-trace spill layout; an entry in another one is read as a
+#: miss and recomputed
+_TRACE_LAYOUT = 4
 
 #: the :class:`CtaRecords` arrays, spilled end to end as the int64 array
 #: ``cta`` with their lengths in the meta
 _CTA_FIELDS = tuple(f.name for f in dataclasses.fields(CtaRecords))
 
 
-def _stack(parts: list, tail=(), dtype=np.uint32) -> tuple:
-    """*parts* concatenated along their first axis, and their lengths."""
-    lengths = np.array([len(p) for p in parts], dtype=np.int64)
-    if not parts:
-        return np.zeros((0, *tail), dtype=dtype), lengths
-    return np.concatenate(parts).astype(dtype, copy=False), lengths
-
-
-def _unstack(flat: np.ndarray, lengths: np.ndarray) -> list:
-    return np.split(flat, np.cumsum(lengths)[:-1]) if lengths.size else []
-
-
 def _trace_to_arrays(trace: GoldenTrace) -> tuple[dict, dict]:
-    """Flatten a trace into (named arrays, JSON-able meta). Each snapshot
-    field is one array across all post-launch snapshots, checkpoints or
-    checkpoint warps, with its lengths in ``<name>_n``."""
+    """Flatten a trace into (named arrays, JSON-able meta)."""
     arrays = {"ev_pc": trace.ev_pc, "ev_coord": trace.ev_coord,
               "ev_mask": trace.ev_mask,
               "coords": np.asarray(trace.coords or
@@ -801,96 +697,45 @@ def _trace_to_arrays(trace: GoldenTrace) -> tuple[dict, dict]:
         "layout": _TRACE_LAYOUT,
         "key": trace.key, "digest": trace.digest,
         "total_instructions": trace.total_instructions,
-        "epoch": trace.epoch,
         "launches": [{
             "program": r.program, "grid": list(r.grid),
             "block": list(r.block), "num_ctas": r.num_ctas,
             "warps_per_cta": r.warps_per_cta,
             "instructions_executed": r.instructions_executed,
             "start_index": r.start_index,
-            "shared_words": r.shared_words} for r in trace.launches],
-        "post_launch": [_snap_meta(s) for s in trace.post_launch],
-        "checkpoints": [{
-            "index": ck.index, "launch": ck.launch, "cta": ck.cta,
-            "executed": ck.executed, "device": _snap_meta(ck.device),
-            "warps": [{
-                "cta": w.cta, "warp_in_cta": w.warp_in_cta,
-                "sm_id": w.sm_id, "subpartition": w.subpartition,
-                "warp_slot": w.warp_slot, "at_barrier": bool(w.at_barrier),
-                "instructions_executed": w.instructions_executed}
-                for w in ck.warps],
-        } for ck in trace.checkpoints],
+            "shared_words": r.shared_words,
+            "slot_counters": [list(t) for t in r.slot_counters]}
+            for r in trace.launches],
     }
-    cks = trace.checkpoints
-    for name, parts in (
-            ("pl_g", [s.global_data for s in trace.post_launch]),
-            ("pl_c", [s.constant_data for s in trace.post_launch]),
-            ("ck_g", [ck.device.global_data for ck in cks]),
-            ("ck_c", [ck.device.constant_data for ck in cks]),
-            ("ck_sh", [ck.shared for ck in cks])):
-        arrays[name], arrays[f"{name}_n"] = _stack(parts)
-    warps = [w for ck in cks for w in ck.warps]
-    for name, (row, tail, dtype) in _WARP_FIELDS.items():
-        arrays[f"w_{name}"], arrays[f"w_{name}_n"] = _stack(
-            [row(w) for w in warps], tail, dtype)
-    arrays["cta"], lengths = _stack(
-        [getattr(trace.ctas, f) for f in _CTA_FIELDS], dtype=np.int64)
-    meta["cta"] = lengths.tolist()
+    parts = [getattr(trace.ctas, f) for f in _CTA_FIELDS]
+    arrays["cta"] = np.concatenate(parts).astype(np.int64, copy=False)
+    meta["cta"] = [len(p) for p in parts]
     return arrays, meta
 
 
 def _trace_from_arrays(arrays: dict, meta: dict) -> GoldenTrace:
-    from repro.gpusim.snapshot import Checkpoint, WarpSnapshot
-
-    part = {name: _unstack(arrays[name], arrays[f"{name}_n"])
-            for name in ("pl_g", "pl_c", "ck_g", "ck_c", "ck_sh")}
-    fields = {name: _unstack(arrays[f"w_{name}"], arrays[f"w_{name}_n"])
-              for name in _WARP_FIELDS}
     launches = tuple(LaunchRecord(
         program=r["program"], grid=tuple(r["grid"]), block=tuple(r["block"]),
         num_ctas=int(r["num_ctas"]), warps_per_cta=int(r["warps_per_cta"]),
         instructions_executed=int(r["instructions_executed"]),
         start_index=int(r["start_index"]),
-        shared_words=int(r["shared_words"])) for r in meta["launches"])
-    post_launch = tuple(
-        _snap_from(m, part["pl_g"][i], part["pl_c"][i])
-        for i, m in enumerate(meta["post_launch"]))
-    checkpoints = []
-    k = 0
-    for j, cm in enumerate(meta["checkpoints"]):
-        warps = []
-        for wm in cm["warps"]:
-            f = {name: rows[k] for name, rows in fields.items()}
-            k += 1
-            warps.append(WarpSnapshot(
-                cta=int(wm["cta"]), warp_in_cta=int(wm["warp_in_cta"]),
-                sm_id=int(wm["sm_id"]), subpartition=int(wm["subpartition"]),
-                warp_slot=int(wm["warp_slot"]),
-                alive=f["alive"][0], regs=np.ascontiguousarray(f["regs"].T),
-                preds=f["preds"][0], at_barrier=bool(wm["at_barrier"]),
-                instructions_executed=int(wm["instructions_executed"]),
-                stack_reconv=f["reconv"], stack_next=f["next"],
-                stack_masks=f["masks"]))
-        checkpoints.append(Checkpoint(
-            index=int(cm["index"]), launch=int(cm["launch"]),
-            cta=int(cm["cta"]), executed=int(cm["executed"]),
-            device=_snap_from(cm["device"], part["ck_g"][j],
-                              part["ck_c"][j]),
-            warps=tuple(warps), shared=part["ck_sh"][j]))
+        shared_words=int(r["shared_words"]),
+        slot_counters=tuple(tuple(int(x) for x in t)
+                            for t in r["slot_counters"]))
+        for r in meta["launches"])
     return GoldenTrace(
         key=meta["key"],
         ev_pc=np.asarray(arrays["ev_pc"], dtype=np.int32),
         ev_coord=np.asarray(arrays["ev_coord"], dtype=np.int32),
         ev_mask=np.asarray(arrays["ev_mask"], dtype=np.uint32),
         coords=tuple(tuple(int(x) for x in row) for row in arrays["coords"]),
-        launches=launches, checkpoints=tuple(checkpoints),
-        post_launch=post_launch,
+        launches=launches,
         ctas=CtaRecords(**{
             f: a.astype(np.uint32 if f.endswith("_val") else np.int64)
-            for f, a in zip(_CTA_FIELDS, _unstack(
-                arrays["cta"], np.array(meta["cta"], dtype=np.int64)))}),
+            for f, a in zip(_CTA_FIELDS, np.split(
+                arrays["cta"], np.cumsum(meta["cta"])[:-1]))}),
         total_instructions=int(meta["total_instructions"]),
-        epoch=int(meta["epoch"]), digest=meta["digest"])
+        digest=meta["digest"])
 
 
 def _trace_digest(arrays: dict, meta: dict) -> str:

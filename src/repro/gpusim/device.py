@@ -145,9 +145,9 @@ class Device:
 
         *round_hook* is called as ``hook(cta, executed, warps, shared_mem)``
         at the top of every CTA scheduling round (``executed`` is the
-        launch-cumulative instruction count) — the golden tracer captures
-        checkpoints there and the accelerated injector compares state
-        against them (see :mod:`repro.gpusim.snapshot`). A hook returns
+        launch-cumulative instruction count) — the golden tracer marks
+        where each CTA starts there, and the accelerated injector skips
+        clean CTAs and watches loops there. A hook returns
         ``None``/0, or a positive count that fast-forwards the launch's
         instruction counter: ``executed`` grows by it before the round
         runs. A hook may also rewrite the register values of the current

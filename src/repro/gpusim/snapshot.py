@@ -1,31 +1,29 @@
 """Cheap deep snapshot/restore of simulated-GPU architectural state.
 
-The campaign acceleration layer (docs/PERFORMANCE.md) replays only the
-*post-activation suffix* of each faulty run: the golden run records
-checkpoints at CTA scheduling-round boundaries, and an injection whose
-first activation lies at dynamic instruction *A* restores the latest
-checkpoint at or before *A* instead of re-executing the fault-free
-prefix.  A snapshot therefore captures everything the executor can
-observe downstream:
+Two users remain. The hang short-circuit (``accel.HangCycle``) captures
+a :class:`Checkpoint` of one warp at a loop anchor and compares the live
+state one loop period later (:func:`checkpoint_delta`); and
+``Device.launch(resume=...)`` starts a launch mid-flight from a
+:class:`LaunchResume` (:meth:`Checkpoint.resume`). A snapshot captures
+everything the executor can observe downstream:
 
 * device state — global memory (with allocator break), constant memory,
   and the per-``(sm, subpartition)`` warp-slot counters that give error
   descriptors their victim coordinates;
 * per-warp state — registers, predicates, alive mask, reconvergence
   stack, barrier flag and the executed-instruction counter;
-* the resumed CTA's shared memory.
+* the CTA's shared memory.
 
 Memories are stored as trimmed prefixes (trailing zero words dropped).
 Each memory keeps a written extent (``_WordMemory.extent``) past which
 every word is zero, so trimming scans backwards from the extent rather
 than from the end of the array, and restoring zero-fills only below the
 extent: a snapshot of a 4 MiB global memory holding a few KiB of live
-data costs a few KiB to take, store and restore.
+data costs a few KiB to take and restore.
 
-The one comparator, :func:`checkpoint_delta`, serves the hang
-short-circuit (``accel.HangCycle``): it compares a live round boundary
-with the checkpoint taken one loop period earlier. The control state
-(allocation break, slot counters, shared memory, and each warp's
+The one comparator, :func:`checkpoint_delta`, compares a live round
+boundary with the checkpoint taken one loop period earlier. The control
+state (allocation break, slot counters, shared memory, and each warp's
 identity, stack, barrier flag, alive mask and predicates) must be equal,
 and it reports how the registers and global words moved. Per-warp
 ``instructions_executed`` counters are not compared: they influence no
@@ -243,10 +241,9 @@ class LaunchResume:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Golden-run state at one CTA scheduling-round boundary."""
+    """Device, warp and shared-memory state at one CTA scheduling-round
+    boundary."""
 
-    index: int                     # global dynamic-instruction index
-    launch: int                    # launch ordinal within the workload
     cta: int                       # CTA being scheduled
     executed: int                  # launch-cumulative instruction count
     device: DeviceSnapshot
@@ -259,10 +256,10 @@ class Checkpoint:
                             shared=self.shared)
 
 
-def capture_checkpoint(dev, launch: int, cta: int, executed: int,
-                       index: int, warps, shared_mem) -> Checkpoint:
+def capture_checkpoint(dev, cta: int, executed: int, warps,
+                       shared_mem) -> Checkpoint:
     return Checkpoint(
-        index=index, launch=launch, cta=cta, executed=executed,
+        cta=cta, executed=executed,
         device=snapshot_device(dev),
         warps=tuple(snapshot_warp(w) for w in warps),
         shared=shared_mem.data.copy(),

@@ -1,4 +1,4 @@
-"""Accelerated EPR injection: checkpointed differential replay.
+"""Accelerated EPR injection: differential replay against the golden trace.
 
 A cold replay re-executes every injection from dynamic instruction 0.
 But a permanent fault is invisible until its *activation condition*
@@ -14,16 +14,15 @@ when it is handed a golden trace. It
   (:func:`activation_sites`), classifying never-activating descriptors,
   and those whose every activation the static analyzer proves inert, as
   Masked with zero simulated instructions;
-* skips whole pre-activation launches (restoring the golden post-launch
-  device snapshot so host-side reads between launches are identical) and
-  resumes the first-activation launch from the latest golden checkpoint
-  at or before the first site;
 * skips a CTA of a golden-shaped launch whose golden execution provably
   repeats (:class:`_CleanCtas`): no activation site lies in it and every
   word it loads before storing holds its golden value, so its golden
-  stores are written instead of simulating it. This also ends a run that
-  has reconverged with golden past its last activation site: each later
-  CTA is skipped, and the host reads the output as the cold replay does;
+  stores are written instead of simulating it. This is the replay's one
+  prefix shortcut: every CTA before the first activation site, in the
+  earlier launches too, is skipped this way, and the first site's CTA is
+  simulated from its start. It also ends a run that has reconverged with
+  golden past its last activation site: each later CTA is skipped, and
+  the host reads the output as the cold replay does;
 * fast-forwards a launch that has outrun its golden counterpart over the
   loop periods it provably repeats (:class:`HangCycle`). In a CTA with
   one unfinished warp, a watch on one anchor pc (:class:`_LoopWatch`)
@@ -76,7 +75,6 @@ from repro.gpusim.snapshot import (
     Checkpoint,
     capture_checkpoint,
     checkpoint_delta,
-    restore_device,
     slot_counters,
 )
 from repro.isa.instruction import RZ
@@ -115,7 +113,6 @@ class AccelStats:
     """Per-work-unit acceleration accounting: the unit result's ``accel``
     dict, summed by :func:`repro.campaign.store.fold_results`."""
 
-    restores: int = 0
     saved_instructions: int = 0
     #: injections classified without simulating a single instruction
     skipped: int = 0
@@ -129,7 +126,7 @@ class AccelStats:
     cta_skips: int = 0
 
     def as_dict(self) -> dict:
-        return {"enabled": True, "restores": self.restores,
+        return {"enabled": True,
                 "saved_instructions": self.saved_instructions,
                 "skipped": self.skipped,
                 "collapsed": self.collapsed,
@@ -627,8 +624,8 @@ class _LoopWatch:
             length = x - prev
         if x + length >= self.watchdog:
             return
-        ck = capture_checkpoint(self.dev, -1, self.warp.cta, x, -1,
-                                [self.warp], self.shared_mem)
+        ck = capture_checkpoint(self.dev, self.warp.cta, x, [self.warp],
+                                self.shared_mem)
         self.candidate = _Period(x, length, ck, inj, self.tool.activations)
 
     def _confirm(self, x: int) -> None:
@@ -1005,9 +1002,8 @@ class _CleanCtas:
     ``m``, or ``None`` when none of its CTAs can be skipped: the launch's
     program, grid, block and shared words must equal golden launch
     ``m``'s, and its warp-slot counters golden's at launch start. The
-    skip is called at the first round of each CTA the launch enters
-    from its start (not the CTA a checkpoint resume entered). The CTA, of
-    golden count ``n``, entered at launch count ``e``, is skipped when
+    skip is called at the first round of each CTA. The CTA, of golden
+    count ``n``, entered at launch count ``e``, is skipped when
 
     * no activation site lies in its golden index range;
     * ``e + n`` is within the watchdog budget, so the cold replay's
@@ -1049,8 +1045,7 @@ class _CleanCtas:
                 or (program.name, _dim3(grid), _dim3(block),
                     cta_shared_words(program, shared_words))
                 != (rec.program, rec.grid, rec.block, rec.shared_words)
-                or slot_counters(self.dev) != (
-                    trace.post_launch[m - 1].slot_counters if m else ())):
+                or slot_counters(self.dev) != rec.slot_counters):
             return None
         limit = min(self.watchdog, rec.instructions_executed)
         return functools.partial(self._skip, row0, limit)
@@ -1081,26 +1076,24 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
                     watchdog: int, stats: AccelStats,
                     shortcuts: list | None = None):
     """Workload launcher for a faulty run on *dev* that activates at
-    *sites* (non-empty): pre-activation launches are skipped, the
-    first-activation launch resumes from the latest golden checkpoint, a
-    clean CTA of a launch shaped like its golden counterpart is skipped
-    (:class:`_CleanCtas`), and a launch that outruns its golden
-    counterpart (or has none) is watched by :class:`HangCycle`, which
-    appends the kind of each fast-forward to *shortcuts*. A launch past
-    the end of the golden launch list that repeats an earlier one of the
-    run is served by the run's :class:`_LaunchMemo` (``"launch-memo"``)."""
-    first = int(sites[0])
+    *sites* (non-empty): every launch runs on the device, a clean CTA of
+    a launch shaped like its golden counterpart is skipped
+    (:class:`_CleanCtas`; each CTA before the first site is one), and a
+    launch that outruns its golden counterpart (or has none) is watched
+    by :class:`HangCycle`, which appends the kind of each fast-forward to
+    *shortcuts*. A launch past the end of the golden launch list that
+    repeats an earlier one of the run is served by the run's
+    :class:`_LaunchMemo` (``"launch-memo"``)."""
     state = {"launch": 0}
     shortcuts = [] if shortcuts is None else shortcuts
     memo = _LaunchMemo(dev, tool, stats, shortcuts)
     clean = _CleanCtas(dev, trace, sites, watchdog, stats)
 
-    def run(program, grid, block, params, shared_words, hook, resume=None):
+    def run(program, grid, block, params, shared_words, hook):
         try:
             return dev.launch(program, grid, block, params=params,
                               shared_words=shared_words, watchdog=watchdog,
-                              instrumentation=tool, round_hook=hook,
-                              resume=resume)
+                              instrumentation=tool, round_hook=hook)
         finally:
             # a period or a watch left unfinished by the launch
             observe(tool, None)
@@ -1115,43 +1108,22 @@ def replay_launcher(dev, trace: GoldenTrace, sites: np.ndarray, tool,
                 program, grid, block, params, shared_words,
                 HangCycle(dev, tool, watchdog, stats, shortcuts)),
                 program, grid, block, params, shared_words)
-        rec = trace.launches[m]
-
-        if rec.start_index + rec.instructions_executed <= first:
-            # the whole launch precedes the first activation: restore the
-            # golden post-launch snapshot (host reads between launches see
-            # identical memory) and report the golden statistics
-            restore_device(dev, trace.post_launch[m])
-            stats.saved_instructions += rec.instructions_executed
-            return LaunchResult(
-                program=rec.program, grid=rec.grid, block=rec.block,
-                num_ctas=rec.num_ctas, warps_per_cta=rec.warps_per_cta,
-                instructions_executed=rec.instructions_executed)
-
-        resume = None
-        if rec.start_index <= first:
-            ck = trace.best_checkpoint(first)
-            if ck is not None and ck.launch == m:
-                resume = ck.resume()
-                stats.restores += 1
-                stats.saved_instructions += ck.executed
-
         hang = HangCycle(dev, tool, watchdog, stats, shortcuts)
         skip = clean.launch(m, program, grid, block, shared_words)
-        #: the CTA the launch is in; a resumed CTA was entered mid-flight
-        entered = [-1 if resume is None else resume.cta]
+        #: the CTA the launch is in
+        entered = [-1]
 
         def hook(cta, executed, warps, shared_mem,
-                 _golden=rec.instructions_executed):
+                 _golden=trace.launches[m].instructions_executed):
             if cta != entered[0]:
                 entered[0] = cta
                 if skip is not None and (n := skip(cta, executed, warps)):
                     return n
             if executed > _golden:
-                # past every golden checkpoint of this launch
+                # past the golden launch's count: a hang candidate
                 return hang(cta, executed, warps, shared_mem)
 
-        return run(program, grid, block, params, shared_words, hook, resume)
+        return run(program, grid, block, params, shared_words, hook)
 
     return launcher
 

@@ -15,9 +15,8 @@ resumed after interruption.
 Every injection runs through one replay function,
 :func:`replay_injection` (:func:`run_one_injection` draws the campaign's
 seeded descriptor for it): handed a golden trace it takes the
-checkpointed differential replay shortcuts of
-:mod:`repro.swinjector.accel`; without one it is the cold replay that
-``--no-accel`` selects.
+differential replay shortcuts of :mod:`repro.swinjector.accel`; without
+one it is the cold replay that ``--no-accel`` selects.
 """
 
 from __future__ import annotations
@@ -81,12 +80,11 @@ class SwCampaignConfig:
     processes: int = field(default_factory=default_processes)
     mem_words: int = DEFAULT_MEM_WORDS
     fail_fast: bool = True
-    #: checkpointed differential replay (:mod:`repro.swinjector.accel`):
-    #: skip the fault-free prefix of every injection, classify
+    #: differential replay (:mod:`repro.swinjector.accel`): classify
     #: never-activating and inert descriptors without simulating, and
-    #: skip the CTAs that provably repeat golden — bit-identical
-    #: outcomes, less work (docs/PERFORMANCE.md); ``--no-accel`` replays
-    #: every injection cold
+    #: skip the CTAs that provably repeat golden, the fault-free prefix
+    #: of every injection among them — bit-identical outcomes, less work
+    #: (docs/PERFORMANCE.md); ``--no-accel`` replays every injection cold
     accel: bool = True
 
 
@@ -196,11 +194,10 @@ def replay_injection(w, desc, golden: np.ndarray, watchdog: int,
     run takes the shortcuts of :mod:`repro.swinjector.accel`, tallied in
     *stats* (required with *trace*): a descriptor that never activates,
     or whose every activation the static analyzer proves inert, is Masked
-    without simulating, pre-activation launches are skipped, the
-    first-activation launch resumes from a golden checkpoint, a CTA with
-    no activation site whose live-in words hold their golden values is
-    written from its golden stores instead of simulated (which also ends
-    a run that reconverges with golden past its last site), a loop that
+    without simulating, a CTA with no activation site whose live-in words
+    hold their golden values is written from its golden stores instead of
+    simulated (which skips every CTA before the first site, and ends a
+    run that reconverges with golden past its last site), a loop that
     provably repeats its state, or moves it by a constant delta per
     period, is fast-forwarded over the periods proved to repeat, and a
     launch past the golden launch list that repeats an earlier launch's
@@ -270,57 +267,41 @@ def _run_unit(app: str, model: ErrorModel, indices, cfg, golden: np.ndarray,
               watchdog: int, trace) -> tuple[list, dict]:
     """Unit body: outcomes in index order plus the unit's accel dict.
 
-    Without *trace* every injection replays cold, in index order. With a
-    golden trace the injections are planned first: behaviorally identical
-    descriptors share one run, and the runs are bucketed by resume
-    checkpoint (injections sharing an epoch restore the same snapshot
-    back-to-back). Outcomes are re-emitted in index order either way, so
-    the unit's result is byte-identical across the two settings."""
+    Injections run in index order. Without *trace* each one replays cold.
+    With a golden trace each one is replayed with its activation sites
+    planned, and a descriptor behaviorally identical to an earlier one of
+    the unit shares that run's outcome instead of running again. Either
+    way the unit's outcomes are byte-identical."""
     stats = None
     if trace is not None:
         stats = accel.AccelStats()
         w = cached_workload(app, cfg.scale, cfg.seed)
         progs = {p.name: p for p in w.programs().values()}
-    by_index: dict[int, InjectionOutcome] = {}
-    planned = []
-    groups: dict[tuple, list[int]] = {}
+    outcomes: list[InjectionOutcome] = []
+    #: behavior key -> the outcome of the run that key had
+    shared: dict[tuple, InjectionOutcome] = {}
     for i in indices:
         if trace is None:
-            planned.append(((-1, -1), i, None, None, [i]))
+            outcomes.append(run_one_injection(app, model, i, cfg, golden,
+                                              watchdog))
             continue
         desc = make_descriptor(model, cfg.seed, i)
         key = accel.behavior_key(desc)
-        if key is not None:
-            members = groups.get(key)
-            if members is not None:
-                # behaviorally identical to an already-planned descriptor:
-                # the run is deterministic in the key, so share its outcome
-                members.append(i)
-                stats.collapsed += 1
-                continue
-            groups[key] = members = [i]
-        else:
-            members = [i]
+        held = shared.get(key) if key is not None else None
+        if held is not None:
+            # the run is deterministic in the key, so share its outcome
+            outcomes.append(replace(held))
+            stats.collapsed += 1
+            continue
         tool = NVBitPERfi(desc)
         sites = accel.activation_sites(trace, desc, tool.injector, progs)
-        if sites.size:
-            ck = trace.best_checkpoint(int(sites[0]))
-            epoch = (trace.launch_of(int(sites[0])),
-                     ck.index if ck is not None else -1)
-        else:
-            epoch = (-1, -1)
-        planned.append((epoch, i, sites, tool, members))
-    # run in (epoch, index) order, dropping each tool (and the step
-    # tables it compiled) once its run is over
-    planned.sort(key=lambda t: (t[0], t[1]), reverse=True)
-    while planned:
-        _, i, sites, tool, members = planned.pop()
         out = run_one_injection(app, model, i, cfg, golden, watchdog,
                                 trace, stats, sites, tool)
-        for j in members:
-            by_index[j] = out if j == i else replace(out)
+        if key is not None:
+            shared[key] = out
+        outcomes.append(out)
     accel_stats = stats.as_dict() if stats is not None else {"enabled": False}
-    return [by_index[i] for i in indices], accel_stats
+    return outcomes, accel_stats
 
 
 @register_runner("epr")
@@ -328,7 +309,7 @@ def _run_epr_unit(payload: dict) -> dict:
     """Engine runner: one chunk of injections for one (app, model).
 
     With ``accel`` (the default) the unit loop is handed the golden trace
-    and injections run through checkpointed differential replay
+    and injections run through differential replay
     (:mod:`repro.swinjector.accel`); without it the same loop replays them
     cold. Unit ids, index assignment and outcomes are identical either
     way, so accelerated and plain campaigns (and resumes mixing them) stay
@@ -400,8 +381,8 @@ class EprCampaignSpec:
     @staticmethod
     def spill_to(config: dict, directory) -> None:
         """Spill the reference runs *config* uses under the campaign
-        *directory*: golden runs always, checkpoint traces when the
-        campaign is accelerated. A resume in a fresh process then reuses
+        *directory*: golden runs always, golden traces when the campaign
+        is accelerated. A resume in a fresh process then reuses
         them instead of recomputing every reference."""
         GOLDEN_CACHE.persist_under(directory)
         if config.get("accel", True):
@@ -422,8 +403,8 @@ class EprCampaignSpec:
                  for app in config["apps"]]
         h0, m0 = GOLDEN_CACHE.stats()
         if config.get("accel", True):
-            # warm traces in the parent so forked workers inherit the
-            # checkpoints copy-on-write instead of re-tracing per process;
+            # warm traces in the parent so forked workers inherit them
+            # copy-on-write instead of re-tracing per process;
             # each traced pass also builds (or checks) its golden run
             CHECKPOINT_CACHE.warm(specs)
         GOLDEN_CACHE.warm(specs)

@@ -1,7 +1,7 @@
 """Acceleration must be invisible in the results.
 
 Every shortcut of the campaign acceleration layer — activation-site
-planning, checkpoint resume, clean-CTA skip, descriptor collapsing,
+planning, clean-CTA skip, descriptor collapsing,
 dynamic fault dropping, stimuli dedup, and the vectorized gate-level
 kernels — must produce outcomes bit-identical to the unaccelerated path.
 These tests run both paths and diff the results exactly
@@ -59,8 +59,8 @@ class TestEprEquivalence:
             assert legacy["accel"]["enabled"] is False
 
     def test_multi_launch_app_bit_identical(self):
-        # bfs launches many kernels: exercises launch skipping + resume
-        # across launch boundaries
+        # bfs launches many kernels: exercises the clean-CTA skip across
+        # launch boundaries, every CTA before the first site included
         accel = _epr_unit("bfs", "IAT", 6, accel=True)
         legacy = _epr_unit("bfs", "IAT", 6, accel=False)
         assert accel["outcomes"] == legacy["outcomes"]

@@ -140,7 +140,7 @@ class TestStore:
         store.write_manifest("test-echo", {"n": 2}, total_units=2)
         store.append_result(UnitResult(
             "u/0", "test-echo", ok=True, elapsed=0.5,
-            value={"items": 3, "accel": {"enabled": True, "restores": 2}}))
+            value={"items": 3, "accel": {"enabled": True, "cta_skips": 2}}))
         store.append_result(UnitResult("u/1", "test-echo", ok=False,
                                        error="boom", elapsed=0.1))
         results = store.load_results()
@@ -149,7 +149,7 @@ class TestStore:
         status = store.status()
         assert status["completed_units"] == 1
         assert status["failed_units"] == 1
-        assert status["accel"] == {"restores": 2}  # bools are not summed
+        assert status["accel"] == {"cta_skips": 2}  # bools are not summed
         assert not status["complete"]
 
     def test_to_json_pins_the_deep_copy(self):

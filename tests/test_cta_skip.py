@@ -175,41 +175,6 @@ def _param_kernel():
     return k.build()
 
 
-def _resume_kernel():
-    """``out[g] = sum(range(n)) + shared[tid]``: odd CTAs spin ``n``
-    iterations, the others none, and only CTA 2 stores ``tid + 1000`` to
-    its shared word (nearly first thing)."""
-    k = KernelBuilder("resume", nregs=16, shared_words=32)
-    n, out = k.load_param(0), k.load_param(1)
-    t, c = k.s2r_tid_x(), k.s2r_ctaid_x()
-    one, two, p = k.pred(), k.pred(), k.pred()
-    k.isetp(two, c, imm=2, cmp=CmpOp.EQ)
-    sh, x = k.reg(), k.reg()
-    k.shl(sh, t, imm=2)
-    k.iadd(x, t, imm=1000)
-    k.sts(sh, x, pred=two)
-    odd = k.reg()
-    k.and_(odd, c, imm=1)
-    k.isetp(one, odd, imm=1, cmp=CmpOp.EQ)
-    k.sel(n, n, RZ, one)
-    i, acc, v = k.mov32i_new(0), k.mov32i_new(0), k.mov32i_new(0)
-    with k.loop() as lp:
-        k.isetp(p, i, n, cmp=CmpOp.GE)
-        lp.break_if(p)
-        k.iadd(acc, acc, i)
-        k.iadd(i, i, imm=1)
-    k.lds(v, sh, pred=two)
-    k.iadd(acc, acc, v)
-    g = k.reg()
-    k.shl(g, c, imm=5)
-    k.iadd(g, g, t)
-    k.shl(g, g, imm=2)
-    k.iadd(g, g, out)
-    k.gst(g, acc)
-    k.exit()
-    return k.build()
-
-
 class _App(Workload):
     """The kernels *programs* driven by ``host(device, launcher, programs)``,
     which returns the output bits. Keeps its last bits and the digest of
@@ -250,9 +215,10 @@ def _buffers(device, n: int) -> list[int]:
     return out
 
 
-def _replay(w: _App, desc, watchdog: int | None = None):
-    """Replay *desc* on *w* cold and accelerated, assert they agree, and
-    return ``(cold outcome, accelerated stats, (cold, fast) memory)``."""
+def _replay(w: _App, desc, watchdog: int | None = None, tool=None):
+    """Replay *desc* on *w* cold and accelerated (with *tool*, if given),
+    assert they agree, and return ``(cold outcome, accelerated stats,
+    (cold, fast) memory)``."""
     golden, trace = reference_run(w, _MEM, traced_key="")
     if watchdog is None:
         watchdog = 4 * golden.dynamic_instructions + 2_048
@@ -260,7 +226,7 @@ def _replay(w: _App, desc, watchdog: int | None = None):
     bits, memory = w.bits, w.memory
     stats = AccelStats()
     fast = replay_injection(w, desc, golden.bits, watchdog, _MEM, trace,
-                            stats)
+                            stats, tool=tool)
     assert fast == cold
     assert (w.bits is None) == (bits is None)
     if bits is not None:
@@ -316,6 +282,45 @@ class TestSkip:
         assert cold.outcome == "sdc"
         assert stats.cta_skips == (0 if chained else 3)
 
+    def test_ctas_before_the_first_site_are_skipped(self):
+        # the fault sits on SM 0's slot 3, which only the last CTA of the
+        # third launch takes. Between launches the host allocates, and
+        # passes the first launch's readback to the second as a
+        # parameter: every CTA before the site's is golden all the same,
+        # so each one is skipped and not one of its instructions runs
+        ran = set()
+
+        class Logged(NVBitPERfi):
+            def table(self, warp, decoded):
+                ran.add((warp.program.name, warp.cta))
+                return super().table(warp, decoded)
+
+        def host(device, launch, progs):
+            src, out = _buffers(device, 2)
+            launch(progs["map"], grid=2, block=32, params=(src, out))
+            x = int(device.read(out, 1)[0])
+            out2 = device.alloc(_WORDS)
+            launch(progs["param"], grid=2, block=32, params=(50, out2, x))
+            out3 = device.alloc(_WORDS)
+            launch(progs["last"], grid=3, block=32, params=(src, out3))
+            return np.concatenate((device.read(out2, 64),
+                                   device.read(out3, 96)))
+
+        w = _App({"map": _map_kernel(), "param": _param_kernel(),
+                  "last": _map_kernel("last")}, host)
+        desc = dataclasses.replace(_IMD, warp_slots=frozenset({3}))
+        _, trace = reference_run(w, _MEM, traced_key="")
+        progs = {p.name: p for p in w.programs().values()}
+        sites = accel.activation_sites(trace, desc, NVBitPERfi(desc).injector,
+                                       progs)
+        row, c = trace.cta_row(2, 2), trace.ctas
+        assert row == 6
+        assert c.start[row] <= sites[0] < c.start[row] + c.count[row]
+        cold, stats, _ = _replay(w, desc, tool=Logged(desc))
+        assert cold.outcome == "sdc" and cold.activations == 1
+        assert stats.cta_skips == row
+        assert ran == {("last", 2)}
+
     def test_saved_instructions_count_the_skipped_ctas(self):
         w = _map_app(6)
         _, trace = reference_run(w, _MEM, traced_key="")
@@ -332,36 +337,6 @@ class TestRefusals:
         cold, stats, _ = _replay(_map_app(4, chained=True), desc)
         assert cold.outcome == "sdc"
         assert stats.cta_skips == 0
-
-    def test_cta_a_resume_entered(self, monkeypatch):
-        # the first site is CTA 2's first shared store; the latest golden
-        # checkpoint before it is CTA 1's last round, which the replay
-        # resumes: CTA 1 is entered finished, not from its start, and only
-        # CTA 3 is skipped
-        skipped = []
-        skip = accel._CleanCtas._skip
-
-        def logged(self, row0, limit, cta, executed, warps):
-            n = skip(self, row0, limit, cta, executed, warps)
-            if n:
-                skipped.append(cta)
-            return n
-        monkeypatch.setattr(accel._CleanCtas, "_skip", logged)
-
-        def host(device, launch, progs):
-            (out,) = _buffers(device, 1)
-            launch(progs["resume"], grid=4, block=32, params=(200, out))
-            return device.read(out, 128)
-
-        w = _App({"resume": _resume_kernel()}, host)
-        _, trace = reference_run(w, _MEM, traced_key="")
-        start = int(trace.ctas.start[2])
-        ck = trace.best_checkpoint(start)
-        assert (ck.cta, ck.index) == (1, start)
-        cold, stats, _ = _replay(w, _IMD)
-        assert cold.outcome == "sdc"
-        assert (stats.restores, stats.cta_skips) == (1, 1)
-        assert skipped == [3]
 
     def test_constant_word_left_by_an_earlier_launch(self):
         # the host passes a corrupted readback as a fourth parameter of
@@ -493,13 +468,14 @@ class TestReconvergedRun:
 
     def test_reconverged_run_ends_in_skips(self):
         # the corrupted bit is cleared again: the run is Masked, and CTA
-        # 3, which holds the golden run's one checkpoint, past the last
-        # site in CTA 2, is skipped like CTA 1
+        # 3, past the last site in CTA 2, is skipped like CTA 1
         w = _map_app(4, clear=_IMD.bit_err_mask)
         _, trace = reference_run(w, _MEM, traced_key="")
-        (ck,) = trace.checkpoints
+        progs = {p.name: p for p in w.programs().values()}
+        sites = accel.activation_sites(trace, _IMD,
+                                       NVBitPERfi(_IMD).injector, progs)
         c = trace.ctas
-        assert ck.cta == 3 and c.start[3] < ck.index <= c.start[3] + c.count[3]
+        assert c.start[2] <= sites[-1] < c.start[3]
         cold, stats, _ = _replay(w, _IMD)
         assert cold.outcome == "masked" and cold.activations == 2
         assert stats.cta_skips == 2

@@ -1,10 +1,9 @@
-"""Snapshot/restore of simulated-GPU state + the checkpoint cache.
+"""Snapshot/restore of simulated-GPU state + the golden-trace cache.
 
-These are the building blocks of checkpointed differential replay
-(docs/PERFORMANCE.md): device/warp snapshots must round-trip exactly,
-the equality comparators must implement the documented exclusions, and a
-launch resumed from a mid-run checkpoint must finish bit-identical to an
-uninterrupted one.
+Device/warp snapshots must round-trip exactly, the equality comparators
+must implement the documented exclusions, a launch resumed from a
+mid-run checkpoint must finish bit-identical to an uninterrupted one,
+and a golden trace must round-trip through its spill.
 """
 
 from __future__ import annotations
@@ -16,14 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.goldens import (
-    EPOCH_MAX,
-    EPOCH_MIN,
-    MAX_CHECKPOINTS,
-    CheckpointCache,
-    thin_checkpoints,
-    trace_key,
-)
+from repro.campaign.goldens import CheckpointCache, trace_key
 from repro.gpusim import Device, DeviceConfig
 from repro.gpusim.executor import WarpState
 from repro.gpusim.snapshot import (
@@ -306,8 +298,8 @@ class TestCheckpointResume:
 
         def hook(cta, executed, warps, shared_mem):
             if executed and not cks:
-                cks.append(capture_checkpoint(dev, 0, cta, executed,
-                                              executed, warps, shared_mem))
+                cks.append(capture_checkpoint(dev, cta, executed, warps,
+                                              shared_mem))
 
         dev = _device()
         ptr = dev.alloc_array(data)
@@ -326,19 +318,6 @@ class TestCheckpointResume:
 
 
 class TestCheckpointCache:
-    def test_epoch_bounds(self):
-        assert (EPOCH_MIN, EPOCH_MAX, MAX_CHECKPOINTS) == (64, 8192, 32)
-        held = list(range(32))
-        assert thin_checkpoints(held, 64) == 64 and held == list(range(32))
-        held.append(32)
-        # every other one goes, the first and the newest stay
-        assert thin_checkpoints(held, 64) == 128
-        assert held == list(range(0, 33, 2))
-        assert thin_checkpoints(list(range(33)), 4096) == 8192
-        # capped: past EPOCH_MAX the spacing stays and nothing is dropped
-        held = list(range(40))
-        assert thin_checkpoints(held, 8192) == 8192 and len(held) == 40
-
     def test_content_addressed_and_hit_counted(self):
         cache = CheckpointCache()
         a = cache.get("vectoradd", "tiny", 1)
@@ -364,18 +343,13 @@ class TestCheckpointCache:
         assert np.array_equal(b.ev_coord, a.ev_coord)
         assert np.array_equal(b.ev_mask, a.ev_mask)
         assert b.coords == a.coords
-        assert len(b.checkpoints) == len(a.checkpoints)
-        for x, y in zip(b.checkpoints, a.checkpoints):
-            assert (x.index, x.launch, x.cta, x.executed) == \
-                   (y.index, y.launch, y.cta, y.executed)
-            assert np.array_equal(x.shared, y.shared)
-        assert len(b.launches) == len(a.launches)
+        assert b.launches == a.launches
         assert b.total_instructions == a.total_instructions
 
-    def test_spill_stacks_fields_and_round_trips_every_warp(self, tmp_path):
-        # one .npz member per snapshot field, whatever the number of
-        # checkpoints and warps, and every field and CTA record reads back
-        # exactly
+    def test_spill_round_trips_every_cta_record(self, tmp_path):
+        # the CTA records are one .npz member end to end, next to the
+        # meta, the three event arrays and the coordinates, and every
+        # launch and CTA record reads back exactly
         import dataclasses
         import zipfile
 
@@ -383,47 +357,26 @@ class TestCheckpointCache:
         cache.persist_to(tmp_path)
         a = cache.get("bfs", "tiny", 1)
         (path,) = tmp_path.glob("*.trace.npz")
-        assert len(a.checkpoints) > 4
-        assert sum(len(ck.warps) for ck in a.checkpoints) > 8
-        # 27 snapshot members, and one of the CTA records end to end
-        assert len(zipfile.ZipFile(path).namelist()) == 28
+        assert len(zipfile.ZipFile(path).namelist()) == 6
 
         fresh = CheckpointCache()
         fresh.persist_to(tmp_path)
         b = fresh.get("bfs", "tiny", 1)
         assert fresh.disk_hits == 1
 
-        def same(x, y):
-            assert x.dtype == y.dtype and np.array_equal(x, y)
-
         assert b.launches == a.launches
+        assert len({r.slot_counters for r in a.launches}) > 4
         assert a.ctas.start.size == sum(r.num_ctas for r in a.launches) > 4
         assert a.ctas.gld_word.size and a.ctas.gst_word.size
         for f in dataclasses.fields(a.ctas):
-            same(getattr(b.ctas, f.name), getattr(a.ctas, f.name))
-        for x, y in zip(b.post_launch, a.post_launch, strict=True):
-            same(x.global_data, y.global_data)
-            same(x.constant_data, y.constant_data)
-            assert (x.global_brk, x.slot_counters) == \
-                   (y.global_brk, y.slot_counters)
-        for x, y in zip(b.checkpoints, a.checkpoints, strict=True):
-            same(x.shared, y.shared)
-            same(x.device.global_data, y.device.global_data)
-            same(x.device.constant_data, y.device.constant_data)
-            for u, v in zip(x.warps, y.warps, strict=True):
-                for f in ("alive", "regs", "preds", "stack_reconv",
-                          "stack_next", "stack_masks"):
-                    same(getattr(u, f), getattr(v, f))
-                assert u.regs.flags.c_contiguous
-                assert (u.cta, u.warp_in_cta, u.sm_id, u.subpartition,
-                        u.warp_slot, u.at_barrier,
-                        u.instructions_executed) == \
-                       (v.cta, v.warp_in_cta, v.sm_id, v.subpartition,
-                        v.warp_slot, v.at_barrier, v.instructions_executed)
+            x, y = getattr(b.ctas, f.name), getattr(a.ctas, f.name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
     def test_spill_in_another_layout_is_a_miss(self, tmp_path):
         # a spill without this layout's tag (as the per-warp layout
-        # wrote it), digest intact, is recomputed, not decoded
+        # wrote it), or tagged 3 (as the layout with checkpoints and
+        # post-launch snapshots wrote it), digest intact, is recomputed,
+        # not decoded
         import json
 
         from repro.campaign import goldens
@@ -432,17 +385,22 @@ class TestCheckpointCache:
         cache.persist_to(tmp_path)
         a = cache.get("vectoradd", "tiny", 1)
         (path,) = tmp_path.glob("*.trace.npz")
-        arrays, meta = goldens._trace_to_arrays(a)
-        del meta["layout"]
-        meta["trace_digest"] = goldens._trace_digest(arrays, meta)
-        with open(path, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        for layout in (None, 3):
+            arrays, meta = goldens._trace_to_arrays(a)
+            if layout is None:
+                del meta["layout"]
+            else:
+                meta["layout"] = layout
+            meta["trace_digest"] = goldens._trace_digest(arrays, meta)
+            with open(path, "wb") as fh:
+                np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
-        fresh = CheckpointCache()
-        fresh.persist_to(tmp_path)
-        b = fresh.get("vectoradd", "tiny", 1)
-        assert (fresh.disk_hits, fresh.disk_rejects, fresh.misses) == (0, 1, 1)
-        assert b.digest == a.digest
+            fresh = CheckpointCache()
+            fresh.persist_to(tmp_path)
+            b = fresh.get("vectoradd", "tiny", 1)
+            assert (fresh.disk_hits, fresh.disk_rejects, fresh.misses) == \
+                (0, 1, 1)
+            assert b.digest == a.digest
 
     def test_corrupt_disk_entry_is_discarded(self, tmp_path):
         cache = CheckpointCache()
@@ -471,9 +429,6 @@ class TestCheckpointCache:
         last = trace.launches[-1]
         assert last.start_index + last.instructions_executed == \
                trace.total_instructions
-        for ck in trace.checkpoints:
-            rec = trace.launches[ck.launch]
-            assert ck.index == rec.start_index + ck.executed
 
 
 class _Nondeterministic:
@@ -493,7 +448,7 @@ class _Nondeterministic:
 
 
 class TestReferencePass:
-    """One traced pass builds the golden run and the checkpoint trace."""
+    """One traced pass builds the golden run and the golden trace."""
 
     @pytest.mark.parametrize("app", sorted(EVALUATION_APPS))
     def test_traced_pass_equals_untraced(self, app):
@@ -507,10 +462,6 @@ class TestReferencePass:
         assert golden.digest == plain.digest
         assert trace.total_instructions == golden.dynamic_instructions
         assert trace.digest == golden.digest
-        assert EPOCH_MIN <= trace.epoch <= EPOCH_MAX
-        assert len(trace.checkpoints) <= MAX_CHECKPOINTS
-        index = [ck.index for ck in trace.checkpoints]
-        assert all(b - a >= EPOCH_MIN for a, b in zip([0] + index, index))
 
     def test_trace_miss_fills_golden_cache(self):
         from repro.campaign.goldens import GOLDEN_CACHE

@@ -15,8 +15,6 @@ import pytest
 
 from repro.campaign.goldens import (
     DEFAULT_MEM_WORDS,
-    _trace_digest,
-    _trace_to_arrays,
     cached_workload,
     reference_run,
 )
@@ -30,26 +28,27 @@ from repro.swinjector import NVBitPERfi
 from repro.workloads.base import default_launcher
 from repro.workloads.registry import EVALUATION_APPS
 
-#: SHA-256 of each tiny EPR app's golden trace (``ev_pc``, ``ev_coord``,
-#: ``ev_mask``, ``coords``, launches, checkpoints and post-launch
-#: snapshots, as the spill flattens them), traced with its app name as key,
-#: without the CTA records (:func:`_pinned_digest`)
+#: SHA-256 of each tiny EPR app's golden trace, traced with its app name
+#: as key, without the CTA records (:func:`_pinned_digest`). Derived when
+#: the trace still held checkpoints and post-launch snapshots, with each
+#: launch's slot counters read from the snapshot after the launch before
+#: it: the event arrays, launches and slot counters are those it held.
 TRACE_DIGESTS = {
-    "vectoradd": "b68c08370c50606380b8d21ececa71f8dd3b78e46a3336a9bdc211d71e0b4c16",
-    "lava": "59c15132339d2cfbb2e5a7fc08bded669543745e9115ca1909cee8952bdfcfe0",
-    "mxm": "8d4abad4c030e9338e39a8d6994b0c65d80e013db28852fae0f0559123463777",
-    "gemm": "124c6c7a2754267b99dc5698059b7640c3d97578c2b67faeb8f56788800ca5b3",
-    "hotspot": "3a65d8c67a918e7428c662908800a6046a95d4fe3d487d6f56c705d9da191a99",
-    "gaussian": "87540675f6c78b9e7e33533567da0c361bdec4e197c6b83e71f861e1a6c6891a",
-    "bfs": "5bea7ed5f118d5ecfc6b6c9e02eddf008cbb878a9dc740ede43ea48762d4b574",
-    "lud": "5eb174f43b86c3b65967608be9163a99e948db9c622b0aafdb77e7bac69b5c14",
-    "accl": "b7e49bbe823491b99f879391f739128c85d9c36b1ac53bb1be37ef738613cdc9",
-    "nw": "e29dffe9a6f7c45bd2d4caf44f1c2dcae9469f639edd107e9bbe794cef9b0ecf",
-    "cfd": "d6fc6a41a5fdc254357fb95bf35abaff01dd715498ab1faf905f5e67d53a7131",
-    "quicksort": "152e52d09ee2c0319b1cba5fedbb34c2684c1da00bdeb970754914856cad6d28",
-    "mergesort": "31961c3ec8acbba7daf15de2d0965c1726799f049a2c475d008c4f411c0df6cd",
-    "lenet": "118201c205b73a401f967afad4260ccc5bb00253e4c79b3d1422fd2c827e604a",
-    "yolov3": "3a3254793c69d2d9a39f25b8c3efedd279357bb5a3825a48339af4f81ce6de20",
+    "accl": "662820e06270ce9fab75919adba80a1e8d35fd5409a03b02866ee35bb91273b4",
+    "bfs": "701c77b46cc12d53a24356f8c0419c520d454b8e05a372a7118ccfcfa56ea3d0",
+    "cfd": "c14e4434f86bcf63023ac2259e5a299be34fae32ba2e51002f3274d3d220b64e",
+    "gaussian": "d1ca96d4c566b305e822bf22f5316d85a6ac18969f0fea7a6ed621fe74d3c093",
+    "gemm": "175117f705e70b697af1e91ada03757c4489855c22efd8678406d40644699c16",
+    "hotspot": "aa47bfab9c69786adfdd66259395c82b8a3b425511a163ff1ad785d39009e39e",
+    "lava": "c3cad4ceb74840688f403a20254db6443c297e239198cd91316d85967c0238aa",
+    "lenet": "c25c7d70a6c5d2043926f794c9e91abb81765a5b4b0ba99217ee5c3330a17167",
+    "lud": "457b2711fabe8a4f66c7decfb8be976ca917c15ab5091f414a004697f14c38d1",
+    "mergesort": "597d9db83ba1e329ea601f5979eb8ea4f47e3bb0c65d39881a656892e813f013",
+    "mxm": "cf57a61e377f8d19b1e1ae4906beac7d2ba3b61a8362742f36caaa11193cb8a5",
+    "nw": "d99c56cd4d2aaefd7377c60e3a892cdce43600ac0aeb2601e1d48b03d61b374e",
+    "quicksort": "1d6864f15c43d7d64db99fcb3a52ae03cdda6a6ea8f874d9cd9ec31364b0da44",
+    "vectoradd": "8bb6b715070a559ced2d9bef3e115f020d970836e2391fc02e6a9d5530670f73",
+    "yolov3": "8f29b6d5480797e3eb42820a85826588e8847557283b235bdf0f66f9a360a28a",
 }
 
 #: SHA-256 of each tiny EPR app's CTA records: every
@@ -79,15 +78,19 @@ STIMULI_DIGEST = \
 
 
 def _pinned_digest(trace) -> str:
-    """The spill digest of *trace* as the spill was before it held CTA
-    records (layout 2): their arrays and each launch's ``shared_words``
-    left out, ``layout`` hashed as 2."""
-    arrays, meta = _trace_to_arrays(trace)
-    del arrays["cta"], meta["cta"]
-    meta["layout"] = 2
-    for rec in meta["launches"]:
-        del rec["shared_words"]
-    return _trace_digest(arrays, meta)
+    """SHA-256 of *trace*'s ``ev_pc``, ``ev_coord`` and ``ev_mask``, then
+    of the ``repr`` of its key, coordinates, launches (each but its
+    ``shared_words``, which :data:`CTA_DIGESTS` pins, with its slot
+    counters last), total count and output digest."""
+    h = hashlib.sha256()
+    for a in (trace.ev_pc, trace.ev_coord, trace.ev_mask):
+        h.update(np.ascontiguousarray(a).tobytes())
+    launches = [(r.program, r.grid, r.block, r.num_ctas, r.warps_per_cta,
+                 r.instructions_executed, r.start_index, r.slot_counters)
+                for r in trace.launches]
+    h.update(repr((trace.key, trace.coords, launches,
+                   trace.total_instructions, trace.digest)).encode())
+    return h.hexdigest()
 
 
 def _cta_digest(trace) -> str:
